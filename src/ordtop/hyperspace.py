@@ -209,9 +209,12 @@ def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> SelectorRe
 
     rel = {(x, y) for y in names for x in sets[y] if x != y and x in names}
     irreflexive = all((x, x) not in rel for x in names)
+    succ: dict = {}
+    for x, y in rel:
+        succ.setdefault(x, []).append(y)
     transitive = all((x, z) in rel
-                     for (x, y) in rel for (y2, z) in rel
-                     if y == y2 and x != z)
+                     for (x, y) in rel for z in succ.get(y, ())
+                     if x != z)
     antisym4 = all((y, x) not in rel for (x, y) in rel)
     cond4 = irreflexive and transitive and antisym4
     equivalent = (cond2 and cond3) == cond4 if cond1 else True

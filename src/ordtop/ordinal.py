@@ -462,7 +462,22 @@ def one_plus_inverse(r: Ordinal) -> Ordinal:
 #   term := atom ('*' nat)?
 #   atom := '0' | nat | 'w' | 'w^' atom | 'w^(' expr ')'
 
+MAX_NESTING = 100
+"""Deepest tower of ``w^`` exponents that ``parse_ordinal`` accepts.
+
+The parser, the formatter and tuple comparison of keys all recurse once per
+level, so an unbounded tower would end in ``RecursionError``.  A deeper
+input is rejected with a ``ParseError`` at the ``w`` that opens the first
+level too many.
+"""
+
+
 def parse_ordinal(text: str) -> Ordinal:
+    """Parse an expression of the grammar above into normal form.
+
+    Raises ``ParseError`` with the failing position on malformed input and
+    on exponents nested more than ``MAX_NESTING`` deep.
+    """
     parser = _Parser(text)
     value = parser.parse_expr()
     parser.skip_ws()
@@ -475,6 +490,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -510,8 +526,12 @@ class _Parser:
         self.skip_ws()
         ch = self.peek()
         if ch == "w":
+            at = self.pos
             self.pos += 1
             if self.peek() == "^":
+                if self.depth == MAX_NESTING:
+                    raise ParseError(f"exponents nested deeper than {MAX_NESTING}", at)
+                self.depth += 1
                 self.pos += 1
                 self.skip_ws()
                 if self.peek() == "(":
@@ -523,6 +543,7 @@ class _Parser:
                     self.pos += 1
                 else:
                     exp = self.parse_atom()
+                self.depth -= 1
                 return Ordinal.omega_power(exp)
             return OMEGA
         if ch.isdigit():

@@ -1,9 +1,12 @@
 """Explicit finite posets with downset enumeration and rank machinery.
 
 Elements are indexed 0..n-1 with string labels; the strict order is kept
-as per-element bitmasks of the elements strictly below.  Downsets are
-bitmasks over element indices in declaration order, which makes closure
-checks and hashing cheap and canonical.
+as per-element bitmasks of the elements strictly below, together with the
+transposed ``above`` masks of the elements strictly above, built once at
+construction.  Downsets are bitmasks over element indices in declaration
+order, which makes closure checks and hashing cheap and canonical, and
+lets ``max_of`` test each member with one AND against its ``above`` mask,
+O(k) for a k-element mask.
 
 Enumeration operations (downset lattice, downset ranks, the union-rank
 verifier) refuse posets larger than a configurable bound, 20 by default.
@@ -26,16 +29,15 @@ class PosetError(ValueError):
 
 
 def _bits(mask: int) -> Iterable[int]:
-    i = 0
+    """Indices of the set bits of ``mask``, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -43,10 +45,14 @@ class FinitePoset:
     """Finite strict order, transitively closed.
 
     ``below[i]`` is the bitmask of elements strictly less than element i.
+    ``above[i]``, derived from ``below`` at construction, is the bitmask of
+    elements strictly greater than element i, so "is some member of S above
+    i" is ``above[i] & S`` and ``max_of`` costs O(k) for a k-element mask.
     """
 
     labels: tuple
     below: tuple
+    above: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -56,6 +62,7 @@ class FinitePoset:
             raise PosetError("duplicate element name")
         if len(self.below) != n:
             raise PosetError("below must have one mask per element")
+        above = [0] * n
         for i, mask in enumerate(self.below):
             if mask >> n:
                 raise PosetError("below mask out of range")
@@ -66,6 +73,8 @@ class FinitePoset:
                     raise PosetError("order must be transitive")
                 if self.below[j] & (1 << i):
                     raise PosetError("order must be antisymmetric")
+                above[j] |= 1 << i
+        object.__setattr__(self, "above", tuple(above))
 
     @property
     def n(self) -> int:
@@ -87,8 +96,7 @@ class FinitePoset:
         return self.below[i] | (1 << i)
 
     def up_mask(self, i: int) -> int:
-        bit = 1 << i
-        return bit | sum(1 << j for j in range(self.n) if self.below[j] & bit)
+        return self.above[i] | (1 << i)
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -107,11 +115,16 @@ class FinitePoset:
 
     def max_of(self, mask: int) -> int:
         """Bitmask of the maximal elements within ``mask``."""
+        # the bit walk of _bits, inlined: this is the innermost loop of the
+        # downset ranks, and a generator costs more than the test itself
+        above = self.above
         out = 0
-        for i in _bits(mask):
-            above_in_mask = any(self.below[j] & (1 << i) for j in _bits(mask))
-            if not above_in_mask:
-                out |= 1 << i
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if not (above[low.bit_length() - 1] & mask):
+                out |= low
+            rest ^= low
         return out
 
     def min_of(self, mask: int) -> int:
@@ -126,8 +139,7 @@ class FinitePoset:
         out = []
         for j in range(self.n):
             for i in _bits(self.below[j]):
-                between = self.below[j] & ~self.below[i] & ~(1 << i)
-                if not any(self.below[k] & (1 << i) for k in _bits(between)):
+                if not (self.above[i] & self.below[j]):
                     out.append((i, j))
         return out
 
@@ -278,9 +290,7 @@ def width(poset: FinitePoset) -> int:
 
 def _max_antichain(poset: FinitePoset) -> int:
     # maximum independent set in the comparability graph
-    n = poset.n
-    adj = [poset.below[i] | sum(1 << j for j in range(n) if poset.below[j] & (1 << i))
-           for i in range(n)]
+    adj = [b | a for b, a in zip(poset.below, poset.above)]
 
     def mis(mask: int) -> int:
         if not mask:
@@ -303,7 +313,7 @@ def _max_antichain(poset: FinitePoset) -> int:
 def _max_matching(poset: FinitePoset) -> int:
     # Kuhn's algorithm on the split bipartite graph of the strict order
     n = poset.n
-    succ = [[j for j in range(n) if poset.below[j] & (1 << i)] for i in range(n)]
+    succ = [list(_bits(a)) for a in poset.above]
     match_right = [-1] * n
 
     def try_augment(i: int, seen: list) -> bool:
@@ -352,8 +362,7 @@ def all_downsets(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> list:
 def antichain_masks(poset: FinitePoset) -> list:
     """All antichains as bitmasks, including the empty one."""
     n = poset.n
-    comp = [poset.below[i] | sum(1 << j for j in range(n) if poset.below[j] & (1 << i))
-            for i in range(n)]
+    comp = [b | a for b, a in zip(poset.below, poset.above)]
     out = []
 
     def rec(i: int, mask: int):

@@ -52,6 +52,15 @@ def test_ord_parse_error_is_usage_error(runner):
     assert "error:" in r.stderr
 
 
+def test_ord_deeply_nested_input_is_usage_error(runner):
+    # a tower far past the nesting limit is rejected, not a RecursionError
+    r = runner.invoke(main, ["ord", "norm", "w^" * 3000 + "1"])
+    assert r.exit_code == 2
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "nested deeper than" in r.stderr
+    assert "Traceback" not in r.output and "Traceback" not in r.stderr
+
+
 def test_ord_odot_bad_right_argument_is_usage_error(runner):
     assert invoke(runner, ["ord", "odot", "w", "notanum"]).exit_code == 2
     assert invoke(runner, ["ord", "odot", "w", "w^2"]).exit_code == 2

@@ -9,6 +9,7 @@ from ordtop.hyperspace import (
     HyperspaceError,
     OnePointModel,
     SelectorFamily,
+    SelectorReport,
     build_hyperspace,
     hat_extension,
     hyperspace_to_dot,
@@ -164,6 +165,81 @@ def test_selector_equivalence_of_conditions():
     fam = SelectorFamily.from_dict({"a": {"a", "c"}, "b": {"b"}, "c": {"c", "b"}})
     rep = selector_axioms_check(p, fam)
     assert rep.equivalent
+
+
+def _selector_check_all_pairs(space, fam):
+    # the check as it was before the successor index: the induced
+    # relation's transitivity scans every pair of pairs in ``rel``
+    sets = fam.as_dict()
+    names = list(space.labels)
+    witness = None
+    cond1 = True
+    for x in names:
+        if x not in sets[x]:
+            cond1 = False
+            witness = witness or ("membership", x)
+    cond2 = True
+    for x in names:
+        for y in names:
+            if x < y and x in sets[y] and y in sets[x]:
+                cond2 = False
+                witness = witness or ("antisymmetry", (x, y))
+    cond3 = True
+    for x in names:
+        for y in sets[x]:
+            if y in sets and not sets[y] <= sets[x]:
+                cond3 = False
+                witness = witness or ("nesting", (x, y))
+    rel = {(x, y) for y in names for x in sets[y] if x != y and x in names}
+    irreflexive = all((x, x) not in rel for x in names)
+    transitive = all((x, z) in rel
+                     for (x, y) in rel for (y2, z) in rel
+                     if y == y2 and x != z)
+    antisym4 = all((y, x) not in rel for (x, y) in rel)
+    cond4 = irreflexive and transitive and antisym4
+    equivalent = (cond2 and cond3) == cond4 if cond1 else True
+    family_sets = set(sets.values())
+    minimal_singletons = True
+    for u in family_sets:
+        if not any(v < u for v in family_sets):
+            if len(u) != 1:
+                minimal_singletons = False
+                witness = witness or ("minimal-not-singleton", sorted(u))
+    return SelectorReport(
+        cond1=cond1, cond2=cond2, cond3=cond3, cond4=cond4,
+        equivalent=equivalent, minimal_singletons=minimal_singletons,
+        well_founded=True, induced_order=tuple(sorted(rel)), witness=witness,
+    )
+
+
+def test_selector_check_matches_all_pairs_scan():
+    rng = random.Random(12)
+    p = poset_from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    cases = [(p, SelectorFamily.from_dict({"a": {"a", "c"}, "b": {"b"}, "c": {"c", "b"}}))]
+    for _ in range(400):
+        space = random_poset(rng, rng.randrange(1, 7))
+        names = space.labels
+        # each set gets its own point most of the time and random others,
+        # so families that are irreflexive and antisymmetric but not
+        # transitive turn up often
+        cases.append((space, SelectorFamily.from_dict(
+            {x: {y for y in names if (y == x and rng.random() < 0.9) or rng.random() < 0.3}
+             for x in names})))
+    for space in all_labeled_posets(3):
+        cases.append((space, principal_selector(space)))
+    non_transitive = 0
+    for space, fam in cases:
+        rep = selector_axioms_check(space, fam)
+        oracle = _selector_check_all_pairs(space, fam)
+        assert rep.cond4 == oracle.cond4
+        assert rep.witness == oracle.witness
+        assert rep == oracle
+        rel = set(oracle.induced_order)
+        if (all((y, x) not in rel for (x, y) in rel)
+                and any((x, z) not in rel for (x, y) in rel for (y2, z) in rel
+                        if y == y2 and x != z)):
+            non_transitive += 1
+    assert non_transitive >= 20
 
 
 def test_priestley_separation_on_finite_posets():

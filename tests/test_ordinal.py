@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordtop.ordinal import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -83,6 +84,26 @@ def test_parse_errors_report_position():
         P("w*0")
     with pytest.raises(ParseError):
         P("w w")
+
+
+def test_parse_nesting_limit():
+    # a tower at the limit parses and round-trips, in both spellings
+    for text in ("w^" * MAX_NESTING + "2", "w^(" * MAX_NESTING + "2" + ")" * MAX_NESTING):
+        a = P(text)
+        assert P(format_ordinal(a)) == a
+    tower = P("w^" * MAX_NESTING + "2")
+    assert ord_cmp(tower, P("w^" * (MAX_NESTING - 1) + "3")) == 1
+    # one level more fails at the 'w' that opens it
+    for text, at in (("w^" * (MAX_NESTING + 1) + "2", 2 * MAX_NESTING),
+                     ("1 + " + "w^(" * (MAX_NESTING + 1) + "2" + ")" * (MAX_NESTING + 1),
+                      4 + 3 * MAX_NESTING)):
+        with pytest.raises(ParseError) as e:
+            P(text)
+        assert e.value.position == at
+        assert text[at:at + 2] == "w^"
+    # the depth counts nesting, not the number of exponents side by side
+    wide = " + ".join("w^" * MAX_NESTING + str(k) for k in range(9, 0, -1))
+    assert len(P(wide).terms) == 9
 
 
 def test_roundtrip_on_random_normal_forms():

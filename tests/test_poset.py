@@ -8,6 +8,8 @@ from ordtop.poset import (
     DownSet,
     FinitePoset,
     PosetError,
+    _bits,
+    _popcount,
     all_downsets,
     all_labeled_posets,
     antichain_masks,
@@ -376,3 +378,81 @@ def test_antichain_masks_count():
     # antichains of a 3-chain: empty + singletons
     assert len(antichain_masks(chain(3))) == 4
     assert len(antichain_masks(antichain(3))) == 8
+
+
+# -- bitmask kernel against the scans it replaced ------------------------------
+#
+# The precomputed ``above`` masks replaced four hand-rolled scans over
+# ``below``, and the lowest-set-bit walk replaced a shift loop.  The replaced
+# code is kept here verbatim as the reference.
+
+def _bits_by_shift(mask):
+    i = 0
+    while mask:
+        if mask & 1:
+            yield i
+        mask >>= 1
+        i += 1
+
+
+def _max_of_pairwise(p, mask):
+    out = 0
+    for i in _bits_by_shift(mask):
+        above_in_mask = any(p.below[j] & (1 << i) for j in _bits_by_shift(mask))
+        if not above_in_mask:
+            out |= 1 << i
+    return out
+
+
+def _up_mask_by_sum(p, i):
+    bit = 1 << i
+    return bit | sum(1 << j for j in range(p.n) if p.below[j] & bit)
+
+
+def _covers_by_between_scan(p):
+    out = []
+    for j in range(p.n):
+        for i in _bits_by_shift(p.below[j]):
+            between = p.below[j] & ~p.below[i] & ~(1 << i)
+            if not any(p.below[k] & (1 << i) for k in _bits_by_shift(between)):
+                out.append((i, j))
+    return out
+
+
+def _kernel_corpus():
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            yield p, range(1 << n)
+    rng = random.Random(2007)
+    for n in range(6, 15):
+        for edge_prob in (0.15, 0.35, 0.6):
+            p = random_poset(rng, n, edge_prob)
+            masks = [rng.getrandbits(n) for _ in range(60)] + all_downsets(p)[:60]
+            yield p, masks
+
+
+def test_bitmask_kernel_matches_replaced_scans():
+    for p, masks in _kernel_corpus():
+        for i in range(p.n):
+            assert p.up_mask(i) == _up_mask_by_sum(p, i)
+            assert p.above[i] == p.up_mask(i) & ~(1 << i)
+        assert p.covers() == _covers_by_between_scan(p)
+        for mask in masks:
+            assert p.max_of(mask) == _max_of_pairwise(p, mask)
+
+
+def test_bit_walk_matches_shift_loop():
+    rng = random.Random(11)
+    values = [0, 1, 2, 3, (1 << 64) - 1, 1 << 200]
+    values += [rng.getrandbits(rng.randrange(1, 300)) for _ in range(300)]
+    for mask in values:
+        assert list(_bits(mask)) == list(_bits_by_shift(mask))
+        assert _popcount(mask) == bin(mask).count("1")
+
+
+def test_above_masks_do_not_change_equality_or_hash():
+    a = vee()
+    b = FinitePoset(a.labels, a.below)
+    assert a == b and hash(a) == hash(b) and a.above == b.above
+    assert a.above == (4, 4, 0)
+    assert repr(a) == "FinitePoset(['a', 'b', 'c'], covers=[('a', 'c'), ('b', 'c')])"
