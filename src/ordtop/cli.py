@@ -5,6 +5,10 @@ Value operations print canonical strings; checks print JSON reports with
 stable key order, so identical inputs give byte-identical output.  Exit
 status: 0 success / all checks pass, 1 a check failed (witness in the
 payload), 2 usage or input error.
+
+Only the ordinal layer is imported here.  Each handler imports the layers
+it uses in its own body, so a call loads only its group's modules, and
+only ``selftest`` loads the acceptance battery.
 """
 
 from __future__ import annotations
@@ -15,41 +19,6 @@ import sys
 
 import click
 
-from .acceptance import run_all
-from .clopen import (
-    clopen_algebra,
-    clopen_cb,
-    cnf_truncation_grid,
-    format_clopen,
-    min_clopen_with_endpoint,
-    parse_clopen,
-    tip_selector,
-    treelike_check,
-)
-from .hyperspace import (
-    Descriptor,
-    FinJoinSemilattice,
-    HyperspaceError,
-    OnePointModel,
-    build_hyperspace,
-    hat_extension,
-    hyperspace_to_dot,
-    kplus_selector,
-    selector_axioms_check,
-    vietoris_density_witness,
-)
-from .mrowka import (
-    ADFamily,
-    EvPeriodicSet,
-    GPoint,
-    MrowkaError,
-    ad_check,
-    convergence_check,
-    g_join,
-    lusin_iterate,
-    mrowka_selector_check,
-    star_truncation,
-)
 from .ordinal import (
     NatOrOmega,
     format_ordinal,
@@ -63,25 +32,6 @@ from .ordinal import (
     ord_pow,
     parse_ordinal,
     tip_deg,
-)
-from .poset import (
-    downset_lattice,
-    poset_from_json,
-    poset_to_dot,
-    ranks,
-    width,
-    zaguia_verify,
-)
-from .spaceterm import (
-    SkelTerm,
-    TermError,
-    check_height_rank_bounds,
-    hyper_antichain_height,
-    hyper_point_height,
-    hyper_monotonicity_check,
-    parse_term,
-    skeleton_hyper_bound_check,
-    term_report,
 )
 
 # every domain error (OrdinalError, PosetError, ...) subclasses ValueError
@@ -220,6 +170,7 @@ def poset_group():
 @guarded
 def poset_zaguia(file, bound, json_file):
     """Verify the downset union-rank inequalities for a poset file."""
+    from .poset import poset_from_json, zaguia_verify
     p = poset_from_json(load_json_file(file))
     emit_json(zaguia_verify(p, bound).to_json(), json_file)
 
@@ -230,6 +181,7 @@ def poset_zaguia(file, bound, json_file):
 @guarded
 def poset_ranks(file, json_file):
     """Well-founded ranks of the elements and of the poset."""
+    from .poset import poset_from_json, ranks
     r = ranks(poset_from_json(load_json_file(file)))
     emit_json({"elem_rank": dict(sorted(r.elem_rank.items())),
                "poset_rank": r.poset_rank}, json_file)
@@ -241,6 +193,7 @@ def poset_ranks(file, json_file):
 @guarded
 def poset_width(file, json_file):
     """Maximum antichain size (= minimum chain cover)."""
+    from .poset import poset_from_json, width
     emit_json({"width": width(poset_from_json(load_json_file(file)))}, json_file)
 
 
@@ -252,6 +205,7 @@ def poset_width(file, json_file):
 @guarded
 def poset_downsets(file, dot, bound, json_file):
     """The lattice of downsets, as member lists or a DOT diagram."""
+    from .poset import downset_lattice, poset_from_json, poset_to_dot
     p = poset_from_json(load_json_file(file))
     lat = downset_lattice(p, bound)
     if dot:
@@ -266,6 +220,7 @@ def poset_downsets(file, dot, bound, json_file):
 @guarded
 def poset_hasse(file, json_file):
     """Hasse diagram of the poset in DOT."""
+    from .poset import poset_from_json, poset_to_dot
     emit_text(poset_to_dot(poset_from_json(load_json_file(file))).rstrip("\n"), json_file)
 
 
@@ -284,6 +239,8 @@ def hyper_group():
 @guarded
 def hyper_build(file, dot, bound, json_file):
     """Build the hyperspace of a poset and print its points."""
+    from .hyperspace import build_hyperspace, hyperspace_to_dot
+    from .poset import poset_from_json
     h = build_hyperspace(poset_from_json(load_json_file(file)), bound)
     if dot:
         emit_text(hyperspace_to_dot(h).rstrip("\n"), json_file)
@@ -300,6 +257,8 @@ def hyper_build(file, dot, bound, json_file):
 @guarded
 def hyper_selector(file, bound, json_file):
     """Check the principal-downset selector axioms on the hyperspace."""
+    from .hyperspace import build_hyperspace, kplus_selector, selector_axioms_check
+    from .poset import poset_from_json
     h = build_hyperspace(poset_from_json(load_json_file(file)), bound)
     hp, fam = kplus_selector(h)
     emit_json(selector_axioms_check(hp, fam).to_json(), json_file)
@@ -313,6 +272,8 @@ def hyper_selector(file, bound, json_file):
 @guarded
 def hyper_universal(file, chain_len, json_file):
     """Verify the unique join-extension property against a chain target."""
+    from .hyperspace import FinJoinSemilattice, hat_extension
+    from .poset import poset_from_json, ranks
     p = poset_from_json(load_json_file(file))
     y = FinJoinSemilattice.chain(chain_len)
     f = {p.labels[i]: min(ranks(p).by_index[i], chain_len - 1) for i in range(p.n)}
@@ -321,6 +282,7 @@ def hyper_universal(file, chain_len, json_file):
 
 
 def _parse_descriptor(text):
+    from .hyperspace import Descriptor, HyperspaceError
     kind, _, rest = text.partition(":")
     members = frozenset(int(x) for x in rest.split(",") if x.strip())
     if kind == "fin":
@@ -339,6 +301,7 @@ def _parse_descriptor(text):
 @guarded
 def hyper_density(upper, lowers, horizon, json_file):
     """Find a finite set inside a basic Vietoris open, if one exists."""
+    from .hyperspace import OnePointModel, vietoris_density_witness
     model = OnePointModel(horizon)
     witness = vietoris_density_witness(model, _parse_descriptor(upper),
                                        [_parse_descriptor(v) for v in lowers])
@@ -359,6 +322,7 @@ def space_group():
 @guarded
 def space_report(term, json_file):
     """Height, end-point count, unitarity and rank of a space term."""
+    from .spaceterm import parse_term, term_report
     emit_json(term_report(parse_term(term)).to_json(), json_file)
 
 
@@ -368,6 +332,7 @@ def space_report(term, json_file):
 @guarded
 def space_bounds(term, json_file):
     """Exact height/rank bound chain for a term with a computed rank."""
+    from .spaceterm import check_height_rank_bounds, parse_term
     emit_json(check_height_rank_bounds(parse_term(term)).to_json(), json_file)
 
 
@@ -377,6 +342,7 @@ def space_bounds(term, json_file):
 @guarded
 def space_hyper_point(r, json_file):
     """Hyperspace height of a selector set at a point of rank r."""
+    from .spaceterm import hyper_point_height
     emit_text(format_ordinal(hyper_point_height(parse_ordinal(r))), json_file)
 
 
@@ -386,6 +352,7 @@ def space_hyper_point(r, json_file):
 @guarded
 def space_hyper_antichain(labels, json_file):
     """Hyperspace height of an antichain with the given rank labels."""
+    from .spaceterm import hyper_antichain_height
     value = hyper_antichain_height([parse_ordinal(x) for x in labels])
     emit_text(format_ordinal(value), json_file)
 
@@ -396,6 +363,7 @@ def space_hyper_antichain(labels, json_file):
 @guarded
 def space_skeleton_bound(term, json_file):
     """Check every antichain height of a skeleton against w^rank."""
+    from .spaceterm import SkelTerm, TermError, parse_term, skeleton_hyper_bound_check
     t = parse_term(term)
     if not isinstance(t, SkelTerm):
         raise TermError("skeleton-bound needs a skel(...) term")
@@ -408,6 +376,7 @@ def space_skeleton_bound(term, json_file):
 @guarded
 def space_monotonicity(term, json_file):
     """Strictness of hyperspace heights along downset inclusion (forests)."""
+    from .spaceterm import SkelTerm, TermError, hyper_monotonicity_check, parse_term
     t = parse_term(term)
     if not isinstance(t, SkelTerm):
         raise TermError("monotonicity needs a skel(...) term")
@@ -429,6 +398,7 @@ def clopen_group():
 @guarded
 def clopen_op(operation, a, b, json_file):
     """Boolean operation on clopen sets in text form '(s,t] ... @ alpha'."""
+    from .clopen import clopen_algebra, format_clopen, parse_clopen
     result = clopen_algebra(operation, parse_clopen(a),
                             parse_clopen(b) if b is not None else None)
     emit_text(format_clopen(result), json_file)
@@ -440,6 +410,7 @@ def clopen_op(operation, a, b, json_file):
 @guarded
 def clopen_cb_cmd(a, json_file):
     """Height, end points and unitarity of a clopen set."""
+    from .clopen import clopen_cb, parse_clopen
     data = clopen_cb(parse_clopen(a))
     emit_json({"height": format_ordinal(data.height),
                "endpoints": [format_ordinal(x, compact=True) for x in data.endpoints],
@@ -455,6 +426,7 @@ def clopen_cb_cmd(a, json_file):
 @guarded
 def clopen_tip(beta, alpha, json_file):
     """Canonical selector set of a point inside [0, alpha]."""
+    from .clopen import format_clopen, tip_selector
     emit_text(format_clopen(tip_selector(parse_ordinal(beta), parse_ordinal(alpha))),
               json_file)
 
@@ -466,6 +438,7 @@ def clopen_tip(beta, alpha, json_file):
 @guarded
 def clopen_treelike(alpha, points, json_file):
     """Laminarity of the selector sets of the given points."""
+    from .clopen import treelike_check
     rep = treelike_check(parse_ordinal(alpha), [parse_ordinal(p) for p in points])
     emit_json(rep.to_json(), json_file)
 
@@ -479,6 +452,7 @@ def clopen_treelike(alpha, points, json_file):
 @guarded
 def clopen_minclopen(beta, alpha, grid, json_file):
     """Least minimal-length clopen set with the prescribed end point."""
+    from .clopen import cnf_truncation_grid, format_clopen, min_clopen_with_endpoint
     b = parse_ordinal(beta)
     grid_vals = ([parse_ordinal(g) for g in grid.split(",")]
                  if grid else cnf_truncation_grid(b))
@@ -499,6 +473,7 @@ def mrowka_group():
 @guarded
 def mrowka_adcheck(file, json_file):
     """Pairwise almost-disjointness with residue certificates."""
+    from .mrowka import EvPeriodicSet, ad_check
     data = load_json_file(file)
     sets = [EvPeriodicSet(s["period"], frozenset(s.get("residues", ())),
                           frozenset(s.get("delta", ()))) for s in data["sets"]]
@@ -512,12 +487,14 @@ def mrowka_adcheck(file, json_file):
 @guarded
 def mrowka_star(file, code_bound, json_file):
     """Finite-subset codes per branch and the intersection law."""
+    from .mrowka import ADFamily, star_truncation
     fam = ADFamily.from_json(load_json_file(file))
     _, rep = star_truncation(fam, code_bound)
     emit_json(rep.to_json(), json_file)
 
 
 def _parse_gpoint(text):
+    from .mrowka import GPoint, MrowkaError
     if text == "top":
         return GPoint.top()
     kind, _, rest = text.partition(":")
@@ -536,6 +513,7 @@ def _parse_gpoint(text):
 @guarded
 def mrowka_join(file, x, y, json_file):
     """Join of two points of the quotient semilattice."""
+    from .mrowka import ADFamily, g_join
     fam = ADFamily.from_json(load_json_file(file))
     emit_text(str(g_join(_parse_gpoint(x), _parse_gpoint(y), fam)), json_file)
 
@@ -549,6 +527,7 @@ def mrowka_join(file, x, y, json_file):
 @guarded
 def mrowka_convergence(file, i, j, horizon, json_file):
     """Certify the escape threshold of joined prefix nets."""
+    from .mrowka import ADFamily, convergence_check
     fam = ADFamily.from_json(load_json_file(file))
     emit_json(convergence_check(fam, i, j, horizon).to_json(), json_file)
 
@@ -560,6 +539,7 @@ def mrowka_convergence(file, i, j, horizon, json_file):
 @guarded
 def mrowka_lusin(file, steps, json_file):
     """Iterate exact-count stages over a family file."""
+    from .mrowka import ADFamily, lusin_iterate
     base = ADFamily.from_json(load_json_file(file))
     last = lusin_iterate(base, steps)[-1]
     emit_json({"check": "lusin-stages", "pass": True, "witness": None,
@@ -576,6 +556,7 @@ def mrowka_lusin(file, steps, json_file):
 @guarded
 def mrowka_selector(file, truncation, json_file):
     """Canonical selector conditions on the truncated family space."""
+    from .mrowka import EvPeriodicSet, mrowka_selector_check
     data = load_json_file(file)
     sets = [EvPeriodicSet(s["period"], frozenset(s.get("residues", ())),
                           frozenset(s.get("delta", ()))) for s in data["sets"]]
@@ -592,6 +573,7 @@ def mrowka_selector(file, truncation, json_file):
 @guarded
 def selftest(seed, criteria, json_file):
     """Run the acceptance battery; one line per criterion."""
+    from .acceptance import run_all
     numbers = [int(x) for x in criteria.split(",")] if criteria else None
     results = run_all(seed=seed, numbers=numbers)
     for r in results:

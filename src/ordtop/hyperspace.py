@@ -181,6 +181,11 @@ def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> SelectorRe
     induced relation (x below y iff x is in U_y) is a strict order.  The
     report also records whether minimal members of the family are
     singletons and whether the family is well-founded under inclusion.
+
+    The witness is the first violation in a fixed order: points in label
+    order, then the least offending member; family sets by size, then by
+    sorted members.  It does not depend on set iteration order, and so not
+    on ``PYTHONHASHSEED``.
     """
     sets = fam.as_dict()
     names = list(space.labels)
@@ -202,10 +207,10 @@ def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> SelectorRe
                 witness = witness or ("antisymmetry", (x, y))
     cond3 = True
     for x in names:
-        for y in sets[x]:
-            if y in sets and not sets[y] <= sets[x]:
-                cond3 = False
-                witness = witness or ("nesting", (x, y))
+        bad = [y for y in sets[x] if y in sets and not sets[y] <= sets[x]]
+        if bad:
+            cond3 = False
+            witness = witness or ("nesting", (x, min(bad)))
 
     rel = {(x, y) for y in names for x in sets[y] if x != y and x in names}
     irreflexive = all((x, x) not in rel for x in names)
@@ -220,12 +225,12 @@ def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> SelectorRe
     equivalent = (cond2 and cond3) == cond4 if cond1 else True
 
     family_sets = set(sets.values())
-    minimal_singletons = True
-    for u in family_sets:
-        if not any(v < u for v in family_sets):
-            if len(u) != 1:
-                minimal_singletons = False
-                witness = witness or ("minimal-not-singleton", sorted(u))
+    bad_minimal = [u for u in family_sets
+                   if len(u) != 1 and not any(v < u for v in family_sets)]
+    minimal_singletons = not bad_minimal
+    if bad_minimal:
+        least = min(bad_minimal, key=lambda u: (len(u), sorted(u)))
+        witness = witness or ("minimal-not-singleton", sorted(least))
 
     # finite families are well-founded as soon as inclusion is a strict order;
     # run the shared rank computation to certify it

@@ -275,6 +275,17 @@ def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     return out
 
 
+MAX_COEFF_BITS = 10_000
+"""Largest bit length of the finite factor ``k ** n`` that ``ord_pow``
+computes for a finite base ``k``.
+
+The limit keeps the power from building an unbounded integer, and sits
+below Python's 4300-digit limit on integer-to-string conversion (10 000
+bits are 3011 decimal digits), so every coefficient it allows can be
+printed.  A larger power raises ``OrdinalError`` before it is computed.
+"""
+
+
 def _pow_nat(a: Ordinal, n: int) -> Ordinal:
     result = ONE
     base = a
@@ -287,7 +298,12 @@ def _pow_nat(a: Ordinal, n: int) -> Ordinal:
 
 
 def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
-    """Ordinal exponentiation (with 0^0 = 1)."""
+    """Ordinal exponentiation (with 0^0 = 1).
+
+    For a finite base ``k`` the result carries the integer ``k ** n``, where
+    ``n`` is the finite part of ``b``; it raises ``OrdinalError`` when that
+    integer would exceed ``MAX_COEFF_BITS`` bits.
+    """
     if b.is_zero:
         return ONE
     if a.is_zero:
@@ -298,12 +314,18 @@ def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
     fin = b.terms[-1][1] if b.terms[-1][0].is_zero else 0
     if a.is_finite:
         k = int(a)
+        # with b = k.bit_length() >= 2, (b - 1) * fin < bit_length(k ** fin)
+        # <= b * fin: a power over the limit is rejected unbuilt, and one
+        # that is built has fewer than twice the limit's bits
+        factor = k ** fin if (k.bit_length() - 1) * fin < MAX_COEFF_BITS else None
+        if factor is None or factor.bit_length() > MAX_COEFF_BITS:
+            raise OrdinalError(f"power coefficient exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
         if not inf_part:
-            return Ordinal.from_int(k ** fin)
+            return Ordinal.from_int(factor)
         # k^(w^e * q) = w^(w^d * q) where 1 + d = e
         exp_terms = tuple((one_plus_inverse(e), q) for e, q in inf_part)
         head = Ordinal.omega_power(Ordinal(exp_terms))
-        return ord_mul(head, Ordinal.from_int(k ** fin))
+        return ord_mul(head, Ordinal.from_int(factor))
     d = a.terms[0][0]
     limit_exp = Ordinal(inf_part)
     head = Ordinal.omega_power(ord_mul(d, limit_exp)) if inf_part else ONE

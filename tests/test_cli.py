@@ -1,9 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import ordtop
 from ordtop.cli import main
+from ordtop.ordinal import MAX_COEFF_BITS
 
 VEE = {"elements": ["a", "b", "c"], "covers": [["a", "c"], ["b", "c"]]}
 FAM2 = {"sets": [{"period": 2, "residues": [0], "delta": []},
@@ -255,3 +261,98 @@ def test_cli_more_edges(runner, tmp_path):
             ' {"a": 0, "b": "w+7", "c": 3})')
     rep = json.loads(invoke(runner, ["space", "report", skel]).output)
     assert rep["height"] == "w + 7" and rep["unitary"] is True
+
+
+# -- branches that import their layer inside the handler -------------------------
+
+def invoke_clean(runner, args):
+    # the exit code comes from the handler, never from an uncaught exception
+    r = runner.invoke(main, args)
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output and "Traceback" not in r.stderr
+    return r
+
+
+def test_hyper_build_dot(runner, tmp_path):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(VEE))
+    r = invoke_clean(runner, ["hyper", "build", str(f), "--dot"])
+    assert r.exit_code == 0
+    assert r.output.startswith("digraph hyperspace {")
+    assert 'p3 [label="{a,b,c}"];' in r.output
+
+
+def test_hyper_density_bad_descriptor_exits_2(runner):
+    r = invoke_clean(runner, ["hyper", "density", "--u", "bogus:1"])
+    assert r.exit_code == 2
+    assert "descriptor must be" in r.stderr
+
+
+def test_mrowka_join_bad_point_exits_2(runner, tmp_path):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(FAM2))
+    r = invoke_clean(runner, ["mrowka", "join", str(fam), "nowhere", "top"])
+    assert r.exit_code == 2
+    assert "point must be" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["skeleton-bound", "monotonicity"])
+def test_space_skeleton_commands_need_skel_term(runner, command):
+    r = invoke_clean(runner, ["space", command, "ord(w)"])
+    assert r.exit_code == 2
+    assert f"{command} needs a skel(...) term" in r.stderr
+
+
+def test_clopen_minclopen_grid(runner):
+    r = invoke_clean(runner, ["clopen", "minclopen", "w^2+w", "w^3", "--grid", "w^2,w^2+w"])
+    assert r.exit_code == 0
+    assert r.output.strip() == "(w^2,w^2+w] @ w^3"
+    r = invoke_clean(runner, ["clopen", "minclopen", "w^2+w", "w^3", "--grid", "w,w^2+1"])
+    assert r.exit_code == 2
+    assert "no candidate in grid" in r.stderr
+
+
+def test_ord_pow_coefficient_limit(runner):
+    assert invoke_clean(runner, ["ord", "pow", "2", "9999"]).exit_code == 0
+    for exponent in ("10000", "100000", "1000000000", "w+100000"):
+        r = invoke_clean(runner, ["ord", "pow", "2", exponent])
+        assert r.exit_code == 2
+        assert f"MAX_COEFF_BITS = {MAX_COEFF_BITS}" in r.stderr
+
+
+# -- import boundary: each group loads only its layers ---------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ordtop.__file__)))
+_IMPORTED = re.compile(r"^import time:\s*\d+ \|\s*\d+ \|\s*(ordtop(?:\.\w+)*)$", re.M)
+
+
+def _loaded_layers(argv, cwd):
+    """The ordtop modules a fresh interpreter imports to run ``argv``,
+    besides the package and the CLI module themselves."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(_IMPORTED.findall(proc.stderr)) - {"ordtop", "ordtop.cli"}
+
+
+def test_each_group_imports_only_its_layers(tmp_path):
+    (tmp_path / "p.json").write_text(json.dumps(VEE))
+    (tmp_path / "fam.json").write_text(json.dumps(FAM2))
+    calls = {
+        ("ord", "natsum", "w", "1"): {"ordinal"},
+        ("poset", "width", "p.json"): {"ordinal", "poset"},
+        ("hyper", "build", "p.json"): {"ordinal", "poset", "hyperspace"},
+        ("space", "report", "ord(w)"): {"ordinal", "poset", "spaceterm"},
+        ("clopen", "cb", "(0,w] @ w"): {"ordinal", "clopen"},
+        ("mrowka", "adcheck", "fam.json"): {"ordinal", "mrowka"},
+        ("selftest", "--seed", "0", "--criteria", "1"):
+            {"ordinal", "poset", "hyperspace", "spaceterm", "clopen", "mrowka", "acceptance"},
+    }
+    for args, layers in calls.items():
+        loaded = _loaded_layers(["-m", "ordtop.cli", *args], tmp_path)
+        assert loaded == {f"ordtop.{m}" for m in layers}, args
+
+
+def test_importing_the_cli_does_not_load_the_battery(tmp_path):
+    assert _loaded_layers(["-c", "import ordtop.cli"], tmp_path) == {"ordtop.ordinal"}

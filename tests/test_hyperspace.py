@@ -1,7 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ordtop
 from ordtop.hyperspace import (
     Descriptor,
     FinJoinSemilattice,
@@ -169,7 +174,8 @@ def test_selector_equivalence_of_conditions():
 
 def _selector_check_all_pairs(space, fam):
     # the check as it was before the successor index: the induced
-    # relation's transitivity scans every pair of pairs in ``rel``
+    # relation's transitivity scans every pair of pairs in ``rel``; the
+    # witness scans walk members and family sets in their documented order
     sets = fam.as_dict()
     names = list(space.labels)
     witness = None
@@ -186,7 +192,7 @@ def _selector_check_all_pairs(space, fam):
                 witness = witness or ("antisymmetry", (x, y))
     cond3 = True
     for x in names:
-        for y in sets[x]:
+        for y in sorted(sets[x]):
             if y in sets and not sets[y] <= sets[x]:
                 cond3 = False
                 witness = witness or ("nesting", (x, y))
@@ -200,7 +206,7 @@ def _selector_check_all_pairs(space, fam):
     equivalent = (cond2 and cond3) == cond4 if cond1 else True
     family_sets = set(sets.values())
     minimal_singletons = True
-    for u in family_sets:
+    for u in sorted(family_sets, key=lambda u: (len(u), sorted(u))):
         if not any(v < u for v in family_sets):
             if len(u) != 1:
                 minimal_singletons = False
@@ -240,6 +246,36 @@ def test_selector_check_matches_all_pairs_scan():
                         if y == y2 and x != z)):
             non_transitive += 1
     assert non_transitive >= 20
+
+
+_WITNESS_SCRIPT = """
+import json
+from ordtop.hyperspace import SelectorFamily, selector_axioms_check
+from ordtop.poset import poset_from_covers
+space = poset_from_covers(list("abcde"), [])
+# U_a holds four points whose own sets reach outside U_a: four nesting failures
+nesting = {"a": set("abcde"), "b": {"b", "q"}, "c": {"c", "r"}, "d": {"d", "s"},
+           "e": {"e", "t"}}
+# conditions 1-3 hold and all five sets are minimal two-point sets
+minimal = {"a": {"a", "q"}, "b": {"b", "r"}, "c": {"c", "s"}, "d": {"d", "t"},
+           "e": {"e", "u"}}
+print(json.dumps([selector_axioms_check(space, SelectorFamily.from_dict(f)).witness
+                  for f in (nesting, minimal)]))
+"""
+
+
+def test_selector_witnesses_do_not_depend_on_hash_seed():
+    # frozenset iteration order follows PYTHONHASHSEED; the witnesses must not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ordtop.__file__)))
+    outputs = set()
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _WITNESS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop()) == [["nesting", ["a", "b"]],
+                                         ["minimal-not-singleton", ["a", "q"]]]
 
 
 def test_priestley_separation_on_finite_posets():

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import cmp_to_key
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordtop.ordinal import (
+    MAX_COEFF_BITS,
     MAX_NESTING,
     OMEGA,
     ONE,
@@ -339,6 +341,35 @@ def test_pow_two_to_omega():
 def test_pow_finite_base_limits():
     assert ord_pow(Ordinal.from_int(2), P("w^2")) == P("w^w")
     assert ord_pow(Ordinal.from_int(3), P("w*2 + 3")) == P("w^2*27")
+
+
+def test_pow_coefficient_limit():
+    n = MAX_COEFF_BITS
+    two = Ordinal.from_int(2)
+    # 2^(n-1) has exactly n bits and is built; 2^n has one bit too many
+    assert int(ord_pow(two, Ordinal.from_int(n - 1))).bit_length() == n
+    with pytest.raises(OrdinalError, match="MAX_COEFF_BITS"):
+        ord_pow(two, Ordinal.from_int(n))
+    # the same edge for the finite factor of an infinite power: 2^(w+k) = w*2^k
+    assert ord_pow(two, P(f"w+{n - 1}")).terms[0][1].bit_length() == n
+    with pytest.raises(OrdinalError, match="MAX_COEFF_BITS"):
+        ord_pow(two, P(f"w+{n}"))
+    # base 3: the largest allowed exponent passes the cheap bound, and so does
+    # the next one, which only the exact bit length rejects
+    k = int(n / math.log2(3))
+    while (3 ** (k + 1)).bit_length() <= n:
+        k += 1
+    while (3 ** k).bit_length() > n:
+        k -= 1
+    three = Ordinal.from_int(3)
+    assert int(ord_pow(three, Ordinal.from_int(k))) == 3 ** k
+    with pytest.raises(OrdinalError, match="MAX_COEFF_BITS"):
+        ord_pow(three, Ordinal.from_int(k + 1))
+    # an exponent far past the limit is rejected without building the integer
+    with pytest.raises(OrdinalError, match="MAX_COEFF_BITS"):
+        ord_pow(three, Ordinal.from_int(10 ** 9))
+    # infinite bases keep their coefficients: (w*2)^n = w^n*2
+    assert ord_pow(P("w*2"), Ordinal.from_int(10 ** 9)) == P("w^1000000000*2")
 
 
 @given(ordinals(max_terms=2), st.integers(min_value=0, max_value=4))
