@@ -320,6 +320,128 @@ def test_ord_pow_coefficient_limit(runner):
         assert f"MAX_COEFF_BITS = {MAX_COEFF_BITS}" in r.stderr
 
 
+# -- golden output of every check command ------------------------------------------
+
+DIAMOND = {"elements": ["a", "b", "c", "d", "e"],
+           "covers": [["a", "c"], ["b", "c"], ["c", "d"], ["c", "e"]]}
+# twelve branches: escape_witnesses keys sort as strings, "10" before "2"
+FAM12 = {"sets": [{"period": 12, "residues": [r]} for r in range(12)]}
+SKEL = ('skel({"elements": ["a", "b"], "covers": [["a", "b"]]},'
+        ' {"a": 1, "b": 2})')
+SKEL0 = ('skel({"elements": ["a", "b", "c"], "covers": [["a", "b"]]},'
+         ' {"a": 0, "b": 2, "c": 0})')
+
+# (argv, exit code, stdout without its newline); file arguments name the
+# inputs that test_check_commands_golden_output writes
+GOLDEN = [
+    (('poset', 'zaguia', '{vee}'), 0,
+     '{"check": "zaguia", "claims": {"claim1": true, "claim1_literal": false, '
+     '"claim2": true, "claim2_literal": false, "claim3": true}, "pass": true, '
+     '"poset": "n=3, downsets=4", "witness": null}'),
+    (('poset', 'zaguia', '{diamond}', '--bound', '8'), 0,
+     '{"check": "zaguia", "claims": {"claim1": true, "claim1_literal": false, '
+     '"claim2": true, "claim2_literal": false, "claim3": true}, "pass": true, '
+     '"poset": "n=5, downsets=7", "witness": null}'),
+    (('hyper', 'selector', '{vee}'), 0,
+     '{"check": "selector-axioms", "conditions": {"antisymmetry": true, '
+     '"equivalence": true, "induced-order": true, "membership": true, '
+     '"minimal-singletons": true, "nesting": true, "well-founded": true}, '
+     '"pass": true, "witness": null}'),
+    (('hyper', 'selector', '{diamond}'), 0,
+     '{"check": "selector-axioms", "conditions": {"antisymmetry": true, '
+     '"equivalence": true, "induced-order": true, "membership": true, '
+     '"minimal-singletons": true, "nesting": true, "well-founded": true}, '
+     '"pass": true, "witness": null}'),
+    (('hyper', 'universal', '{vee}'), 0,
+     '{"check": "universal-property", "homs_found": 1, '
+     '"method": "enumerated", "pass": true, "witness": null}'),
+    (('hyper', 'universal', '{diamond}', '--chain', '2'), 0,
+     '{"check": "universal-property", "homs_found": 1, '
+     '"method": "enumerated", "pass": true, "witness": null}'),
+    (('hyper', 'density', '--u', 'cof:', '--v', 'cof:0,1,2'), 0,
+     '{"check": "vietoris-density", "pass": true, "witness": [3]}'),
+    (('hyper', 'density', '--u', 'fin:1', '--v', 'fin:2'), 1,
+     '{"check": "vietoris-density", "pass": false, "witness": null}'),
+    (('hyper', 'density', '--u', 'fin:'), 1,
+     '{"check": "vietoris-density", "pass": false, "witness": null}'),
+    (('space', 'bounds', 'ord(w*3+5)'), 0,
+     '{"check": "height-rank-bounds", "inequalities": {"height<=rank": true, '
+     '"rank<w^h*(endpts+1)": true, "w^h*(endpts+1)<w^(h+1)": true}, '
+     '"pass": true, "witness": null}'),
+    (('space', 'bounds', 'ord(7)'), 0,
+     '{"check": "height-rank-bounds", "inequalities": {"height<=rank": true, '
+     '"rank<w^h*(endpts+1)": true, "w^h*(endpts+1)<w^(h+1)": true}, '
+     '"pass": true, "witness": null}'),
+    (('space', 'bounds', SKEL), 0,
+     '{"check": "height-rank-bounds", "inequalities": {"height<=rank": true, '
+     '"rank<w^h*(endpts+1)": true, "w^h*(endpts+1)<w^(h+1)": true}, '
+     '"pass": true, "witness": null}'),
+    (('space', 'skeleton-bound', SKEL), 0,
+     '{"antichains": 2, "bound": "w^3", "check": "hyperspace-height-bound", '
+     '"max_attained": "w", "pass": true, "witness": null}'),
+    (('space', 'skeleton-bound', SKEL0), 0,
+     '{"antichains": 5, "bound": "w^3", "check": "hyperspace-height-bound", '
+     '"max_attained": "w", "pass": true, "witness": null}'),
+    (('space', 'monotonicity', SKEL), 0,
+     '{"check": "hyperspace-monotonicity", "pairs": 1, "pass": true, '
+     '"strict": 1, "ties": 0, "witness": null}'),
+    (('space', 'monotonicity', SKEL0), 0,
+     '{"check": "hyperspace-monotonicity", "pairs": 7, "pass": true, '
+     '"strict": 4, "ties": 3, "witness": null}'),
+    (('clopen', 'treelike', 'w^2', 'w', 'w+3', 'w*2'), 0,
+     '{"check": "tree-like", "pairs": 3, "pass": true, "witness": null}'),
+    (('clopen', 'treelike', 'w^3', 'w^2', 'w^2+w', 'w^2*2+1'), 0,
+     '{"check": "tree-like", "pairs": 3, "pass": true, "witness": null}'),
+    (('mrowka', 'adcheck', '{fam2}'), 0,
+     '{"check": "almost-disjoint", "pass": true, "witness": null}'),
+    (('mrowka', 'adcheck', '{fam_bad}'), 1,
+     '{"check": "almost-disjoint", "pass": false, "witness": {"modulus": 4, '
+     '"pair": [0, 1], "residue": 0}}'),
+    (('mrowka', 'star', '{fam2}', '256'), 0,
+     '{"check": "star-truncation", "pass": true, "sizes": [15, 15], '
+     '"witness": null}'),
+    (('mrowka', 'convergence', '{fam2}', '0', '1', '--horizon', '64'), 0,
+     '{"check": "join-convergence", "escape_witnesses": {"0": 1, "1": 0}, '
+     '"pass": true, "threshold": 2, "witness": null}'),
+    (('mrowka', 'convergence', '{fam12}', '0', '1'), 0,
+     '{"check": "join-convergence", "escape_witnesses": {"0": 1, "1": 0, '
+     '"10": 0, "11": 0, "2": 0, "3": 0, "4": 0, "5": 0, "6": 0, "7": 0, '
+     '"8": 0, "9": 0}, "pass": true, "threshold": 2, "witness": null}'),
+    (('mrowka', 'lusin', '{fam2}', '--steps', '2'), 0,
+     '{"block_sizes": [0, 1, 2], "check": "lusin-stages", "final_m": 3, '
+     '"l1_counts": [[0, 1], [1, 2], [6, 3]], "pass": true, "steps": 2, '
+     '"witness": null}'),
+    (('mrowka', 'selector', '{fam2}', '--bound', '16'), 0,
+     '{"ad": true, "check": "mrowka-selector", '
+     '"conditions": {"antisymmetry": true, "membership": true, '
+     '"nesting": true}, "heights": true, "induced_order": true, "pass": true, '
+     '"witness": null}'),
+    (('mrowka', 'selector', '{fam_bad}', '--bound', '8'), 1,
+     '{"ad": false, "check": "mrowka-selector", '
+     '"conditions": {"antisymmetry": false, "membership": true, '
+     '"nesting": false}, "heights": true, "induced_order": true, '
+     '"pass": false, "witness": ["antisymmetry", ["(\'branch\', 0)", '
+     '"(\'branch\', 1)"]]}'),
+]
+
+
+def test_check_commands_golden_output(runner, tmp_path):
+    files = {"vee": VEE, "diamond": DIAMOND, "fam2": FAM2, "fam_bad": FAM_BAD,
+             "fam12": FAM12}
+    paths = {}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        paths[name] = str(tmp_path / f"{name}.json")
+    for args, code, stdout in GOLDEN:
+        argv = [a.format(**paths) if a.startswith("{") else a for a in args]
+        r = invoke_clean(runner, argv)
+        assert (r.exit_code, r.stdout) == (code, stdout + "\n"), args
+    r = invoke_clean(runner, ["selftest", "--seed", "0", "--criteria", "2"])
+    assert r.exit_code == 0
+    assert r.stdout.splitlines()[-1] == (
+        '{"check": "selftest", "pass": true, "seed": 0, "witness": null}')
+
+
 # -- import boundary: each group loads only its layers ---------------------------
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ordtop.__file__)))
