@@ -259,14 +259,14 @@ def criterion_08_hyperspace_suite(seed: int):
         for p in all_labeled_posets(n):
             f = {p.labels[i]: min(ranks(p).by_index[i], 2) for i in range(p.n)}
             _, rep = hat_extension(p, y3, f)
-            if not (rep.passed and rep.method == "enumerated"):
+            if not (rep.passed and rep.data["method"] == "enumerated"):
                 return _fail(f"uniqueness failed on {p!r}")
             unique_runs += 1
     five = all_labeled_posets(5)
     for p in [five[rng.randrange(len(five))] for _ in range(80)]:
         f = {p.labels[i]: min(ranks(p).by_index[i], 1) for i in range(p.n)}
         _, rep = hat_extension(p, y2, f)
-        if not (rep.passed and rep.method == "enumerated"):
+        if not (rep.passed and rep.data["method"] == "enumerated"):
             return _fail(f"uniqueness failed on {p!r}")
         unique_runs += 1
     return True, f"{checked} hyperspaces, {unique_runs} uniqueness runs"
@@ -281,8 +281,10 @@ def criterion_09_bound_chain(seed: int):
             return _fail(f"bounds failed at {alpha}")
         count += 1
     for n in range(1, 41):
-        rep = check_height_rank_bounds(OrdSpace(P(f"w+{n}")))
-        if not (rep.passed and rep.height == ONE and rep.rank == P(f"w+{n + 1}")):
+        space = OrdSpace(P(f"w+{n}"))
+        info = term_report(space)
+        if not (check_height_rank_bounds(space).passed
+                and info.height == ONE and info.rank == P(f"w+{n + 1}")):
             return _fail(f"sharpness family failed at n={n}")
         count += 1
     return True, f"{count} interval spaces"

@@ -20,6 +20,7 @@ import sys
 import click
 
 from .ordinal import (
+    CheckReport,
     NatOrOmega,
     format_ordinal,
     nat_prod,
@@ -245,9 +246,9 @@ def hyper_build(file, dot, bound, json_file):
     if dot:
         emit_text(hyperspace_to_dot(h).rstrip("\n"), json_file)
     else:
-        emit_json({"check": "hyperspace-structure", "pass": True, "witness": None,
-                   "size": h.size,
-                   "points": [h.point_label(m) for m in h.points]}, json_file)
+        emit_json(CheckReport("hyperspace-structure", True, None, {
+            "size": h.size, "points": [h.point_label(m) for m in h.points]}).to_json(),
+            json_file)
 
 
 @hyper_group.command("selector")
@@ -305,8 +306,8 @@ def hyper_density(upper, lowers, horizon, json_file):
     model = OnePointModel(horizon)
     witness = vietoris_density_witness(model, _parse_descriptor(upper),
                                        [_parse_descriptor(v) for v in lowers])
-    emit_json({"check": "vietoris-density", "pass": witness is not None,
-               "witness": witness}, json_file)
+    emit_json(CheckReport("vietoris-density", witness is not None, witness).to_json(),
+              json_file)
 
 
 # -- space ------------------------------------------------------------------
@@ -474,9 +475,7 @@ def mrowka_group():
 def mrowka_adcheck(file, json_file):
     """Pairwise almost-disjointness with residue certificates."""
     from .mrowka import EvPeriodicSet, ad_check
-    data = load_json_file(file)
-    sets = [EvPeriodicSet(s["period"], frozenset(s.get("residues", ())),
-                          frozenset(s.get("delta", ()))) for s in data["sets"]]
+    sets = [EvPeriodicSet.from_json(s) for s in load_json_file(file)["sets"]]
     emit_json(ad_check(sets).to_json(), json_file)
 
 
@@ -534,7 +533,7 @@ def mrowka_convergence(file, i, j, horizon, json_file):
 
 @mrowka_group.command("lusin")
 @click.argument("file", type=click.Path())
-@click.option("--steps", type=int, default=1)
+@click.option("--steps", type=click.IntRange(min=1), default=1)
 @json_opt
 @guarded
 def mrowka_lusin(file, steps, json_file):
@@ -542,10 +541,10 @@ def mrowka_lusin(file, steps, json_file):
     from .mrowka import ADFamily, lusin_iterate
     base = ADFamily.from_json(load_json_file(file))
     last = lusin_iterate(base, steps)[-1]
-    emit_json({"check": "lusin-stages", "pass": True, "witness": None,
-               "steps": steps, "final_m": last.m,
-               "block_sizes": [len(b) for b in last.blocks],
-               "l1_counts": [list(kv) for kv in last.l1_counts]}, json_file)
+    emit_json(CheckReport("lusin-stages", True, None, {
+        "steps": steps, "final_m": last.m,
+        "block_sizes": [len(b) for b in last.blocks],
+        "l1_counts": [list(kv) for kv in last.l1_counts]}).to_json(), json_file)
 
 
 @mrowka_group.command("selector")
@@ -557,9 +556,7 @@ def mrowka_lusin(file, steps, json_file):
 def mrowka_selector(file, truncation, json_file):
     """Canonical selector conditions on the truncated family space."""
     from .mrowka import EvPeriodicSet, mrowka_selector_check
-    data = load_json_file(file)
-    sets = [EvPeriodicSet(s["period"], frozenset(s.get("residues", ())),
-                          frozenset(s.get("delta", ()))) for s in data["sets"]]
+    sets = [EvPeriodicSet.from_json(s) for s in load_json_file(file)["sets"]]
     emit_json(mrowka_selector_check(sets, truncation).to_json(), json_file)
 
 
@@ -578,10 +575,9 @@ def selftest(seed, criteria, json_file):
     results = run_all(seed=seed, numbers=numbers)
     for r in results:
         click.echo(r.line())
-    payload = {"check": "selftest", "pass": all(r.passed for r in results),
-               "witness": [r.name for r in results if not r.passed] or None,
-               "seed": seed}
-    emit_json(payload, json_file)
+    emit_json(CheckReport("selftest", all(r.passed for r in results),
+                          [r.name for r in results if not r.passed] or None,
+                          {"seed": seed}).to_json(), json_file)
 
 
 if __name__ == "__main__":

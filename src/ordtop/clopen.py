@@ -21,6 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .ordinal import (
     ZERO,
+    CheckReport,
     Ordinal,
     ord_add,
     format_ordinal,
@@ -226,46 +227,28 @@ def tip_selector(beta: Ordinal, ambient: Ordinal) -> ClopenSet:
     return ClopenSet(ambient, False, ((start, beta),))
 
 
-@dataclass
-class TreelikeReport:
-    laminar: bool
-    heights_increase: bool
-    pairs_checked: int
-    witness: object = None
-
-    @property
-    def passed(self) -> bool:
-        return self.laminar and self.heights_increase
-
-    def to_json(self) -> dict:
-        return {"check": "tree-like", "pass": self.passed, "witness": self.witness,
-                "pairs": self.pairs_checked}
-
-
-def treelike_check(ambient: Ordinal, points: Iterable[Ordinal]) -> TreelikeReport:
+def treelike_check(ambient: Ordinal, points: Iterable[Ordinal]) -> CheckReport:
     """Selector sets of the given points must be pairwise nested or
-    disjoint, with strictly increasing height along nesting."""
+    disjoint, with strictly increasing height along nesting.
+
+    The witness is the first pair of points, in input order, whose sets
+    overlap or whose heights do not increase along nesting.
+    """
     pts = list(points)
     sels = [tip_selector(p, ambient) for p in pts]
     datas = [clopen_cb(s) for s in sels]
-    laminar = True
-    heights = True
     witness = None
     checked = 0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             checked += 1
             rel = _laminar_relation(sels[i], sels[j])
-            if rel == "overlap":
-                laminar = False
-                witness = witness or (str(pts[i]), str(pts[j]))
-            elif rel == "i-in-j" and not datas[i].height < datas[j].height:
-                heights = False
-                witness = witness or (str(pts[i]), str(pts[j]))
-            elif rel == "j-in-i" and not datas[j].height < datas[i].height:
-                heights = False
-                witness = witness or (str(pts[i]), str(pts[j]))
-    return TreelikeReport(laminar, heights, checked, witness)
+            if witness is None and (
+                    rel == "overlap"
+                    or rel == "i-in-j" and not datas[i].height < datas[j].height
+                    or rel == "j-in-i" and not datas[j].height < datas[i].height):
+                witness = (str(pts[i]), str(pts[j]))
+    return CheckReport("tree-like", witness is None, witness, {"pairs": checked})
 
 
 def _laminar_relation(a: ClopenSet, b: ClopenSet) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .ordinal import CheckReport
 from .poset import (
     DEFAULT_BOUND,
     DownSet,
@@ -139,48 +140,16 @@ class SelectorFamily:
         return dict(self.assignment)
 
 
-@dataclass
-class SelectorReport:
-    cond1: bool  # x in U_x
-    cond2: bool  # no mutual membership for distinct points
-    cond3: bool  # y in U_x implies U_y subset of U_x
-    cond4: bool  # the induced relation is irreflexive and transitive
-    equivalent: bool  # (2) and (3) agree with (4), given (1)
-    minimal_singletons: bool
-    well_founded: bool
-    induced_order: tuple = ()
-    witness: object = None
-
-    @property
-    def passed(self) -> bool:
-        return (self.cond1 and self.cond2 and self.cond3 and self.cond4
-                and self.equivalent and self.minimal_singletons)
-
-    def to_json(self) -> dict:
-        return {
-            "check": "selector-axioms",
-            "pass": self.passed,
-            "witness": self.witness,
-            "conditions": {
-                "membership": self.cond1,
-                "antisymmetry": self.cond2,
-                "nesting": self.cond3,
-                "induced-order": self.cond4,
-                "equivalence": self.equivalent,
-                "minimal-singletons": self.minimal_singletons,
-                "well-founded": self.well_founded,
-            },
-        }
-
-
-def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> SelectorReport:
+def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> CheckReport:
     """Check the clopen-selector conditions for a family over a finite space.
 
     The conditions: each point belongs to its own set; two distinct points
     never belong to each other's sets; membership nests the sets; and the
     induced relation (x below y iff x is in U_y) is a strict order.  The
-    report also records whether minimal members of the family are
-    singletons and whether the family is well-founded under inclusion.
+    report also records whether antisymmetry and nesting together agree
+    with the strict-order condition when membership holds, whether minimal
+    members of the family are singletons, and whether the family is
+    well-founded under inclusion; all but the last decide the verdict.
 
     The witness is the first violation in a fixed order: points in label
     order, then the least offending member; family sets by size, then by
@@ -243,12 +212,16 @@ def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> SelectorRe
     except Exception:  # pragma: no cover
         well_founded = False
 
-    return SelectorReport(
-        cond1=cond1, cond2=cond2, cond3=cond3, cond4=cond4,
-        equivalent=equivalent, minimal_singletons=minimal_singletons,
-        well_founded=well_founded,
-        induced_order=tuple(sorted(rel)), witness=witness,
-    )
+    passed = cond1 and cond2 and cond3 and cond4 and equivalent and minimal_singletons
+    return CheckReport("selector-axioms", passed, witness, {"conditions": {
+        "membership": cond1,
+        "antisymmetry": cond2,
+        "nesting": cond3,
+        "induced-order": cond4,
+        "equivalence": equivalent,
+        "minimal-singletons": minimal_singletons,
+        "well-founded": well_founded,
+    }})
 
 
 def principal_selector(poset: FinitePoset) -> SelectorFamily:
@@ -341,25 +314,6 @@ class FinJoinSemilattice:
         return cls.from_poset(p)
 
 
-@dataclass
-class HatReport:
-    is_join_hom: bool
-    extends_f: bool
-    unique: bool
-    method: str
-    homs_found: int
-    witness: object = None
-
-    @property
-    def passed(self) -> bool:
-        return self.is_join_hom and self.extends_f and self.unique
-
-    def to_json(self) -> dict:
-        return {"check": "universal-property", "pass": self.passed,
-                "witness": self.witness, "method": self.method,
-                "homs_found": self.homs_found}
-
-
 def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict,
                   bound: int = DEFAULT_BOUND):
     """Extend an increasing map f: P -> Y to the hyperspace by joins.
@@ -377,6 +331,8 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict,
         if name not in f:
             raise HyperspaceError(f"f missing element {name!r}")
         fi[i] = f[name] if isinstance(f[name], int) else y.carrier.index(f[name])
+        if not 0 <= fi[i] < y.n:
+            raise HyperspaceError(f"f maps {name!r} outside the semilattice")
     for i in range(poset.n):
         for j in range(poset.n):
             if poset.leq(i, j) and not y.carrier.leq(fi[i], fi[j]):
@@ -415,8 +371,8 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict,
         count = 1
 
     hat = {DownSet(m): v for m, v in values.items()}
-    return hat, HatReport(is_join_hom=is_hom, extends_f=extends, unique=unique,
-                          method=method, homs_found=count, witness=witness)
+    return hat, CheckReport("universal-property", is_hom and extends and unique, witness,
+                            {"method": method, "homs_found": count})
 
 
 # -- one-point compactification model -------------------------------------

@@ -20,6 +20,8 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
+from .ordinal import CheckReport
+
 SCAN_CAP = 10_000_000
 
 
@@ -82,6 +84,11 @@ class EvPeriodicSet:
     def elements_below(self, limit: int) -> list:
         return [n for n in range(limit) if self.contains(n)]
 
+    @classmethod
+    def from_json(cls, data: dict) -> "EvPeriodicSet":
+        return cls(data["period"], frozenset(data.get("residues", ())),
+                   frozenset(data.get("delta", ())))
+
     def to_json(self) -> dict:
         return {"period": self.period,
                 "residues": sorted(self.residues),
@@ -98,16 +105,7 @@ def common_residue_classes(a: EvPeriodicSet, b: EvPeriodicSet) -> list:
             if r % a.period in a.residues and r % b.period in b.residues]
 
 
-@dataclass
-class ADReport:
-    passed: bool
-    witness: object = None
-
-    def to_json(self) -> dict:
-        return {"check": "almost-disjoint", "pass": self.passed, "witness": self.witness}
-
-
-def ad_check(sets: Sequence[EvPeriodicSet]) -> ADReport:
+def ad_check(sets: Sequence[EvPeriodicSet]) -> CheckReport:
     """Pairwise almost-disjointness by residue arithmetic; on failure the
     witness names the offending pair and a common residue class."""
     for k, s in enumerate(sets):
@@ -120,10 +118,9 @@ def ad_check(sets: Sequence[EvPeriodicSet]) -> ADReport:
             common = common_residue_classes(sets[i], sets[j])
             if common:
                 modulus = lcm(sets[i].period, sets[j].period)
-                return ADReport(False, {"pair": [i, j],
-                                        "residue": common[0],
-                                        "modulus": modulus})
-    return ADReport(True)
+                return CheckReport("almost-disjoint", False,
+                                   {"pair": [i, j], "residue": common[0], "modulus": modulus})
+    return CheckReport("almost-disjoint", True)
 
 
 @dataclass(frozen=True)
@@ -146,9 +143,7 @@ class ADFamily:
     def from_json(cls, data: dict) -> "ADFamily":
         if "sets" not in data:
             raise MrowkaError("family JSON must have a 'sets' field")
-        return cls(tuple(EvPeriodicSet(s["period"], frozenset(s.get("residues", ())),
-                                       frozenset(s.get("delta", ())))
-                         for s in data["sets"]))
+        return cls(tuple(EvPeriodicSet.from_json(s) for s in data["sets"]))
 
     def to_json(self) -> dict:
         return {"sets": [s.to_json() for s in self.sets]}
@@ -237,18 +232,6 @@ def support_of(code: int) -> frozenset:
     return frozenset(i for i in range(code.bit_length()) if code >> i & 1)
 
 
-@dataclass
-class StarReport:
-    passed: bool
-    code_bound: int
-    sizes: list
-    witness: object = None
-
-    def to_json(self) -> dict:
-        return {"check": "star-truncation", "pass": self.passed,
-                "witness": self.witness, "sizes": self.sizes}
-
-
 def star_truncation(fam: ADFamily, n_bound: int):
     """Codes of the nonempty finite subsets of each branch, truncated to
     code values below ``n_bound`` (a set codes as the sum of 2^k over its
@@ -275,7 +258,8 @@ def star_truncation(fam: ADFamily, n_bound: int):
             if per_branch[i] & per_branch[j] != expected:
                 passed = False
                 witness = {"pair": [i, j]}
-    report = StarReport(passed, n_bound, [len(c) for c in per_branch], witness)
+    report = CheckReport("star-truncation", passed, witness,
+                         {"sizes": [len(c) for c in per_branch]})
     return {i: per_branch[i] for i in range(len(per_branch))}, report
 
 
@@ -291,26 +275,7 @@ def _submasks_below(mask: int, n_bound: int):
 
 # -- convergence of joins --------------------------------------------------------
 
-@dataclass
-class ConvergenceReport:
-    threshold: int
-    horizon: int
-    witnesses: dict
-    first_nonempty: tuple
-    prefix_growth: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.prefix_growth
-
-    def to_json(self) -> dict:
-        return {"check": "join-convergence", "pass": self.passed,
-                "witness": None if self.passed else "prefixes stalled",
-                "threshold": self.threshold,
-                "escape_witnesses": {str(k): v for k, v in self.witnesses.items()}}
-
-
-def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> ConvergenceReport:
+def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckReport:
     """Certify, below a horizon, the convergence behaviour of prefix nets:
     the prefixes of branch i converge to the branch point (they grow
     without bound inside it), while the joins of the prefixes of branches
@@ -327,7 +292,6 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> Convergenc
     a, b = fam.sets[i], fam.sets[j]
     threshold = None
     witnesses: dict = {}
-    first_i = first_j = None
     sigma: set = set()
     tau: set = set()
     for n in range(1, horizon + 1):
@@ -335,10 +299,6 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> Convergenc
             sigma.add(n - 1)
         if b.contains(n - 1):
             tau.add(n - 1)
-        if first_i is None and sigma:
-            first_i = n
-        if first_j is None and tau:
-            first_j = n
         if threshold is None and sigma and tau:
             joined = g_join(GPoint.fin_pt(sigma), GPoint.fin_pt(tau), fam)
             if joined != GPoint.fin_pt(sigma | tau):
@@ -353,7 +313,8 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> Convergenc
                 escape[k] = min(out)
             if escape is not None:
                 threshold = n
-                witnesses = escape
+                # string keys, as printed: sorted JSON puts "10" before "2"
+                witnesses = {str(k): v for k, v in escape.items()}
     if threshold is None:
         raise MrowkaError("horizon too small to certify (threshold not reached)")
     # permanence scan: past the threshold the union stays outside every branch
@@ -363,8 +324,8 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> Convergenc
             raise AssertionError("union of full prefixes re-entered a branch")
     growth = (len(a.elements_below(horizon)) >= 2
               and len(a.elements_below(horizon)) > len(a.elements_below(horizon // 2)))
-    return ConvergenceReport(threshold, horizon, witnesses,
-                             (first_i, first_j), growth)
+    return CheckReport("join-convergence", growth, None if growth else "prefixes stalled",
+                       {"threshold": threshold, "escape_witnesses": witnesses})
 
 
 # -- Lusin stages ------------------------------------------------------------------
@@ -466,9 +427,22 @@ class _MembershipIndex:
 class _LusinScan:
     """The scan state ``lusin_iterate`` carries from one stage to the
     next: the membership index of the prior family and, per prior set,
-    the natural its scan resumes from."""
+    the natural its scan resumes from.
+
+    Construction checks the input once per iteration: it raises when an
+    eventually periodic member of ``prev`` is finite or when those members
+    fail almost-disjointness.  Later stages add only finite ``LusinStage``
+    sets, so the periodic members, and the check, stay the same.
+    """
 
     def __init__(self, prev: Sequence):
+        periodic = [s for s in prev if isinstance(s, EvPeriodicSet)]
+        for s in periodic:
+            if not s.is_infinite:
+                raise MrowkaError("prior set is finite")
+        rep = ad_check(periodic)
+        if not rep.passed:
+            raise MrowkaError(f"non-AD input: {rep.witness}")
         self.index = _MembershipIndex(prev)
         self.starts = [0] * len(prev)
 
@@ -491,21 +465,15 @@ def lusin_stage(prev: Sequence, strategy: str = "greedy-least",
 
     ``scan``, which ``lusin_iterate`` passes, must describe ``prev``; it
     lets each scan resume where the previous stage left it instead of
-    starting from 0.
+    starting from 0.  Without it the stage builds its own scan, which
+    checks ``prev`` (see ``_LusinScan``).
 
     Raises when some prior set cannot supply n fresh elements, or when the
-    eventually periodic members of ``prev`` fail almost-disjointness.
+    eventually periodic members of ``prev`` are finite or fail
+    almost-disjointness.
     """
     if strategy != "greedy-least":
         raise MrowkaError(f"unknown strategy {strategy!r}")
-    periodic = [s for s in prev if isinstance(s, EvPeriodicSet)]
-    for s in periodic:
-        if not s.is_infinite:
-            raise MrowkaError("prior set is finite")
-    rep = ad_check(periodic)
-    if not rep.passed:
-        raise MrowkaError(f"non-AD input: {rep.witness}")
-
     m = len(prev)
     if scan is None:
         scan = _LusinScan(prev)
@@ -563,28 +531,8 @@ def lusin_iterate(base: ADFamily, steps: int) -> list:
 
 # -- canonical selector of the compact space ---------------------------------------
 
-@dataclass
-class SelectorCheckReport:
-    conditions: dict
-    induced_order_ok: bool
-    ad_ok: bool
-    heights_ok: bool
-    witness: object = None
-
-    @property
-    def passed(self) -> bool:
-        return (all(self.conditions.values()) and self.induced_order_ok
-                and self.ad_ok and self.heights_ok)
-
-    def to_json(self) -> dict:
-        return {"check": "mrowka-selector", "pass": self.passed,
-                "witness": self.witness, "conditions": self.conditions,
-                "induced_order": self.induced_order_ok, "ad": self.ad_ok,
-                "heights": self.heights_ok}
-
-
 def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
-                          truncation: int) -> SelectorCheckReport:
+                          truncation: int) -> CheckReport:
     """Check the canonical selector of the compactified family space on a
     truncated point set: singletons at the naturals, the branch sets at
     the branches, everything at the top point.
@@ -650,4 +598,7 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
     if not heights_ok:
         witness = witness or ("heights", "branch empty at truncation")
 
-    return SelectorCheckReport(conditions, induced_ok, ad_ok, heights_ok, witness)
+    passed = all(conditions.values()) and induced_ok and ad_ok and heights_ok
+    return CheckReport("mrowka-selector", passed, witness, {
+        "conditions": conditions, "induced_order": induced_ok, "ad": ad_ok,
+        "heights": heights_ok})

@@ -266,7 +266,7 @@ def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     for exp, coeff in b.terms:
         if exp.is_zero:
             # a * finite: scale the leading coefficient, keep the tail once
-            c = a.terms[0][1] * coeff
+            c = _coeff_mul(a.terms[0][1], coeff)
             piece = _trusted(((d, c),) + a.terms[1:], ((d._key, c),) + a._key[1:])
         else:
             e = ord_add(d, exp)
@@ -276,25 +276,64 @@ def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:
 
 
 MAX_COEFF_BITS = 10_000
-"""Largest bit length of the finite factor ``k ** n`` that ``ord_pow``
-computes for a finite base ``k``.
+"""Largest bit length of a coefficient that ``parse_ordinal`` reads, that
+``ord_mul`` and ``nat_prod`` build as a product of two coefficients, and
+of the finite factor ``k ** n`` that ``ord_pow`` computes for a finite
+base ``k``.
 
-The limit keeps the power from building an unbounded integer, and sits
-below Python's 4300-digit limit on integer-to-string conversion (10 000
-bits are 3011 decimal digits), so every coefficient it allows can be
-printed.  A larger power raises ``OrdinalError`` before it is computed.
+The limit keeps these operations from building unbounded integers, and
+sits below Python's 4300-digit limit on integer-to-string conversion
+(10 000 bits are 3011 decimal digits), so every coefficient it allows, and
+the sum of two of them, can be printed.  A larger coefficient raises
+``OrdinalError`` (``ParseError`` in the parser) before it is computed.
+"""
+
+MAX_TERMS = 1_000
+"""Most terms that ``ord_pow`` builds for an infinite base.
+
+``(w+1)^n`` has ``n + 1`` terms, and each product costs time quadratic in
+the number of terms, so an unchecked power could ask for a billion terms.
+The power is built by repeated squaring, and each partial power has at
+most as many terms as the result, so a power over the limit is refused as
+soon as a partial power passes it, with an ``OrdinalError``.
 """
 
 
+def _coeff_mul(x: int, y: int) -> int:
+    """``x * y``, refused when it exceeds ``MAX_COEFF_BITS`` bits.
+
+    ``bits(x) + bits(y) - 1 <= bits(x * y) <= bits(x) + bits(y)``, so a
+    product over the limit is mostly rejected unbuilt, and one that is
+    built has at most twice the limit's bits.
+    """
+    c = x * y if x.bit_length() + y.bit_length() - 1 <= MAX_COEFF_BITS else None
+    if c is None or c.bit_length() > MAX_COEFF_BITS:
+        raise OrdinalError(f"product coefficient exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
+    return c
+
+
 def _pow_nat(a: Ordinal, n: int) -> Ordinal:
-    result = ONE
+    """``a ^ n`` for an infinite ``a`` and ``n >= 1``, by repeated squaring.
+
+    The number of terms of ``a ^ m`` never falls as ``m`` grows, and every
+    partial power here is ``a ^ m`` with ``m <= n`` (the base is not
+    squared past the top bit of ``n``), so checking each one against
+    ``MAX_TERMS`` refuses exactly the powers whose result is over it.
+    """
+    result = None
     base = a
-    while n:
+    while True:
         if n & 1:
-            result = ord_mul(result, base)
-        base = ord_mul(base, base)
+            result = base if result is None else ord_mul(result, base)
+            if len(result.terms) > MAX_TERMS:
+                break
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = ord_mul(base, base)
+        if len(base.terms) > MAX_TERMS:
+            break
+    raise OrdinalError(f"power exceeds MAX_TERMS = {MAX_TERMS} terms")
 
 
 def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -302,7 +341,9 @@ def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
 
     For a finite base ``k`` the result carries the integer ``k ** n``, where
     ``n`` is the finite part of ``b``; it raises ``OrdinalError`` when that
-    integer would exceed ``MAX_COEFF_BITS`` bits.
+    integer would exceed ``MAX_COEFF_BITS`` bits.  For an infinite base it
+    raises ``OrdinalError`` when the result would have more than
+    ``MAX_TERMS`` terms.
     """
     if b.is_zero:
         return ONE
@@ -329,7 +370,7 @@ def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
     d = a.terms[0][0]
     limit_exp = Ordinal(inf_part)
     head = Ordinal.omega_power(ord_mul(d, limit_exp)) if inf_part else ONE
-    return ord_mul(head, _pow_nat(a, fin))
+    return ord_mul(head, _pow_nat(a, fin)) if fin else head
 
 
 # -- natural (Hessenberg) operations ---------------------------------
@@ -378,11 +419,13 @@ def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:
 
     Each term of ``a`` times ``b`` is a row already sorted by exponent
     (natural sum is strictly monotone), and the rows are merged in turn.
+    Raises ``OrdinalError`` when a product of two coefficients would
+    exceed ``MAX_COEFF_BITS`` bits.
     """
     terms: list = []
     key: list = []
     for ea, ca in a.terms:
-        row = [(nat_sum(ea, eb), ca * cb) for eb, cb in b.terms]
+        row = [(nat_sum(ea, eb), _coeff_mul(ca, cb)) for eb, cb in b.terms]
         terms, key = _merge(terms, key, row, [(e._key, c) for e, c in row])
     return _trusted(tuple(terms), tuple(key))
 
@@ -494,11 +537,15 @@ level too many.
 """
 
 
+_MAX_COEFF_DIGITS = len(str(1 << MAX_COEFF_BITS))
+
+
 def parse_ordinal(text: str) -> Ordinal:
     """Parse an expression of the grammar above into normal form.
 
-    Raises ``ParseError`` with the failing position on malformed input and
-    on exponents nested more than ``MAX_NESTING`` deep.
+    Raises ``ParseError`` with the failing position on malformed input, on
+    exponents nested more than ``MAX_NESTING`` deep and on a number of more
+    than ``MAX_COEFF_BITS`` bits.
     """
     parser = _Parser(text)
     value = parser.parse_expr()
@@ -579,7 +626,12 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             raise ParseError("expected a number", self.pos)
-        return int(self.text[start:self.pos])
+        # more digits than the largest allowed value has: refused unconverted
+        digits = self.text[start:self.pos].lstrip("0") or "0"
+        if len(digits) > _MAX_COEFF_DIGITS or int(digits).bit_length() > MAX_COEFF_BITS:
+            raise ParseError(f"coefficient exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS} bits",
+                             start)
+        return int(digits)
 
 
 def format_ordinal(a: Ordinal, compact: bool = False) -> str:
@@ -661,3 +713,26 @@ def random_ordinal_below(rng, bound: Ordinal) -> Ordinal:
                 terms.append((te, tc))
                 break
     return Ordinal(tuple(terms))
+
+
+# -- check reports ----------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class CheckReport:
+    """Outcome of one check, the single report shape of every layer.
+
+    ``witness`` backs the verdict: for most checks the first violation
+    found, None when there is none.  ``data`` holds the extra keys the
+    check prints, already JSON-ready (ordinals formatted, witnesses as
+    printed), so ``to_json()`` is ``{"check", "pass", "witness"}`` plus
+    ``data``.
+    """
+
+    check: str
+    passed: bool
+    witness: object = None
+    data: dict = field(default_factory=dict)
+
+    def to_json(self) -> dict:
+        return {"check": self.check, "pass": self.passed, "witness": self.witness,
+                **self.data}

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
-from .ordinal import OMEGA, Ordinal, ord_pow
+from .ordinal import OMEGA, CheckReport, Ordinal, ord_pow
 
 DEFAULT_BOUND = 20
 
@@ -425,56 +425,20 @@ def _kw_rank_masks(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> dict:
 
 # -- union-rank verification -------------------------------------------
 
-@dataclass
-class ZaguiaReport:
-    """Result of the downset union-rank checks on one poset.
-
-    ``claim1``/``claim2`` verify the inductive reading in which each piece
-    counts itself (ranks taken in the lattice with the empty set adjoined);
-    ``claim1_literal``/``claim2_literal`` record the unshifted reading,
-    which fails as soon as two pieces are disjoint.  ``claim3`` covers the
-    ordinal bounds rank(down p) < w^rank(p) and rank(K) <= w^rank(P).
-    """
-
-    poset_summary: str
-    claim1: bool
-    claim2: bool
-    claim3: bool
-    claim1_literal: bool
-    claim2_literal: bool
-    counterexample: tuple | None = None
-    literal_counterexample: tuple | None = None
-    details: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.claim1 and self.claim2 and self.claim3
-
-    def to_json(self) -> dict:
-        witness = None
-        if self.counterexample is not None:
-            witness = [sorted(d) for d in self.counterexample]
-        return {
-            "check": "zaguia",
-            "pass": self.passed,
-            "witness": witness,
-            "claims": {
-                "claim1": self.claim1,
-                "claim2": self.claim2,
-                "claim3": self.claim3,
-                "claim1_literal": self.claim1_literal,
-                "claim2_literal": self.claim2_literal,
-            },
-            "poset": self.poset_summary,
-        }
-
-
-def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> ZaguiaReport:
+def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> CheckReport:
     """Check the union-rank inequalities for downsets of a finite poset.
 
     Ground truth is the enumerated rank of every nonempty downset.  The
     natural sum on the finite ranks is plain integer addition; the
     ordinal-level bounds are evaluated exactly on Ordinal values.
+
+    ``claim1``/``claim2`` verify the inductive reading in which each piece
+    counts itself (ranks taken in the lattice with the empty set adjoined);
+    ``claim1_literal``/``claim2_literal`` record the unshifted reading,
+    which fails as soon as two pieces are disjoint.  ``claim3`` covers the
+    ordinal bounds rank(down p) < w^rank(p) and rank(K) <= w^rank(P).  The
+    verdict is claims 1 to 3; the witness is the first counterexample to
+    one of them, as two sorted lists of element names.
     """
     _check_bound(poset, bound)
     if poset.n == 0:
@@ -484,7 +448,6 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> ZaguiaRepor
     claim1 = claim1_literal = True
     claim2 = claim2_literal = True
     counterexample = None
-    literal_counterexample = None
 
     for a in masks:
         ra = kw[a]
@@ -498,8 +461,6 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> ZaguiaRepor
                     counterexample = (_names(poset, a), _names(poset, b))
             if ru > kw[b] + ra:
                 claim1_literal = False
-                if literal_counterexample is None:
-                    literal_counterexample = (_names(poset, a), _names(poset, b))
 
     for m in masks:
         parts = [kw[poset.down_mask(i)] for i in _bits(poset.max_of(m))]
@@ -509,8 +470,6 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> ZaguiaRepor
                 counterexample = (_names(poset, m), _names(poset, poset.max_of(m)))
         if kw[m] > sum(parts):
             claim2_literal = False
-            if literal_counterexample is None:
-                literal_counterexample = (_names(poset, m), _names(poset, poset.max_of(m)))
 
     elem_ranks = ranks(poset)
     claim3 = True
@@ -531,18 +490,17 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> ZaguiaRepor
         if counterexample is None:
             counterexample = (_names(poset, poset.full_mask()), frozenset())
 
-    summary = f"n={poset.n}, downsets={len(masks)}"
-    return ZaguiaReport(
-        poset_summary=summary,
-        claim1=claim1,
-        claim2=claim2,
-        claim3=claim3,
-        claim1_literal=claim1_literal,
-        claim2_literal=claim2_literal,
-        counterexample=counterexample,
-        literal_counterexample=literal_counterexample,
-        details={"ranks": {tuple(sorted(_names(poset, m))): r for m, r in kw.items()}},
-    )
+    witness = None if counterexample is None else [sorted(d) for d in counterexample]
+    return CheckReport("zaguia", claim1 and claim2 and claim3, witness, {
+        "claims": {
+            "claim1": claim1,
+            "claim2": claim2,
+            "claim3": claim3,
+            "claim1_literal": claim1_literal,
+            "claim2_literal": claim2_literal,
+        },
+        "poset": f"n={poset.n}, downsets={len(masks)}",
+    })
 
 
 def _names(poset: FinitePoset, mask: int) -> frozenset:

@@ -18,13 +18,14 @@ points' contributions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .ordinal import (
     OMEGA,
     ONE,
     ZERO,
+    CheckReport,
     Ordinal,
     format_ordinal,
     nat_sum,
@@ -147,48 +148,25 @@ def term_report(t: SpaceTerm) -> SpaceReport:
     raise TermError(f"not a space term: {t!r}")
 
 
-@dataclass
-class BoundsReport:
-    height: Ordinal
-    rank: Ordinal
-    endpoint_count: int
-    height_le_rank: bool
-    rank_lt_scaled: bool
-    scaled_lt_next_power: bool
+def check_height_rank_bounds(t: SpaceTerm) -> CheckReport:
+    """Exact bound chain height <= rank < w^h*(endpts+1) < w^(h+1).
 
-    @property
-    def passed(self) -> bool:
-        return self.height_le_rank and self.rank_lt_scaled and self.scaled_lt_next_power
-
-    def to_json(self) -> dict:
-        return {
-            "check": "height-rank-bounds",
-            "pass": self.passed,
-            "witness": None if self.passed else {
-                "height": format_ordinal(self.height),
-                "rank": format_ordinal(self.rank),
-            },
-            "inequalities": {
-                "height<=rank": self.height_le_rank,
-                "rank<w^h*(endpts+1)": self.rank_lt_scaled,
-                "w^h*(endpts+1)<w^(h+1)": self.scaled_lt_next_power,
-            },
-        }
-
-
-def check_height_rank_bounds(t: SpaceTerm) -> BoundsReport:
-    """Exact bound chain height <= rank < w^h*(endpts+1) < w^(h+1)."""
+    A failing report's witness is the term's height and rank.
+    """
     rep = term_report(t)
     if rep.rank is None:
         raise TermError("rank is not computed for this term shape")
     scaled = ord_mul(ord_pow(OMEGA, rep.height), Ordinal.from_int(rep.endpoint_count + 1))
     nxt = ord_pow(OMEGA, ord_add(rep.height, ONE))
-    return BoundsReport(
-        height=rep.height, rank=rep.rank, endpoint_count=rep.endpoint_count,
-        height_le_rank=rep.height <= rep.rank,
-        rank_lt_scaled=rep.rank < scaled,
-        scaled_lt_next_power=scaled < nxt,
-    )
+    inequalities = {
+        "height<=rank": rep.height <= rep.rank,
+        "rank<w^h*(endpts+1)": rep.rank < scaled,
+        "w^h*(endpts+1)<w^(h+1)": scaled < nxt,
+    }
+    passed = all(inequalities.values())
+    witness = None if passed else {"height": format_ordinal(rep.height),
+                                   "rank": format_ordinal(rep.rank)}
+    return CheckReport("height-rank-bounds", passed, witness, {"inequalities": inequalities})
 
 
 # -- hyperspace height calculus -------------------------------------------
@@ -214,26 +192,7 @@ def hyper_antichain_height(labels: Iterable[Ordinal]) -> Ordinal:
     return out
 
 
-@dataclass
-class SkeletonBoundReport:
-    bound: Ordinal
-    max_attained: Ordinal
-    antichains_checked: int
-    passed: bool
-    witness: object = None
-
-    def to_json(self) -> dict:
-        return {
-            "check": "hyperspace-height-bound",
-            "pass": self.passed,
-            "witness": self.witness,
-            "bound": format_ordinal(self.bound),
-            "max_attained": format_ordinal(self.max_attained),
-            "antichains": self.antichains_checked,
-        }
-
-
-def skeleton_hyper_bound_check(sk: Skeleton) -> SkeletonBoundReport:
+def skeleton_hyper_bound_check(sk: Skeleton) -> CheckReport:
     """Every antichain's hyperspace height stays below w^rank, where the
     rank of the skeleton is max label + 1."""
     rank = ord_add(max(sk.labels), ONE) if sk.labels else ZERO
@@ -252,39 +211,11 @@ def skeleton_hyper_bound_check(sk: Skeleton) -> SkeletonBoundReport:
         if not h < bound:
             passed = False
             witness = sorted(sk.poset.names(mask))
-    return SkeletonBoundReport(bound, best, count, passed, witness)
-
-
-@dataclass
-class MonotonicityReport:
-    """Strictness of the hyperspace height along strict downset inclusion
-    of antichains.
-
-    Ties can only arise when the smaller antichain differs from the larger
-    one by height-0 points alone (their selector sets are singletons and
-    contribute nothing to the natural sum); those pairs are reported
-    separately from genuine order violations, which would be fatal.
-    """
-
-    pairs_checked: int
-    strict_pairs: int
-    ties: list = field(default_factory=list)
-    inversions: list = field(default_factory=list)
-    ties_all_zero_label: bool = True
-
-    @property
-    def passed(self) -> bool:
-        return not self.inversions and self.ties_all_zero_label
-
-    def to_json(self) -> dict:
-        return {
-            "check": "hyperspace-monotonicity",
-            "pass": self.passed,
-            "witness": (self.inversions or self.ties or [None])[0] if not self.passed else None,
-            "pairs": self.pairs_checked,
-            "strict": self.strict_pairs,
-            "ties": len(self.ties),
-        }
+    return CheckReport("hyperspace-height-bound", passed, witness, {
+        "bound": format_ordinal(bound),
+        "max_attained": format_ordinal(best),
+        "antichains": count,
+    })
 
 
 def _is_forest(p: FinitePoset) -> bool:
@@ -297,10 +228,18 @@ def _is_forest(p: FinitePoset) -> bool:
     return True
 
 
-def hyper_monotonicity_check(sk: Skeleton) -> MonotonicityReport:
+def hyper_monotonicity_check(sk: Skeleton) -> CheckReport:
     """Compare hyperspace heights over all pairs of antichains ordered by
     strict downset inclusion (forest skeletons only, where selector sets
-    are nested or disjoint and the piecewise decomposition is exact)."""
+    are nested or disjoint and the piecewise decomposition is exact).
+
+    Ties can only arise when the smaller antichain differs from the larger
+    one by height-0 points alone (their selector sets are singletons and
+    contribute nothing to the natural sum); those pairs are counted
+    separately from genuine order violations, which would be fatal.  The
+    check fails on an inversion or on a tie with another cause, and its
+    witness is the first inversion, else the first tie.
+    """
     p = sk.poset
     if not _is_forest(p):
         raise TermError("skeleton is not a forest")
@@ -330,7 +269,10 @@ def hyper_monotonicity_check(sk: Skeleton) -> MonotonicityReport:
                     all_zero = False
             else:
                 inversions.append((sorted(p.names(rho)), sorted(p.names(sigma))))
-    return MonotonicityReport(checked, strict, ties, inversions, all_zero)
+    passed = not inversions and all_zero
+    return CheckReport("hyperspace-monotonicity", passed,
+                       None if passed else (inversions or ties)[0],
+                       {"pairs": checked, "strict": strict, "ties": len(ties)})
 
 
 # -- term syntax -------------------------------------------------------------

@@ -6,10 +6,12 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordtop
 from ordtop.cli import main
-from ordtop.ordinal import MAX_COEFF_BITS
+from ordtop.ordinal import MAX_COEFF_BITS, MAX_TERMS
 
 VEE = {"elements": ["a", "b", "c"], "covers": [["a", "c"], ["b", "c"]]}
 FAM2 = {"sets": [{"period": 2, "residues": [0], "delta": []},
@@ -320,6 +322,31 @@ def test_ord_pow_coefficient_limit(runner):
         assert f"MAX_COEFF_BITS = {MAX_COEFF_BITS}" in r.stderr
 
 
+
+def test_ord_limits_are_usage_errors(runner):
+    coeff_error = f"MAX_COEFF_BITS = {MAX_COEFF_BITS}"
+    # a 4000-digit literal is refused by the parser, not by int-to-str printing
+    n4000 = "7" * 4000
+    r = invoke_clean(runner, ["ord", "natprod", n4000, n4000])
+    assert r.exit_code == 2
+    assert coeff_error in r.stderr and "(at position 0)" in r.stderr
+    # 2000-digit literals parse; their 13 288-bit product does not get built
+    n2000 = "7" * 2000
+    for op in ("natprod", "mul"):
+        r = invoke_clean(runner, ["ord", op, n2000, n2000])
+        assert r.exit_code == 2
+        assert coeff_error in r.stderr
+    r = invoke_clean(runner, ["ord", "odot", n2000, n2000])
+    assert r.exit_code == 2 and coeff_error in r.stderr
+    # powers of infinite bases stop at MAX_TERMS terms
+    r = invoke_clean(runner, ["ord", "pow", "w+1", str(MAX_TERMS - 1)])
+    assert r.exit_code == 0
+    assert r.output.count("+") == MAX_TERMS - 1
+    for exponent in (str(MAX_TERMS), "1000000000"):
+        r = invoke_clean(runner, ["ord", "pow", "w+1", exponent])
+        assert r.exit_code == 2
+        assert f"MAX_TERMS = {MAX_TERMS}" in r.stderr
+
 # -- golden output of every check command ------------------------------------------
 
 DIAMOND = {"elements": ["a", "b", "c", "d", "e"],
@@ -478,3 +505,123 @@ def test_each_group_imports_only_its_layers(tmp_path):
 
 def test_importing_the_cli_does_not_load_the_battery(tmp_path):
     assert _loaded_layers(["-c", "import ordtop.cli"], tmp_path) == {"ordtop.ordinal"}
+
+
+# -- fuzz: any argv keeps the exit-code contract ------------------------------------
+
+_FUZZ_FILES = {"vee": VEE, "diamond": DIAMOND, "fam2": FAM2, "fam_bad": FAM_BAD,
+               "fam12": FAM12, "nosets": {"family": []}, "noperiod": {"sets": [{}]},
+               "setsint": {"sets": [3]}, "finite": {"sets": [{"period": 2}]},
+               "list": [1, 2]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, data in _FUZZ_FILES.items():
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(json.dumps(data))
+    paths["notjson"] = str(root / "notjson.json")
+    (root / "notjson.json").write_text("{nope")
+    paths["missing"] = str(root / "missing.json")
+    return paths
+
+
+def _digits(draw):
+    # from one digit to past Python's 4300-digit int-to-str limit
+    k = draw(st.sampled_from([1, 2, 4, 30, 3011, 3012, 4000, 5000]))
+    return draw(st.sampled_from("123456789")) * k
+
+
+@st.composite
+def _ordinal_text(draw):
+    small = st.sampled_from(["0", "1", "2", "7", "w", "w+1", "w*3 + 2", "w^w", "w^(w+1)*2",
+                             "w^2 + w + 1", "w+", "(w", "w^", "x", "", "-1", "1000"])
+    pick = draw(st.integers(0, 4))
+    if pick == 0:
+        return _digits(draw)
+    if pick == 1:
+        return draw(st.text(alphabet="w0123456789+*^() ", max_size=12))
+    if pick == 2:
+        return f"{draw(small)}{draw(st.sampled_from('+*^'))}{draw(small)}"
+    return draw(small)
+
+
+def _size(lo, hi):
+    return (st.sampled_from(["-1", "0", "1", "2"]) | st.integers(lo, hi).map(str)
+            | st.sampled_from(["x", "", "1.5"]))
+
+
+@st.composite
+def _fuzz_argv(draw, files):
+    ordinal = _ordinal_text()
+    # mostly files of the right kind, sometimes any file
+    anyfile = st.sampled_from(sorted(files.values()))
+    poset = st.sampled_from([files["vee"], files["diamond"]]) | anyfile
+    family = st.sampled_from([files["fam2"], files["fam12"], files["fam_bad"]]) | anyfile
+    term = st.sampled_from(["ord(w)", "ord(7)", "ord(w^2*3 + w)", SKEL, SKEL0,
+                            "sum(ord(w),ord(1))", "prod(ord(w),ord(2))",
+                            'skel({"elements": ["c", "a", "b"], "covers": [["c", "a"],'
+                            ' ["c", "b"]]}, {"c": 0, "a": 1, "b": 1})',
+                            "skel(nope)", "ord(", "", "sum()"]) | ordinal
+    clopen = st.sampled_from(["(0,w] @ w^2", "(w,w*2] @ w^2", "{} @ w^2", "{0} @ w",
+                              "(0,w^2*2] @ w^2*2", "(0,w] @ w", "(w,0] @ w", "@", ""])
+    descriptor = st.sampled_from(["fin:1,2", "fin:", "cof:", "cof:0,5", "fin:50",
+                                  "fin:-1", "fin:a", "bogus:1", ""])
+    point = st.sampled_from(["top", "fin:2,4", "fin:", "branch:0", "branch:1",
+                             "branch:11", "branch:-1", "branch:x", "nowhere"])
+    criteria = st.sampled_from(["1", "2", "3,4", "1,2,3,4", "99", "x", "1,,2"])
+    slots = {
+        ("ord", "add"): [ordinal, ordinal], ("ord", "mul"): [ordinal, ordinal],
+        ("ord", "pow"): [ordinal, ordinal], ("ord", "natsum"): [ordinal, ordinal],
+        ("ord", "natprod"): [ordinal, ordinal], ("ord", "norm"): [ordinal],
+        ("ord", "odot"): [ordinal, ordinal | st.just("w")], ("ord", "cmp"): [ordinal, ordinal],
+        ("ord", "tip"): [ordinal], ("ord", "oneplusinv"): [ordinal],
+        ("poset", "zaguia"): [poset, "--bound", _size(-2, 30)], ("poset", "ranks"): [poset],
+        ("poset", "width"): [poset], ("poset", "downsets"): [poset, "--bound", _size(-2, 30)],
+        ("poset", "hasse"): [poset],
+        ("hyper", "build"): [poset, "--bound", _size(-2, 30)],
+        ("hyper", "selector"): [poset, "--bound", _size(-2, 30)],
+        ("hyper", "universal"): [poset, "--chain", _size(-2, 6)],
+        ("hyper", "density"): ["--u", descriptor, "--v", descriptor,
+                               "--horizon", _size(-5, 100)],
+        ("space", "report"): [term], ("space", "bounds"): [term],
+        ("space", "hyper-point"): [ordinal], ("space", "hyper-antichain"): [ordinal, ordinal],
+        ("space", "skeleton-bound"): [term], ("space", "monotonicity"): [term],
+        ("clopen", "op"): [st.sampled_from(["union", "intersect", "complement", "xor"]),
+                           clopen, clopen],
+        ("clopen", "cb"): [clopen], ("clopen", "tip"): [ordinal, ordinal],
+        ("clopen", "treelike"): [ordinal, ordinal, ordinal],
+        ("clopen", "minclopen"): [ordinal, ordinal, "--grid", st.sampled_from(
+            ["w^2,w^2+w", "w,w^2+1", "1", "", ","])],
+        ("mrowka", "adcheck"): [family], ("mrowka", "star"): [family, _size(-2, 1 << 25)],
+        ("mrowka", "join"): [family, point, point],
+        ("mrowka", "convergence"): [family, _size(-1, 12), _size(-1, 12),
+                                    "--horizon", _size(-2, 200)],
+        ("mrowka", "lusin"): [family, "--steps", _size(-2, 4)],
+        ("mrowka", "selector"): [family, "--bound", _size(-2, 40)],
+        ("selftest",): ["--seed", _size(-5, 5), "--criteria", criteria],
+    }
+    command = draw(st.sampled_from(sorted(slots)))
+    args = [draw(s) if not isinstance(s, str) else s for s in slots[command]]
+    # sometimes drop an argument, or add an unknown one
+    if args and draw(st.integers(0, 4)) == 0:
+        del args[draw(st.integers(0, len(args) - 1))]
+    if draw(st.integers(0, 9)) == 0:
+        args.append(draw(st.sampled_from(["--nope", "extra", "-x"])))
+    return [*command, *args]
+
+
+def test_cli_fuzz_keeps_exit_contract(fuzz_files):
+    runner = CliRunner()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_fuzz_argv(fuzz_files))
+    def run(argv):
+        r = runner.invoke(main, argv)
+        assert r.exception is None or isinstance(r.exception, SystemExit), argv
+        assert r.exit_code in (0, 1, 2), argv
+        assert "Traceback" not in r.output, argv
+
+    run()

@@ -254,7 +254,7 @@ def test_treelike_random_points():
     pts = {random_ordinal_below(rng, big) for _ in range(150)}
     rep = treelike_check(big, pts)
     assert rep.passed
-    assert rep.pairs_checked == len(pts) * (len(pts) - 1) // 2
+    assert rep.data["pairs"] == len(pts) * (len(pts) - 1) // 2
 
 
 def test_treelike_out_of_range_point():

@@ -14,7 +14,6 @@ from ordtop.hyperspace import (
     HyperspaceError,
     OnePointModel,
     SelectorFamily,
-    SelectorReport,
     build_hyperspace,
     hat_extension,
     hyperspace_to_dot,
@@ -27,6 +26,7 @@ from ordtop.hyperspace import (
     selector_axioms_check,
     vietoris_density_witness,
 )
+from ordtop.ordinal import CheckReport
 from ordtop.poset import (
     DownSet,
     all_labeled_posets,
@@ -145,7 +145,7 @@ def test_whole_space_twice_fails_antisymmetry():
     p = antichain(2)
     fam = SelectorFamily.from_dict({"0": {"0", "1"}, "1": {"0", "1"}})
     rep = selector_axioms_check(p, fam)
-    assert not rep.cond2 and not rep.passed
+    assert not rep.data["conditions"]["antisymmetry"] and not rep.passed
 
 
 def test_kplus_selector_passes_on_every_hyperspace():
@@ -155,7 +155,7 @@ def test_kplus_selector_passes_on_every_hyperspace():
         hp, fam = kplus_selector(build_hyperspace(p))
         rep = selector_axioms_check(hp, fam)
         assert rep.passed
-        assert rep.well_founded
+        assert rep.data["conditions"]["well-founded"]
 
 
 def test_selector_incomplete_assignment_rejected():
@@ -169,13 +169,14 @@ def test_selector_equivalence_of_conditions():
     p = poset_from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
     fam = SelectorFamily.from_dict({"a": {"a", "c"}, "b": {"b"}, "c": {"c", "b"}})
     rep = selector_axioms_check(p, fam)
-    assert rep.equivalent
+    assert rep.data["conditions"]["equivalence"]
 
 
 def _selector_check_all_pairs(space, fam):
     # the check as it was before the successor index: the induced
     # relation's transitivity scans every pair of pairs in ``rel``; the
-    # witness scans walk members and family sets in their documented order
+    # witness scans walk members and family sets in their documented order;
+    # returns the report and the induced relation
     sets = fam.as_dict()
     names = list(space.labels)
     witness = None
@@ -211,11 +212,11 @@ def _selector_check_all_pairs(space, fam):
             if len(u) != 1:
                 minimal_singletons = False
                 witness = witness or ("minimal-not-singleton", sorted(u))
-    return SelectorReport(
-        cond1=cond1, cond2=cond2, cond3=cond3, cond4=cond4,
-        equivalent=equivalent, minimal_singletons=minimal_singletons,
-        well_founded=True, induced_order=tuple(sorted(rel)), witness=witness,
-    )
+    passed = cond1 and cond2 and cond3 and cond4 and equivalent and minimal_singletons
+    return CheckReport("selector-axioms", passed, witness, {"conditions": {
+        "membership": cond1, "antisymmetry": cond2, "nesting": cond3,
+        "induced-order": cond4, "equivalence": equivalent,
+        "minimal-singletons": minimal_singletons, "well-founded": True}}), rel
 
 
 def test_selector_check_matches_all_pairs_scan():
@@ -236,11 +237,11 @@ def test_selector_check_matches_all_pairs_scan():
     non_transitive = 0
     for space, fam in cases:
         rep = selector_axioms_check(space, fam)
-        oracle = _selector_check_all_pairs(space, fam)
-        assert rep.cond4 == oracle.cond4
+        oracle, rel = _selector_check_all_pairs(space, fam)
+        assert (rep.data["conditions"]["induced-order"]
+                == oracle.data["conditions"]["induced-order"])
         assert rep.witness == oracle.witness
         assert rep == oracle
-        rel = set(oracle.induced_order)
         if (all((y, x) not in rel for (x, y) in rel)
                 and any((x, z) not in rel for (x, y) in rel for (y2, z) in rel
                         if y == y2 and x != z)):
@@ -293,7 +294,7 @@ def test_hat_identity_instance():
     y = FinJoinSemilattice.from_poset(hp)
     f = {p.labels[i]: hp.labels.index(h.point_label(h.eta(i))) for i in range(p.n)}
     hat, rep = hat_extension(p, y, f)
-    assert rep.passed and rep.method == "enumerated"
+    assert rep.passed and rep.data["method"] == "enumerated"
     # the extension of eta is the identity on points
     for m in h.points:
         assert hp.labels[hat[DownSet(m)]] == h.point_label(m)
@@ -316,8 +317,8 @@ def test_hat_uniqueness_on_random_instances():
         for i in range(p.n):
             rk[p.labels[i]] = min(bin(p.below[i]).count("1"), y.n - 1)
         hat, rep = hat_extension(p, y, rk)
-        assert rep.passed and rep.method == "enumerated"
-        assert rep.homs_found == 1
+        assert rep.passed and rep.data["method"] == "enumerated"
+        assert rep.data["homs_found"] == 1
 
 
 def test_hat_rejects_non_increasing_f():
@@ -325,6 +326,15 @@ def test_hat_rejects_non_increasing_f():
     y = FinJoinSemilattice.chain(2)
     with pytest.raises(HyperspaceError, match="increasing"):
         hat_extension(p, y, {"0": 1, "1": 0})
+
+
+def test_hat_rejects_f_outside_the_semilattice():
+    p = chain(2)
+    for y, f in ((FinJoinSemilattice.chain(2), {"0": 0, "1": 2}),
+                 (FinJoinSemilattice.chain(2), {"0": -1, "1": 0}),
+                 (FinJoinSemilattice.chain(0), {"0": -1, "1": -1})):
+        with pytest.raises(HyperspaceError, match="outside the semilattice"):
+            hat_extension(p, y, f)
 
 
 def test_semilattice_validation():

@@ -212,8 +212,8 @@ def test_convergence_even_odd():
             if all(any(not s.contains(x) for x in union) for s in fam.sets):
                 oracle = n
                 break
-    assert rep.threshold == oracle == 2
-    assert rep.witnesses == {0: 1, 1: 0}
+    assert rep.data["threshold"] == oracle == 2
+    assert rep.data["escape_witnesses"] == {"0": 1, "1": 0}
 
 
 def test_convergence_rejects_equal_indices():
@@ -228,7 +228,7 @@ def test_convergence_all_pairs_of_five_progressions():
             if i != j:
                 rep = convergence_check(fam, i, j, horizon=128)
                 assert rep.passed
-                assert rep.threshold <= 16
+                assert rep.data["threshold"] <= 16
 
 
 def test_convergence_horizon_too_small():
@@ -359,20 +359,21 @@ def test_selector_overlapping_input_fails_with_witness():
     rep = mrowka_selector_check([EVENS, EvPeriodicSet(4, frozenset({0}))],
                                 truncation=16)
     assert not rep.passed
-    assert not rep.conditions["antisymmetry"] or not rep.conditions["nesting"]
+    conditions = rep.data["conditions"]
+    assert not conditions["antisymmetry"] or not conditions["nesting"]
     assert rep.witness is not None
 
 
 def test_selector_five_branches():
     rep = mrowka_selector_check(ADFamily.progressions(5), truncation=64)
     assert rep.passed
-    assert rep.induced_order_ok
+    assert rep.data["induced_order"]
 
 
 def test_selector_empty_branch_at_truncation():
     far = EvPeriodicSet(64, frozenset({63}))
     rep = mrowka_selector_check([far], truncation=4)
-    assert not rep.heights_ok
+    assert not rep.data["heights"]
 
 
 def test_common_residue_classes_equal_periods_match_full_scan():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ordtop.ordinal import (
     MAX_COEFF_BITS,
     MAX_NESTING,
+    MAX_TERMS,
     OMEGA,
     ONE,
     ZERO,
@@ -370,6 +371,59 @@ def test_pow_coefficient_limit():
         ord_pow(three, Ordinal.from_int(10 ** 9))
     # infinite bases keep their coefficients: (w*2)^n = w^n*2
     assert ord_pow(P("w*2"), Ordinal.from_int(10 ** 9)) == P("w^1000000000*2")
+
+
+def test_pow_term_limit():
+    w1 = P("w+1")
+    # (w+1)^n has n + 1 terms
+    assert len(ord_pow(w1, Ordinal.from_int(MAX_TERMS - 1)).terms) == MAX_TERMS
+    for n in (MAX_TERMS, 10 ** 9):
+        with pytest.raises(OrdinalError, match=f"MAX_TERMS = {MAX_TERMS}"):
+            ord_pow(w1, Ordinal.from_int(n))
+    with pytest.raises(OrdinalError, match="MAX_TERMS"):
+        ord_pow(w1, P(f"w+{MAX_TERMS}"))
+    # (w^2+w+1)^n has 2n + 1 terms: the limit falls between two powers
+    a = P("w^2 + w + 1")
+    half = (MAX_TERMS - 1) // 2
+    assert len(ord_pow(a, Ordinal.from_int(half)).terms) == 2 * half + 1 <= MAX_TERMS
+    with pytest.raises(OrdinalError, match="MAX_TERMS"):
+        ord_pow(a, Ordinal.from_int(half + 1))
+
+
+def test_product_coefficient_limit():
+    n = MAX_COEFF_BITS
+    small, big = n // 2, n - n // 2
+    # 2^(small-1) * 2^big has exactly n bits; one more bit is refused unbuilt
+    x = Ordinal.from_int(1 << (small - 1))
+    assert nat_prod(x, Ordinal.from_int(1 << big)).terms[0][1].bit_length() == n
+    assert ord_mul(P("w") * (1 << (small - 1)), Ordinal.from_int(1 << big)) == \
+        Ordinal.omega_power(ONE, 1 << (n - 1))
+    # all-ones factors of small and big + 1 bits pass the cheap bound, and
+    # only the exact bit length of their product (n + 1 bits) refuses it
+    x = Ordinal.from_int((1 << small) - 1)
+    y = Ordinal.from_int((1 << (big + 1)) - 1)
+    for product in (lambda: nat_prod(x, y), lambda: nat_prod(y, x),
+                    lambda: ord_mul(ord_mul(OMEGA, x), y),
+                    lambda: odot(x, int(y))):
+        with pytest.raises(OrdinalError, match=f"MAX_COEFF_BITS = {n}"):
+            product()
+    assert nat_prod(x, Ordinal.from_int((1 << big) - 1)).terms[0][1].bit_length() == n
+    with pytest.raises(OrdinalError, match="MAX_COEFF_BITS"):
+        nat_prod(P("w*2 + 1"), Ordinal.from_int(1 << n))
+
+
+def test_parse_coefficient_limit():
+    largest = str((1 << MAX_COEFF_BITS) - 1)
+    assert P(largest).terms[0][1].bit_length() == MAX_COEFF_BITS
+    assert P("w*" + largest).terms[0][1].bit_length() == MAX_COEFF_BITS
+    # leading zeros do not count
+    assert P("w*" + "0" * 5000 + "7") == P("w*7")
+    too_big = str(1 << MAX_COEFF_BITS)
+    for text, at in ((too_big, 0), ("w*" + too_big, 2), ("w^" + too_big, 2),
+                     ("w + " + "9" * 5000, 4)):
+        with pytest.raises(ParseError, match=f"MAX_COEFF_BITS = {MAX_COEFF_BITS}") as e:
+            P(text)
+        assert e.value.position == at
 
 
 @given(ordinals(max_terms=2), st.integers(min_value=0, max_value=4))

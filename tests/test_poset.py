@@ -339,17 +339,19 @@ def test_final_sets_are_up_of_min():
 
 def test_zaguia_chain_passes():
     rep = zaguia_verify(chain(4))
-    assert rep.passed and rep.counterexample is None
-    assert rep.claim1_literal and rep.claim2_literal
+    assert rep.passed and rep.witness is None
+    assert rep.data["claims"]["claim1_literal"] and rep.data["claims"]["claim2_literal"]
 
 
 def test_zaguia_antichain_literal_reading_fails_but_gating_passes():
     rep = zaguia_verify(antichain(4))
-    assert rep.passed and rep.counterexample is None
+    assert rep.passed and rep.witness is None
     # disjoint pieces break the unshifted reading; the report records it
-    assert not rep.claim1_literal
-    assert not rep.claim2_literal
-    assert rep.literal_counterexample is not None
+    assert not rep.data["claims"]["claim1_literal"]
+    assert not rep.data["claims"]["claim2_literal"]
+    # two rank-0 points whose union has rank 1 break it
+    r = kw_rank(antichain(4))
+    assert r[DownSet(0b11)] > r[DownSet(0b01)] + r[DownSet(0b10)]
 
 
 def test_zaguia_all_labeled_posets_up_to_4():
