@@ -528,19 +528,15 @@ def fuzz_files(tmp_path_factory):
     return paths
 
 
-def _digits(draw):
-    # from one digit to past Python's 4300-digit int-to-str limit
-    k = draw(st.sampled_from([1, 2, 4, 30, 3011, 3012, 4000, 5000]))
-    return draw(st.sampled_from("123456789")) * k
-
-
 @st.composite
 def _ordinal_text(draw):
     small = st.sampled_from(["0", "1", "2", "7", "w", "w+1", "w*3 + 2", "w^w", "w^(w+1)*2",
                              "w^2 + w + 1", "w+", "(w", "w^", "x", "", "-1", "1000"])
     pick = draw(st.integers(0, 4))
     if pick == 0:
-        return _digits(draw)
+        # from one digit to past Python's 4300-digit int-to-str limit
+        k = draw(st.sampled_from([1, 2, 4, 30, 3011, 3012, 4000, 5000]))
+        return draw(st.sampled_from("123456789")) * k
     if pick == 1:
         return draw(st.text(alphabet="w0123456789+*^() ", max_size=12))
     if pick == 2:
