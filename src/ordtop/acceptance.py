@@ -11,9 +11,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
-from .clopen import clopen_cb, cnf_truncation_grid, min_clopen_with_endpoint, tip_selector
+from .clopen import (
+    clopen_cb,
+    cnf_truncation_grid,
+    first_non_laminar_pair,
+    min_clopen_with_endpoint,
+    tip_selector,
+)
 from .hyperspace import (
     Descriptor,
     FinJoinSemilattice,
@@ -355,11 +360,10 @@ def criterion_11_tip_selector(seed: int):
             continue
         if min_clopen_with_endpoint(beta, ambient, grid) != u:
             return _fail(f"grid search disagrees at {beta}")
-    for (s1, t1), (s2, t2) in combinations(intervals, 2):
-        disjoint = t1 <= s2 or t2 <= s1
-        nested = (s2 <= s1 and t1 <= t2) or (s1 <= s2 and t2 <= t1)
-        if not (disjoint or nested):
-            return _fail(f"not laminar: ({s1},{t1}] vs ({s2},{t2}]")
+    crossing = first_non_laminar_pair(intervals)
+    if crossing is not None:
+        (s1, t1), (s2, t2) = crossing
+        return _fail(f"not laminar: ({s1},{t1}] vs ({s2},{t2}]")
     return True, f"{len(betas)} selector sets, {len(intervals)} laminar intervals"
 
 

@@ -31,6 +31,7 @@ from .ordinal import (
     ord_cmp,
     ord_mul,
     ord_pow,
+    parse_natural,
     parse_ordinal,
     tip_deg,
 )
@@ -121,7 +122,7 @@ def ord_norm(expr, json_file):
 @guarded
 def ord_odot(a, b, json_file):
     """Iterated natural sum a (.) b with b a natural or 'w'."""
-    right = NatOrOmega.omega() if b.strip() == "w" else NatOrOmega.finite(int(b))
+    right = NatOrOmega.omega() if b.strip() == "w" else NatOrOmega.finite(parse_natural(b))
     emit_text(format_ordinal(odot(parse_ordinal(a), right)), json_file)
 
 

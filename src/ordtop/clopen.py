@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .ordinal import (
     ZERO,
     CheckReport,
     Ordinal,
+    _trusted,
     ord_add,
     format_ordinal,
     parse_ordinal,
@@ -144,8 +146,16 @@ def _exponents_of(a: Ordinal) -> list:
     return [e for e, _ in a.terms]
 
 def _trunc_at_least(a: Ordinal, e: Ordinal) -> Ordinal:
-    """Terms of ``a`` with exponent >= e (the multiple-of-w^e floor)."""
-    return Ordinal(tuple(t for t in a.terms if t[0] >= e))
+    """Terms of ``a`` with exponent >= e (the multiple-of-w^e floor).
+
+    Exponents decrease along a normal form, so these terms are a prefix of
+    it, and the matching prefix of ``a._key`` is its key.
+    """
+    key, ke = a._key, e._key
+    k = 0
+    while k < len(key) and key[k][0] >= ke:
+        k += 1
+    return _trusted(a.terms[:k], key[:k])
 
 
 def _next_multiple_above(s: Ordinal, e: Ordinal) -> Ordinal:
@@ -221,9 +231,12 @@ def tip_selector(beta: Ordinal, ambient: Ordinal) -> ClopenSet:
         raise ClopenError("point exceeds ambient")
     if beta.is_zero:
         return ClopenSet(ambient, zero_included=True)
-    *prefix, (e, p) = beta.terms
-    start_terms = tuple(prefix) + (((e, p - 1),) if p > 1 else ())
-    start = Ordinal(start_terms)
+    terms, key = beta.terms, beta._key
+    (e, p), (ke, _) = terms[-1], key[-1]
+    if p > 1:
+        start = _trusted(terms[:-1] + ((e, p - 1),), key[:-1] + ((ke, p - 1),))
+    else:
+        start = _trusted(terms[:-1], key[:-1])
     return ClopenSet(ambient, False, ((start, beta),))
 
 
@@ -249,6 +262,45 @@ def treelike_check(ambient: Ordinal, points: Iterable[Ordinal]) -> CheckReport:
                     or rel == "j-in-i" and not datas[j].height < datas[i].height):
                 witness = (str(pts[i]), str(pts[j]))
     return CheckReport("tree-like", witness is None, witness, {"pairs": checked})
+
+
+def first_non_laminar_pair(intervals: Sequence) -> tuple | None:
+    """First pair of half-open intervals (s, t] that are neither disjoint
+    nor nested, in ``itertools.combinations`` order, or None when the
+    family is laminar.
+
+    A sweep decides laminarity in O(n log n).  The intervals are taken by
+    ``s`` ascending, ties by ``t`` descending, so each one comes after
+    every interval that contains it.  A stack holds the intervals still
+    open: the top is popped while it ends at or before the new ``s``, and
+    the family is not laminar exactly when the new interval then ends past
+    the top.  The sweep is exact because every popped interval ends at or
+    before ``s`` and so is disjoint from this and all later intervals, and
+    every interval left under the top contains the top: a crossing pair
+    (s1 < s2 < t1 < t2) leaves the first interval, or one nested in it,
+    on top when the second arrives.  Only on a failure does the pairwise
+    scan run, to find the first crossing pair.
+    """
+    keyed = [(sort_key(s), sort_key(t)) for s, t in intervals]
+    keyed.sort(key=itemgetter(1), reverse=True)
+    keyed.sort(key=itemgetter(0))
+    stack: list = []
+    for s, t in keyed:
+        while stack and stack[-1] <= s:
+            stack.pop()
+        if stack and not t <= stack[-1]:
+            return _first_crossing_pair(intervals)
+        stack.append(t)
+    return None
+
+
+def _first_crossing_pair(intervals: Sequence) -> tuple:
+    for (s1, t1), (s2, t2) in combinations(intervals, 2):
+        disjoint = t1 <= s2 or t2 <= s1
+        nested = (s2 <= s1 and t1 <= t2) or (s1 <= s2 and t2 <= t1)
+        if not (disjoint or nested):
+            return (s1, t1), (s2, t2)
+    raise AssertionError("sweep found a crossing that the pairwise scan did not")
 
 
 def _laminar_relation(a: ClopenSet, b: ClopenSet) -> str:

@@ -150,6 +150,8 @@ def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> CheckRepor
     with the strict-order condition when membership holds, whether minimal
     members of the family are singletons, and whether the family is
     well-founded under inclusion; all but the last decide the verdict.
+    The last is always true: strict inclusion on a finite family has no
+    infinite descending chain, so it is reported as a constant.
 
     The witness is the first violation in a fixed order: points in label
     order, then the least offending member; family sets by size, then by
@@ -201,17 +203,6 @@ def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> CheckRepor
         least = min(bad_minimal, key=lambda u: (len(u), sorted(u)))
         witness = witness or ("minimal-not-singleton", sorted(least))
 
-    # finite families are well-founded as soon as inclusion is a strict order;
-    # run the shared rank computation to certify it
-    well_founded = True
-    try:
-        order = sorted(family_sets, key=len)
-        rank: dict = {}
-        for u in order:
-            rank[u] = max((rank[v] + 1 for v in order if v < u), default=0)
-    except Exception:  # pragma: no cover
-        well_founded = False
-
     passed = cond1 and cond2 and cond3 and cond4 and equivalent and minimal_singletons
     return CheckReport("selector-axioms", passed, witness, {"conditions": {
         "membership": cond1,
@@ -220,7 +211,7 @@ def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> CheckRepor
         "induced-order": cond4,
         "equivalence": equivalent,
         "minimal-singletons": minimal_singletons,
-        "well-founded": well_founded,
+        "well-founded": True,
     }})
 
 

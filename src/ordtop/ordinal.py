@@ -73,7 +73,12 @@ class Ordinal:
 
     @classmethod
     def omega_power(cls, exponent: "Ordinal", coeff: int = 1) -> "Ordinal":
-        return cls(((exponent, coeff),))
+        # one term is always in normal form: only the inputs need checking
+        if not isinstance(exponent, Ordinal):
+            raise OrdinalError("exponent must be an Ordinal")
+        if not isinstance(coeff, int) or coeff < 1:
+            raise OrdinalError("coefficient must be an integer >= 1")
+        return _trusted(((exponent, coeff),), ((exponent._key, coeff),))
 
     # -- structure ---------------------------------------------------
 
@@ -547,8 +552,19 @@ def parse_ordinal(text: str) -> Ordinal:
     exponents nested more than ``MAX_NESTING`` deep and on a number of more
     than ``MAX_COEFF_BITS`` bits.
     """
+    return _parse_whole(text, _Parser.parse_expr)
+
+
+def parse_natural(text: str) -> int:
+    """Parse a natural number the way ``parse_ordinal`` reads one: decimal
+    digits with optional surrounding whitespace, at most ``MAX_COEFF_BITS``
+    bits, else ``ParseError``."""
+    return _parse_whole(text, _Parser.parse_nat)
+
+
+def _parse_whole(text: str, rule):
     parser = _Parser(text)
-    value = parser.parse_expr()
+    value = rule(parser)
     parser.skip_ws()
     if parser.pos != len(parser.text):
         raise ParseError("unexpected trailing input", parser.pos)

@@ -70,8 +70,23 @@ def test_ord_deeply_nested_input_is_usage_error(runner):
 
 
 def test_ord_odot_bad_right_argument_is_usage_error(runner):
-    assert invoke(runner, ["ord", "odot", "w", "notanum"]).exit_code == 2
-    assert invoke(runner, ["ord", "odot", "w", "w^2"]).exit_code == 2
+    # B is 'w' or a natural number in the parser's own number syntax
+    for b in ("notanum", "w^2", "w+1", "", "3 4", "+5", "1_000", "2*3"):
+        r = invoke(runner, ["ord", "odot", "w", b])
+        assert r.exit_code == 2, b
+        assert r.stderr.startswith("error: "), b
+
+
+def test_ord_odot_right_operand_limit(runner):
+    # B is read like a number in parse_ordinal: MAX_COEFF_BITS bits at most
+    top = (1 << MAX_COEFF_BITS) - 1
+    r = invoke_clean(runner, ["ord", "odot", "1", f" {top} "])
+    assert r.exit_code == 0 and r.output == f"{top}\n"
+    for b in (str(top + 1), "9" * 5000):
+        r = invoke_clean(runner, ["ord", "odot", "w", b])
+        assert r.exit_code == 2
+        assert f"MAX_COEFF_BITS = {MAX_COEFF_BITS} bits (at position 0)" in r.stderr
+        assert "Exceeds the limit" not in r.stderr
 
 
 # -- poset ------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ordtop.clopen import (
     ClopenError,
@@ -11,7 +14,9 @@ from ordtop.clopen import (
     clopen_from_pieces,
     clopen_intersect,
     clopen_union,
+    _trunc_at_least,
     cnf_truncation_grid,
+    first_non_laminar_pair,
     format_clopen,
     min_clopen_with_endpoint,
     parse_clopen,
@@ -22,8 +27,11 @@ from ordtop.ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    OrdinalError,
     parse_ordinal,
+    random_ordinal,
     random_ordinal_below,
+    sort_key,
     tip_deg,
 )
 
@@ -260,6 +268,136 @@ def test_treelike_random_points():
 def test_treelike_out_of_range_point():
     with pytest.raises(ClopenError):
         treelike_check(P("w"), [P("w^2")])
+
+
+def pairwise_first_non_laminar(intervals):
+    """Oracle: the first pair in combinations order that is neither
+    disjoint nor nested, by the all-pairs scan the sweep replaced."""
+    for (s1, t1), (s2, t2) in combinations(intervals, 2):
+        disjoint = t1 <= s2 or t2 <= s1
+        nested = (s2 <= s1 and t1 <= t2) or (s1 <= s2 and t2 <= t1)
+        if not (disjoint or nested):
+            return (s1, t1), (s2, t2)
+    return None
+
+
+def _ints(pairs):
+    return [(Ordinal.from_int(s), Ordinal.from_int(t)) for s, t in pairs]
+
+
+@pytest.mark.parametrize("pairs,expected", [
+    ([], None),
+    ([(0, 2)], None),
+    # crossing pairs, either input order
+    ([(0, 2), (1, 3)], ((0, 2), (1, 3))),
+    ([(1, 3), (0, 2)], ((1, 3), (0, 2))),
+    # shared endpoints: (0,2] and (2,4] are disjoint
+    ([(0, 2), (2, 4)], None),
+    ([(2, 4), (0, 2), (4, 6), (0, 6)], None),
+    # equal intervals and a shared start
+    ([(1, 3), (1, 3)], None),
+    ([(0, 3), (0, 5)], None),
+    ([(0, 5), (0, 3), (1, 4)], ((0, 3), (1, 4))),
+    # empty intervals (s, s] never break laminarity
+    ([(2, 2), (1, 3), (0, 5), (3, 3), (5, 5), (4, 4)], None),
+    ([(1, 1), (0, 2), (1, 1), (2, 2), (1, 3)], ((0, 2), (1, 3))),
+    # the sweep meets (0,2] vs (1,3] first; the first pair in input order is
+    # (5,8] vs (6,9]
+    ([(5, 8), (0, 2), (6, 9), (1, 3)], ((5, 8), (6, 9))),
+    ([(0, 9), (4, 6), (1, 3), (2, 5), (5, 7)], ((4, 6), (2, 5))),
+])
+def test_first_non_laminar_pair_cases(pairs, expected):
+    intervals = _ints(pairs)
+    got = first_non_laminar_pair(intervals)
+    assert got == pairwise_first_non_laminar(intervals)
+    assert got == (None if expected is None else tuple(_ints(expected)))
+
+
+def _random_intervals(rng, point):
+    out = []
+    for _ in range(rng.randint(0, 9)):
+        a, b = point(rng), point(rng)
+        out.append((a, b) if a <= b else (b, a))
+    return out
+
+
+@pytest.mark.parametrize("point", [
+    lambda rng: Ordinal.from_int(rng.randint(0, 12)),
+    lambda rng: random_ordinal(rng, max_terms=2, depth=1, max_coeff=2,
+                               max_finite_exp=2),
+], ids=["small-int", "depth-1"])
+def test_first_non_laminar_pair_matches_pairwise_scan(point):
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(3000):
+        intervals = _random_intervals(rng, point)
+        got = first_non_laminar_pair(intervals)
+        assert got == pairwise_first_non_laminar(intervals), intervals
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def test_first_non_laminar_pair_on_tip_selectors():
+    # tip selector intervals are laminar; one crossing interval breaks them
+    rng = random.Random(5)
+    amb = P("w^w*5")
+    for _ in range(60):
+        intervals = [tip_selector(b, amb).intervals[0]
+                     for b in (random_ordinal_below(rng, amb) for _ in range(40))
+                     if not b.is_zero]
+        assert first_non_laminar_pair(intervals) is None
+        assert pairwise_first_non_laminar(intervals) is None
+        ends = sorted({x for p in intervals for x in p}, key=sort_key)
+        s, t = sorted(rng.sample(ends, 2), key=sort_key)
+        intervals.insert(rng.randint(0, len(intervals)), (s, t))
+        assert first_non_laminar_pair(intervals) == pairwise_first_non_laminar(intervals)
+
+
+# -- trusted construction agrees with the public constructor ------------------
+
+@st.composite
+def ordinals(draw, max_terms=4):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_ordinal(random.Random(seed), max_terms=max_terms, depth=2)
+
+
+def assert_same_ordinal(got, want):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got._key == want._key
+    assert got.terms == want.terms
+
+
+@given(ordinals(max_terms=1), st.integers(min_value=1, max_value=2**70))
+def test_omega_power_matches_public_constructor(e, c):
+    assert_same_ordinal(Ordinal.omega_power(e, c), Ordinal(((e, c),)))
+
+
+@pytest.mark.parametrize("exponent,coeff", [
+    (1, 1), ("w", 1), (ONE, 0), (ONE, -2), (ONE, "1"), (ONE, 1.0)])
+def test_omega_power_still_checks_its_inputs(exponent, coeff):
+    with pytest.raises(OrdinalError):
+        Ordinal.omega_power(exponent, coeff)
+
+
+@given(ordinals(), ordinals(max_terms=1), st.integers(min_value=0, max_value=5))
+def test_trunc_at_least_matches_public_constructor(a, e, pick):
+    # half the exponents come from a itself, to hit the >= boundary
+    if a.terms and pick % 2:
+        e = a.terms[pick % len(a.terms)][0]
+    want = Ordinal(tuple(t for t in a.terms if t[0] >= e))
+    assert_same_ordinal(_trunc_at_least(a, e), want)
+
+
+@given(ordinals())
+def test_tip_selector_start_matches_public_constructor(beta):
+    if beta.is_zero:
+        return
+    *prefix, (e, p) = beta.terms
+    want = Ordinal(tuple(prefix) + (((e, p - 1),) if p > 1 else ()))
+    (start, end), = tip_selector(beta, beta).intervals
+    assert_same_ordinal(start, want)
+    assert end is beta
 
 
 # -- minimal clopen with prescribed end point ----------------------------------

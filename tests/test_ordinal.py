@@ -1,11 +1,13 @@
 import math
 import random
 from functools import cmp_to_key
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordtop.acceptance import _decompose_by_enumeration
 from ordtop.ordinal import (
     MAX_COEFF_BITS,
     MAX_NESTING,
@@ -619,6 +621,36 @@ def test_split_below_property(a, b, gseed):
     left, right = nat_sum_split_below(gamma, a, b)
     assert nat_sum(left, right) == gamma
     assert left <= a and right <= b
+
+
+def test_split_below_agrees_with_enumeration_exhaustively():
+    """Every gamma of at most 2 terms with coefficients <= 3 over a fixed
+    exponent pool, against a fixed grid of a and b: below a(+)b both the
+    split and the enumeration oracle find halves; at or above it the split
+    refuses and the oracle finds one only for a(+)b itself."""
+    exps = [P(e) for e in ("w+1", "w", "2", "1", "0")]
+    coeffs = (1, 2, 3)
+    gammas = [ZERO] + [Ordinal.omega_power(e, c) for e in exps for c in coeffs]
+    gammas += [Ordinal(((e1, c1), (e2, c2))) for e1, e2 in combinations(exps, 2)
+               for c1 in coeffs for c2 in coeffs]
+    grid = [P(x) for x in ("0", "1", "3", "w", "w*2 + 1", "w^2", "w^2 + w*3 + 2",
+                           "w^w", "w^w*2 + w^2 + 1")]
+    below = 0
+    for a in grid:
+        for b in grid:
+            s = nat_sum(a, b)
+            for gamma in gammas:
+                if gamma < s:
+                    left, right = nat_sum_split_below(gamma, a, b)
+                    assert nat_sum(left, right) == gamma
+                    assert left <= a and right <= b
+                    assert _decompose_by_enumeration(gamma, a, b), (gamma, a, b)
+                    below += 1
+                else:
+                    with pytest.raises(OrdinalError):
+                        nat_sum_split_below(gamma, a, b)
+                    assert _decompose_by_enumeration(gamma, a, b) == (gamma == s)
+    assert below > 2000
 
 
 # -- additional arithmetic laws ------------------------------------------
