@@ -4,7 +4,9 @@ Subcommand tree: ord | poset | hyper | space | clopen | mrowka | selftest.
 Value operations print canonical strings; checks print JSON reports with
 stable key order, so identical inputs give byte-identical output.  Exit
 status: 0 success / all checks pass, 1 a check failed (witness in the
-payload), 2 usage or input error.
+payload), 2 usage or input error.  Handlers raise; the root group
+``_Main`` is the single error boundary that turns an input error into
+one ``error:`` line on stderr and exit status 2.
 
 Only the ordinal layer is imported here.  Each handler imports the layers
 it uses in its own body, so a call loads only its group's modules, and
@@ -13,7 +15,6 @@ only ``selftest`` loads the acceptance battery.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -40,31 +41,16 @@ from .ordinal import (
 _INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
 
 
-def guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _INPUT_ERRORS as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(2)
-    return wrapper
-
-
-def emit_json(payload, json_file=None):
-    text = json.dumps(payload, sort_keys=True)
-    click.echo(text)
-    if json_file:
-        with open(json_file, "w") as fh:
-            fh.write(text + "\n")
-    sys.exit(0 if payload.get("pass", True) else 1)
-
-
 def emit_text(text, json_file=None):
     click.echo(text)
     if json_file:
         with open(json_file, "w") as fh:
             fh.write(text + "\n")
+
+
+def emit_json(payload, json_file=None):
+    emit_text(json.dumps(payload, sort_keys=True), json_file)
+    sys.exit(0 if payload.get("pass", True) else 1)
 
 
 def load_json_file(path):
@@ -76,7 +62,19 @@ json_opt = click.option("--json", "json_file", type=click.Path(), default=None,
                         help="also write the output to a file")
 
 
-@click.group()
+class _Main(click.Group):
+    """The root group and the CLI's one error boundary: an input error
+    raised anywhere below it prints one ``error:`` line and exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact ordinal arithmetic, finite posets, hyperspaces of downsets,
     clopen interval algebra, and almost disjoint families."""
@@ -94,7 +92,6 @@ def _binary_ord_command(name, fn, doc):
     @click.argument("a")
     @click.argument("b")
     @json_opt
-    @guarded
     def cmd(a, b, json_file, _fn=fn):
         emit_text(format_ordinal(_fn(parse_ordinal(a), parse_ordinal(b))), json_file)
 
@@ -109,7 +106,6 @@ _binary_ord_command("natprod", nat_prod, "Natural (polynomial) product.")
 @ord_group.command("norm")
 @click.argument("expr")
 @json_opt
-@guarded
 def ord_norm(expr, json_file):
     """Normalize an ordinal expression to canonical form."""
     emit_text(format_ordinal(parse_ordinal(expr)), json_file)
@@ -119,7 +115,6 @@ def ord_norm(expr, json_file):
 @click.argument("a")
 @click.argument("b")
 @json_opt
-@guarded
 def ord_odot(a, b, json_file):
     """Iterated natural sum a (.) b with b a natural or 'w'."""
     right = NatOrOmega.omega() if b.strip() == "w" else NatOrOmega.finite(parse_natural(b))
@@ -130,7 +125,6 @@ def ord_odot(a, b, json_file):
 @click.argument("a")
 @click.argument("b")
 @json_opt
-@guarded
 def ord_cmp_cmd(a, b, json_file):
     """Compare two ordinals: prints LT, EQ or GT."""
     c = ord_cmp(parse_ordinal(a), parse_ordinal(b))
@@ -140,7 +134,6 @@ def ord_cmp_cmd(a, b, json_file):
 @ord_group.command("tip")
 @click.argument("a")
 @json_opt
-@guarded
 def ord_tip(a, json_file):
     """Tip block, tip exponent and degree of a positive ordinal."""
     info = tip_deg(parse_ordinal(a))
@@ -152,7 +145,6 @@ def ord_tip(a, json_file):
 @ord_group.command("oneplusinv")
 @click.argument("r")
 @json_opt
-@guarded
 def ord_oneplusinv(r, json_file):
     """The unique a with 1 + a = r."""
     emit_text(format_ordinal(one_plus_inverse(parse_ordinal(r))), json_file)
@@ -169,7 +161,6 @@ def poset_group():
 @click.argument("file", type=click.Path())
 @click.option("--bound", type=int, default=20, help="enumeration size bound")
 @json_opt
-@guarded
 def poset_zaguia(file, bound, json_file):
     """Verify the downset union-rank inequalities for a poset file."""
     from .poset import poset_from_json, zaguia_verify
@@ -180,7 +171,6 @@ def poset_zaguia(file, bound, json_file):
 @poset_group.command("ranks")
 @click.argument("file", type=click.Path())
 @json_opt
-@guarded
 def poset_ranks(file, json_file):
     """Well-founded ranks of the elements and of the poset."""
     from .poset import poset_from_json, ranks
@@ -192,7 +182,6 @@ def poset_ranks(file, json_file):
 @poset_group.command("width")
 @click.argument("file", type=click.Path())
 @json_opt
-@guarded
 def poset_width(file, json_file):
     """Maximum antichain size (= minimum chain cover)."""
     from .poset import poset_from_json, width
@@ -204,7 +193,6 @@ def poset_width(file, json_file):
 @click.option("--dot", is_flag=True, help="emit the downset lattice as DOT")
 @click.option("--bound", type=int, default=20)
 @json_opt
-@guarded
 def poset_downsets(file, dot, bound, json_file):
     """The lattice of downsets, as member lists or a DOT diagram."""
     from .poset import downset_lattice, poset_from_json, poset_to_dot
@@ -219,7 +207,6 @@ def poset_downsets(file, dot, bound, json_file):
 @poset_group.command("hasse")
 @click.argument("file", type=click.Path())
 @json_opt
-@guarded
 def poset_hasse(file, json_file):
     """Hasse diagram of the poset in DOT."""
     from .poset import poset_from_json, poset_to_dot
@@ -238,17 +225,16 @@ def hyper_group():
 @click.option("--dot", is_flag=True, help="emit the hyperspace as DOT")
 @click.option("--bound", type=int, default=20)
 @json_opt
-@guarded
 def hyper_build(file, dot, bound, json_file):
     """Build the hyperspace of a poset and print its points."""
     from .hyperspace import build_hyperspace, hyperspace_to_dot
-    from .poset import poset_from_json
+    from .poset import downset_label, poset_from_json
     h = build_hyperspace(poset_from_json(load_json_file(file)), bound)
     if dot:
         emit_text(hyperspace_to_dot(h).rstrip("\n"), json_file)
     else:
         emit_json(CheckReport("hyperspace-structure", True, None, {
-            "size": h.size, "points": [h.point_label(m) for m in h.points]}).to_json(),
+            "size": h.size, "points": [downset_label(h.base, m) for m in h.points]}).to_json(),
             json_file)
 
 
@@ -256,7 +242,6 @@ def hyper_build(file, dot, bound, json_file):
 @click.argument("file", type=click.Path())
 @click.option("--bound", type=int, default=20)
 @json_opt
-@guarded
 def hyper_selector(file, bound, json_file):
     """Check the principal-downset selector axioms on the hyperspace."""
     from .hyperspace import build_hyperspace, kplus_selector, selector_axioms_check
@@ -271,14 +256,13 @@ def hyper_selector(file, bound, json_file):
 @click.option("--chain", "chain_len", type=int, default=3,
               help="target chain semilattice length")
 @json_opt
-@guarded
 def hyper_universal(file, chain_len, json_file):
     """Verify the unique join-extension property against a chain target."""
     from .hyperspace import FinJoinSemilattice, hat_extension
     from .poset import poset_from_json, ranks
     p = poset_from_json(load_json_file(file))
     y = FinJoinSemilattice.chain(chain_len)
-    f = {p.labels[i]: min(ranks(p).by_index[i], chain_len - 1) for i in range(p.n)}
+    f = {name: min(r, chain_len - 1) for name, r in zip(p.labels, ranks(p).by_index)}
     _, rep = hat_extension(p, y, f)
     emit_json(rep.to_json(), json_file)
 
@@ -300,7 +284,6 @@ def _parse_descriptor(text):
 @click.option("--v", "lowers", multiple=True, help="lower constraints")
 @click.option("--horizon", type=int, default=10_000)
 @json_opt
-@guarded
 def hyper_density(upper, lowers, horizon, json_file):
     """Find a finite set inside a basic Vietoris open, if one exists."""
     from .hyperspace import OnePointModel, vietoris_density_witness
@@ -321,7 +304,6 @@ def space_group():
 @space_group.command("report")
 @click.argument("term")
 @json_opt
-@guarded
 def space_report(term, json_file):
     """Height, end-point count, unitarity and rank of a space term."""
     from .spaceterm import parse_term, term_report
@@ -331,7 +313,6 @@ def space_report(term, json_file):
 @space_group.command("bounds")
 @click.argument("term")
 @json_opt
-@guarded
 def space_bounds(term, json_file):
     """Exact height/rank bound chain for a term with a computed rank."""
     from .spaceterm import check_height_rank_bounds, parse_term
@@ -341,7 +322,6 @@ def space_bounds(term, json_file):
 @space_group.command("hyper-point")
 @click.argument("r")
 @json_opt
-@guarded
 def space_hyper_point(r, json_file):
     """Hyperspace height of a selector set at a point of rank r."""
     from .spaceterm import hyper_point_height
@@ -351,7 +331,6 @@ def space_hyper_point(r, json_file):
 @space_group.command("hyper-antichain")
 @click.argument("labels", nargs=-1, required=True)
 @json_opt
-@guarded
 def space_hyper_antichain(labels, json_file):
     """Hyperspace height of an antichain with the given rank labels."""
     from .spaceterm import hyper_antichain_height
@@ -362,7 +341,6 @@ def space_hyper_antichain(labels, json_file):
 @space_group.command("skeleton-bound")
 @click.argument("term")
 @json_opt
-@guarded
 def space_skeleton_bound(term, json_file):
     """Check every antichain height of a skeleton against w^rank."""
     from .spaceterm import SkelTerm, TermError, parse_term, skeleton_hyper_bound_check
@@ -375,7 +353,6 @@ def space_skeleton_bound(term, json_file):
 @space_group.command("monotonicity")
 @click.argument("term")
 @json_opt
-@guarded
 def space_monotonicity(term, json_file):
     """Strictness of hyperspace heights along downset inclusion (forests)."""
     from .spaceterm import SkelTerm, TermError, hyper_monotonicity_check, parse_term
@@ -397,7 +374,6 @@ def clopen_group():
 @click.argument("a")
 @click.argument("b", required=False)
 @json_opt
-@guarded
 def clopen_op(operation, a, b, json_file):
     """Boolean operation on clopen sets in text form '(s,t] ... @ alpha'."""
     from .clopen import clopen_algebra, format_clopen, parse_clopen
@@ -409,7 +385,6 @@ def clopen_op(operation, a, b, json_file):
 @clopen_group.command("cb")
 @click.argument("a")
 @json_opt
-@guarded
 def clopen_cb_cmd(a, json_file):
     """Height, end points and unitarity of a clopen set."""
     from .clopen import clopen_cb, parse_clopen
@@ -425,7 +400,6 @@ def clopen_cb_cmd(a, json_file):
 @click.argument("beta")
 @click.argument("alpha")
 @json_opt
-@guarded
 def clopen_tip(beta, alpha, json_file):
     """Canonical selector set of a point inside [0, alpha]."""
     from .clopen import format_clopen, tip_selector
@@ -437,7 +411,6 @@ def clopen_tip(beta, alpha, json_file):
 @click.argument("alpha")
 @click.argument("points", nargs=-1, required=True)
 @json_opt
-@guarded
 def clopen_treelike(alpha, points, json_file):
     """Laminarity of the selector sets of the given points."""
     from .clopen import treelike_check
@@ -451,7 +424,6 @@ def clopen_treelike(alpha, points, json_file):
 @click.option("--grid", default=None,
               help="comma-separated endpoint candidates (default: truncations of beta)")
 @json_opt
-@guarded
 def clopen_minclopen(beta, alpha, grid, json_file):
     """Least minimal-length clopen set with the prescribed end point."""
     from .clopen import cnf_truncation_grid, format_clopen, min_clopen_with_endpoint
@@ -472,7 +444,6 @@ def mrowka_group():
 @mrowka_group.command("adcheck")
 @click.argument("file", type=click.Path())
 @json_opt
-@guarded
 def mrowka_adcheck(file, json_file):
     """Pairwise almost-disjointness with residue certificates."""
     from .mrowka import EvPeriodicSet, ad_check
@@ -484,7 +455,6 @@ def mrowka_adcheck(file, json_file):
 @click.argument("file", type=click.Path())
 @click.argument("code_bound", type=int)
 @json_opt
-@guarded
 def mrowka_star(file, code_bound, json_file):
     """Finite-subset codes per branch and the intersection law."""
     from .mrowka import ADFamily, star_truncation
@@ -510,7 +480,6 @@ def _parse_gpoint(text):
 @click.argument("x")
 @click.argument("y")
 @json_opt
-@guarded
 def mrowka_join(file, x, y, json_file):
     """Join of two points of the quotient semilattice."""
     from .mrowka import ADFamily, g_join
@@ -524,7 +493,6 @@ def mrowka_join(file, x, y, json_file):
 @click.argument("j", type=int)
 @click.option("--horizon", type=int, default=128)
 @json_opt
-@guarded
 def mrowka_convergence(file, i, j, horizon, json_file):
     """Certify the escape threshold of joined prefix nets."""
     from .mrowka import ADFamily, convergence_check
@@ -536,7 +504,6 @@ def mrowka_convergence(file, i, j, horizon, json_file):
 @click.argument("file", type=click.Path())
 @click.option("--steps", type=click.IntRange(min=1), default=1)
 @json_opt
-@guarded
 def mrowka_lusin(file, steps, json_file):
     """Iterate exact-count stages over a family file."""
     from .mrowka import ADFamily, lusin_iterate
@@ -553,7 +520,6 @@ def mrowka_lusin(file, steps, json_file):
 @click.option("--bound", "truncation", type=int, default=64,
               help="truncation of the natural-number part")
 @json_opt
-@guarded
 def mrowka_selector(file, truncation, json_file):
     """Canonical selector conditions on the truncated family space."""
     from .mrowka import EvPeriodicSet, mrowka_selector_check
@@ -568,7 +534,6 @@ def mrowka_selector(file, truncation, json_file):
 @click.option("--criteria", default=None,
               help="comma-separated criterion numbers to run (default: all)")
 @json_opt
-@guarded
 def selftest(seed, criteria, json_file):
     """Run the acceptance battery; one line per criterion."""
     from .acceptance import run_all

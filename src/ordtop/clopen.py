@@ -142,9 +142,6 @@ def _same_ambient(a: ClopenSet, b: ClopenSet):
 
 # -- Cantor-Bendixson data ----------------------------------------------
 
-def _exponents_of(a: Ordinal) -> list:
-    return [e for e, _ in a.terms]
-
 def _trunc_at_least(a: Ordinal, e: Ordinal) -> Ordinal:
     """Terms of ``a`` with exponent >= e (the multiple-of-w^e floor).
 
@@ -170,7 +167,7 @@ def _piece_rank(s: Ordinal, t: Ordinal):
     (some multiple of w^e in the piece) is monotone downward, and the
     maximal feasible e always appears among the exponents of s or t.
     """
-    candidates = set(_exponents_of(s)) | set(_exponents_of(t)) | {ZERO}
+    candidates = {e for e, _ in s.terms} | {e for e, _ in t.terms} | {ZERO}
     best = None
     for e in candidates:
         if _next_multiple_above(s, e) <= t:

@@ -24,6 +24,7 @@ from .poset import (
     _bits,
     _popcount,
     all_downsets,
+    inclusion_order,
     ranks,
 )
 
@@ -43,31 +44,9 @@ class Hyperspace:
     def size(self) -> int:
         return len(self.points)
 
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def leq(self, a: int, b: int) -> bool:
-        return a | b == b
-
     def eta(self, i: int) -> int:
         """Principal downset of base element i."""
         return self.base.down_mask(i)
-
-    def eta_image(self) -> list:
-        return [self.eta(i) for i in range(self.base.n)]
-
-    def point_label(self, mask: int) -> str:
-        return "{" + ",".join(sorted(self.base.names(mask))) + "}"
-
-    def to_poset(self) -> FinitePoset:
-        pos = {m: i for i, m in enumerate(self.points)}
-        below = [0] * len(self.points)
-        for a in self.points:
-            for b in self.points:
-                if a != b and a | b == b:
-                    below[pos[b]] |= 1 << pos[a]
-        labels = tuple(self.point_label(m) for m in self.points)
-        return FinitePoset(labels, tuple(below))
 
 
 def build_hyperspace(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> Hyperspace:
@@ -114,10 +93,9 @@ def max_decomposition(h: Hyperspace, k: DownSet) -> frozenset:
 
 def hyperspace_to_dot(h: Hyperspace) -> str:
     lines = ["digraph hyperspace {", "  rankdir=BT;"]
-    pos = {m: i for i, m in enumerate(h.points)}
-    for m in h.points:
-        lines.append(f'  p{pos[m]} [label="{h.point_label(m)}"];')
-    hp = h.to_poset()
+    hp = inclusion_order(h.base, h.points)
+    for i, label in enumerate(hp.labels):
+        lines.append(f'  p{i} [label="{label}"];')
     for i, j in hp.covers():
         lines.append(f"  p{i} -> p{j};")
     lines.append("}")
@@ -225,9 +203,8 @@ def kplus_selector(h: Hyperspace):
     """The family { K-plus } on the hyperspace: the selector set of a point
     K is everything below it.  Returns the hyperspace order and the family.
     """
-    hp = h.to_poset()
-    fam = principal_selector(hp)
-    return hp, fam
+    hp = inclusion_order(h.base, h.points)
+    return hp, principal_selector(hp)
 
 
 def priestley_separation_check(poset: FinitePoset) -> bool:
@@ -467,8 +444,7 @@ def one_point_rank_discrepancy(n: int) -> dict:
     second convention, so the mismatch is flagged rather than resolved.
     """
     h = build_hyperspace(one_point_poset(n))
-    hp = h.to_poset()
-    r = ranks(hp)
+    r = ranks(inclusion_order(h.base, h.points))
     base_r = ranks(h.base)
     sup_plus_one = r.poset_rank
     sup_only = max(r.elem_rank.values())

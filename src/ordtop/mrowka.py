@@ -318,12 +318,12 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
     if threshold is None:
         raise MrowkaError("horizon too small to certify (threshold not reached)")
     # permanence scan: past the threshold the union stays outside every branch
-    union = set(a.elements_below(horizon)) | set(b.elements_below(horizon))
+    a_prefix = a.elements_below(horizon)
+    union = set(a_prefix) | set(b.elements_below(horizon))
     for k, branch_set in enumerate(fam.sets):
         if all(branch_set.contains(x) for x in union):
             raise AssertionError("union of full prefixes re-entered a branch")
-    growth = (len(a.elements_below(horizon)) >= 2
-              and len(a.elements_below(horizon)) > len(a.elements_below(horizon // 2)))
+    growth = len(a_prefix) >= 2 and len(a_prefix) > len(a.elements_below(horizon // 2))
     return CheckReport("join-convergence", growth, None if growth else "prefixes stalled",
                        {"threshold": threshold, "escape_witnesses": witnesses})
 
@@ -353,10 +353,6 @@ class LusinStage:
 
     def contains(self, n: int) -> bool:
         return n in self.elements
-
-    @property
-    def is_infinite(self) -> bool:
-        return False  # only the finite certificate is materialized
 
 
 def _members_ascending(s, start: int = 0):
@@ -456,12 +452,10 @@ class _LusinScan:
                              for block, start in zip(stage.blocks, self.starts)]
 
 
-def lusin_stage(prev: Sequence, strategy: str = "greedy-least",
-                scan: _LusinScan | None = None) -> LusinStage:
+def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
     """Build the next set against the enumerated prior family: exactly n
     fresh elements inside the n-th prior set, fresh meaning outside all
-    earlier ones.  The greedy-least strategy always picks the least
-    candidates.
+    earlier ones, always the least such candidates.
 
     ``scan``, which ``lusin_iterate`` passes, must describe ``prev``; it
     lets each scan resume where the previous stage left it instead of
@@ -472,8 +466,6 @@ def lusin_stage(prev: Sequence, strategy: str = "greedy-least",
     eventually periodic members of ``prev`` are finite or fail
     almost-disjointness.
     """
-    if strategy != "greedy-least":
-        raise MrowkaError(f"unknown strategy {strategy!r}")
     m = len(prev)
     if scan is None:
         scan = _LusinScan(prev)

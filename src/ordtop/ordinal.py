@@ -90,14 +90,6 @@ class Ordinal:
     def is_finite(self) -> bool:
         return not self.terms or self.terms[0][0].is_zero
 
-    @property
-    def is_successor(self) -> bool:
-        return bool(self.terms) and self.terms[-1][0].is_zero
-
-    @property
-    def is_limit(self) -> bool:
-        return bool(self.terms) and not self.terms[-1][0].is_zero
-
     def __int__(self) -> int:
         if self.is_zero:
             return 0

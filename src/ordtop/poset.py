@@ -390,14 +390,24 @@ def downset_lattice(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> FinitePos
             # complements are final sets; inclusion must flip
             if (a | b == b) != ((full & ~a) | (full & ~b) == full & ~a):
                 raise AssertionError("complement map failed to reverse order")
-    labels = tuple("{" + ",".join(sorted(poset.names(m))) + "}" for m in masks)
+    return inclusion_order(poset, masks)
+
+
+def downset_label(poset: FinitePoset, mask: int) -> str:
+    """The member names of a downset, sorted and braced: ``{a,b}``."""
+    return "{" + ",".join(sorted(poset.names(mask))) + "}"
+
+
+def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
+    """The downsets ``masks`` of ``poset`` ordered by inclusion; element i
+    is ``masks[i]``, labeled by ``downset_label``."""
     pos = {m: i for i, m in enumerate(masks)}
     below = [0] * len(masks)
     for a in masks:
         for b in masks:
             if a != b and a | b == b:
                 below[pos[b]] |= 1 << pos[a]
-    return FinitePoset(labels, tuple(below))
+    return FinitePoset(tuple(downset_label(poset, m) for m in masks), tuple(below))
 
 
 def kw_rank(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> dict:
@@ -458,7 +468,7 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> CheckReport
             if ru > kw[b] + ra + 1:
                 claim1 = False
                 if counterexample is None:
-                    counterexample = (_names(poset, a), _names(poset, b))
+                    counterexample = (poset.names(a), poset.names(b))
             if ru > kw[b] + ra:
                 claim1_literal = False
 
@@ -467,7 +477,7 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> CheckReport
         if kw[m] > sum(parts) + len(parts) - 1:
             claim2 = False
             if counterexample is None:
-                counterexample = (_names(poset, m), _names(poset, poset.max_of(m)))
+                counterexample = (poset.names(m), poset.names(poset.max_of(m)))
         if kw[m] > sum(parts):
             claim2_literal = False
 
@@ -482,13 +492,13 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> CheckReport
         elif not k < ord_pow(OMEGA, Ordinal.from_int(r)):
             claim3 = False
         if not claim3 and counterexample is None:
-            counterexample = (_names(poset, poset.down_mask(i)), frozenset({poset.labels[i]}))
+            counterexample = (poset.names(poset.down_mask(i)), frozenset({poset.labels[i]}))
             break
     k_rank = Ordinal.from_int(max(kw.values()) + 1)
     if not k_rank <= ord_pow(OMEGA, Ordinal.from_int(elem_ranks.poset_rank)):
         claim3 = False
         if counterexample is None:
-            counterexample = (_names(poset, poset.full_mask()), frozenset())
+            counterexample = (poset.names(poset.full_mask()), frozenset())
 
     witness = None if counterexample is None else [sorted(d) for d in counterexample]
     return CheckReport("zaguia", claim1 and claim2 and claim3, witness, {
@@ -501,10 +511,6 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> CheckReport
         },
         "poset": f"n={poset.n}, downsets={len(masks)}",
     })
-
-
-def _names(poset: FinitePoset, mask: int) -> frozenset:
-    return poset.names(mask)
 
 
 # -- corpora ------------------------------------------------------------

@@ -13,8 +13,10 @@ from ordtop.poset import (
     all_downsets,
     all_labeled_posets,
     antichain_masks,
+    downset_label,
     downset_lattice,
     extremal,
+    inclusion_order,
     kw_rank,
     poset_from_covers,
     poset_from_json,
@@ -241,6 +243,15 @@ def test_downset_lattice_chain():
     lat = downset_lattice(chain(3))
     assert lat.n == 4
     assert width(lat) == 1
+
+
+def test_inclusion_order_labels_and_order():
+    p = antichain(2)
+    order = inclusion_order(p, [0b01, 0b10, 0b11])
+    assert order.labels == ("{0}", "{1}", "{0,1}")
+    assert [(i, j) for i in range(3) for j in range(3) if order.lt(i, j)] == [(0, 2), (1, 2)]
+    assert downset_label(p, 0) == "{}"
+    assert downset_lattice(p).labels == ("{}",) + order.labels
 
 
 def test_downset_lattice_fence_matches_subset_filter():
