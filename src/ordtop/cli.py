@@ -42,10 +42,11 @@ _INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
 
 
 def emit_text(text, json_file=None):
-    click.echo(text)
+    # the file first: an unwritable path exits 2 before anything is printed
     if json_file:
         with open(json_file, "w") as fh:
             fh.write(text + "\n")
+    click.echo(text)
 
 
 def emit_json(payload, json_file=None):
@@ -446,9 +447,8 @@ def mrowka_group():
 @json_opt
 def mrowka_adcheck(file, json_file):
     """Pairwise almost-disjointness with residue certificates."""
-    from .mrowka import EvPeriodicSet, ad_check
-    sets = [EvPeriodicSet.from_json(s) for s in load_json_file(file)["sets"]]
-    emit_json(ad_check(sets).to_json(), json_file)
+    from .mrowka import ad_check, family_sets
+    emit_json(ad_check(family_sets(load_json_file(file))).to_json(), json_file)
 
 
 @mrowka_group.command("star")
@@ -522,8 +522,8 @@ def mrowka_lusin(file, steps, json_file):
 @json_opt
 def mrowka_selector(file, truncation, json_file):
     """Canonical selector conditions on the truncated family space."""
-    from .mrowka import EvPeriodicSet, mrowka_selector_check
-    sets = [EvPeriodicSet.from_json(s) for s in load_json_file(file)["sets"]]
+    from .mrowka import family_sets, mrowka_selector_check
+    sets = family_sets(load_json_file(file))
     emit_json(mrowka_selector_check(sets, truncation).to_json(), json_file)
 
 

@@ -26,6 +26,7 @@ from .poset import (
     all_downsets,
     inclusion_order,
     ranks,
+    selector_conditions,
 )
 
 
@@ -104,104 +105,67 @@ def hyperspace_to_dot(h: Hyperspace) -> str:
 
 # -- clopen selector checks ---------------------------------------------
 
-@dataclass(frozen=True)
-class SelectorFamily:
-    """Assignment of a subset of the space to each element."""
-
-    assignment: tuple  # tuple of (name, frozenset of names)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SelectorFamily":
-        return cls(tuple(sorted((k, frozenset(v)) for k, v in d.items())))
-
-    def as_dict(self) -> dict:
-        return dict(self.assignment)
-
-
-def selector_axioms_check(space: FinitePoset, fam: SelectorFamily) -> CheckReport:
+def selector_axioms_check(space: FinitePoset, sets) -> CheckReport:
     """Check the clopen-selector conditions for a family over a finite space.
 
+    ``sets[i]`` is the bitmask of U_i over the element indices of ``space``.
     The conditions: each point belongs to its own set; two distinct points
-    never belong to each other's sets; membership nests the sets; and the
-    induced relation (x below y iff x is in U_y) is a strict order.  The
-    report also records whether antisymmetry and nesting together agree
+    never belong to each other's sets; membership nests the sets (these
+    three are ``poset.selector_conditions``); and the induced relation (x
+    below y iff x is in U_y) is a strict order.
+    The report also records whether antisymmetry and nesting together agree
     with the strict-order condition when membership holds, whether minimal
     members of the family are singletons, and whether the family is
     well-founded under inclusion; all but the last decide the verdict.
     The last is always true: strict inclusion on a finite family has no
     infinite descending chain, so it is reported as a constant.
 
-    The witness is the first violation in a fixed order: points in label
-    order, then the least offending member; family sets by size, then by
-    sorted members.  It does not depend on set iteration order, and so not
-    on ``PYTHONHASHSEED``.
+    The witness is the first violation in a fixed order: the three
+    conditions, each by element and then by offending element in element
+    order (see ``selector_conditions``); then the minimal set that is not a
+    singleton, least by size and then by sorted member labels.  Labels are
+    read only to name the witness.
     """
-    sets = fam.as_dict()
-    names = list(space.labels)
-    missing = [x for x in names if x not in sets]
-    if missing:
-        raise HyperspaceError(f"assignment missing elements: {missing}")
-    witness = None
+    conditions, witness = selector_conditions(space.labels, sets)
+    # the induced relation is irreflexive by construction, and antisymmetric
+    # exactly when the selector is; transitivity: x in U_y, y in U_z, x != z
+    # put x in U_z
+    strict = [u & ~(1 << i) for i, u in enumerate(sets)]
+    transitive = all(not strict[y] & ~strict[z] & ~(1 << z)
+                     for z in range(space.n) for y in _bits(strict[z]))
+    induced = transitive and conditions["antisymmetry"]
+    equivalent = ((conditions["antisymmetry"] and conditions["nesting"]) == induced
+                  if conditions["membership"] else True)
 
-    cond1 = True
-    for x in names:
-        if x not in sets[x]:
-            cond1 = False
-            witness = witness or ("membership", x)
-    cond2 = True
-    for x in names:
-        for y in names:
-            if x < y and x in sets[y] and y in sets[x]:
-                cond2 = False
-                witness = witness or ("antisymmetry", (x, y))
-    cond3 = True
-    for x in names:
-        bad = [y for y in sets[x] if y in sets and not sets[y] <= sets[x]]
-        if bad:
-            cond3 = False
-            witness = witness or ("nesting", (x, min(bad)))
-
-    rel = {(x, y) for y in names for x in sets[y] if x != y and x in names}
-    irreflexive = all((x, x) not in rel for x in names)
-    succ: dict = {}
-    for x, y in rel:
-        succ.setdefault(x, []).append(y)
-    transitive = all((x, z) in rel
-                     for (x, y) in rel for z in succ.get(y, ())
-                     if x != z)
-    antisym4 = all((y, x) not in rel for (x, y) in rel)
-    cond4 = irreflexive and transitive and antisym4
-    equivalent = (cond2 and cond3) == cond4 if cond1 else True
-
-    family_sets = set(sets.values())
-    bad_minimal = [u for u in family_sets
-                   if len(u) != 1 and not any(v < u for v in family_sets)]
-    minimal_singletons = not bad_minimal
+    # by size, a set is minimal unless an earlier minimal set lies inside it
+    minimal: list = []
+    for u in sorted(set(sets), key=_popcount):
+        if all(v & ~u for v in minimal):
+            minimal.append(u)
+    bad_minimal = [u for u in minimal if _popcount(u) != 1]
     if bad_minimal:
-        least = min(bad_minimal, key=lambda u: (len(u), sorted(u)))
-        witness = witness or ("minimal-not-singleton", sorted(least))
+        least = min(bad_minimal, key=lambda u: (_popcount(u), sorted(space.names(u))))
+        witness = witness or ("minimal-not-singleton", sorted(space.names(least)))
 
-    passed = cond1 and cond2 and cond3 and cond4 and equivalent and minimal_singletons
+    passed = all(conditions.values()) and induced and equivalent and not bad_minimal
     return CheckReport("selector-axioms", passed, witness, {"conditions": {
-        "membership": cond1,
-        "antisymmetry": cond2,
-        "nesting": cond3,
-        "induced-order": cond4,
+        **conditions,
+        "induced-order": induced,
         "equivalence": equivalent,
-        "minimal-singletons": minimal_singletons,
+        "minimal-singletons": not bad_minimal,
         "well-founded": True,
     }})
 
 
-def principal_selector(poset: FinitePoset) -> SelectorFamily:
-    """The family of principal downsets of a finite poset."""
-    return SelectorFamily.from_dict(
-        {poset.labels[i]: poset.names(poset.down_mask(i)) for i in range(poset.n)})
+def principal_selector(poset: FinitePoset) -> tuple:
+    """The family of principal downsets of a finite poset, as masks."""
+    return tuple(poset.down_mask(i) for i in range(poset.n))
 
 
 def kplus_selector(h: Hyperspace):
     """The family { K-plus } on the hyperspace: the selector set of a point
-    K is everything below it.  Returns the hyperspace order and the family.
+    K is everything below it.  Returns the hyperspace order and the family,
+    one mask per point of that order.
     """
     hp = inclusion_order(h.base, h.points)
     return hp, principal_selector(hp)

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .ordinal import CheckReport
 
 SCAN_CAP = 10_000_000
+MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
 
 
 class MrowkaError(ValueError):
@@ -86,6 +87,8 @@ class EvPeriodicSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "EvPeriodicSet":
+        if not isinstance(data, dict) or "period" not in data:
+            raise MrowkaError("each family set must have a 'period' field")
         return cls(data["period"], frozenset(data.get("residues", ())),
                    frozenset(data.get("delta", ())))
 
@@ -123,6 +126,14 @@ def ad_check(sets: Sequence[EvPeriodicSet]) -> CheckReport:
     return CheckReport("almost-disjoint", True)
 
 
+def family_sets(data: dict) -> tuple:
+    """The sets of a family file, ``{"sets": [{"period": ..., "residues":
+    [...], "delta": [...]}, ...]}``, not yet checked to be almost disjoint."""
+    if not isinstance(data, dict) or "sets" not in data:
+        raise MrowkaError("family JSON must have a 'sets' field")
+    return tuple(EvPeriodicSet.from_json(s) for s in data["sets"])
+
+
 @dataclass(frozen=True)
 class ADFamily:
     """Validated almost disjoint family of infinite eventually periodic sets."""
@@ -141,9 +152,7 @@ class ADFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "ADFamily":
-        if "sets" not in data:
-            raise MrowkaError("family JSON must have a 'sets' field")
-        return cls(tuple(EvPeriodicSet.from_json(s) for s in data["sets"]))
+        return cls(family_sets(data))
 
     def to_json(self) -> dict:
         return {"sets": [s.to_json() for s in self.sets]}
@@ -532,46 +541,36 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
     Clopenness of a branch set needs almost-disjointness (an infinite
     shared residue class makes one branch accumulate inside another); that
     is certified by residue arithmetic and reported with a witness.
+    The point sets are bitmasks whose total size is quadratic in the
+    truncation, so the truncation is capped at ``MAX_TRUNCATION``; a
+    negative one keeps no naturals.
     """
+    from .poset import selector_conditions  # the mrowka group loads poset only here
+
+    if truncation > MAX_TRUNCATION:
+        raise MrowkaError("truncation bound exceeded (max 2^14)")
+
     members = tuple(sets.sets) if isinstance(sets, ADFamily) else tuple(sets)
-    points = list(range(truncation)) + [("branch", k) for k in range(len(members))] + ["inf"]
-    u: dict = {}
-    for n in range(truncation):
-        u[n] = frozenset({n})
+    # points by index: the naturals below the truncation, the branches, the top
+    t = max(truncation, 0)
+    m = len(members)
+    top = t + m
+    labels = ([str(n) for n in range(t)] + [f"('branch', {k})" for k in range(m)]
+              + ["inf"])
+    traces = [code_of(a.elements_below(t)) for a in members]
+    u = [1 << n for n in range(t)]
     for k, a in enumerate(members):
         # closure of the branch set: another branch accumulating inside it
         # (infinite overlap) belongs to the closure, spoiling the selector
-        accumulating = {("branch", j) for j, b in enumerate(members)
-                        if j != k and common_residue_classes(a, b)}
-        u[("branch", k)] = (frozenset(a.elements_below(truncation))
-                            | {("branch", k)} | accumulating)
-    u["inf"] = frozenset(points)
+        accumulating = code_of(t + j for j, b in enumerate(members)
+                               if j != k and common_residue_classes(a, b))
+        u.append(traces[k] | 1 << (t + k) | accumulating)
+    u.append((2 << top) - 1)
+    conditions, witness = selector_conditions(labels, u)
 
-    conditions = {"membership": True, "antisymmetry": True, "nesting": True}
-    witness = None
-    for x in points:
-        if x not in u[x]:
-            conditions["membership"] = False
-            witness = witness or ("membership", str(x))
-    for x in points:
-        for y in points:
-            if x != y and x in u[y] and y in u[x]:
-                conditions["antisymmetry"] = False
-                witness = witness or ("antisymmetry", (str(x), str(y)))
-    for x in points:
-        for y in u[x]:
-            if not u[y] <= u[x]:
-                conditions["nesting"] = False
-                witness = witness or ("nesting", (str(x), str(y)))
-
-    induced_ok = True
-    for n in range(truncation):
-        for k, a in enumerate(members):
-            if (n in u[("branch", k)]) != a.contains(n):
-                induced_ok = False
-    for k in range(len(members)):
-        if ("branch", k) not in u["inf"]:
-            induced_ok = False
+    induced_ok = (all(bool(u[t + k] >> n & 1) == a.contains(n)
+                      for k, a in enumerate(members) for n in range(t))
+                  and all(u[top] >> (t + k) & 1 for k in range(m)))
 
     ad_ok = True
     try:
@@ -585,8 +584,8 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
 
     # combinatorial heights: naturals 0, branches 1 (nonempty at the
     # truncation and certified infinite), top 2
-    heights_ok = all(a.is_infinite and a.elements_below(truncation)
-                     for a in members) and bool(members)
+    heights_ok = all(a.is_infinite and trace
+                     for a, trace in zip(members, traces)) and bool(members)
     if not heights_ok:
         witness = witness or ("heights", "branch empty at truncation")
 

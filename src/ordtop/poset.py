@@ -8,6 +8,9 @@ order, which makes closure checks and hashing cheap and canonical, and
 lets ``max_of`` test each member with one AND against its ``above`` mask,
 O(k) for a k-element mask.
 
+``selector_conditions``, the one selector scan of the package, takes one
+such mask per point and reads labels only for its witness.
+
 Enumeration operations (downset lattice, downset ranks, the union-rank
 verifier) refuse posets larger than a configurable bound, 20 by default.
 """
@@ -183,31 +186,41 @@ def poset_from_covers(elements: Iterable[str], covers: Iterable) -> FinitePoset:
         raise PosetError("duplicate element name")
     idx = {name: i for i, name in enumerate(labels)}
     n = len(labels)
-    parents = [[] for _ in range(n)]
+    pairs = []
     for a, b in covers:
         if a not in idx:
             raise PosetError(f"unknown element {a!r} in cover")
         if b not in idx:
             raise PosetError(f"unknown element {b!r} in cover")
-        parents[idx[a]].append(idx[b])
+        pairs.append((idx[a], idx[b]))
+    return FinitePoset(labels, _transitive_closure(n, pairs))
+
+
+def _transitive_closure(n: int, pairs) -> tuple:
+    """Below masks of the transitive closure of the relation ``pairs``
+    (i, j), i below j, on elements 0..n-1.
+
+    Elements are closed in topological order (Kahn's algorithm), so a
+    long chain needs no recursion; a pair on a cycle, a self-loop
+    included, never becomes ready and is reported.
+    """
+    up = [[] for _ in range(n)]
+    pending = [0] * n  # pairs into j not yet closed
+    for i, j in pairs:
+        up[i].append(j)
+        pending[j] += 1
     below = [0] * n
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-
-    def visit(j: int):
-        if state[j] == 1:
-            raise PosetError("cycle detected in covers")
-        if state[j] == 2:
-            return
-        state[j] = 1
-        for i in range(n):
-            if j in parents[i]:
-                visit(i)
-                below[j] |= below[i] | (1 << i)
-        state[j] = 2
-
-    for j in range(n):
-        visit(j)
-    return FinitePoset(labels, tuple(below))
+    ready = [j for j in range(n) if not pending[j]]
+    while ready:
+        i = ready.pop()
+        for j in up[i]:
+            below[j] |= below[i] | (1 << i)
+            pending[j] -= 1
+            if not pending[j]:
+                ready.append(j)
+    if any(pending):
+        raise PosetError("cycle detected in covers")
+    return tuple(below)
 
 
 def poset_from_json(data: dict) -> FinitePoset:
@@ -433,6 +446,39 @@ def _kw_rank_masks(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> dict:
     return rank
 
 
+# -- selectors -----------------------------------------------------------
+
+def selector_conditions(labels, sets) -> tuple:
+    """The three conditions of a selector x -> U_x on points 0..k-1:
+    each point lies in its own set (membership), two distinct points never
+    lie in each other's sets (antisymmetry), and each set contains the set
+    of every one of its members (nesting).
+
+    ``sets[i]`` is the bitmask of U_i over the point indices, and
+    ``labels[i]`` names point i in the witness.  Returns the verdict of
+    each condition and the first violation, or None: conditions in the
+    order above, then points in index order, then the first offending
+    point in index order; an antisymmetry pair is (i, j) with i < j.
+    """
+    k = len(sets)
+    if len(labels) != k:
+        raise PosetError("selector needs one set per point")
+    if any(u >> k for u in sets):
+        raise PosetError("selector set out of range")
+    found: dict = {}
+    for i, u in enumerate(sets):
+        if not u >> i & 1:
+            found.setdefault("membership", labels[i])
+        for j in _bits(u):
+            if j > i and sets[j] >> i & 1:
+                found.setdefault("antisymmetry", (labels[i], labels[j]))
+            if sets[j] & ~u:
+                found.setdefault("nesting", (labels[i], labels[j]))
+    conditions = ("membership", "antisymmetry", "nesting")
+    witness = next(((c, found[c]) for c in conditions if c in found), None)
+    return {c: c not in found for c in conditions}, witness
+
+
 # -- union-rank verification -------------------------------------------
 
 def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> CheckReport:
@@ -548,21 +594,6 @@ def random_poset(rng, n: int, edge_prob: float = 0.35) -> FinitePoset:
     """Seeded random poset: random DAG on a shuffled order, closed transitively."""
     order = list(range(n))
     rng.shuffle(order)
-    below = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < edge_prob:
-                i, j = order[a], order[b]
-                below[j] |= below[i] | (1 << i)
-    # re-close: adding edges above may miss inherited elements
-    changed = True
-    while changed:
-        changed = False
-        for j in range(n):
-            acc = below[j]
-            for i in _bits(below[j]):
-                acc |= below[i]
-            if acc != below[j]:
-                below[j] = acc
-                changed = True
-    return FinitePoset(tuple(str(i) for i in range(n)), tuple(below))
+    pairs = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)
+             if rng.random() < edge_prob]
+    return FinitePoset(tuple(str(i) for i in range(n)), _transitive_closure(n, pairs))

@@ -320,6 +320,60 @@ def test_space_skeleton_commands_need_skel_term(runner, command):
     assert f"{command} needs a skel(...) term" in r.stderr
 
 
+_FAMILY_COMMANDS = {"adcheck": [], "star": ["8"], "join": ["top", "top"],
+                    "convergence": ["0", "1"], "lusin": [], "selector": []}
+
+
+@pytest.mark.parametrize("command", sorted(_FAMILY_COMMANDS))
+def test_mrowka_commands_read_the_family_alike(runner, tmp_path, command):
+    extra = _FAMILY_COMMANDS[command]
+    cases = [({"family": []}, "error: family JSON must have a 'sets' field\n"),
+             ([1, 2], "error: family JSON must have a 'sets' field\n"),
+             ({"sets": [{"residues": [0]}]},
+              "error: each family set must have a 'period' field\n"),
+             ({"sets": [3]}, "error: each family set must have a 'period' field\n")]
+    for data, stderr in cases:
+        f = tmp_path / "fam.json"
+        f.write_text(json.dumps(data))
+        r = invoke_clean(runner, ["mrowka", command, str(f), *extra])
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr), data
+
+
+def test_mrowka_selector_bound_below_zero_is_zero(runner, tmp_path):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(FAM2))
+    zero = invoke_clean(runner, ["mrowka", "selector", str(fam), "--bound", "0"])
+    assert zero.exit_code == 1
+    assert json.loads(zero.stdout)["witness"] == ["heights", "branch empty at truncation"]
+    for bound in ("-1", "-2", "-64"):
+        r = invoke_clean(runner, ["mrowka", "selector", str(fam), "--bound", bound])
+        assert (r.exit_code, r.stdout, r.stderr) == (1, zero.stdout, ""), bound
+    r = invoke_clean(runner, ["mrowka", "selector", str(fam), "--bound", str((1 << 14) + 1)])
+    assert (r.exit_code, r.stderr) == (2, "error: truncation bound exceeded (max 2^14)\n")
+
+
+def test_unwritable_json_file_prints_nothing(runner, tmp_path):
+    out = tmp_path / "nodir" / "OUT.json"
+    r = invoke_clean(runner, ["ord", "add", "1", "2", "--json", str(out)])
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: [Errno 2]")
+
+
+def test_poset_chain_longer_than_the_recursion_limit(runner, tmp_path):
+    # covers run against declaration order, so a depth-first closure would
+    # recurse once per element
+    n = sys.getrecursionlimit() + 200
+    f = tmp_path / "chain.json"
+    f.write_text(json.dumps({"elements": [str(i) for i in range(n)],
+                             "covers": [[str(i + 1), str(i)] for i in range(n - 1)]}))
+    r = invoke_clean(runner, ["poset", "ranks", str(f)])
+    assert r.exit_code == 0
+    assert json.loads(r.stdout)["poset_rank"] == n
+    r = invoke_clean(runner, ["poset", "hasse", str(f)])
+    assert r.exit_code == 0
+    assert r.stdout.count(" -> ") == n - 1
+
+
 def test_clopen_minclopen_grid(runner):
     r = invoke_clean(runner, ["clopen", "minclopen", "w^2+w", "w^3", "--grid", "w^2,w^2+w"])
     assert r.exit_code == 0
@@ -520,6 +574,12 @@ def test_each_group_imports_only_its_layers(tmp_path):
 
 def test_importing_the_cli_does_not_load_the_battery(tmp_path):
     assert _loaded_layers(["-c", "import ordtop.cli"], tmp_path) == {"ordtop.ordinal"}
+
+
+def test_mrowka_selector_adds_only_the_poset_scan(tmp_path):
+    (tmp_path / "fam.json").write_text(json.dumps(FAM2))
+    loaded = _loaded_layers(["-m", "ordtop.cli", "mrowka", "selector", "fam.json"], tmp_path)
+    assert loaded == {"ordtop.ordinal", "ordtop.mrowka", "ordtop.poset"}
 
 
 # -- fuzz: any argv keeps the exit-code contract ------------------------------------

@@ -13,7 +13,6 @@ from ordtop.hyperspace import (
     Hyperspace,
     HyperspaceError,
     OnePointModel,
-    SelectorFamily,
     build_hyperspace,
     hat_extension,
     hyperspace_to_dot,
@@ -29,6 +28,8 @@ from ordtop.hyperspace import (
 from ordtop.ordinal import CheckReport
 from ordtop.poset import (
     DownSet,
+    FinitePoset,
+    PosetError,
     all_labeled_posets,
     downset_label,
     downset_lattice,
@@ -137,6 +138,16 @@ def test_max_decomposition_rejects_non_points():
 
 # -- selector axioms -------------------------------------------------------
 
+def _masks(space, family):
+    """A family given as label sets, one per element, as the masks the
+    check takes."""
+    return tuple(sum(1 << space.index(y) for y in family[x]) for x in space.labels)
+
+
+def _label_dict(space, sets):
+    return {space.labels[i]: space.names(u) for i, u in enumerate(sets)}
+
+
 def test_principal_ideals_are_a_selector():
     rng = random.Random(4)
     for _ in range(25):
@@ -145,11 +156,16 @@ def test_principal_ideals_are_a_selector():
         assert rep.passed
 
 
+def test_principal_selector_is_the_down_masks():
+    p = poset_from_covers(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    assert principal_selector(p) == (0b001, 0b010, 0b111)
+
+
 def test_whole_space_twice_fails_antisymmetry():
     p = antichain(2)
-    fam = SelectorFamily.from_dict({"0": {"0", "1"}, "1": {"0", "1"}})
-    rep = selector_axioms_check(p, fam)
+    rep = selector_axioms_check(p, (0b11, 0b11))
     assert not rep.data["conditions"]["antisymmetry"] and not rep.passed
+    assert rep.witness == ("antisymmetry", ("0", "1"))
 
 
 def test_kplus_selector_passes_on_every_hyperspace():
@@ -164,24 +180,27 @@ def test_kplus_selector_passes_on_every_hyperspace():
 
 def test_selector_incomplete_assignment_rejected():
     p = antichain(2)
-    with pytest.raises(HyperspaceError):
-        selector_axioms_check(p, SelectorFamily.from_dict({"0": {"0"}}))
+    with pytest.raises(PosetError, match="one set per point"):
+        selector_axioms_check(p, (0b01,))
+    with pytest.raises(PosetError, match="out of range"):
+        selector_axioms_check(p, (0b01, 0b110))
 
 
 def test_selector_equivalence_of_conditions():
     # a family failing nesting must also fail the induced-order condition
     p = poset_from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    fam = SelectorFamily.from_dict({"a": {"a", "c"}, "b": {"b"}, "c": {"c", "b"}})
+    fam = _masks(p, {"a": {"a", "c"}, "b": {"b"}, "c": {"c", "b"}})
     rep = selector_axioms_check(p, fam)
     assert rep.data["conditions"]["equivalence"]
 
 
-def _selector_check_all_pairs(space, fam):
-    # the check as it was before the successor index: the induced
-    # relation's transitivity scans every pair of pairs in ``rel``; the
-    # witness scans walk members and family sets in their documented order;
+def _selector_check_all_pairs(space, sets):
+    # the check as it was on label sets, before the bitmask scan and before
+    # the successor index: the induced relation's transitivity scans every
+    # pair of pairs in ``rel``; the witness scans walk labels in element
+    # order, antisymmetry pairs in string order, nesting members and family
+    # sets in sorted order; ``sets`` maps each label to its set of labels;
     # returns the report and the induced relation
-    sets = fam.as_dict()
     names = list(space.labels)
     witness = None
     cond1 = True
@@ -223,25 +242,30 @@ def _selector_check_all_pairs(space, fam):
         "minimal-singletons": minimal_singletons, "well-founded": True}}), rel
 
 
+def _random_family(rng, space):
+    # each set gets its own point most of the time and random others, so
+    # families that are irreflexive and antisymmetric but not transitive
+    # turn up often
+    return tuple(sum(1 << j for j in range(space.n)
+                     if (j == i and rng.random() < 0.9) or rng.random() < 0.3)
+                 for i in range(space.n))
+
+
 def test_selector_check_matches_all_pairs_scan():
+    # labels "0".."5" sort as strings in element order, so the report,
+    # witness included, is the old one
     rng = random.Random(12)
     p = poset_from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    cases = [(p, SelectorFamily.from_dict({"a": {"a", "c"}, "b": {"b"}, "c": {"c", "b"}}))]
+    cases = [(p, _masks(p, {"a": {"a", "c"}, "b": {"b"}, "c": {"c", "b"}}))]
     for _ in range(400):
         space = random_poset(rng, rng.randrange(1, 7))
-        names = space.labels
-        # each set gets its own point most of the time and random others,
-        # so families that are irreflexive and antisymmetric but not
-        # transitive turn up often
-        cases.append((space, SelectorFamily.from_dict(
-            {x: {y for y in names if (y == x and rng.random() < 0.9) or rng.random() < 0.3}
-             for x in names})))
+        cases.append((space, _random_family(rng, space)))
     for space in all_labeled_posets(3):
         cases.append((space, principal_selector(space)))
     non_transitive = 0
     for space, fam in cases:
         rep = selector_axioms_check(space, fam)
-        oracle, rel = _selector_check_all_pairs(space, fam)
+        oracle, rel = _selector_check_all_pairs(space, _label_dict(space, fam))
         assert (rep.data["conditions"]["induced-order"]
                 == oracle.data["conditions"]["induced-order"])
         assert rep.witness == oracle.witness
@@ -253,24 +277,55 @@ def test_selector_check_matches_all_pairs_scan():
     assert non_transitive >= 20
 
 
+def test_selector_check_on_unsorted_labels_keeps_verdict_and_conditions():
+    # where element order is not string order, an antisymmetry or nesting
+    # witness names the first pair in element order, which the old scan
+    # did not; the verdict, the conditions and the failing condition agree
+    rng = random.Random(13)
+    pool = ["b", "a", "10", "2", "z", "x1", "x"]
+    moved = 0
+    for _ in range(600):
+        base = random_poset(rng, rng.randrange(2, 7))
+        space = FinitePoset(tuple(rng.sample(pool, base.n)), base.below)
+        fam = _random_family(rng, space)
+        rep = selector_axioms_check(space, fam)
+        oracle, _ = _selector_check_all_pairs(space, _label_dict(space, fam))
+        assert (rep.passed, rep.data) == (oracle.passed, oracle.data)
+        assert (rep.witness is None) == (oracle.witness is None)
+        if rep.witness is not None:
+            assert rep.witness[0] == oracle.witness[0]
+            moved += rep.witness != oracle.witness
+    assert moved >= 20
+
+
 _WITNESS_SCRIPT = """
 import json
-from ordtop.hyperspace import SelectorFamily, selector_axioms_check
+from ordtop.hyperspace import selector_axioms_check
+from ordtop.mrowka import EvPeriodicSet, mrowka_selector_check
 from ordtop.poset import poset_from_covers
 space = poset_from_covers(list("abcde"), [])
-# U_a holds four points whose own sets reach outside U_a: four nesting failures
-nesting = {"a": set("abcde"), "b": {"b", "q"}, "c": {"c", "r"}, "d": {"d", "s"},
-           "e": {"e", "t"}}
-# conditions 1-3 hold and all five sets are minimal two-point sets
-minimal = {"a": {"a", "q"}, "b": {"b", "r"}, "c": {"c", "s"}, "d": {"d", "t"},
-           "e": {"e", "u"}}
-print(json.dumps([selector_axioms_check(space, SelectorFamily.from_dict(f)).witness
-                  for f in (nesting, minimal)]))
+a, b, c, d, e = (1 << i for i in range(5))
+families = [
+    # U_a holds b, c and d, whose sets reach e outside U_a: three nesting failures
+    (a | b | c | d, b | e, c | e, d | e, e),
+    # b and c, b and d lie in each other's sets
+    (a, b | c | d, b | c, b | d, e),
+    # c is not in its own set
+    (a, b, a, d, e),
+]
+witnesses = [selector_axioms_check(space, f).witness for f in families]
+# residue classes mod 12; sets 10 and 11 also take the classes of sets 2
+# and 3, so two pairs of branch points lie in each other's sets
+sets = [EvPeriodicSet(12, frozenset({r})) for r in range(12)]
+sets[10] = EvPeriodicSet(12, frozenset({2, 10}))
+sets[11] = EvPeriodicSet(12, frozenset({3, 11}))
+witnesses.append(mrowka_selector_check(sets, 16).witness)
+print(json.dumps(witnesses))
 """
 
 
 def test_selector_witnesses_do_not_depend_on_hash_seed():
-    # frozenset iteration order follows PYTHONHASHSEED; the witnesses must not
+    # set iteration order follows PYTHONHASHSEED; the witnesses must not
     src = os.path.dirname(os.path.dirname(os.path.abspath(ordtop.__file__)))
     outputs = set()
     for seed in ("1", "2", "3", "4"):
@@ -279,8 +334,9 @@ def test_selector_witnesses_do_not_depend_on_hash_seed():
                               capture_output=True, text=True, check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1
-    assert json.loads(outputs.pop()) == [["nesting", ["a", "b"]],
-                                         ["minimal-not-singleton", ["a", "q"]]]
+    assert json.loads(outputs.pop()) == [
+        ["nesting", ["a", "b"]], ["antisymmetry", ["b", "c"]], ["membership", "c"],
+        ["antisymmetry", ["('branch', 2)", "('branch', 10)"]]]
 
 
 def test_priestley_separation_on_finite_posets():

@@ -20,6 +20,7 @@ from ordtop.mrowka import (
     star_truncation,
     support_of,
 )
+from ordtop.ordinal import CheckReport
 
 EVENS = EvPeriodicSet(2, frozenset({0}))
 ODDS = EvPeriodicSet(2, frozenset({1}))
@@ -374,6 +375,105 @@ def test_selector_empty_branch_at_truncation():
     far = EvPeriodicSet(64, frozenset({63}))
     rep = mrowka_selector_check([far], truncation=4)
     assert not rep.data["heights"]
+
+
+def _selector_check_on_frozensets(sets, truncation):
+    # the check before it ran on bitmasks: points and their sets as
+    # frozensets of naturals, ("branch", k) tuples and "inf"
+    members = tuple(sets.sets) if isinstance(sets, ADFamily) else tuple(sets)
+    points = list(range(truncation)) + [("branch", k) for k in range(len(members))] + ["inf"]
+    u = {}
+    for n in range(truncation):
+        u[n] = frozenset({n})
+    for k, a in enumerate(members):
+        accumulating = {("branch", j) for j, b in enumerate(members)
+                        if j != k and common_residue_classes(a, b)}
+        u[("branch", k)] = (frozenset(a.elements_below(truncation))
+                            | {("branch", k)} | accumulating)
+    u["inf"] = frozenset(points)
+    conditions = {"membership": True, "antisymmetry": True, "nesting": True}
+    witness = None
+    for x in points:
+        if x not in u[x]:
+            conditions["membership"] = False
+            witness = witness or ("membership", str(x))
+    for x in points:
+        for y in points:
+            if x != y and x in u[y] and y in u[x]:
+                conditions["antisymmetry"] = False
+                witness = witness or ("antisymmetry", (str(x), str(y)))
+    for x in points:
+        for y in u[x]:
+            if not u[y] <= u[x]:
+                conditions["nesting"] = False
+                witness = witness or ("nesting", (str(x), str(y)))
+    induced_ok = True
+    for n in range(truncation):
+        for k, a in enumerate(members):
+            if (n in u[("branch", k)]) != a.contains(n):
+                induced_ok = False
+    for k in range(len(members)):
+        if ("branch", k) not in u["inf"]:
+            induced_ok = False
+    ad_ok = True
+    try:
+        rep = ad_check(members)
+        ad_ok = rep.passed
+        if not rep.passed:
+            witness = witness or ("infinite overlap", rep.witness)
+    except MrowkaError as e:
+        ad_ok = False
+        witness = witness or ("bad member", str(e))
+    heights_ok = all(a.is_infinite and a.elements_below(truncation)
+                     for a in members) and bool(members)
+    if not heights_ok:
+        witness = witness or ("heights", "branch empty at truncation")
+    passed = all(conditions.values()) and induced_ok and ad_ok and heights_ok
+    return CheckReport("mrowka-selector", passed, witness, {
+        "conditions": conditions, "induced_order": induced_ok, "ad": ad_ok,
+        "heights": heights_ok})
+
+
+def _random_family(rng):
+    def delta():
+        return frozenset(rng.sample(range(40), rng.randint(0, 3)))
+
+    if rng.random() < 0.2:
+        # residue classes mod 12 are almost disjoint; one later set that
+        # also takes an earlier set's class makes the only non-AD pair, with
+        # indices straddling 10, where "('branch', 10)" sorts before
+        # "('branch', 2)" as a string
+        m = rng.randint(11, 12)
+        residues = rng.sample(range(12), m)
+        sets = [EvPeriodicSet(12, frozenset({r}), delta()) for r in residues]
+        i, j = rng.randint(0, 9), rng.randint(10, m - 1)
+        sets[j] = EvPeriodicSet(12, frozenset({residues[i], residues[j]}), delta())
+        return sets
+    sets = []
+    for _ in range(rng.randint(0, 14)):
+        p = rng.choice([1, 2, 3, 4, 6, 12])
+        sets.append(EvPeriodicSet(p, frozenset(rng.sample(range(p), rng.randint(0, p))),
+                                  delta()))
+    return sets
+
+
+def test_selector_on_masks_matches_frozenset_scan():
+    rng = random.Random(12)
+    truncations = (-2, -1, 0, 1, 4, 16, 32)
+    kinds = set()
+    straddled = 0
+    late_branches = {f"('branch', {k})" for k in range(10, 14)}
+    for case in range(2100):
+        sets = _random_family(rng)
+        t = truncations[case % len(truncations)]
+        got = mrowka_selector_check(sets, t).to_json()
+        assert got == _selector_check_on_frozensets(sets, t).to_json(), (sets, t)
+        kinds.add(got["witness"] and got["witness"][0])
+        if got["witness"] and got["witness"][0] == "antisymmetry":
+            straddled += got["witness"][1][1] in late_branches
+    # an infinite overlap always shows first as a mutual pair of branches
+    assert kinds == {None, "antisymmetry", "bad member", "heights"}
+    assert straddled >= 20
 
 
 def test_common_residue_classes_equal_periods_match_full_scan():

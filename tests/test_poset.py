@@ -469,3 +469,114 @@ def test_above_masks_do_not_change_equality_or_hash():
     assert a == b and hash(a) == hash(b) and a.above == b.above
     assert a.above == (4, 4, 0)
     assert repr(a) == "FinitePoset(['a', 'b', 'c'], covers=[('a', 'c'), ('b', 'c')])"
+
+
+# -- the iterative closure against the builders it replaced --------------------
+
+def _poset_from_covers_recursive(elements, covers):
+    # the depth-first builder that poset_from_covers replaced: it recurses
+    # once per element of a chain, so it only serves short inputs
+    labels = tuple(elements)
+    if len(set(labels)) != len(labels):
+        raise PosetError("duplicate element name")
+    idx = {name: i for i, name in enumerate(labels)}
+    n = len(labels)
+    parents = [[] for _ in range(n)]
+    for a, b in covers:
+        if a not in idx:
+            raise PosetError(f"unknown element {a!r} in cover")
+        if b not in idx:
+            raise PosetError(f"unknown element {b!r} in cover")
+        parents[idx[a]].append(idx[b])
+    below = [0] * n
+    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
+
+    def visit(j):
+        if state[j] == 1:
+            raise PosetError("cycle detected in covers")
+        if state[j] == 2:
+            return
+        state[j] = 1
+        for i in range(n):
+            if j in parents[i]:
+                visit(i)
+                below[j] |= below[i] | (1 << i)
+        state[j] = 2
+
+    for j in range(n):
+        visit(j)
+    return FinitePoset(labels, tuple(below))
+
+
+def _random_poset_fixpoint(rng, n, edge_prob=0.35):
+    # the random_poset that closed its edges by repeating a pass to a fixpoint
+    order = list(range(n))
+    rng.shuffle(order)
+    below = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < edge_prob:
+                i, j = order[a], order[b]
+                below[j] |= below[i] | (1 << i)
+    changed = True
+    while changed:
+        changed = False
+        for j in range(n):
+            acc = below[j]
+            for i in _bits(below[j]):
+                acc |= below[i]
+            if acc != below[j]:
+                below[j] = acc
+                changed = True
+    return FinitePoset(tuple(str(i) for i in range(n)), tuple(below))
+
+
+def _build(builder, elements, covers):
+    try:
+        p = builder(elements, covers)
+    except PosetError as e:
+        return "error", str(e)
+    return p.labels, p.below
+
+
+def test_closure_matches_recursive_builder():
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(5000):
+        n = rng.randint(0, 9)
+        names = [f"e{i}" for i in range(n)]
+        rng.shuffle(names)
+        covers = []
+        if n:
+            for _ in range(rng.randint(0, 2 * n)):
+                a, b = rng.choice(names), rng.choice(names)
+                # mostly forward along a hidden order, sometimes back (cycles),
+                # sometimes a self-loop, sometimes a name not in the poset
+                roll = rng.random()
+                if roll < 0.03:
+                    b = a
+                elif roll < 0.05:
+                    b = "ghost"
+                elif roll < 0.9 and a > b:
+                    a, b = b, a
+                covers.append((a, b))
+        if rng.random() < 0.02:
+            names.append(names[0] if names else "x")
+            names.append("x")
+        got = _build(poset_from_covers, names, covers)
+        assert got == _build(_poset_from_covers_recursive, names, covers), (names, covers)
+        outcomes.add(got[1] if got[0] == "error" else "poset")
+    assert {"poset", "cycle detected in covers", "duplicate element name"} <= outcomes
+    assert any(o.startswith("unknown element") for o in outcomes)
+
+
+def test_random_poset_matches_fixpoint_closure():
+    for seed in range(500):
+        rng = random.Random(seed)
+        n = rng.randint(0, 12)
+        edge_prob = rng.choice([0.15, 0.35, 0.6])
+        state = rng.getstate()
+        got = random_poset(rng, n, edge_prob)
+        rng.setstate(state)
+        assert got.below == _random_poset_fixpoint(rng, n, edge_prob).below, seed
+
