@@ -57,7 +57,7 @@ from .ordinal import (
 )
 from .poset import (
     all_labeled_posets,
-    _kw_rank_masks,
+    kw_rank,
     random_poset,
     ranks,
     zaguia_verify,
@@ -224,7 +224,7 @@ def criterion_07_zaguia_suite(seed: int):
 
 
 def _zaguia_one(p) -> bool:
-    kw = _kw_rank_masks(p)
+    kw = kw_rank(p)
     items = list(kw.items())
     for i_mask, i_rank in items:
         for j_mask, j_rank in items:
@@ -358,8 +358,6 @@ def criterion_12_mrowka_suite(seed: int):
     fam4 = ADFamily.progressions(4)
     # exhaustive semilattice axioms: all nonempty subsets of [0,8), 4
     # branches and the top, with the join table built from the real join
-    branch_masks = [sum(1 << k for k in range(8) if fam4.sets[r].contains(k))
-                    for r in range(4)]
     points = [GPoint.fin_pt(frozenset(k for k in range(8) if mask >> k & 1))
               for mask in range(1, 256)]
     points += [GPoint.branch_pt(r) for r in range(4)] + [GPoint.top()]

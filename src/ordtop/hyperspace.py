@@ -18,7 +18,6 @@ from typing import Iterable
 from .ordinal import CheckReport
 from .poset import (
     DEFAULT_BOUND,
-    DownSet,
     FinitePoset,
     PosetError,
     _bits,
@@ -82,12 +81,13 @@ def build_hyperspace(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> Hyperspa
     return Hyperspace(poset, tuple(masks))
 
 
-def max_decomposition(h: Hyperspace, k: DownSet) -> frozenset:
-    """The antichain of maxima generating a point, re-verified."""
-    if k.mask not in set(h.points):
+def max_decomposition(h: Hyperspace, k: int) -> frozenset:
+    """The antichain of maxima generating the point with mask ``k``,
+    re-verified."""
+    if k not in set(h.points):
         raise HyperspaceError("not a point of the hyperspace")
-    sigma = h.base.max_of(k.mask)
-    if h.base.close_down(sigma) != k.mask:
+    sigma = h.base.max_of(k)
+    if h.base.close_down(sigma) != k:
         raise AssertionError("maxima fail to regenerate the downset")
     return h.base.names(sigma)
 
@@ -302,9 +302,8 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict,
         unique = True
         count = 1
 
-    hat = {DownSet(m): v for m, v in values.items()}
-    return hat, CheckReport("universal-property", is_hom and extends and unique, witness,
-                            {"method": method, "homs_found": count})
+    return values, CheckReport("universal-property", is_hom and extends and unique,
+                               witness, {"method": method, "homs_found": count})
 
 
 # -- one-point compactification model -------------------------------------

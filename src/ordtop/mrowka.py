@@ -89,6 +89,12 @@ class EvPeriodicSet:
     def from_json(cls, data: dict) -> "EvPeriodicSet":
         if not isinstance(data, dict) or "period" not in data:
             raise MrowkaError("each family set must have a 'period' field")
+        if not _is_int(data["period"]):
+            raise MrowkaError("a family set's 'period' must be an integer")
+        for name in ("residues", "delta"):
+            values = data.get(name, [])
+            if not (isinstance(values, list) and all(_is_int(v) for v in values)):
+                raise MrowkaError(f"a family set's {name!r} must be a list of integers")
         return cls(data["period"], frozenset(data.get("residues", ())),
                    frozenset(data.get("delta", ())))
 
@@ -96,6 +102,10 @@ class EvPeriodicSet:
         return {"period": self.period,
                 "residues": sorted(self.residues),
                 "delta": sorted(self.delta)}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def common_residue_classes(a: EvPeriodicSet, b: EvPeriodicSet) -> list:
@@ -253,17 +263,13 @@ def star_truncation(fam: ADFamily, n_bound: int):
     if n_bound > 1 << 24:
         raise MrowkaError("code bound exceeded (max 2^24)")
     bits = max(0, (n_bound - 1).bit_length())
-    per_branch = []
-    for a in fam.sets:
-        mask = sum(1 << k for k in range(bits) if a.contains(k))
-        per_branch.append(frozenset(_submasks_below(mask, n_bound)))
+    masks = [sum(1 << k for k in range(bits) if a.contains(k)) for a in fam.sets]
+    per_branch = [frozenset(_submasks_below(mask, n_bound)) for mask in masks]
     passed = True
     witness = None
     for i in range(len(per_branch)):
         for j in range(i + 1, len(per_branch)):
-            inter_mask = (sum(1 << k for k in range(bits) if fam.sets[i].contains(k))
-                          & sum(1 << k for k in range(bits) if fam.sets[j].contains(k)))
-            expected = frozenset(_submasks_below(inter_mask, n_bound))
+            expected = frozenset(_submasks_below(masks[i] & masks[j], n_bound))
             if per_branch[i] & per_branch[j] != expected:
                 passed = False
                 witness = {"pair": [i, j]}
@@ -346,33 +352,29 @@ class LusinStage:
     members that avoid all earlier sets).  The stage is the finite
     certificate of the new set; its unconstructed continuation is the
     disjoint tail living outside the listed sets (empty when they cover
-    the naturals)."""
+    the naturals).
+
+    ``members``, cached, lists the elements of all blocks in ascending
+    order.  ``contains`` and ``ascending`` bisect it; the scan reads every
+    prior set, stage or ``EvPeriodicSet``, through those two methods."""
 
     blocks: tuple
     m: int
     l1_counts: tuple
 
     @cached_property
-    def elements(self) -> frozenset:
-        return frozenset(x for block in self.blocks for x in block)
-
-    @cached_property
-    def sorted_elements(self) -> tuple:
-        return tuple(sorted(self.elements))
+    def members(self) -> tuple:
+        return tuple(sorted(x for block in self.blocks for x in block))
 
     def contains(self, n: int) -> bool:
-        return n in self.elements
+        members = self.members
+        i = bisect_left(members, n)
+        return i < len(members) and members[i] == n
 
-
-def _members_ascending(s, start: int = 0):
-    if isinstance(s, EvPeriodicSet):
-        return s.ascending(start)
-    if isinstance(s, LusinStage):
-        members = s.sorted_elements
+    def ascending(self, start: int = 0):
+        """Members from ``start`` on, in increasing order."""
+        members = self.members
         return iter(members[bisect_left(members, start):])
-    if isinstance(s, (set, frozenset)):
-        return iter(sorted(x for x in s if x >= start))
-    raise MrowkaError(f"unsupported set representation: {type(s).__name__}")
 
 
 class _MembershipIndex:
@@ -402,10 +404,9 @@ class _MembershipIndex:
                 table = self.by_period.setdefault(s.period, {})
                 for r in s.residues:
                     table.setdefault(r, []).append(age)
-        elif isinstance(s, (LusinStage, set, frozenset)):
-            members = s.elements if isinstance(s, LusinStage) else s
+        elif isinstance(s, LusinStage):
             finite = self.finite
-            for x in members:
+            for x in s.members:
                 finite[x] = finite.get(x, ()) + (age,)  # a tuple is far smaller than a list
         else:
             raise MrowkaError(f"unsupported set representation: {type(s).__name__}")
@@ -485,7 +486,7 @@ def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
     for n in range(m):
         chosen = []
         if n:
-            for x in _members_ascending(prev[n], starts[n]):
+            for x in prev[n].ascending(starts[n]):
                 if index.first(x) < n:
                     continue
                 chosen.append(x)
@@ -496,16 +497,17 @@ def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
                     f"prior set {n} has fewer than {n} elements outside its predecessors")
         blocks.append(tuple(chosen))
 
-    stage = LusinStage(tuple(blocks), m, ())
-    # exact-count recount over the finished element set
+    # exact-count recount over the finished blocks: they should be
+    # disjoint, and an element taken twice would break a count
     counts = [0] * m
     maxima = [-1] * m
-    for x in stage.elements:
-        pos = index.positions(x)
-        counts[pos[0]] += 1
-        for n in pos:
-            if x > maxima[n]:
-                maxima[n] = x
+    for block in blocks:
+        for x in block:
+            pos = index.positions(x)
+            counts[pos[0]] += 1
+            for n in pos:
+                if x > maxima[n]:
+                    maxima[n] = x
     for n in range(m):
         if counts[n] != n:
             raise AssertionError(f"fresh-intersection count at {n} is {counts[n]}, wanted {n}")

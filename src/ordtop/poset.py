@@ -149,32 +149,16 @@ class FinitePoset:
     def names(self, mask: int) -> frozenset:
         return frozenset(self.labels[i] for i in _bits(mask))
 
+    def mask_of(self, names: Iterable[str]) -> int:
+        """Bitmask of the named elements; an unknown name raises."""
+        mask = 0
+        for name in names:
+            mask |= 1 << self.index(name)
+        return mask
+
     def __repr__(self):
         rel = [(self.labels[i], self.labels[j]) for (i, j) in self.covers()]
         return f"FinitePoset({list(self.labels)}, covers={rel})"
-
-
-@dataclass(frozen=True)
-class DownSet:
-    """Downward-closed subset, stored as a bitmask of element indices."""
-
-    mask: int
-
-    @classmethod
-    def of(cls, poset: FinitePoset, names: Iterable[str]) -> "DownSet":
-        mask = 0
-        for name in names:
-            mask |= 1 << poset.index(name)
-        if not poset.is_downset(mask):
-            raise PosetError("set is not downward closed")
-        return cls(mask)
-
-    def members(self, poset: FinitePoset) -> frozenset:
-        return poset.names(self.mask)
-
-    @property
-    def size(self) -> int:
-        return _popcount(self.mask)
 
 
 # -- construction ------------------------------------------------------
@@ -252,11 +236,10 @@ def poset_to_dot(poset: FinitePoset) -> str:
 # -- basic queries -----------------------------------------------------
 
 def principal_sets(poset: FinitePoset, name: str):
-    """Principal ideal (as a DownSet) and principal filter of an element."""
+    """Member names of the principal ideal and of the principal filter of
+    an element."""
     i = poset.index(name)
-    down = DownSet(poset.down_mask(i))
-    up = poset.names(poset.up_mask(i))
-    return down, up
+    return poset.names(poset.down_mask(i)), poset.names(poset.up_mask(i))
 
 
 class Extremal(NamedTuple):
@@ -266,9 +249,7 @@ class Extremal(NamedTuple):
 
 
 def extremal(poset: FinitePoset, names: Iterable[str]) -> Extremal:
-    mask = 0
-    for name in names:
-        mask |= 1 << poset.index(name)
+    mask = poset.mask_of(names)
     max_mask = poset.max_of(mask)
     min_mask = poset.min_of(mask)
     antichain = max_mask == mask and min_mask == mask
@@ -293,56 +274,75 @@ def ranks(poset: FinitePoset) -> Ranks:
 
 
 def width(poset: FinitePoset) -> int:
-    """Maximum antichain size, cross-checked against a minimum chain cover."""
-    best = _max_antichain(poset)
-    cover = poset.n - _max_matching(poset)
-    if poset.n and best != cover:
+    """Maximum antichain size, read off one maximum matching by König's
+    theorem.
+
+    Each element i has a left and a right copy, with an edge from left i
+    to right j when i < j.  A maximum matching M leaves n - |M| chains in
+    a minimum chain cover.  The elements whose left copy an alternating
+    path from an unmatched left copy reaches, and whose right copy it does
+    not, form an antichain of that size (Dilworth).  The antichain and its
+    size are re-verified.
+    """
+    n = poset.n
+    match_right, free_right = _max_matching(poset)
+    unmatched = sorted(set(range(n)).difference(match_right))
+    left, right, _, free = _alternating_search(poset.above, match_right, free_right,
+                                               unmatched)
+    antichain = left & ~right
+    if free >= 0 or poset.max_of(antichain) != antichain:
+        raise AssertionError("König's construction gave no antichain")
+    best, cover = _popcount(antichain), len(unmatched)
+    if best != cover:
         raise AssertionError(f"antichain {best} != chain cover {cover}")
     return best
 
 
-def _max_antichain(poset: FinitePoset) -> int:
-    # maximum independent set in the comparability graph
-    adj = [b | a for b, a in zip(poset.below, poset.above)]
-
-    def mis(mask: int) -> int:
-        if not mask:
-            return 0
-        # pick a vertex with comparabilities inside mask, if any
-        pick = -1
-        for i in _bits(mask):
-            if adj[i] & mask:
-                pick = i
-                break
-        if pick < 0:
-            return _popcount(mask)
-        without = mis(mask & ~(1 << pick))
-        with_it = 1 + mis(mask & ~(1 << pick) & ~adj[pick])
-        return max(without, with_it)
-
-    return mis(poset.full_mask())
-
-
-def _max_matching(poset: FinitePoset) -> int:
-    # Kuhn's algorithm on the split bipartite graph of the strict order
+def _max_matching(poset: FinitePoset):
+    """A maximum matching of the split graph of ``width``, by Kuhn's
+    algorithm: the left partner of each right copy, or -1, and the mask of
+    the unmatched right copies."""
     n = poset.n
-    succ = [list(_bits(a)) for a in poset.above]
     match_right = [-1] * n
+    match_left = [-1] * n
+    free_right = poset.full_mask()
+    for root in range(n):
+        _, _, parent, j = _alternating_search(poset.above, match_right, free_right, [root])
+        if j >= 0:
+            free_right ^= 1 << j
+        while j >= 0:  # flip the augmenting path, from its free end back to root
+            i = parent[j]
+            match_right[j], match_left[i], j = i, j, match_left[i]
+    return match_right, free_right
 
-    def try_augment(i: int, seen: list) -> bool:
-        for j in succ[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] < 0 or try_augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
 
-    total = 0
-    for i in range(n):
-        if try_augment(i, [False] * n):
-            total += 1
-    return total
+def _alternating_search(above, match_right, free_right: int, roots):
+    """Breadth-first search along alternating paths from the left copies
+    ``roots``: from left i to each right j above it, from a matched right j
+    to its partner.  It stops at the first free right copy it meets.
+
+    Returns the masks of the left and right copies reached, the left copy
+    each right one was reached from, and the free right copy, or -1.
+    """
+    left = right = 0
+    for i in roots:
+        left |= 1 << i
+    parent = {}
+    queue = list(roots)
+    for i in queue:  # grows while it is walked
+        fresh = above[i] & ~right
+        free = fresh & free_right
+        if free:
+            j = (free & -free).bit_length() - 1
+            parent[j] = i
+            return left, right | fresh, parent, j
+        right |= fresh
+        for j in _bits(fresh):
+            parent[j] = i
+            k = match_right[j]
+            left |= 1 << k
+            queue.append(k)
+    return left, right, parent, -1
 
 
 # -- downset enumeration ----------------------------------------------
@@ -424,15 +424,11 @@ def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
 
 
 def kw_rank(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> dict:
-    """Well-founded rank of every nonempty downset under inclusion."""
+    """Well-founded rank of every nonempty downset under inclusion, keyed
+    by the downset's mask."""
     _check_bound(poset, bound)
     if poset.n == 0:
         raise PosetError("empty poset")
-    ranks_by_mask = _kw_rank_masks(poset, bound)
-    return {DownSet(m): r for m, r in ranks_by_mask.items()}
-
-
-def _kw_rank_masks(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> dict:
     masks = [m for m in all_downsets(poset, bound) if m]
     masks.sort(key=_popcount)
     rank: dict = {}
@@ -496,10 +492,7 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> CheckReport
     verdict is claims 1 to 3; the witness is the first counterexample to
     one of them, as two sorted lists of element names.
     """
-    _check_bound(poset, bound)
-    if poset.n == 0:
-        raise PosetError("empty poset")
-    kw = _kw_rank_masks(poset, bound)
+    kw = kw_rank(poset, bound)
     masks = list(kw)
     claim1 = claim1_literal = True
     claim2 = claim2_literal = True

@@ -339,6 +339,31 @@ def test_mrowka_commands_read_the_family_alike(runner, tmp_path, command):
         assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr), data
 
 
+def test_mrowka_adcheck_names_the_malformed_set_field(runner, tmp_path):
+    period = "error: a family set's 'period' must be an integer\n"
+    residues = "error: a family set's 'residues' must be a list of integers\n"
+    delta = "error: a family set's 'delta' must be a list of integers\n"
+    cases = [({"period": "2", "residues": [0]}, period),
+             ({"period": True, "residues": [0]}, period),
+             ({"period": 2.0, "residues": [0]}, period),
+             ({"period": None}, period),
+             ({"period": 2, "residues": 0}, residues),
+             ({"period": 2, "residues": ["0"]}, residues),
+             ({"period": 2, "residues": [False]}, residues),
+             ({"period": 2, "residues": {"0": 1}}, residues),
+             ({"period": 2, "residues": [0], "delta": 3}, delta),
+             ({"period": 2, "residues": [0], "delta": [1.5]}, delta)]
+    f = tmp_path / "fam.json"
+    for bad, stderr in cases:
+        f.write_text(json.dumps({"sets": [{"period": 2, "residues": [1]}, bad]}))
+        r = invoke_clean(runner, ["mrowka", "adcheck", str(f)])
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr), bad
+    # absent lists default to empty, as before
+    f.write_text(json.dumps({"sets": [{"period": 2, "residues": [1]}, {"period": 2}]}))
+    r = invoke_clean(runner, ["mrowka", "adcheck", str(f)])
+    assert (r.exit_code, r.stderr) == (2, "error: set 1 is finite\n")
+
+
 def test_mrowka_selector_bound_below_zero_is_zero(runner, tmp_path):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps(FAM2))
@@ -372,6 +397,9 @@ def test_poset_chain_longer_than_the_recursion_limit(runner, tmp_path):
     r = invoke_clean(runner, ["poset", "hasse", str(f)])
     assert r.exit_code == 0
     assert r.stdout.count(" -> ") == n - 1
+    r = invoke_clean(runner, ["poset", "width", str(f)])
+    assert r.exit_code == 0
+    assert json.loads(r.stdout) == {"width": 1}
 
 
 def test_clopen_minclopen_grid(runner):

@@ -27,7 +27,6 @@ from ordtop.hyperspace import (
 )
 from ordtop.ordinal import CheckReport
 from ordtop.poset import (
-    DownSet,
     FinitePoset,
     PosetError,
     all_labeled_posets,
@@ -78,7 +77,7 @@ def test_hyperspace_equals_downset_lattice_minus_bottom():
         h = build_hyperspace(p)
         lat = downset_lattice(p)
         assert h.size == lat.n - 1
-        assert set(h.points) == {d.mask for d in kw_rank(p)}
+        assert set(h.points) == set(kw_rank(p))
 
 
 def test_eta_is_an_order_embedding():
@@ -109,13 +108,13 @@ def test_join_is_union_and_lattice_is_distributive():
 def test_max_decomposition_principal():
     p = chain(3)
     h = build_hyperspace(p)
-    assert max_decomposition(h, DownSet(p.down_mask(2))) == {"2"}
+    assert max_decomposition(h, p.down_mask(2)) == {"2"}
 
 
 def test_max_decomposition_full_antichain():
     p = antichain(3)
     h = build_hyperspace(p)
-    assert max_decomposition(h, DownSet(p.full_mask())) == {"0", "1", "2"}
+    assert max_decomposition(h, p.full_mask()) == {"0", "1", "2"}
 
 
 def test_max_decomposition_matches_pairwise_scan():
@@ -126,14 +125,14 @@ def test_max_decomposition_matches_pairwise_scan():
         m = rng.choice(h.points)
         oracle = {p.labels[i] for i in range(p.n)
                   if m >> i & 1 and not any(m >> j & 1 and p.lt(i, j) for j in range(p.n))}
-        assert max_decomposition(h, DownSet(m)) == oracle
+        assert max_decomposition(h, m) == oracle
 
 
 def test_max_decomposition_rejects_non_points():
     p = chain(3)
     h = build_hyperspace(p)
     with pytest.raises(HyperspaceError):
-        max_decomposition(h, DownSet(0b100))
+        max_decomposition(h, 0b100)
 
 
 # -- selector axioms -------------------------------------------------------
@@ -355,9 +354,10 @@ def test_hat_identity_instance():
     f = {p.labels[i]: hp.labels.index(downset_label(p, h.eta(i))) for i in range(p.n)}
     hat, rep = hat_extension(p, y, f)
     assert rep.passed and rep.data["method"] == "enumerated"
+    assert set(hat) == set(h.points)
     # the extension of eta is the identity on points
     for m in h.points:
-        assert hp.labels[hat[DownSet(m)]] == downset_label(p, m)
+        assert hp.labels[hat[m]] == downset_label(p, m)
 
 
 def test_hat_constant_map():

@@ -7,6 +7,7 @@ from ordtop.mrowka import (
     ADFamily,
     EvPeriodicSet,
     GPoint,
+    LusinStage,
     MrowkaError,
     ad_check,
     code_of,
@@ -240,13 +241,20 @@ def test_convergence_horizon_too_small():
 
 # -- Lusin stages -----------------------------------------------------------------
 
+def block_elements(stage):
+    return [x for block in stage.blocks for x in block]
+
+
 def recount_oracle(stage, prev):
-    """Fully independent recount of the fresh-intersection sizes."""
+    """Fully independent recount of the fresh-intersection sizes; a stage
+    is read only through its blocks."""
     def contains(s, x):
-        return s.contains(x) if hasattr(s, "contains") else x in s
+        if isinstance(s, EvPeriodicSet):
+            return s.contains(x)
+        return any(x in block for block in s.blocks)
     counts = []
     for n in range(len(prev)):
-        fresh = [x for x in stage.elements
+        fresh = [x for x in set(block_elements(stage))
                  if contains(prev[n], x) and not any(contains(prev[k], x) for k in range(n))]
         counts.append(len(fresh))
     return counts
@@ -265,15 +273,38 @@ def test_lusin_single_stage_mod8():
 def test_lusin_stage_n0_forces_empty_meet():
     prev = [EVENS]
     stage = lusin_stage(prev)
-    assert stage.elements == frozenset()
+    assert stage.blocks == ((),) and stage.members == ()
+
+
+def finite_stage(*xs):
+    """A hand-built stage with the single block ``xs``."""
+    return LusinStage((tuple(xs),), 1, ())
 
 
 def test_lusin_insufficient_fresh_elements():
+    # the last set has no element outside the first
+    prev = [EvPeriodicSet(2, frozenset({0})), finite_stage(1, 2, 4, 6), finite_stage(0, 2)]
+    with pytest.raises(MrowkaError, match="prior set 2 has fewer than 2"):
+        lusin_stage(prev)
     # the second set has a single element outside the first
-    prev = [EvPeriodicSet(2, frozenset({0})), frozenset({1, 2, 4, 6}),
-            frozenset({3, 5})]
-    with pytest.raises(MrowkaError, match="fewer than"):
-        lusin_stage([prev[0], prev[1], frozenset({0, 2})])
+    with pytest.raises(MrowkaError, match="prior set 1 has fewer than 1"):
+        lusin_stage([prev[0], finite_stage(0, 2, 4)])
+
+
+def test_lusin_stage_prior_must_be_a_stage_or_periodic():
+    for prior in (frozenset({1, 3}), {1, 3}, (1, 3)):
+        with pytest.raises(MrowkaError, match="unsupported set representation"):
+            lusin_stage([EVENS, prior])
+
+
+def test_lusin_stage_reads_match_its_blocks():
+    for stage in lusin_iterate(ADFamily.progressions(16), 10):
+        elements = set(block_elements(stage))
+        top = max(elements, default=-1) + 2
+        assert stage.members == tuple(sorted(elements))
+        for x in range(-1, top + 1):
+            assert stage.contains(x) == (x in elements)
+            assert list(stage.ascending(x)) == sorted(e for e in elements if e >= x)
 
 
 def test_lusin_non_ad_input_rejected():
@@ -309,7 +340,7 @@ def test_lusin_stage_elements_disjoint_from_earlier_stages():
     stages = lusin_iterate(base, 5)
     # position 0 in each later stage is the newest earlier stage: empty meet
     for i in range(1, len(stages)):
-        assert stages[i].elements.isdisjoint(stages[i - 1].elements)
+        assert set(block_elements(stages[i])).isdisjoint(block_elements(stages[i - 1]))
 
 
 def rescan_stage(prev):
@@ -323,7 +354,7 @@ def rescan_stage(prev):
         chosen = []
         if n:
             members = (s.ascending() if isinstance(s, EvPeriodicSet)
-                       else iter(sorted(s.elements)))
+                       else iter(sorted(block_elements(s))))
             for x in members:
                 if x in seen_finite or any(x % p in rs for p, rs in seen_residues.items()):
                     continue
@@ -336,7 +367,7 @@ def rescan_stage(prev):
             assert not s.delta
             seen_residues.setdefault(s.period, set()).update(s.residues)
         else:
-            seen_finite |= s.elements
+            seen_finite.update(block_elements(s))
     return blocks
 
 

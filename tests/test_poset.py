@@ -5,7 +5,6 @@ import pytest
 
 from ordtop.ordinal import Ordinal, ord_pow, OMEGA
 from ordtop.poset import (
-    DownSet,
     FinitePoset,
     PosetError,
     _bits,
@@ -86,6 +85,29 @@ def brute_max_antichain(poset):
     return best
 
 
+def mis_max_antichain(poset):
+    """Maximum independent set of the comparability graph, by branching on
+    a vertex with a comparability left; exponential, and it recurses once
+    per element (the search ``width`` used before König's theorem)."""
+    adj = [b | a for b, a in zip(poset.below, poset.above)]
+
+    def mis(mask):
+        if not mask:
+            return 0
+        pick = -1
+        for i in _bits(mask):
+            if adj[i] & mask:
+                pick = i
+                break
+        if pick < 0:
+            return _popcount(mask)
+        without = mis(mask & ~(1 << pick))
+        with_it = 1 + mis(mask & ~(1 << pick) & ~adj[pick])
+        return max(without, with_it)
+
+    return mis(poset.full_mask())
+
+
 def brute_kw_rank(poset):
     """Longest strictly increasing chain of nonempty downsets below each."""
     downs = [m for m in brute_downsets(poset) if m]
@@ -139,13 +161,13 @@ def test_json_roundtrip_and_dot():
 def test_principal_sets_antichain():
     p = antichain(3)
     down, up = principal_sets(p, "1")
-    assert down.members(p) == {"1"} and up == {"1"}
+    assert down == {"1"} and up == {"1"}
 
 
 def test_principal_sets_chain():
     p = poset_from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
     down, up = principal_sets(p, "b")
-    assert down.members(p) == {"a", "b"}
+    assert down == {"a", "b"}
     assert up == {"b", "c"}
 
 
@@ -155,7 +177,7 @@ def test_principal_sets_match_reachability_oracle():
         p = random_poset(rng, 7)
         for i in range(p.n):
             down, _ = principal_sets(p, p.labels[i])
-            assert down.members(p) == {p.labels[j] for j in reachable_down(p, i)}
+            assert down == {p.labels[j] for j in reachable_down(p, i)}
 
 
 def test_principal_sets_unknown_element():
@@ -232,6 +254,24 @@ def test_width_matches_exhaustive_antichain():
         assert width(p) == brute_max_antichain(p)
 
 
+def test_width_matches_independent_set_search():
+    assert width(FinitePoset((), ())) == mis_max_antichain(FinitePoset((), ())) == 0
+    for n in range(1, 6):
+        for p in all_labeled_posets(n):
+            assert width(p) == mis_max_antichain(p), p
+    rng = random.Random(9)
+    for _ in range(300):
+        p = random_poset(rng, rng.randint(1, 14), edge_prob=rng.choice([0.1, 0.25, 0.4, 0.6]))
+        assert width(p) == mis_max_antichain(p), p
+
+
+def test_width_of_many_disjoint_chains():
+    # the independent-set search branches twice per 2-chain: 2^44 leaves here
+    names = [f"{side}{i}" for side in "ab" for i in range(44)]
+    p = poset_from_covers(names, [(f"a{i}", f"b{i}") for i in range(44)])
+    assert width(p) == 44
+
+
 # -- downset lattice ----------------------------------------------------------
 
 def test_downset_lattice_antichain_is_boolean():
@@ -274,9 +314,12 @@ def test_downset_bound_enforced():
 
 def test_downset_type_validates_closure():
     p = chain(3)
-    with pytest.raises(PosetError):
-        DownSet.of(p, ["2"])
-    assert DownSet.of(p, ["0", "1"]).size == 2
+    assert p.mask_of([]) == 0
+    assert p.mask_of(["0", "1"]) == 0b011
+    assert not p.is_downset(p.mask_of(["2"]))
+    assert p.is_downset(p.mask_of(["1", "0"]))
+    with pytest.raises(PosetError, match="unknown element"):
+        p.mask_of(["0", "z"])
 
 
 # -- kw_rank ---------------------------------------------------------------
@@ -284,27 +327,26 @@ def test_downset_type_validates_closure():
 def test_kw_rank_singleton():
     p = antichain(1)
     r = kw_rank(p)
-    assert r[DownSet(1)] == 0
+    assert r == {1: 0}
 
 
 def test_kw_rank_antichain_full_set():
     p = antichain(4)
     r = kw_rank(p)
-    assert r[DownSet(p.full_mask())] == 3
+    assert r[p.full_mask()] == 3
 
 
 def test_kw_rank_chain_top():
     p = chain(5)
     r = kw_rank(p)
-    assert r[DownSet(p.full_mask())] == 4
+    assert r[p.full_mask()] == 4
 
 
 def test_kw_rank_matches_longest_chain_oracle():
     rng = random.Random(6)
     for _ in range(25):
         p = random_poset(rng, 6)
-        got = {d.mask: r for d, r in kw_rank(p).items()}
-        assert got == brute_kw_rank(p)
+        assert kw_rank(p) == brute_kw_rank(p)
 
 
 def test_kw_rank_monotone():
@@ -314,7 +356,7 @@ def test_kw_rank_monotone():
         got = kw_rank(p)
         for a in got:
             for b in got:
-                if a.mask != b.mask and a.mask & ~b.mask == 0:
+                if a != b and a & ~b == 0:
                     assert got[a] < got[b]
 
 
@@ -362,7 +404,7 @@ def test_zaguia_antichain_literal_reading_fails_but_gating_passes():
     assert not rep.data["claims"]["claim2_literal"]
     # two rank-0 points whose union has rank 1 break it
     r = kw_rank(antichain(4))
-    assert r[DownSet(0b11)] > r[DownSet(0b01)] + r[DownSet(0b10)]
+    assert r[0b11] > r[0b01] + r[0b10]
 
 
 def test_zaguia_all_labeled_posets_up_to_4():
@@ -374,7 +416,7 @@ def test_zaguia_all_labeled_posets_up_to_4():
 def test_zaguia_claim3_ordinal_bound_spot_check():
     p = chain(3)
     r = ranks(p)
-    kw = {d.mask: v for d, v in kw_rank(p).items()}
+    kw = kw_rank(p)
     for i in range(p.n):
         if r.by_index[i] >= 1:
             assert Ordinal.from_int(kw[p.down_mask(i)]) < ord_pow(OMEGA, Ordinal.from_int(r.by_index[i]))
