@@ -160,13 +160,12 @@ def poset_group():
 
 @poset_group.command("zaguia")
 @click.argument("file", type=click.Path())
-@click.option("--bound", type=int, default=20, help="enumeration size bound")
 @json_opt
-def poset_zaguia(file, bound, json_file):
+def poset_zaguia(file, json_file):
     """Verify the downset union-rank inequalities for a poset file."""
     from .poset import poset_from_json, zaguia_verify
     p = poset_from_json(load_json_file(file))
-    emit_json(zaguia_verify(p, bound).to_json(), json_file)
+    emit_json(zaguia_verify(p).to_json(), json_file)
 
 
 @poset_group.command("ranks")
@@ -192,13 +191,12 @@ def poset_width(file, json_file):
 @poset_group.command("downsets")
 @click.argument("file", type=click.Path())
 @click.option("--dot", is_flag=True, help="emit the downset lattice as DOT")
-@click.option("--bound", type=int, default=20)
 @json_opt
-def poset_downsets(file, dot, bound, json_file):
+def poset_downsets(file, dot, json_file):
     """The lattice of downsets, as member lists or a DOT diagram."""
     from .poset import downset_lattice, poset_from_json, poset_to_dot
     p = poset_from_json(load_json_file(file))
-    lat = downset_lattice(p, bound)
+    lat = downset_lattice(p)
     if dot:
         emit_text(poset_to_dot(lat).rstrip("\n"), json_file)
     else:
@@ -224,13 +222,12 @@ def hyper_group():
 @hyper_group.command("build")
 @click.argument("file", type=click.Path())
 @click.option("--dot", is_flag=True, help="emit the hyperspace as DOT")
-@click.option("--bound", type=int, default=20)
 @json_opt
-def hyper_build(file, dot, bound, json_file):
+def hyper_build(file, dot, json_file):
     """Build the hyperspace of a poset and print its points."""
     from .hyperspace import build_hyperspace, hyperspace_to_dot
     from .poset import downset_label, poset_from_json
-    h = build_hyperspace(poset_from_json(load_json_file(file)), bound)
+    h = build_hyperspace(poset_from_json(load_json_file(file)))
     if dot:
         emit_text(hyperspace_to_dot(h).rstrip("\n"), json_file)
     else:
@@ -241,21 +238,20 @@ def hyper_build(file, dot, bound, json_file):
 
 @hyper_group.command("selector")
 @click.argument("file", type=click.Path())
-@click.option("--bound", type=int, default=20)
 @json_opt
-def hyper_selector(file, bound, json_file):
+def hyper_selector(file, json_file):
     """Check the principal-downset selector axioms on the hyperspace."""
     from .hyperspace import build_hyperspace, kplus_selector, selector_axioms_check
     from .poset import poset_from_json
-    h = build_hyperspace(poset_from_json(load_json_file(file)), bound)
+    h = build_hyperspace(poset_from_json(load_json_file(file)))
     hp, fam = kplus_selector(h)
     emit_json(selector_axioms_check(hp, fam).to_json(), json_file)
 
 
 @hyper_group.command("universal")
 @click.argument("file", type=click.Path())
-@click.option("--chain", "chain_len", type=int, default=3,
-              help="target chain semilattice length")
+@click.option("--chain", "chain_len", type=click.IntRange(max=64), default=3,
+              help="target chain semilattice length, at most 64 (building it is cubic)")
 @json_opt
 def hyper_universal(file, chain_len, json_file):
     """Verify the unique join-extension property against a chain target."""

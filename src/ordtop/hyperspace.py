@@ -13,11 +13,11 @@ naturals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 from .ordinal import CheckReport
 from .poset import (
-    DEFAULT_BOUND,
     FinitePoset,
     PosetError,
     _bits,
@@ -27,6 +27,9 @@ from .poset import (
     ranks,
     selector_conditions,
 )
+
+
+MAX_ASSIGNMENTS = 8 ** 6  # maps P -> Y hat_extension enumerates; 1 s on 6 elements
 
 
 class HyperspaceError(ValueError):
@@ -49,7 +52,7 @@ class Hyperspace:
         return self.base.down_mask(i)
 
 
-def build_hyperspace(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> Hyperspace:
+def build_hyperspace(poset: FinitePoset) -> Hyperspace:
     """Construct the hyperspace and re-verify its structural identities:
     closure under union, principal downsets present, every point is the
     downset of its maxima, and the points are exactly the join closure of
@@ -57,7 +60,7 @@ def build_hyperspace(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> Hyperspa
     """
     if poset.n == 0:
         raise PosetError("empty poset has an empty hyperspace")
-    masks = sorted((m for m in all_downsets(poset, bound) if m),
+    masks = sorted((m for m in all_downsets(poset) if m),
                    key=lambda m: (_popcount(m), m))
     point_set = set(masks)
     for a in masks:
@@ -246,17 +249,17 @@ class FinJoinSemilattice:
         return cls.from_poset(p)
 
 
-def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict,
-                  bound: int = DEFAULT_BOUND):
+def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict):
     """Extend an increasing map f: P -> Y to the hyperspace by joins.
 
     Returns the extension (downset mask -> Y index) and a report verifying
     it is a join homomorphism restricting to f, and that it is the only
     join homomorphism doing so.  Uniqueness is checked against the fully
-    enumerated homomorphisms when the sizes allow, otherwise on the
-    generators (sound because the principal downsets join-generate).
+    enumerated homomorphisms when the sizes allow (at most 64 points, 8
+    values and ``MAX_ASSIGNMENTS`` maps of the elements into Y), otherwise
+    on the generators (sound because the principal downsets join-generate).
     """
-    h = build_hyperspace(poset, bound)
+    h = build_hyperspace(poset)
     fi = {}
     for i in range(poset.n):
         name = poset.labels[i]
@@ -277,13 +280,10 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict,
     extends = all(values[h.eta(i)] == fi[i] for i in range(poset.n))
 
     witness = None
-    if h.size <= 64 and y.n <= 8:
+    if h.size <= 64 and y.n <= 8 and y.n ** poset.n <= MAX_ASSIGNMENTS:
         method = "enumerated"
         homs = set()
-        assignments = [[]]
-        for _ in range(poset.n):
-            assignments = [a + [v] for a in assignments for v in range(y.n)]
-        for assign in assignments:
+        for assign in product(range(y.n), repeat=poset.n):
             ok = all(y.join_all(assign[j] for j in _bits(poset.down_mask(i))) == fi[i]
                      for i in range(poset.n))
             if not ok:

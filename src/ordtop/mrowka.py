@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .ordinal import CheckReport
@@ -110,12 +110,18 @@ def _is_int(value) -> bool:
 
 def common_residue_classes(a: EvPeriodicSet, b: EvPeriodicSet) -> list:
     """Residue classes mod lcm of the periods along which both sets are
-    eventually full; nonempty exactly when the intersection is infinite."""
-    if a.period == b.period:
-        return sorted(a.residues & b.residues)
-    modulus = lcm(a.period, b.period)
-    return [r for r in range(modulus)
-            if r % a.period in a.residues and r % b.period in b.residues]
+    eventually full, ascending; nonempty exactly when the intersection is
+    infinite.  By the Chinese remainder theorem residues ra, rb with
+    ra = rb mod g = gcd share one class, ra + a.period * t, so the cost
+    follows the numbers of residues and classes, not the periods."""
+    g = gcd(a.period, b.period)
+    qa, qb = a.period // g, b.period // g
+    inverse = pow(qa, -1, qb)
+    by_class: dict = {}
+    for rb in b.residues:
+        by_class.setdefault(rb % g, []).append(rb)
+    return sorted(ra + a.period * ((rb - ra) // g * inverse % qb)
+                  for ra in a.residues for rb in by_class.get(ra % g, ()))
 
 
 def ad_check(sets: Sequence[EvPeriodicSet]) -> CheckReport:

@@ -11,8 +11,9 @@ O(k) for a k-element mask.
 ``selector_conditions``, the one selector scan of the package, takes one
 such mask per point and reads labels only for its witness.
 
-Enumeration operations (downset lattice, downset ranks, the union-rank
-verifier) refuse posets larger than a configurable bound, 20 by default.
+``all_downsets`` is the one enumeration of downsets, and through ``max_of``
+of antichains, behind every enumerating operation of the package; it
+refuses more than ``MAX_ELEMENTS`` elements or ``MAX_DOWNSETS`` downsets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Iterable, NamedTuple
 
 from .ordinal import OMEGA, CheckReport, Ordinal, ord_pow
 
-DEFAULT_BOUND = 20
+MAX_ELEMENTS = 20
+MAX_DOWNSETS = 1 << 11  # an 11-element antichain: every command on it within 2 s
 
 
 class PosetError(ValueError):
@@ -347,56 +349,30 @@ def _alternating_search(above, match_right, free_right: int, roots):
 
 # -- downset enumeration ----------------------------------------------
 
-def _check_bound(poset: FinitePoset, bound: int):
-    if poset.n > bound:
-        raise PosetError(f"size bound exceeded: {poset.n} > {bound}")
-
-
-def all_downsets(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> list:
-    """All downsets as bitmasks, including 0 and the full set."""
-    _check_bound(poset, bound)
-    order = sorted(range(poset.n), key=lambda i: _popcount(poset.below[i]))
+def all_downsets(poset: FinitePoset) -> list:
+    """All downsets as bitmasks, including 0 and the full set.  Elements
+    come in a linear extension, so a downset takes the next one exactly
+    when it holds everything below it.  Raises ``PosetError`` past
+    ``MAX_ELEMENTS`` elements or ``MAX_DOWNSETS`` downsets."""
+    if poset.n > MAX_ELEMENTS:
+        raise PosetError(f"poset has {poset.n} elements, over MAX_ELEMENTS = {MAX_ELEMENTS}")
     below = poset.below
-    out = []
-
-    def rec(k: int, mask: int):
-        if k == len(order):
-            out.append(mask)
-            return
-        i = order[k]
-        rec(k + 1, mask)
-        if not (below[i] & ~mask):
-            rec(k + 1, mask | (1 << i))
-
-    rec(0, 0)
+    out = [0]
+    for i in sorted(range(poset.n), key=lambda i: _popcount(below[i])):
+        bit = 1 << i
+        out += [m | bit for m in out if not below[i] & ~m]
+        if len(out) > MAX_DOWNSETS:
+            raise PosetError(f"poset has more than MAX_DOWNSETS = {MAX_DOWNSETS} downsets")
     return out
 
 
-def antichain_masks(poset: FinitePoset) -> list:
-    """All antichains as bitmasks, including the empty one."""
-    n = poset.n
-    comp = [b | a for b, a in zip(poset.below, poset.above)]
-    out = []
-
-    def rec(i: int, mask: int):
-        if i == n:
-            out.append(mask)
-            return
-        rec(i + 1, mask)
-        if not (comp[i] & mask):
-            rec(i + 1, mask | (1 << i))
-
-    rec(0, 0)
-    return out
-
-
-def downset_lattice(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> FinitePoset:
+def downset_lattice(poset: FinitePoset) -> FinitePoset:
     """The lattice of all downsets ordered by inclusion.
 
     Elements are labeled by their member sets; the complement bijection
     onto final sets is re-verified to be order reversing.
     """
-    masks = sorted(all_downsets(poset, bound), key=lambda m: (_popcount(m), m))
+    masks = sorted(all_downsets(poset), key=lambda m: (_popcount(m), m))
     full = poset.full_mask()
     for a in masks:
         for b in masks:
@@ -423,13 +399,12 @@ def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
     return FinitePoset(tuple(downset_label(poset, m) for m in masks), tuple(below))
 
 
-def kw_rank(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> dict:
+def kw_rank(poset: FinitePoset) -> dict:
     """Well-founded rank of every nonempty downset under inclusion, keyed
     by the downset's mask."""
-    _check_bound(poset, bound)
     if poset.n == 0:
         raise PosetError("empty poset")
-    masks = [m for m in all_downsets(poset, bound) if m]
+    masks = [m for m in all_downsets(poset) if m]
     masks.sort(key=_popcount)
     rank: dict = {}
     for m in masks:
@@ -477,7 +452,7 @@ def selector_conditions(labels, sets) -> tuple:
 
 # -- union-rank verification -------------------------------------------
 
-def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> CheckReport:
+def zaguia_verify(poset: FinitePoset) -> CheckReport:
     """Check the union-rank inequalities for downsets of a finite poset.
 
     Ground truth is the enumerated rank of every nonempty downset.  The
@@ -492,7 +467,7 @@ def zaguia_verify(poset: FinitePoset, bound: int = DEFAULT_BOUND) -> CheckReport
     verdict is claims 1 to 3; the witness is the first counterexample to
     one of them, as two sorted lists of element names.
     """
-    kw = kw_rank(poset, bound)
+    kw = kw_rank(poset)
     masks = list(kw)
     claim1 = claim1_literal = True
     claim2 = claim2_literal = True

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .ordinal import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -35,7 +36,7 @@ from .ordinal import (
     ord_pow,
     parse_ordinal,
 )
-from .poset import FinitePoset, _bits, antichain_masks, poset_from_json
+from .poset import FinitePoset, _bits, all_downsets, poset_from_json
 
 
 class TermError(ValueError):
@@ -192,6 +193,14 @@ def hyper_antichain_height(labels: Iterable[Ordinal]) -> Ordinal:
     return out
 
 
+def _antichains(p: FinitePoset) -> list:
+    """(antichain, downset) mask pairs for the nonempty antichains of ``p``,
+    read as maxima of its downsets; ordered by the membership of element 0,
+    then of element 1, and so on, absent first."""
+    return sorted(((p.max_of(d), d) for d in all_downsets(p) if d),
+                  key=lambda pair: [pair[0] >> i & 1 for i in range(p.n)])
+
+
 def skeleton_hyper_bound_check(sk: Skeleton) -> CheckReport:
     """Every antichain's hyperspace height stays below w^rank, where the
     rank of the skeleton is max label + 1."""
@@ -199,12 +208,9 @@ def skeleton_hyper_bound_check(sk: Skeleton) -> CheckReport:
     bound = ord_pow(OMEGA, rank)
     best = ZERO
     witness = None
-    count = 0
     passed = True
-    for mask in antichain_masks(sk.poset):
-        if not mask:
-            continue
-        count += 1
+    antichains = _antichains(sk.poset)
+    for mask, _ in antichains:
         h = hyper_antichain_height([sk.labels[i] for i in _bits(mask)])
         if best < h:
             best = h
@@ -214,7 +220,7 @@ def skeleton_hyper_bound_check(sk: Skeleton) -> CheckReport:
     return CheckReport("hyperspace-height-bound", passed, witness, {
         "bound": format_ordinal(bound),
         "max_attained": format_ordinal(best),
-        "antichains": count,
+        "antichains": len(antichains),
     })
 
 
@@ -243,17 +249,15 @@ def hyper_monotonicity_check(sk: Skeleton) -> CheckReport:
     p = sk.poset
     if not _is_forest(p):
         raise TermError("skeleton is not a forest")
-    masks = [m for m in antichain_masks(p) if m]
-    downs = {m: p.close_down(m) for m in masks}
+    antichains = _antichains(p)
     heights = {m: hyper_antichain_height([sk.labels[i] for i in _bits(m)])
-               for m in masks}
+               for m, _ in antichains}
     checked = strict = 0
     ties = []
     inversions = []
     all_zero = True
-    for rho in masks:
-        for sigma in masks:
-            dr, ds = downs[rho], downs[sigma]
+    for rho, dr in antichains:
+        for sigma, ds in antichains:
             if dr == ds or dr & ~ds:
                 continue
             checked += 1
@@ -279,14 +283,16 @@ def hyper_monotonicity_check(sk: Skeleton) -> CheckReport:
 #
 #   ord(<ordinal>) | sum(t1,t2,...) | prod(t1,t2) | skel(<poset-json>, {elem: ord})
 
-def parse_term(text: str) -> SpaceTerm:
-    term, pos = _parse_term(text, 0)
+def parse_term(text: str, _depth: int = 0) -> SpaceTerm:
+    """The space term in ``text``.  Sum and prod terms nest at most
+    ``MAX_NESTING`` deep; deeper is a ``TermError``, not a recursion overflow."""
+    term, pos = _parse_term(text, 0, _depth)
     if text[pos:].strip():
         raise TermError(f"trailing input after term: {text[pos:].strip()!r}")
     return term
 
 
-def _parse_term(text: str, pos: int):
+def _parse_term(text: str, pos: int, depth: int):
     while pos < len(text) and text[pos].isspace():
         pos += 1
     for head in ("ord", "sum", "prod", "skel"):
@@ -310,7 +316,9 @@ def _parse_term(text: str, pos: int):
                 if any(v is None for v in labels):
                     raise TermError("label map must cover every element")
                 return SkelTerm(Skeleton(poset, tuple(labels))), after
-            args = [parse_term(a) for a in _split_args(inner)]
+            if depth == MAX_NESTING:
+                raise TermError(f"space terms nested deeper than MAX_NESTING = {MAX_NESTING}")
+            args = [parse_term(a, depth + 1) for a in _split_args(inner)]
             if head == "sum":
                 return SumTerm(tuple(args)), after
             if len(args) != 2:

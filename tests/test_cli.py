@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 import ordtop
 from ordtop.cli import main
-from ordtop.ordinal import MAX_COEFF_BITS, MAX_TERMS
+from ordtop.ordinal import MAX_COEFF_BITS, MAX_NESTING, MAX_TERMS
+from ordtop.poset import MAX_DOWNSETS, MAX_ELEMENTS
 
 VEE = {"elements": ["a", "b", "c"], "covers": [["a", "c"], ["b", "c"]]}
+WIDE12 = {"elements": [str(i) for i in range(12)], "covers": []}
 FAM2 = {"sets": [{"period": 2, "residues": [0], "delta": []},
                  {"period": 2, "residues": [1], "delta": []}]}
 FAM_BAD = {"sets": [{"period": 2, "residues": [0], "delta": []},
@@ -444,6 +446,64 @@ def test_ord_limits_are_usage_errors(runner):
         assert r.exit_code == 2
         assert f"MAX_TERMS = {MAX_TERMS}" in r.stderr
 
+
+def _nested_sum(depth):
+    return "sum(" * depth + "ord(1)" + ")" * depth
+
+
+def test_enumeration_limits_are_usage_errors(runner, tmp_path):
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(WIDE12))
+    long = tmp_path / "long.json"
+    n = MAX_ELEMENTS + 1
+    long.write_text(json.dumps({"elements": [str(i) for i in range(n)],
+                                "covers": [[str(i), str(i + 1)] for i in range(n - 1)]}))
+    skel12 = f"skel({json.dumps(WIDE12)}, {json.dumps({str(i): 1 for i in range(12)})})"
+    calls = [["poset", "zaguia"], ["poset", "downsets"], ["poset", "downsets", "--dot"],
+             ["hyper", "build"], ["hyper", "build", "--dot"], ["hyper", "selector"],
+             ["hyper", "universal"]]
+    for call in calls:
+        r = invoke_clean(runner, [*call, str(wide)])
+        assert (r.exit_code, r.stdout) == (2, ""), call
+        assert f"more than MAX_DOWNSETS = {MAX_DOWNSETS} downsets" in r.stderr, call
+        r = invoke_clean(runner, [*call, str(long)])
+        assert (r.exit_code, r.stdout) == (2, ""), call
+        assert f"over MAX_ELEMENTS = {MAX_ELEMENTS}" in r.stderr, call
+    for command in ("skeleton-bound", "monotonicity"):
+        r = invoke_clean(runner, ["space", command, skel12])
+        assert r.exit_code == 2 and "MAX_DOWNSETS" in r.stderr, command
+    # a chain of MAX_ELEMENTS has few downsets and is accepted
+    long.write_text(json.dumps({"elements": [str(i) for i in range(n - 1)],
+                                "covers": [[str(i), str(i + 1)] for i in range(n - 2)]}))
+    r = invoke_clean(runner, ["poset", "zaguia", str(long)])
+    assert r.exit_code == 0
+    # the report counts the nonempty downsets
+    assert json.loads(r.stdout)["poset"] == f"n={MAX_ELEMENTS}, downsets={MAX_ELEMENTS}"
+
+
+def test_space_term_nesting_limit(runner):
+    r = invoke_clean(runner, ["space", "report", _nested_sum(MAX_NESTING)])
+    assert r.exit_code == 0
+    assert json.loads(r.stdout)["endpoint_count"] == 2
+    for depth in (MAX_NESTING + 1, 2000):
+        r = invoke_clean(runner, ["space", "report", _nested_sum(depth)])
+        assert (r.exit_code, r.stdout) == (2, ""), depth
+        assert r.stderr == (f"error: space terms nested deeper than "
+                            f"MAX_NESTING = {MAX_NESTING}\n"), depth
+
+
+def test_hyper_universal_chain_limit(runner, tmp_path):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(VEE))
+    r = invoke_clean(runner, ["hyper", "universal", str(f), "--chain", "64"])
+    assert r.exit_code == 0
+    assert json.loads(r.stdout)["method"] == "generators"
+    for chain in ("65", "200", "1000000"):
+        r = invoke_clean(runner, ["hyper", "universal", str(f), "--chain", chain])
+        assert (r.exit_code, r.stdout) == (2, ""), chain
+        assert "x<=64" in r.stderr, chain
+
+
 # -- golden output of every check command ------------------------------------------
 
 DIAMOND = {"elements": ["a", "b", "c", "d", "e"],
@@ -462,7 +522,7 @@ GOLDEN = [
      '{"check": "zaguia", "claims": {"claim1": true, "claim1_literal": false, '
      '"claim2": true, "claim2_literal": false, "claim3": true}, "pass": true, '
      '"poset": "n=3, downsets=4", "witness": null}'),
-    (('poset', 'zaguia', '{diamond}', '--bound', '8'), 0,
+    (('poset', 'zaguia', '{diamond}'), 0,
      '{"check": "zaguia", "claims": {"claim1": true, "claim1_literal": false, '
      '"claim2": true, "claim2_literal": false, "claim3": true}, "pass": true, '
      '"poset": "n=5, downsets=7", "witness": null}'),
@@ -612,7 +672,7 @@ def test_mrowka_selector_adds_only_the_poset_scan(tmp_path):
 
 # -- fuzz: any argv keeps the exit-code contract ------------------------------------
 
-_FUZZ_FILES = {"vee": VEE, "diamond": DIAMOND, "fam2": FAM2, "fam_bad": FAM_BAD,
+_FUZZ_FILES = {"vee": VEE, "diamond": DIAMOND, "wide12": WIDE12, "fam2": FAM2, "fam_bad": FAM_BAD,
                "fam12": FAM12, "nosets": {"family": []}, "noperiod": {"sets": [{}]},
                "setsint": {"sets": [3]}, "finite": {"sets": [{"period": 2}]},
                "list": [1, 2]}
@@ -657,13 +717,14 @@ def _fuzz_argv(draw, files):
     ordinal = _ordinal_text()
     # mostly files of the right kind, sometimes any file
     anyfile = st.sampled_from(sorted(files.values()))
-    poset = st.sampled_from([files["vee"], files["diamond"]]) | anyfile
+    poset = st.sampled_from([files["vee"], files["diamond"], files["wide12"]]) | anyfile
     family = st.sampled_from([files["fam2"], files["fam12"], files["fam_bad"]]) | anyfile
     term = st.sampled_from(["ord(w)", "ord(7)", "ord(w^2*3 + w)", SKEL, SKEL0,
                             "sum(ord(w),ord(1))", "prod(ord(w),ord(2))",
                             'skel({"elements": ["c", "a", "b"], "covers": [["c", "a"],'
                             ' ["c", "b"]]}, {"c": 0, "a": 1, "b": 1})',
-                            "skel(nope)", "ord(", "", "sum()"]) | ordinal
+                            "skel(nope)", "ord(", "", "sum()",
+                            _nested_sum(MAX_NESTING + 1)]) | ordinal
     clopen = st.sampled_from(["(0,w] @ w^2", "(w,w*2] @ w^2", "{} @ w^2", "{0} @ w",
                               "(0,w^2*2] @ w^2*2", "(0,w] @ w", "(w,0] @ w", "@", ""])
     descriptor = st.sampled_from(["fin:1,2", "fin:", "cof:", "cof:0,5", "fin:50",
@@ -677,12 +738,11 @@ def _fuzz_argv(draw, files):
         ("ord", "natprod"): [ordinal, ordinal], ("ord", "norm"): [ordinal],
         ("ord", "odot"): [ordinal, ordinal | st.just("w")], ("ord", "cmp"): [ordinal, ordinal],
         ("ord", "tip"): [ordinal], ("ord", "oneplusinv"): [ordinal],
-        ("poset", "zaguia"): [poset, "--bound", _size(-2, 30)], ("poset", "ranks"): [poset],
-        ("poset", "width"): [poset], ("poset", "downsets"): [poset, "--bound", _size(-2, 30)],
+        ("poset", "zaguia"): [poset], ("poset", "ranks"): [poset],
+        ("poset", "width"): [poset], ("poset", "downsets"): [poset],
         ("poset", "hasse"): [poset],
-        ("hyper", "build"): [poset, "--bound", _size(-2, 30)],
-        ("hyper", "selector"): [poset, "--bound", _size(-2, 30)],
-        ("hyper", "universal"): [poset, "--chain", _size(-2, 6)],
+        ("hyper", "build"): [poset], ("hyper", "selector"): [poset],
+        ("hyper", "universal"): [poset, "--chain", _size(-2, 6) | st.just("65")],
         ("hyper", "density"): ["--u", descriptor, "--v", descriptor,
                                "--horizon", _size(-5, 100)],
         ("space", "report"): [term], ("space", "bounds"): [term],

@@ -8,6 +8,7 @@ import pytest
 
 import ordtop
 from ordtop.hyperspace import (
+    MAX_ASSIGNMENTS,
     Descriptor,
     FinJoinSemilattice,
     Hyperspace,
@@ -379,6 +380,19 @@ def test_hat_uniqueness_on_random_instances():
         hat, rep = hat_extension(p, y, rk)
         assert rep.passed and rep.data["method"] == "enumerated"
         assert rep.data["homs_found"] == 1
+
+
+def test_hat_enumerates_at_most_max_assignments():
+    # the maps of the elements into Y are enumerated up to MAX_ASSIGNMENTS
+    # of them, exactly 8 ** 6; past it the generators decide uniqueness
+    assert MAX_ASSIGNMENTS == 8 ** 6
+    for n, k, method in ((6, 8, "enumerated"), (7, 8, "generators"),
+                         (12, 3, "generators"), (20, 2, "generators")):
+        p = chain(n)
+        y = FinJoinSemilattice.chain(k)
+        assert (k ** n <= MAX_ASSIGNMENTS) == (method == "enumerated")
+        _, rep = hat_extension(p, y, {p.labels[i]: min(i, k - 1) for i in range(n)})
+        assert rep.passed and rep.data == {"method": method, "homs_found": 1}, (n, k)
 
 
 def test_hat_rejects_non_increasing_f():

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -516,6 +517,30 @@ def test_common_residue_classes_equal_periods_match_full_scan():
         b = EvPeriodicSet(p, frozenset(rng.sample(range(p), rng.randint(0, p))))
         assert common_residue_classes(a, b) == [
             r for r in range(p) if r in a.residues and r in b.residues]
+
+
+def test_common_residue_classes_match_the_lcm_walk():
+    # oracle: the walk over every residue mod the lcm that the Chinese
+    # remainder pairing replaced
+    rng = random.Random(4)
+    for _ in range(400):
+        pa, pb = rng.randint(1, 60), rng.randint(1, 60)
+        a = EvPeriodicSet(pa, frozenset(rng.sample(range(pa), rng.randint(0, min(pa, 6)))))
+        b = EvPeriodicSet(pb, frozenset(rng.sample(range(pb), rng.randint(0, min(pb, 6)))))
+        assert common_residue_classes(a, b) == [
+            r for r in range(lcm(pa, pb))
+            if r % pa in a.residues and r % pb in b.residues], (a, b)
+
+
+def test_common_residue_classes_with_large_periods():
+    # periods near a million: the lcm is about 10^12, the answer one class
+    a = EvPeriodicSet(1000003, frozenset({5}))
+    b = EvPeriodicSet(1000033, frozenset({7}))
+    (r,) = common_residue_classes(a, b)
+    assert r % 1000003 == 5 and r % 1000033 == 7 and 0 <= r < 1000003 * 1000033
+    rep = ad_check([a, b])
+    assert not rep.passed and rep.witness == {"pair": [0, 1], "residue": r,
+                                              "modulus": 1000003 * 1000033}
 
 
 def test_common_residue_classes_symmetry():

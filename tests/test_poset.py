@@ -5,13 +5,14 @@ import pytest
 
 from ordtop.ordinal import Ordinal, ord_pow, OMEGA
 from ordtop.poset import (
+    MAX_DOWNSETS,
+    MAX_ELEMENTS,
     FinitePoset,
     PosetError,
     _bits,
     _popcount,
     all_downsets,
     all_labeled_posets,
-    antichain_masks,
     downset_label,
     downset_lattice,
     extremal,
@@ -43,6 +44,44 @@ def vee():
 
 
 # -- oracles -----------------------------------------------------------
+
+def recursive_downsets(poset):
+    """Depth-first downset enumeration in the linear extension that
+    ``all_downsets`` uses: the enumeration it replaced."""
+    order = sorted(range(poset.n), key=lambda i: _popcount(poset.below[i]))
+    out = []
+
+    def rec(k, mask):
+        if k == len(order):
+            out.append(mask)
+            return
+        i = order[k]
+        rec(k + 1, mask)
+        if not (poset.below[i] & ~mask):
+            rec(k + 1, mask | (1 << i))
+
+    rec(0, 0)
+    return out
+
+
+def antichain_masks(poset):
+    """All antichains, the empty one included, depth first with element 0
+    decided first and absent before present: the enumeration that the
+    maxima of ``all_downsets`` replaced in the skeleton checks."""
+    comp = [b | a for b, a in zip(poset.below, poset.above)]
+    out = []
+
+    def rec(i, mask):
+        if i == poset.n:
+            out.append(mask)
+            return
+        rec(i + 1, mask)
+        if not (comp[i] & mask):
+            rec(i + 1, mask | (1 << i))
+
+    rec(0, 0)
+    return out
+
 
 def brute_downsets(poset):
     """Filter all 2^n subsets by downward closure."""
@@ -307,9 +346,54 @@ def test_all_downsets_match_filter_oracle():
         assert sorted(all_downsets(p)) == sorted(brute_downsets(p))
 
 
+def limit_posets():
+    """Seeded posets up to both limits: random ones of every size up to
+    MAX_ELEMENTS that stay within MAX_DOWNSETS, plus the extreme shapes."""
+    rng = random.Random(11)
+    out = [chain(MAX_ELEMENTS), antichain(11)]
+    for n in range(6, MAX_ELEMENTS + 1):
+        for prob in (0.2, 0.35, 0.5):
+            p = random_poset(rng, n, prob)
+            if len(recursive_downsets(p)) <= MAX_DOWNSETS:
+                out.append(p)
+    return out
+
+
+def test_all_downsets_match_the_recursive_oracle():
+    for p in [q for n in range(6) for q in all_labeled_posets(n)] + limit_posets():
+        got = all_downsets(p)
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(recursive_downsets(p)), p
+
+
+def test_antichains_are_the_maxima_of_downsets_in_oracle_order():
+    from ordtop.spaceterm import _antichains
+    for p in [q for n in range(6) for q in all_labeled_posets(n)] + limit_posets():
+        pairs = _antichains(p)
+        assert [a for a, _ in pairs] == [m for m in antichain_masks(p) if m], p
+        assert all(p.close_down(a) == d for a, d in pairs)
+
+
 def test_downset_bound_enforced():
-    with pytest.raises(PosetError, match="bound"):
-        downset_lattice(antichain(6), bound=5)
+    # MAX_ELEMENTS: a chain has few downsets, so only its length is refused
+    assert len(all_downsets(chain(MAX_ELEMENTS))) == MAX_ELEMENTS + 1
+    with pytest.raises(PosetError, match=f"21 elements, over MAX_ELEMENTS = {MAX_ELEMENTS}"):
+        all_downsets(chain(MAX_ELEMENTS + 1))
+    # MAX_DOWNSETS: 2^11 downsets for an 11-element antichain; a top over it
+    # adds one more
+    assert MAX_DOWNSETS == 1 << 11
+    assert len(all_downsets(antichain(11))) == MAX_DOWNSETS
+    names = [str(i) for i in range(12)]
+    topped = poset_from_covers(names, [(str(i), "11") for i in range(11)])
+    for p in (topped, antichain(12), antichain(MAX_ELEMENTS)):
+        with pytest.raises(PosetError, match=f"more than MAX_DOWNSETS = {MAX_DOWNSETS}"):
+            all_downsets(p)
+    # every enumerating caller goes through the limits
+    for fn in (downset_lattice, kw_rank, zaguia_verify):
+        with pytest.raises(PosetError, match="MAX_DOWNSETS"):
+            fn(antichain(12))
+        with pytest.raises(PosetError, match="MAX_ELEMENTS"):
+            fn(chain(MAX_ELEMENTS + 1))
 
 
 def test_downset_type_validates_closure():
@@ -430,9 +514,11 @@ def test_labeled_poset_counts():
 
 
 def test_antichain_masks_count():
-    # antichains of a 3-chain: empty + singletons
-    assert len(antichain_masks(chain(3))) == 4
-    assert len(antichain_masks(antichain(3))) == 8
+    # antichains of a 3-chain: empty + singletons; each is the set of maxima
+    # of exactly one downset
+    for p, count in ((chain(3), 4), (antichain(3), 8)):
+        assert len(antichain_masks(p)) == count
+        assert sorted(map(p.max_of, all_downsets(p))) == sorted(antichain_masks(p))
 
 
 # -- bitmask kernel against the scans it replaced ------------------------------

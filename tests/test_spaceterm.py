@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ordtop.ordinal import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -338,6 +339,18 @@ def test_parse_errors():
         parse_term("prod(ord(w))")
     with pytest.raises(TermError):
         parse_term("cube(ord(w))")
+
+
+def test_parse_nesting_limit():
+    # sum and prod terms nest at most MAX_NESTING deep; deeper is refused
+    # before the parser recurses any further
+    for head, tail in (("sum(", ")"), ("prod(ord(1),", ")")):
+        t = parse_term(head * MAX_NESTING + "ord(w)" + tail * MAX_NESTING)
+        assert term_report(t).height == ONE
+        assert parse_term(format_term(t)) == t
+        for depth in (MAX_NESTING + 1, 2000):
+            with pytest.raises(TermError, match=f"MAX_NESTING = {MAX_NESTING}"):
+                parse_term(head * depth + "ord(w)" + tail * depth)
 
 
 def test_format_term_roundtrip():
