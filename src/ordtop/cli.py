@@ -24,6 +24,7 @@ from .ordinal import (
     CheckReport,
     NatOrOmega,
     format_ordinal,
+    loads_json,
     nat_prod,
     nat_sum,
     odot,
@@ -39,6 +40,7 @@ from .ordinal import (
 
 # every domain error (OrdinalError, PosetError, ...) subclasses ValueError
 _INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
+MAX_HORIZON = 1 << 20  # mrowka convergence walks every n up to it: about 1.3 s
 
 
 def emit_text(text, json_file=None):
@@ -56,7 +58,7 @@ def emit_json(payload, json_file=None):
 
 def load_json_file(path):
     with open(path) as fh:
-        return json.load(fh)
+        return loads_json(fh.read())
 
 
 json_opt = click.option("--json", "json_file", type=click.Path(), default=None,
@@ -251,7 +253,7 @@ def hyper_selector(file, json_file):
 @hyper_group.command("universal")
 @click.argument("file", type=click.Path())
 @click.option("--chain", "chain_len", type=click.IntRange(max=64), default=3,
-              help="target chain semilattice length, at most 64 (building it is cubic)")
+              help="target chain semilattice length, at most 64")
 @json_opt
 def hyper_universal(file, chain_len, json_file):
     """Verify the unique join-extension property against a chain target."""
@@ -487,7 +489,7 @@ def mrowka_join(file, x, y, json_file):
 @click.argument("file", type=click.Path())
 @click.argument("i", type=int)
 @click.argument("j", type=int)
-@click.option("--horizon", type=int, default=128)
+@click.option("--horizon", type=click.IntRange(max=MAX_HORIZON), default=128)
 @json_opt
 def mrowka_convergence(file, i, j, horizon, json_file):
     """Certify the escape threshold of joined prefix nets."""

@@ -14,6 +14,7 @@ tip/degree decomposition of a normal form.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
@@ -532,6 +533,18 @@ level, so an unbounded tower would end in ``RecursionError``.  A deeper
 input is rejected with a ``ParseError`` at the ``w`` that opens the first
 level too many.
 """
+
+
+class JSONDepthError(ValueError):
+    """JSON input nested deeper than the decoder can recurse."""
+
+
+def loads_json(text: str):
+    """``json.loads``, with a decoder recursion overflow as an input error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise JSONDepthError("JSON nested too deep to decode") from None
 
 
 _MAX_COEFF_DIGITS = len(str(1 << MAX_COEFF_BITS))

@@ -367,18 +367,9 @@ def all_downsets(poset: FinitePoset) -> list:
 
 
 def downset_lattice(poset: FinitePoset) -> FinitePoset:
-    """The lattice of all downsets ordered by inclusion.
-
-    Elements are labeled by their member sets; the complement bijection
-    onto final sets is re-verified to be order reversing.
-    """
+    """The lattice of all downsets ordered by inclusion, smallest first;
+    elements are labeled by their member sets."""
     masks = sorted(all_downsets(poset), key=lambda m: (_popcount(m), m))
-    full = poset.full_mask()
-    for a in masks:
-        for b in masks:
-            # complements are final sets; inclusion must flip
-            if (a | b == b) != ((full & ~a) | (full & ~b) == full & ~a):
-                raise AssertionError("complement map failed to reverse order")
     return inclusion_order(poset, masks)
 
 
@@ -448,6 +439,30 @@ def selector_conditions(labels, sets) -> tuple:
     conditions = ("membership", "antisymmetry", "nesting")
     witness = next(((c, found[c]) for c in conditions if c in found), None)
     return {c: c not in found for c in conditions}, witness
+
+
+def join_table_laws(table) -> tuple:
+    """The first semilattice law a join table breaks, as ``(law, witness)``,
+    or None; and the up masks up[x] = {z : x v z = z}, or None when
+    idempotence (witness i) or commutativity (witness (i, j)) fails.
+    A commutative, idempotent join is associative exactly when up[i v j] =
+    up[i] & up[j] for all i, j (Davey and Priestley, ch. 2); the row scan
+    naming the first (i, j) to break associativity runs only if that fails."""
+    up = []
+    for i, row in enumerate(table):
+        if row[i] != i:
+            return ("idempotent", i), None
+        for j, v in enumerate(row):
+            if v != table[j][i]:
+                return ("commutative", (i, j)), None
+        up.append(sum(1 << z for z, v in enumerate(row) if v == z))
+    if all(up[v] == up_i & up_j for row, up_i in zip(table, up) for v, up_j in zip(row, up)):
+        return None, up
+    for i, row_i in enumerate(table):
+        for j, row_j in enumerate(table):
+            if list(table[row_i[j]]) != [row_i[v] for v in row_j]:
+                return ("associative", (i, j)), up
+    raise AssertionError("up masks broke associativity that the row scan did not")
 
 
 # -- union-rank verification -------------------------------------------

@@ -29,6 +29,7 @@ from .ordinal import (
     CheckReport,
     Ordinal,
     format_ordinal,
+    loads_json,
     nat_sum,
     one_plus_inverse,
     ord_add,
@@ -307,8 +308,8 @@ def _parse_term(text: str, pos: int, depth: int):
                 parts = _split_args(inner)
                 if len(parts) != 2:
                     raise TermError("skel takes a poset and a label map")
-                poset = poset_from_json(json.loads(parts[0]))
-                raw = json.loads(parts[1])
+                poset = poset_from_json(loads_json(parts[0]))
+                raw = loads_json(parts[1])
                 labels = [None] * poset.n
                 for name, val in raw.items():
                     labels[poset.index(name)] = (

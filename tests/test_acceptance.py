@@ -6,6 +6,7 @@ import pytest
 
 from ordtop import acceptance
 from ordtop.acceptance import CRITERIA, run_all
+from ordtop.mrowka import ADFamily, GPoint, g_join
 
 RESULTS = {}
 
@@ -40,3 +41,69 @@ def test_run_all_applies_budgets(monkeypatch):
     monkeypatch.setattr(acceptance, "EXAMPLE_VALUE", "w")
     [r] = run_all(seed=0, numbers=[1])
     assert not r.passed and r.detail.startswith("got "), r.detail
+
+
+# -- criterion 12's join-law check against the direct row scan -----------------
+
+def row_scan_join_laws(table):
+    """Criterion 12's verdict on a join table by the direct scan:
+    idempotence and commutativity row by row, then associativity as one
+    full row (i v j) v - against i v (j v -) per pair, n^3 steps in all."""
+    size = len(table)
+    for i in range(size):
+        row = table[i]
+        if row[i] != i:
+            return "idempotence broke"
+        for j in range(size):
+            if row[j] != table[j][i]:
+                return "commutativity broke"
+    for i in range(size):
+        row_i = table[i]
+        for j in range(size):
+            if table[row_i[j]] != [row_i[v] for v in table[j]]:
+                return f"associativity broke at ({i},{j})"
+    return None
+
+
+@pytest.fixture(scope="module")
+def criterion_12_table():
+    # the points and join table of criterion 12
+    fam4 = ADFamily.progressions(4)
+    points = [GPoint.fin_pt(frozenset(k for k in range(8) if mask >> k & 1))
+              for mask in range(1, 256)]
+    points += [GPoint.branch_pt(r) for r in range(4)] + [GPoint.top()]
+    index = {pt: i for i, pt in enumerate(points)}
+    return index, [[index[g_join(x, y, fam4)] for y in points] for x in points]
+
+
+FIN = GPoint.fin_pt
+BRANCH = GPoint.branch_pt
+# (changed joins, the law they break); a pair changed in both orders keeps
+# the table commutative and idempotent
+BROKEN_JOINS = [
+    ({}, None),
+    ({(FIN({3}), FIN({3})): FIN({3, 4})}, "idempotence"),
+    ({(FIN({1, 5}), BRANCH(1)): GPoint.top()}, "commutativity"),
+    ({(FIN({0}), FIN({1})): FIN({0, 1, 2}), (FIN({1}), FIN({0})): FIN({0, 1, 2})},
+     "associativity"),
+    ({(BRANCH(0), BRANCH(1)): BRANCH(2), (BRANCH(1), BRANCH(0)): BRANCH(2)},
+     "associativity"),
+]
+
+
+@pytest.mark.parametrize("changes,law", BROKEN_JOINS)
+def test_criterion_12_join_laws_match_the_row_scan(monkeypatch, criterion_12_table,
+                                                    changes, law):
+    index, table = criterion_12_table
+    table = [list(row) for row in table]
+    for (x, y), z in changes.items():
+        table[index[x]][index[y]] = index[z]
+    expected = row_scan_join_laws(table)
+    assert (expected or "").startswith(law or ""), expected
+    monkeypatch.setattr(acceptance, "g_join",
+                        lambda x, y, fam: changes.get((x, y)) or g_join(x, y, fam))
+    passed, detail = acceptance.criterion_12_mrowka_suite(0)
+    if expected is None:
+        assert passed and detail == "260^3 join triples, star at 2^12, 20 convergence pairs"
+    else:
+        assert (passed, detail) == (False, expected)

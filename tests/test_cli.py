@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordtop
-from ordtop.cli import main
+from ordtop.cli import MAX_HORIZON, main
 from ordtop.ordinal import MAX_COEFF_BITS, MAX_NESTING, MAX_TERMS
 from ordtop.poset import MAX_DOWNSETS, MAX_ELEMENTS
 
@@ -502,6 +502,32 @@ def test_hyper_universal_chain_limit(runner, tmp_path):
         r = invoke_clean(runner, ["hyper", "universal", str(f), "--chain", chain])
         assert (r.exit_code, r.stdout) == (2, ""), chain
         assert "x<=64" in r.stderr, chain
+
+
+def test_json_nested_too_deep_is_usage_error(runner, tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    f = tmp_path / "deep.json"
+    f.write_text(deep)
+    calls = [["poset", "width", str(f)], ["mrowka", "adcheck", str(f)],
+             ["space", "report", f"skel({deep}, {{}})"],
+             ["space", "report", f"skel({json.dumps(VEE)}, {deep})"]]
+    for call in calls:
+        r = invoke_clean(runner, call)
+        assert (r.exit_code, r.stdout) == (2, ""), call[:2]
+        assert r.stderr == "error: JSON nested too deep to decode\n", call[:2]
+
+
+def test_mrowka_convergence_horizon_limit(runner, tmp_path):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(FAM2))
+    call = ["mrowka", "convergence", str(fam), "0", "1", "--horizon"]
+    r = invoke_clean(runner, [*call, str(MAX_HORIZON)])
+    assert r.exit_code == 0 and json.loads(r.stdout)["threshold"] == 2
+    assert MAX_HORIZON == 1 << 20
+    for horizon in (MAX_HORIZON + 1, 10 ** 18):
+        r = invoke_clean(runner, [*call, str(horizon)])
+        assert (r.exit_code, r.stdout) == (2, ""), horizon
+        assert f"x<={MAX_HORIZON}" in r.stderr, horizon
 
 
 # -- golden output of every check command ------------------------------------------

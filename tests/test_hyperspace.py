@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -34,6 +35,7 @@ from ordtop.poset import (
     downset_label,
     downset_lattice,
     inclusion_order,
+    join_table_laws,
     kw_rank,
     poset_from_covers,
     random_poset,
@@ -79,6 +81,27 @@ def test_hyperspace_equals_downset_lattice_minus_bottom():
         lat = downset_lattice(p)
         assert h.size == lat.n - 1
         assert set(h.points) == set(kw_rank(p))
+
+
+def join_closure(masks):
+    """Every union of one or more of ``masks``, by a frontier search."""
+    closure = set(masks)
+    frontier = list(closure)
+    while frontier:
+        a = frontier.pop()
+        for b in list(closure):
+            if a | b not in closure:
+                closure.add(a | b)
+                frontier.append(a | b)
+    return closure
+
+
+def test_points_are_the_join_closure_of_the_principal_downsets():
+    rng = random.Random(9)
+    posets = [p for n in range(1, 5) for p in all_labeled_posets(n)]
+    for p in posets + [random_poset(rng, rng.randint(5, 9)) for _ in range(40)]:
+        h = build_hyperspace(p)
+        assert set(h.points) == join_closure(h.eta(i) for i in range(p.n)), p
 
 
 def test_eta_is_an_order_embedding():
@@ -412,11 +435,138 @@ def test_hat_rejects_f_outside_the_semilattice():
 
 
 def test_semilattice_validation():
-    p = poset_from_covers(["a", "b"], [])  # no join of a,b exists
-    with pytest.raises(HyperspaceError):
-        FinJoinSemilattice.from_poset(p)
-    with pytest.raises(HyperspaceError, match="idempotent"):
-        FinJoinSemilattice(chain(2), ((1, 1), (1, 1)))
+    # each table breaks exactly one law: a left-zero band is idempotent and
+    # associative; rock-paper-scissors is idempotent and commutative; the
+    # 2-chain's join is a semilattice, but not over an antichain
+    cases = [(chain(2), ((1, 1), (1, 1)), "join must be idempotent"),
+             (chain(2), ((0, 0), (1, 1)), "join must be commutative"),
+             (antichain(3), ((0, 1, 0), (1, 1, 2), (0, 2, 2)), "join must be associative"),
+             (antichain(2), ((0, 1), (1, 1)), "induced order disagrees with carrier order")]
+    for carrier, table, message in cases:
+        with pytest.raises(HyperspaceError) as err:
+            FinJoinSemilattice(carrier, table)
+        assert str(err.value) == message
+    for p, pair in ((poset_from_covers(["a", "b"], []), "(0,1)"),  # no join of a,b exists
+                    (poset_from_covers(["a", "b", "c"], [("a", "b")]), "(0,2)")):
+        with pytest.raises(HyperspaceError) as err:
+            FinJoinSemilattice.from_poset(p)
+        assert str(err.value) == f"no least upper bound for {pair}"
+
+
+def test_semilattice_checks_idempotence_and_commutativity_first():
+    # associativity breaks at (0,1) and commutativity at (1,2): commutativity
+    # is checked over the whole table first, so its failure is named
+    table = ((0, 1, 0), (1, 1, 2), (0, 1, 2))
+    assert triple_scan_laws(table) == ("associative", (0, 1))
+    assert join_table_laws(table) == (("commutative", (1, 2)), None)
+    with pytest.raises(HyperspaceError, match="^join must be commutative$"):
+        FinJoinSemilattice(antichain(3), table)
+
+
+# -- join tables: the law check and least upper bounds on up masks -----------
+
+def triple_scan_laws(table):
+    """The first broken law of a join table by the direct n^3 scan: for
+    each i, idempotence, then for each j commutativity and associativity
+    at every k.  Returns (law, witness) or None; the witness of
+    associativity is the (i, j) of the first failing triple."""
+    n = len(table)
+    for i in range(n):
+        if table[i][i] != i:
+            return "idempotent", i
+        for j in range(n):
+            if table[i][j] != table[j][i]:
+                return "commutative", (i, j)
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return "associative", (i, j)
+    return None
+
+
+def lub_table_oracle(poset):
+    """The join table of a poset by searching, for each pair, the upper
+    bounds for one below all the others; or the first pair without one."""
+    n = poset.n
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            ubs = [k for k in range(n) if poset.leq(i, k) and poset.leq(j, k)]
+            lubs = [k for k in ubs if all(poset.leq(k, m) for m in ubs)]
+            if len(lubs) != 1:
+                return f"no least upper bound for ({i},{j})"
+            row.append(lubs[0])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _assert_laws_match_the_triple_scan(table):
+    broken, up = join_table_laws(table)
+    oracle = triple_scan_laws(table)
+    assert (broken is None) == (oracle is None), table
+    if broken is None or broken[0] != "idempotent":
+        assert broken == oracle, table
+    if up is not None:
+        assert up == [sum(1 << z for z in range(len(row)) if row[z] == z)
+                      for row in table], table
+    return broken
+
+
+def test_join_laws_match_the_triple_scan_on_all_small_tables():
+    # every commutative, idempotent table on 1 to 4 elements: 4,126 tables
+    verdicts = {}
+    for n in range(1, 5):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for values in product(range(n), repeat=len(pairs)):
+            table = [[i if i == j else None for j in range(n)] for i in range(n)]
+            for (i, j), v in zip(pairs, values):
+                table[i][j] = table[j][i] = v
+            broken = _assert_laws_match_the_triple_scan(tuple(map(tuple, table)))
+            law = None if broken is None else broken[0]
+            verdicts[law] = verdicts.get(law, 0) + 1
+    assert sum(verdicts.values()) == 4126
+    assert set(verdicts) == {None, "associative"}
+
+
+def test_join_laws_match_the_triple_scan_near_semilattices():
+    # random tables are almost never associative, so take the join table of
+    # every labeled join semilattice on at most 5 elements, and every copy
+    # of it with one entry changed symmetrically
+    semilattices = laws_broken = 0
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            table = lub_table_oracle(p)
+            if isinstance(table, str):
+                continue
+            semilattices += 1
+            assert _assert_laws_match_the_triple_scan(table) is None
+            for i in range(n):
+                for j in range(i, n):
+                    for v in range(n):
+                        if v == table[i][j]:
+                            continue
+                        rows = [list(row) for row in table]
+                        rows[i][j] = rows[j][i] = v
+                        broken = _assert_laws_match_the_triple_scan(tuple(map(tuple, rows)))
+                        if i == j:
+                            assert broken == ("idempotent", i)
+                        laws_broken += broken is not None
+    assert semilattices > 0 and laws_broken > 0
+
+
+def test_from_poset_matches_the_lub_search_on_all_small_posets():
+    count = 0
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            count += 1
+            expected = lub_table_oracle(p)
+            if isinstance(expected, str):
+                with pytest.raises(HyperspaceError) as err:
+                    FinJoinSemilattice.from_poset(p)
+                assert str(err.value) == expected
+            else:
+                assert FinJoinSemilattice.from_poset(p).join_table == expected
+    assert count == 4474
 
 
 # -- Vietoris density --------------------------------------------------------
