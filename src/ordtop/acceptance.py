@@ -177,7 +177,7 @@ def criterion_06_nat_sum_properties(seed: int):
                 return _fail("left monotonicity broke")
         # closure below a power of w dominating both arguments
         delta = nat_sum(a.degree, b.degree) + 1
-        if not nat_sum(a, b) < ord_pow(OMEGA, delta):
+        if not ab < ord_pow(OMEGA, delta):
             return _fail("closure below w^delta broke")
         # decomposability of anything below the sum
         if not ab.is_zero:

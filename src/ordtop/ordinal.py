@@ -180,6 +180,7 @@ sort_key = attrgetter("_key")
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
+_FINITE = tuple(Ordinal.from_int(n) for n in range(16))  # for random_ordinal
 
 
 @dataclass(frozen=True)
@@ -349,6 +350,8 @@ def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
         return ZERO
     if a == ONE:
         return ONE
+    if a == OMEGA:
+        return Ordinal.omega_power(b)
     inf_part = tuple(t for t in b.terms if not t[0].is_zero)
     fin = b.terms[-1][1] if b.terms[-1][0].is_zero else 0
     if a.is_finite:
@@ -437,39 +440,39 @@ def nat_sum_split_below(gamma: Ordinal, a: Ordinal, b: Ordinal):
     are re-verified before returning.
     """
     s = nat_sum(a, b)
+    gk = gamma._key
     gi = 0
-    diverge = None
-    tail = ()
-    for es, cs in s.terms:
-        if gi < len(gamma.terms) and gamma.terms[gi][0] == es:
-            cg = gamma.terms[gi][1]
-            if cg == cs:
+    for si, (ks, cs) in enumerate(s._key):
+        if gi < len(gk) and gk[gi][0] == ks:
+            g = gk[gi][1]
+            if g == cs:
                 gi += 1
                 continue
-            if cg > cs:
+            if g > cs:
                 raise OrdinalError("gamma is not below the natural sum")
-            diverge = (es, cg)
-            tail = gamma.terms[gi + 1:]
+            tail = gi + 1
             break
-        if gi < len(gamma.terms) and gamma.terms[gi][0] > es:
+        if gi < len(gk) and gk[gi][0] > ks:
             raise OrdinalError("gamma is not below the natural sum")
-        diverge = (es, 0)
-        tail = gamma.terms[gi:]
+        g, tail = 0, gi
         break
-    if diverge is None:
-        raise OrdinalError("gamma is not strictly below the natural sum")
-    e, g = diverge
-    pa = next((c for ex, c in a.terms if ex == e), 0)
-    ga = min(pa, g)
-    gb = g - ga
-    a_gt = tuple(t for t in a.terms if t[0] > e)
-    b_gt = tuple(t for t in b.terms if t[0] > e)
-    if ga < pa:
-        a_half = Ordinal(a_gt + (((e, ga),) if ga else ()) + tail)
-        b_half = Ordinal(b_gt + (((e, gb),) if gb else ()))
     else:
-        a_half = Ordinal(a_gt + (((e, ga),) if ga else ()))
-        b_half = Ordinal(b_gt + (((e, gb),) if gb else ()) + tail)
+        raise OrdinalError("gamma is not strictly below the natural sum")
+    e, ke = s.terms[si][0], s._key[si][0]
+
+    def half(x, c, t):
+        # x's terms above e, then (e, c), then gamma's terms from t on, all below e
+        n = next((i for i, (k, _) in enumerate(x._key) if k <= ke), len(x._key))
+        terms, key = x.terms[:n], x._key[:n]
+        if c:
+            terms, key = terms + ((e, c),), key + ((ke, c),)
+        return _trusted(terms + gamma.terms[t:], key + gk[t:])
+
+    pa = next((c for k, c in a._key if k == ke), 0)
+    ga = min(pa, g)
+    # gamma's tail goes to the side that was strictly reduced
+    a_half = half(a, ga, tail if ga < pa else len(gk))
+    b_half = half(b, g - ga, len(gk) if ga < pa else tail)
     if nat_sum(a_half, b_half) != gamma or not (a_half <= a and b_half <= b):
         raise AssertionError("split verification failed")
     return a_half, b_half
@@ -692,48 +695,59 @@ def random_ordinal(rng, *, max_terms: int = 4, depth: int = 1,
     """Random normalized ordinal with at most ``max_terms`` terms.
 
     ``depth`` bounds the nesting of exponents: at depth 0 all exponents
-    are finite.
+    are finite.  Each draw is the one ``rng.randint`` would make, in the
+    same order, so a seed gives the same ordinals and leaves ``rng`` in the
+    same state: on CPython ``randint(a, b)`` is
+    ``a + rng._randbelow(b - a + 1)``, called here directly.  An empty
+    range raises ``ValueError`` up front, where ``randint`` did at a draw.
     """
-    k = rng.randint(0, max_terms)
+    if max_terms < 0 or max_coeff < 1 or max_finite_exp < 0:
+        raise ValueError("empty range for random_ordinal")
+    return _random_ordinal(rng._randbelow, max_terms + 1, depth, max_coeff, max_finite_exp + 1)
+
+
+def _random_ordinal(below, n_terms, depth, n_coeffs, n_finite):
+    # random_ordinal, with each range given by its size
+    k = below(n_terms)
     if k == 0:
         return ZERO
     exps: dict = {}  # key -> exponent
-    attempts = 0
-    while len(exps) < k and attempts < 12 * k:
-        attempts += 1
+    attempts = 12 * k
+    while len(exps) < k and attempts:
+        attempts -= 1
         if depth <= 0:
-            e = Ordinal.from_int(rng.randint(0, max_finite_exp))
+            n = below(n_finite)
+            e = _FINITE[n] if n < 16 else Ordinal.from_int(n)
         else:
-            e = random_ordinal(rng, max_terms=2, depth=depth - 1,
-                               max_coeff=3, max_finite_exp=max_finite_exp)
+            e = _random_ordinal(below, 3, depth - 1, 3, n_finite)  # <= 2 terms, coeffs <= 3
         exps.setdefault(e._key, e)
     terms, key = [], []
     for ke in sorted(exps, reverse=True):
-        c = rng.randint(1, max_coeff)
+        c = 1 + below(n_coeffs)
         terms.append((exps[ke], c))
         key.append((ke, c))
     return _trusted(tuple(terms), tuple(key))
 
 
 def random_ordinal_below(rng, bound: Ordinal) -> Ordinal:
-    """Random ordinal strictly below ``bound`` (which must be positive)."""
+    """Random ordinal strictly below ``bound`` (which must be positive),
+    with draws as in ``random_ordinal``."""
     if bound.is_zero:
         raise OrdinalError("no ordinal below 0")
-    i = rng.randrange(len(bound.terms))
-    prefix = bound.terms[:i]
+    i = rng._randbelow(len(bound.terms))
     exp, coeff = bound.terms[i]
-    new_coeff = rng.randint(0, coeff - 1)
-    terms = list(prefix)
+    ke = bound._key[i][0]
+    new_coeff = rng._randbelow(coeff)
+    terms, key = bound.terms[:i], bound._key[:i]
     if new_coeff:
-        terms.append((exp, new_coeff))
-    if not exp.is_zero:
+        terms, key = terms + ((exp, new_coeff),), key + ((ke, new_coeff),)
+    if ke:
         # any tail below w^exp keeps the value below bound
         tail = random_ordinal(rng, max_terms=2, depth=0, max_coeff=3)
-        for te, tc in tail.terms:
-            if te < exp:
-                terms.append((te, tc))
-                break
-    return Ordinal(tuple(terms))
+        for t, kt in zip(tail.terms, tail._key):
+            if kt[0] < ke:
+                return _trusted(terms + (t,), key + (kt,))
+    return _trusted(terms, key)
 
 
 # -- check reports ----------------------------------------------------------

@@ -51,6 +51,30 @@ def test_ord_value_commands(runner):
     assert invoke(runner, ["ord", "oneplusinv", "w+7"]).output.strip() == "w + 7"
 
 
+# stdout of `ord pow w <b>` as printed when w^b was built by repeated squaring
+POW_OMEGA_GOLDEN = [
+    ("0", "1\n"),
+    ("1", "w\n"),
+    ("7", "w^7\n"),
+    ("w", "w^w\n"),
+    ("w+7", "w^(w+7)\n"),
+    ("w*3", "w^(w*3)\n"),
+    ("w^2", "w^(w^2)\n"),
+    ("w^w", "w^(w^w)\n"),
+    ("w^(w+1)*2+3", "w^(w^(w+1)*2+3)\n"),
+    ("w^(w^w)+w*5+2", "w^(w^(w^w)+w*5+2)\n"),
+    ("1000000000", "w^1000000000\n"),
+    ("w^3+1000000000", "w^(w^3+1000000000)\n"),
+    ("w^(w^(w+1)*2+3)*4 + w^5*2 + 9", "w^(w^(w^(w+1)*2+3)*4+w^5*2+9)\n"),
+]
+
+
+@pytest.mark.parametrize("exponent,stdout", POW_OMEGA_GOLDEN)
+def test_ord_pow_of_omega_golden(runner, exponent, stdout):
+    r = invoke(runner, ["ord", "pow", "w", exponent])
+    assert (r.exit_code, r.output) == (0, stdout)
+
+
 def test_ord_tip_json(runner):
     r = invoke(runner, ["ord", "tip", "w^w*2 + w^7 + w^3*5"])
     assert json.loads(r.output) == {"tip": "w^3", "tip_exponent": "3", "degree": "w"}

@@ -34,6 +34,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
+from ordtop.ordinal import _pow_nat
 
 P = parse_ordinal
 
@@ -443,6 +444,26 @@ def test_pow_infinite_base_against_repeated_mul():
     assert ord_pow(a, OMEGA) == P("w^w")
 
 
+
+def ord_pow_by_squaring(a, b):
+    """Oracle: ``ord_pow``'s path for an infinite base, which it skips for
+    the base w: w^(d * limit part of b) times a^(finite part of b)."""
+    inf_part = tuple(t for t in b.terms if not t[0].is_zero)
+    fin = b.terms[-1][1] if b.terms and b.terms[-1][0].is_zero else 0
+    head = Ordinal.omega_power(ord_mul(a.degree, Ordinal(inf_part))) if inf_part else ONE
+    return ord_mul(head, _pow_nat(a, fin)) if fin else head
+
+
+def test_pow_of_omega_matches_repeated_squaring():
+    exps = [ZERO] + [Ordinal.from_int(n) for n in (1, 2, 7, 64, 10**9)]
+    exps += [P("w + 1000000000"), P("w^(w+1)*2 + w^3 + 1000000000")]
+    rng = random.Random(5)
+    exps += [random_ordinal(rng, depth=d) for d in (0, 1, 2) for _ in range(100)]
+    for b in exps:
+        got, want = ord_pow(OMEGA, b), ord_pow_by_squaring(OMEGA, b)
+        assert got.terms == want.terms and got._key == want._key, b
+        assert got.terms == ((b, 1),)
+
 # -- natural sum and product ------------------------------------------
 
 def test_nat_sum_worked_example():
@@ -586,6 +607,98 @@ def test_random_ordinal_below_is_below():
         assert random_ordinal_below(rng, bound) < bound
 
 
+
+def randint_random_ordinal(rng, *, max_terms=4, depth=1, max_coeff=9, max_finite_exp=9):
+    """Oracle: the generator as first written, drawing with ``randint`` and
+    building through the public constructor."""
+    k = rng.randint(0, max_terms)
+    if k == 0:
+        return ZERO
+    exps: dict = {}
+    attempts = 0
+    while len(exps) < k and attempts < 12 * k:
+        attempts += 1
+        if depth <= 0:
+            e = Ordinal.from_int(rng.randint(0, max_finite_exp))
+        else:
+            e = randint_random_ordinal(rng, max_terms=2, depth=depth - 1,
+                                       max_coeff=3, max_finite_exp=max_finite_exp)
+        exps.setdefault(e._key, e)
+    return Ordinal(tuple((exps[ke], rng.randint(1, max_coeff))
+                         for ke in sorted(exps, reverse=True)))
+
+
+def randint_random_ordinal_below(rng, bound):
+    """Oracle: the below-sampler as first written, with ``randrange`` and
+    ``randint``."""
+    i = rng.randrange(len(bound.terms))
+    exp, coeff = bound.terms[i]
+    new_coeff = rng.randint(0, coeff - 1)
+    terms = list(bound.terms[:i])
+    if new_coeff:
+        terms.append((exp, new_coeff))
+    if not exp.is_zero:
+        tail = randint_random_ordinal(rng, max_terms=2, depth=0, max_coeff=3)
+        for te, tc in tail.terms:
+            if te < exp:
+                terms.append((te, tc))
+                break
+    return Ordinal(tuple(terms))
+
+
+# every parameter shape the package and the test suites draw with, plus
+# finite exponents past the prebuilt ones, wide coefficients, and more terms
+# than distinct exponents, where the attempt cap ends the loop
+GENERATOR_SHAPES = {
+    "defaults, criterion 5": {},
+    "criterion 6": dict(max_terms=6, depth=1, max_coeff=6),
+    "criterion 9": dict(max_terms=4, depth=0, max_coeff=9, max_finite_exp=7),
+    "criterion 10": dict(max_terms=3, depth=1),
+    "below-sampler tail": dict(max_terms=2, depth=0, max_coeff=3),
+    "depth 2": dict(depth=2),
+    "depth 2, 2 terms": dict(max_terms=2, depth=2),
+    "test_clopen laminar": dict(max_terms=2, depth=1, max_coeff=2, max_finite_exp=2),
+    "depth 0, 3 terms": dict(max_terms=3, depth=0),
+    "depth 0, 2 terms": dict(max_terms=2, depth=0),
+    "2 terms": dict(max_terms=2),
+    "5 terms": dict(max_terms=5),
+    "finite exponents past 15": dict(max_terms=5, depth=1, max_finite_exp=40),
+    "wide coefficients": dict(max_terms=3, depth=0, max_coeff=10**12),
+    "attempt cap": dict(max_terms=6, depth=0, max_finite_exp=3),
+}
+
+
+@pytest.mark.parametrize("shape", list(GENERATOR_SHAPES.values()), ids=list(GENERATOR_SHAPES))
+def test_generators_draw_as_randint_does(shape):
+    """Whole sequences of the generator, with the below-sampler drawn from
+    the same stream, equal the randint oracles' term for term, and both
+    leave the generator in the same state.  A Python whose ``randint`` is
+    not ``a + _randbelow(b - a + 1)`` fails here."""
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            got, want = random_ordinal(rng, **shape), randint_random_ordinal(ref, **shape)
+            assert got.terms == want.terms and got._key == want._key, (seed, got, want)
+            if not got.is_zero:
+                got, want = random_ordinal_below(rng, got), randint_random_ordinal_below(ref, want)
+                assert got.terms == want.terms and got._key == want._key, (seed, got, want)
+        assert rng.getstate() == ref.getstate(), seed
+
+
+@pytest.mark.parametrize("shape", [dict(max_terms=-1), dict(max_coeff=0),
+                                   dict(depth=0, max_finite_exp=-1)])
+def test_generator_empty_ranges_raise(shape):
+    # randint raises ValueError at the draw; the generator raises up front
+    raised = 0
+    for seed in range(10):
+        with pytest.raises(ValueError):
+            random_ordinal(random.Random(seed), **shape)
+        try:
+            randint_random_ordinal(random.Random(seed), **shape)
+        except ValueError:
+            raised += 1
+    assert raised > 0
+
 @settings(max_examples=60)
 @given(ordinals(), ordinals())
 def test_nat_sum_closure_below_power(a, b):
@@ -621,6 +734,70 @@ def test_split_below_property(a, b, gseed):
     left, right = nat_sum_split_below(gamma, a, b)
     assert nat_sum(left, right) == gamma
     assert left <= a and right <= b
+
+
+def split_below_oracle(gamma, a, b):
+    """Oracle: ``nat_sum_split_below`` as first written, building both halves
+    through the public constructor."""
+    s = nat_sum(a, b)
+    gi = 0
+    diverge = None
+    tail = ()
+    for es, cs in s.terms:
+        if gi < len(gamma.terms) and gamma.terms[gi][0] == es:
+            cg = gamma.terms[gi][1]
+            if cg == cs:
+                gi += 1
+                continue
+            if cg > cs:
+                raise OrdinalError("gamma is not below the natural sum")
+            diverge = (es, cg)
+            tail = gamma.terms[gi + 1:]
+            break
+        if gi < len(gamma.terms) and gamma.terms[gi][0] > es:
+            raise OrdinalError("gamma is not below the natural sum")
+        diverge = (es, 0)
+        tail = gamma.terms[gi:]
+        break
+    if diverge is None:
+        raise OrdinalError("gamma is not strictly below the natural sum")
+    e, g = diverge
+    pa = next((c for ex, c in a.terms if ex == e), 0)
+    ga = min(pa, g)
+    gb = g - ga
+    a_gt = tuple(t for t in a.terms if t[0] > e)
+    b_gt = tuple(t for t in b.terms if t[0] > e)
+    if ga < pa:
+        return (Ordinal(a_gt + (((e, ga),) if ga else ()) + tail),
+                Ordinal(b_gt + (((e, gb),) if gb else ())))
+    return (Ordinal(a_gt + (((e, ga),) if ga else ())),
+            Ordinal(b_gt + (((e, gb),) if gb else ()) + tail))
+
+
+def test_split_below_halves_match_the_public_construction():
+    """Seeded triples in criterion 6's shape and in deeper ones: the halves
+    equal the oracle's term for term, and a gamma at or above the sum is
+    refused with the oracle's message."""
+    rng = random.Random(12)
+    shapes = [dict(max_terms=6, depth=1, max_coeff=6), dict(max_terms=3, depth=2),
+              dict(max_terms=4, depth=0, max_coeff=2)]
+    for trial in range(3000):
+        shape = shapes[trial % len(shapes)]
+        a, b = random_ordinal(rng, **shape), random_ordinal(rng, **shape)
+        s = nat_sum(a, b)
+        gammas = [s, nat_sum(s, ONE), random_ordinal(rng, **shape)]
+        if not s.is_zero:
+            gammas.append(random_ordinal_below(rng, s))
+        for gamma in gammas:
+            try:
+                want = split_below_oracle(gamma, a, b)
+            except OrdinalError as err:
+                with pytest.raises(OrdinalError, match=str(err)):
+                    nat_sum_split_below(gamma, a, b)
+                continue
+            got = nat_sum_split_below(gamma, a, b)
+            assert [h.terms for h in got] == [h.terms for h in want], (gamma, a, b)
+            assert [h._key for h in got] == [h._key for h in want], (gamma, a, b)
 
 
 def test_split_below_agrees_with_enumeration_exhaustively():
