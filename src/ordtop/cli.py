@@ -252,8 +252,8 @@ def hyper_selector(file, json_file):
 
 @hyper_group.command("universal")
 @click.argument("file", type=click.Path())
-@click.option("--chain", "chain_len", type=click.IntRange(max=64), default=3,
-              help="target chain semilattice length, at most 64")
+@click.option("--chain", "chain_len", type=click.IntRange(min=1, max=64), default=3,
+              help="target chain semilattice length, between 1 and 64")
 @json_opt
 def hyper_universal(file, chain_len, json_file):
     """Verify the unique join-extension property against a chain target."""

@@ -55,21 +55,20 @@ class Hyperspace:
 
 def build_hyperspace(poset: FinitePoset) -> Hyperspace:
     """Construct the hyperspace and re-verify its structural identities:
-    closure under union, principal downsets present, and every point the
-    downset of its maxima, which together make the points exactly the join
-    closure of the principal downsets (equivalently, all nonempty downsets).
-    """
+    principal downsets present, closure under union with each of them, and
+    every point the downset of its maxima, which together make the points
+    exactly the join closure of the principal downsets (all nonempty
+    downsets) and so closed under union."""
     if poset.n == 0:
         raise PosetError("empty poset has an empty hyperspace")
     masks = sorted((m for m in all_downsets(poset) if m),
                    key=lambda m: (_popcount(m), m))
     point_set = set(masks)
-    for a in masks:
-        for b in masks:
-            if a | b not in point_set:
-                raise AssertionError("hyperspace not closed under union")
-    if not point_set.issuperset(poset.down_mask(i) for i in range(poset.n)):
+    principal = principal_selector(poset)
+    if not point_set.issuperset(principal):
         raise AssertionError("principal downset missing from the hyperspace")
+    if not point_set.issuperset([a | d for a in masks for d in principal]):
+        raise AssertionError("hyperspace not closed under union")
     for m in masks:
         if poset.close_down(poset.max_of(m)) != m:
             raise AssertionError("point is not the downset of its maxima")
@@ -252,8 +251,9 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict):
     if any(values[h.eta(i)] != fi[i] for i in range(poset.n)):
         raise HyperspaceError("f is not increasing")
 
-    is_hom = all(values[a | b] == y.join(values[a], values[b])
-                 for a in h.points for b in h.points)
+    # a join with each generator is enough: every point is a join of them
+    is_hom = all(values[a | d] == y.join(values[a], fi[i])
+                 for i, d in enumerate(principal_selector(poset)) for a in h.points)
 
     witness = None
     if h.size <= 64 and y.n <= 8 and y.n ** poset.n <= MAX_ASSIGNMENTS:

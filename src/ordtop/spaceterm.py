@@ -81,10 +81,9 @@ class Skeleton:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != self.poset.n:
             raise TermError("one label per element required")
-        for i in range(self.poset.n):
-            for j in range(self.poset.n):
-                if self.poset.lt(i, j) and not self.labels[i] < self.labels[j]:
-                    raise TermError("labels must strictly increase along the order")
+        if any(not self.labels[i] < self.labels[j]
+               for i in range(self.poset.n) for j in _bits(self.poset.above[i])):
+            raise TermError("labels must strictly increase along the order")
 
     def label_of(self, name: str) -> Ordinal:
         return self.labels[self.poset.index(name)]
@@ -226,13 +225,9 @@ def skeleton_hyper_bound_check(sk: Skeleton) -> CheckReport:
 
 
 def _is_forest(p: FinitePoset) -> bool:
-    for z in range(p.n):
-        ups = [j for j in range(p.n) if p.lt(z, j)]
-        for a in ups:
-            for b in ups:
-                if a != b and not p.lt(a, b) and not p.lt(b, a):
-                    return False
-    return True
+    """Whether the elements above each element form a chain."""
+    return not any(p.above[z] & ~(p.down_mask(a) | p.up_mask(a))
+                   for z in range(p.n) for a in _bits(p.above[z]))
 
 
 def hyper_monotonicity_check(sk: Skeleton) -> CheckReport:

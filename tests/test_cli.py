@@ -522,10 +522,11 @@ def test_hyper_universal_chain_limit(runner, tmp_path):
     r = invoke_clean(runner, ["hyper", "universal", str(f), "--chain", "64"])
     assert r.exit_code == 0
     assert json.loads(r.stdout)["method"] == "generators"
-    for chain in ("65", "200", "1000000"):
+    for chain in ("65", "200", "1000000", "0", "-3"):
         r = invoke_clean(runner, ["hyper", "universal", str(f), "--chain", chain])
         assert (r.exit_code, r.stdout) == (2, ""), chain
         assert "x<=64" in r.stderr, chain
+        assert "1<=x<=64" in r.stderr, chain
 
 
 def test_json_nested_too_deep_is_usage_error(runner, tmp_path):

@@ -31,6 +31,7 @@ from ordtop.ordinal import CheckReport
 from ordtop.poset import (
     FinitePoset,
     PosetError,
+    all_downsets,
     all_labeled_posets,
     downset_label,
     downset_lattice,
@@ -39,6 +40,7 @@ from ordtop.poset import (
     kw_rank,
     poset_from_covers,
     random_poset,
+    ranks,
 )
 
 
@@ -125,6 +127,83 @@ def test_join_is_union_and_lattice_is_distributive():
             assert all(a | b | c == c for c in pts if a | c == c and b | c == c)
             for c in pts:
                 assert (a | b) & c == ((a & c) | (b & c))
+
+
+def _structure_pairwise(poset, family):
+    # build_hyperspace's checks as they were, with the union of every pair
+    # of points; returns the first failure, or None
+    masks = sorted((m for m in family if m), key=lambda m: (m.bit_count(), m))
+    point_set = set(masks)
+    for a in masks:
+        for b in masks:
+            if a | b not in point_set:
+                return "hyperspace not closed under union"
+    if not point_set.issuperset(poset.down_mask(i) for i in range(poset.n)):
+        return "principal downset missing from the hyperspace"
+    for m in masks:
+        if poset.close_down(poset.max_of(m)) != m:
+            return "point is not the downset of its maxima"
+    return None
+
+
+def _structure(monkeypatch, poset, family):
+    # what build_hyperspace says when all_downsets returns ``family``
+    monkeypatch.setattr("ordtop.hyperspace.all_downsets", lambda p: list(family))
+    try:
+        h = build_hyperspace(poset)
+    except AssertionError as e:
+        return str(e)
+    assert set(h.points) == set(family) - {0}
+    return None
+
+
+def test_build_hyperspace_asserts_its_structure(monkeypatch):
+    # three broken families, each with one fault; principal downsets are
+    # 0b001, 0b011 and 0b100 in the chain 0 < 1 beside 2
+    p = poset_from_covers(["0", "1", "2"], [("0", "1")])
+    for family, message in (
+            ([0b001, 0b011, 0b100, 0b101], "hyperspace not closed under union"),
+            ([0b001, 0b011], "principal downset missing from the hyperspace"),
+            ([0b001, 0b010, 0b011, 0b100, 0b101, 0b110, 0b111],
+             "point is not the downset of its maxima")):
+        assert _structure_pairwise(p, family) == message
+        assert _structure(monkeypatch, p, family) == message
+
+
+def _seeded_posets(seed, count):
+    rng = random.Random(seed)
+    out = [antichain(11)]
+    while len(out) < count:
+        p = random_poset(rng, rng.randint(6, 14), rng.choice([0.1, 0.2, 0.35]))
+        try:
+            all_downsets(p)
+        except PosetError:
+            continue
+        out.append(p)
+    return out
+
+
+def test_union_check_on_generators_matches_the_pairwise_scan(monkeypatch):
+    rng = random.Random(21)
+    posets = [p for n in range(1, 6) for p in all_labeled_posets(n)]
+    for k, p in enumerate(posets + _seeded_posets(22, 12)):
+        every = all_downsets(p)
+        families = [every]
+        if k < len(posets):
+            families.append(every[1:])  # the empty set is no point either way
+            # a point missing, never a principal one: only the unions break
+            joins = [m for m in every if p.max_of(m).bit_count() > 1]
+            if joins:
+                families.append([m for m in every if m != rng.choice(joins)])
+            # a set that is not a downset: the verdict still agrees
+            odd = [m for m in range(1, 1 << p.n) if not p.is_downset(m)]
+            if odd:
+                families.append(every + [rng.choice(odd)])
+        for family in families:
+            got, want = _structure(monkeypatch, p, family), _structure_pairwise(p, family)
+            assert (got is None) == (want is None), (p, family)
+            if all(p.is_downset(m) for m in family):
+                assert got == want, (p, family)
 
 
 # -- max decomposition ----------------------------------------------------
@@ -416,6 +495,25 @@ def test_hat_enumerates_at_most_max_assignments():
         assert (k ** n <= MAX_ASSIGNMENTS) == (method == "enumerated")
         _, rep = hat_extension(p, y, {p.labels[i]: min(i, k - 1) for i in range(n)})
         assert rep.passed and rep.data == {"method": method, "homs_found": 1}, (n, k)
+
+
+def _is_hom_pairwise(h, y, values):
+    # the homomorphism law over every pair of points, as hat_extension
+    # tested it
+    return all(values[a | b] == y.join(values[a], values[b])
+               for a in h.points for b in h.points)
+
+
+def test_hom_law_on_generators_matches_the_pairwise_law():
+    y2, y3 = FinJoinSemilattice.chain(2), FinJoinSemilattice.chain(3)
+    cases = [(p, y2) for n in range(1, 6) for p in all_labeled_posets(n)]
+    cases += [(p, y3) for p in _seeded_posets(23, 8)]
+    for p, y in cases:
+        f = {name: min(r, y.n - 1) for name, r in zip(p.labels, ranks(p).by_index)}
+        values, rep = hat_extension(p, y, f)
+        # into a semilattice both laws hold, so both verdicts are true
+        assert rep.passed, p
+        assert _is_hom_pairwise(build_hyperspace(p), y, values), p
 
 
 def test_hat_rejects_non_increasing_f():

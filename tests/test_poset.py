@@ -708,3 +708,126 @@ def test_random_poset_matches_fixpoint_closure():
         rng.setstate(state)
         assert got.below == _random_poset_fixpoint(rng, n, edge_prob).below, seed
 
+
+
+# -- the one-pass validator and the cover-built inclusion order --------------
+
+def _validate_pairwise(labels, below):
+    # the validator that FinitePoset.__post_init__ replaced: two tests per
+    # comparable pair; returns the above masks or raises its first error
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise PosetError("duplicate element name")
+    if len(below) != n:
+        raise PosetError("below must have one mask per element")
+    above = [0] * n
+    for i, mask in enumerate(below):
+        if mask >> n:
+            raise PosetError("below mask out of range")
+        if mask & (1 << i):
+            raise PosetError("order must be irreflexive")
+        for j in _bits(mask):
+            if below[j] & ~mask:
+                raise PosetError("order must be transitive")
+            if below[j] & (1 << i):
+                raise PosetError("order must be antisymmetric")
+            above[j] |= 1 << i
+    return tuple(above)
+
+
+def _validate_one_pass(labels, below):
+    return FinitePoset(labels, below).above
+
+
+def _validated(validate, labels, below):
+    try:
+        return validate(labels, below)
+    except PosetError as e:
+        return str(e)
+
+
+def test_validator_matches_the_pairwise_checks_on_all_4_label_relations():
+    labels = tuple("abcd")
+    outcomes = []
+    for rel in range(1 << 16):
+        below = tuple(rel >> 4 * i & 0b1111 for i in range(4))
+        got = _validated(_validate_one_pass, labels, below)
+        assert got == _validated(_validate_pairwise, labels, below), below
+        outcomes.append(got)
+    # every 2-cycle is caught as irreflexivity or transitivity, so the
+    # pairwise antisymmetry branch never ran
+    assert sum(isinstance(o, tuple) for o in outcomes) == 219 == len(all_labeled_posets(4))
+    assert {o for o in outcomes if isinstance(o, str)} == {
+        "order must be irreflexive", "order must be transitive"}
+
+
+def test_validator_matches_the_pairwise_checks_on_seeded_relations():
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(0, 9)
+        p = random_poset(rng, n, rng.choice([0.2, 0.5]))
+        below = list(p.below)
+        for _ in range(rng.choice([0, 0, 1, 2])):  # flip bits, some past n
+            if n:
+                below[rng.randrange(n)] ^= 1 << rng.randrange(n + 2)
+        if rng.random() < 0.05:
+            below.append(0)
+        labels = tuple(rng.sample("abcdefghijk", n))
+        if n and rng.random() < 0.03:
+            labels = labels[:-1] + labels[:1]
+        got = _validated(_validate_one_pass, labels, tuple(below))
+        assert got == _validated(_validate_pairwise, labels, tuple(below)), (labels, below)
+        outcomes.add(got if isinstance(got, str) else "poset")
+    assert outcomes == {"poset", "order must be irreflexive", "order must be transitive",
+                        "below mask out of range", "duplicate element name",
+                        "below must have one mask per element"}
+
+
+def _inclusion_order_pairwise(poset, masks):
+    # the P^2 inclusion test that inclusion_order replaced
+    pos = {m: i for i, m in enumerate(masks)}
+    below = [0] * len(masks)
+    for a in masks:
+        for b in masks:
+            if a != b and a | b == b:
+                below[pos[b]] |= 1 << pos[a]
+    return FinitePoset(tuple(downset_label(poset, m) for m in masks), tuple(below))
+
+
+def _assert_inclusion_order_matches_the_pairwise_scan(p):
+    every = sorted(all_downsets(p), key=lambda m: (_popcount(m), m))
+    for masks in (every, every[1:]):
+        got, want = inclusion_order(p, masks), _inclusion_order_pairwise(p, masks)
+        assert (got.labels, got.below, got.above) == (want.labels, want.below, want.above), p
+
+
+def test_inclusion_order_matches_the_pairwise_scan_on_all_small_posets():
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            _assert_inclusion_order_matches_the_pairwise_scan(p)
+
+
+def test_inclusion_order_matches_the_pairwise_scan_up_to_max_downsets():
+    for p in limit_posets():
+        _assert_inclusion_order_matches_the_pairwise_scan(p)
+
+
+def test_inclusion_order_refuses_families_it_cannot_build_from_covers():
+    message = "inclusion order needs downsets, each after its lower covers"
+    p = antichain(2)
+    with pytest.raises(PosetError, match=message):  # unsorted
+        inclusion_order(p, [0b11, 0b01, 0b10])
+    with pytest.raises(PosetError, match=message):  # a gap: {1} missing
+        inclusion_order(p, [0b01, 0b11])
+    q = chain(2)
+    for masks in ([0b10], [0b01, 0b10, 0b11]):  # {1} is no downset
+        with pytest.raises(PosetError, match=message):
+            inclusion_order(q, masks)
+    # the empty set may be left out: it is not a point of the hyperspace
+    assert inclusion_order(q, [0b01, 0b11]).below == (0, 0b01)
+    # a linear extension of inclusion needs no sorting by size
+    r = antichain(3)
+    masks = list(range(8))
+    want = _inclusion_order_pairwise(r, masks)
+    assert inclusion_order(r, masks) == want and want.above == inclusion_order(r, masks).above

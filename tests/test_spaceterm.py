@@ -17,7 +17,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.poset import poset_from_covers
+from ordtop.poset import all_labeled_posets, poset_from_covers, ranks
 from ordtop.spaceterm import (
     OrdSpace,
     ProdTerm,
@@ -25,6 +25,7 @@ from ordtop.spaceterm import (
     SkelTerm,
     SumTerm,
     TermError,
+    _is_forest,
     check_height_rank_bounds,
     format_term,
     hyper_antichain_height,
@@ -281,6 +282,66 @@ def test_monotonicity_common_top_is_treelike():
     p = poset_from_covers(["a", "b", "c"], [("a", "c"), ("b", "c")])
     sk = Skeleton(p, (ZERO, ZERO, ONE))
     assert hyper_monotonicity_check(sk).passed
+
+
+def _is_forest_pairwise(p):
+    # the forest test that spaceterm._is_forest replaced, with O(n^3) calls
+    # of lt
+    for z in range(p.n):
+        ups = [j for j in range(p.n) if p.lt(z, j)]
+        for a in ups:
+            for b in ups:
+                if a != b and not p.lt(a, b) and not p.lt(b, a):
+                    return False
+    return True
+
+
+def _skeleton_pairwise(poset, labels):
+    # Skeleton's label check as it was, over all n^2 pairs
+    if len(labels) != poset.n:
+        raise TermError("one label per element required")
+    for i in range(poset.n):
+        for j in range(poset.n):
+            if poset.lt(i, j) and not labels[i] < labels[j]:
+                raise TermError("labels must strictly increase along the order")
+
+
+class _LoggedLabel:
+    """A label that records each comparison it makes, as (i, j)."""
+
+    def __init__(self, log, i, value):
+        self.log, self.i, self.value = log, i, value
+
+    def __lt__(self, other):
+        self.log.append((self.i, other.i))
+        return self.value < other.value
+
+
+def _label_check(check, poset, values):
+    log = []
+    labels = tuple(_LoggedLabel(log, i, v) for i, v in enumerate(values))
+    try:
+        check(poset, labels)
+    except TermError as e:
+        return str(e), log
+    return None, log
+
+
+def test_forest_and_label_checks_match_the_pairwise_scans():
+    rng = random.Random(31)
+    verdicts = set()
+    for n in range(6):
+        for p in all_labeled_posets(n):
+            assert _is_forest(p) == _is_forest_pairwise(p), p
+            verdicts.add(_is_forest(p))
+            rank = ranks(p).by_index
+            for values in (rank, [rng.randint(0, 3) for _ in range(n)],
+                           [2 * r + rng.randint(0, 2) for r in rank], rank[1:]):
+                got = _label_check(Skeleton, p, values)
+                assert got == _label_check(_skeleton_pairwise, p, values), (p, values)
+                verdicts.add(got[0])
+    assert verdicts == {True, False, None, "one label per element required",
+                        "labels must strictly increase along the order"}
 
 
 # -- product consistency ------------------------------------------------------------
