@@ -17,13 +17,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .ordinal import CheckReport
 
 SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
+MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most 1.6 s and 47 MB on 2 CPUs
 
 
 class MrowkaError(ValueError):
@@ -384,19 +385,31 @@ class LusinStage:
 
 
 class _MembershipIndex:
-    """Positions of the prior sets containing a given natural, resolved in
-    O(1)-ish time: one residue lookup per period group plus hash lookups
-    for the finite certificates (delta toggles checked individually).
+    """Positions of the prior sets containing a given natural, resolved by
+    one residue lookup per period group and two hash lookups.
 
     Sets are stored by age (the last prior set has age 0), so ``push``
     puts a new set in front of the enumeration without touching the
-    others."""
+    others.  Three maps hold them:
+
+    - ``by_period``: period -> residue -> ascending ages of the eventually
+      periodic sets with that residue class;
+    - ``toggled``: natural -> ages of the eventually periodic sets whose
+      delta holds it, which flip its membership in those sets;
+    - ``youngest`` and ``older``: natural -> the largest age of a stage
+      holding it, and the tuple of the other such ages.  In a Lusin run
+      most naturals lie in one stage only, and a dict of small ints costs
+      far less than a tuple per natural.
+
+    ``first`` of a natural no delta holds is the largest of its
+    ``youngest`` age and the last age in each period group's list."""
 
     def __init__(self, prev: Sequence):
         self.size = 0
         self.by_period: dict = {}
-        self.finite: dict = {}
-        self.slow: list = []
+        self.toggled: dict = {}
+        self.youngest: dict = {}
+        self.older: dict = {}
         for s in reversed(prev):
             self.push(s)
 
@@ -404,34 +417,47 @@ class _MembershipIndex:
         """Index ``s`` as the new first set of the enumeration."""
         age = self.size
         if isinstance(s, EvPeriodicSet):
-            if s.delta:
-                self.slow.append((age, s))
-            else:
-                table = self.by_period.setdefault(s.period, {})
-                for r in s.residues:
-                    table.setdefault(r, []).append(age)
+            table = self.by_period.setdefault(s.period, {})
+            for r in s.residues:
+                table.setdefault(r, []).append(age)
+            toggled = self.toggled
+            for x in s.delta:
+                toggled[x] = toggled.get(x, ()) + (age,)
         elif isinstance(s, LusinStage):
-            finite = self.finite
+            youngest, older = self.youngest, self.older
             for x in s.members:
-                finite[x] = finite.get(x, ()) + (age,)  # a tuple is far smaller than a list
+                held = youngest.get(x)
+                if held is not None:
+                    older[x] = older.get(x, ()) + (held,)
+                youngest[x] = age
         else:
             raise MrowkaError(f"unsupported set representation: {type(s).__name__}")
         self.size += 1
 
     def _ages(self, x: int) -> list:
-        out = list(self.finite.get(x, ()))
+        ages = list(self.older.get(x, ()))
+        if x in self.youngest:
+            ages.append(self.youngest[x])
         for period, table in self.by_period.items():
-            out.extend(table.get(x % period, ()))
-        for age, s in self.slow:
-            if s.contains(x):
-                out.append(age)
-        return out
+            ages.extend(table.get(x % period, ()))
+        if x in self.toggled:
+            # a stage's age is never toggled, so the flip touches only sets with a delta
+            ages = list(set(ages).symmetric_difference(self.toggled[x]))
+        return ages
 
     def first(self, x: int) -> int:
         """Position of the first set containing x."""
-        return self.size - 1 - max(self._ages(x))
+        if x in self.toggled:
+            return self.size - 1 - max(self._ages(x))
+        age = self.youngest.get(x, -1)
+        for period, table in self.by_period.items():
+            ages = table.get(x % period)
+            if ages and ages[-1] > age:
+                age = ages[-1]
+        return self.size - 1 - age
 
     def positions(self, x: int) -> list:
+        """Positions of every set containing x, ascending."""
         top = self.size - 1
         return sorted(top - age for age in self._ages(x))
 
@@ -527,7 +553,16 @@ def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
 def lusin_iterate(base: ADFamily, steps: int) -> list:
     """Run consecutive stages, enumerating newest stages first so that
     every prior set still has fresh elements to offer.  The scan state is
-    carried across stages (see ``_LusinScan.advance``)."""
+    carried across stages (see ``_LusinScan.advance``).
+
+    A stage over m prior sets picks m(m-1)/2 elements, each indexed once,
+    so the run's work and memory grow with its total picks; a run of more
+    than ``MAX_LUSIN_PICKS`` is refused before any work."""
+    m = len(base)
+    picks = comb(m + steps, 3) - comb(m, 3) if steps > 0 else 0  # sum of C(m + k, 2), k < steps
+    if picks > MAX_LUSIN_PICKS:
+        raise MrowkaError(f"{steps} Lusin steps over {m} sets take {picks} picks, "
+                          f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}")
     stages: list = []
     scan = _LusinScan(base.sets)
     for _ in range(steps):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import ordtop
 from ordtop.cli import MAX_HORIZON, main
+from ordtop.mrowka import MAX_LUSIN_PICKS
 from ordtop.ordinal import MAX_COEFF_BITS, MAX_NESTING, MAX_TERMS
 from ordtop.poset import MAX_DOWNSETS, MAX_ELEMENTS
 
@@ -555,6 +556,25 @@ def test_mrowka_convergence_horizon_limit(runner, tmp_path):
         assert f"x<={MAX_HORIZON}" in r.stderr, horizon
 
 
+def test_mrowka_lusin_steps_limit(runner, tmp_path):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(FAM2))
+    # the largest admitted run over the two sets, counted stage by stage
+    steps, picks = 0, 0
+    while picks + (2 + steps) * (1 + steps) // 2 <= MAX_LUSIN_PICKS:
+        picks += (2 + steps) * (1 + steps) // 2
+        steps += 1
+    # admitted, it reaches the scan, which runs out of fresh elements at step 4
+    r = invoke_clean(runner, ["mrowka", "lusin", str(fam), "--steps", str(steps)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == "error: prior set 2 has fewer than 2 elements outside its predecessors\n"
+    assert MAX_LUSIN_PICKS == 1 << 18
+    for over in (steps + 1, 10 ** 18):
+        r = invoke_clean(runner, ["mrowka", "lusin", str(fam), "--steps", str(over)])
+        assert (r.exit_code, r.stdout) == (2, ""), over
+        assert r.stderr.endswith(f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}\n"), over
+
+
 # -- golden output of every check command ------------------------------------------
 
 DIAMOND = {"elements": ["a", "b", "c", "d", "e"],
@@ -809,7 +829,7 @@ def _fuzz_argv(draw, files):
         ("mrowka", "join"): [family, point, point],
         ("mrowka", "convergence"): [family, _size(-1, 12), _size(-1, 12),
                                     "--horizon", _size(-2, 200)],
-        ("mrowka", "lusin"): [family, "--steps", _size(-2, 4)],
+        ("mrowka", "lusin"): [family, "--steps", _size(-2, 4) | st.just(str(10 ** 18))],
         ("mrowka", "selector"): [family, "--bound", _size(-2, 40)],
         ("selftest",): ["--seed", _size(-5, 5), "--criteria", criteria],
     }

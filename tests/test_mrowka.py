@@ -1,15 +1,19 @@
 import random
+import tracemalloc
 from itertools import combinations
 from math import lcm
 
 import pytest
 
+from ordtop import mrowka
 from ordtop.mrowka import (
+    MAX_LUSIN_PICKS,
     ADFamily,
     EvPeriodicSet,
     GPoint,
     LusinStage,
     MrowkaError,
+    _MembershipIndex,
     ad_check,
     code_of,
     common_residue_classes,
@@ -372,14 +376,131 @@ def rescan_stage(prev):
     return blocks
 
 
-def test_lusin_iterate_matches_rescan_from_zero():
+@pytest.fixture(scope="module")
+def lusin64():
+    """Criterion 13's run: 50 stages over the progressions mod 64."""
     base = ADFamily.progressions(64)
-    stages = lusin_iterate(base, 50)
+    return base, lusin_iterate(base, 50)
+
+
+def test_lusin_iterate_matches_rescan_from_zero(lusin64):
+    base, stages = lusin64
     assert len(stages) == 50
     for step, stage in enumerate(stages):
         prev = list(reversed(stages[:step])) + list(base.sets)
         assert list(stage.blocks) == rescan_stage(prev), f"stage {step}"
     assert stages[-1].m == 113
+
+
+class TupleIndex:
+    """The membership index as it was before ``youngest`` and ``older``:
+    a tuple of ages per natural held by a stage, and the sets with a delta
+    tested one by one."""
+
+    def __init__(self, prev):
+        self.size = 0
+        self.by_period: dict = {}
+        self.finite: dict = {}
+        self.slow: list = []
+        for s in reversed(prev):
+            self.push(s)
+
+    def push(self, s):
+        age = self.size
+        if isinstance(s, EvPeriodicSet):
+            if s.delta:
+                self.slow.append((age, s))
+            else:
+                table = self.by_period.setdefault(s.period, {})
+                for r in s.residues:
+                    table.setdefault(r, []).append(age)
+        else:
+            for x in s.members:
+                self.finite[x] = self.finite.get(x, ()) + (age,)
+        self.size += 1
+
+    def _ages(self, x):
+        out = list(self.finite.get(x, ()))
+        for period, table in self.by_period.items():
+            out.extend(table.get(x % period, ()))
+        for age, s in self.slow:
+            if s.contains(x):
+                out.append(age)
+        return out
+
+    def first(self, x):
+        return self.size - 1 - max(self._ages(x))
+
+    def positions(self, x):
+        top = self.size - 1
+        return sorted(top - age for age in self._ages(x))
+
+
+def test_membership_index_matches_the_tuple_oracle():
+    base = ADFamily.progressions(8)
+    stages = lusin_iterate(base, 6)
+    # each delta drops residue members (0, 12; 3) and adds others (5, 7; 0, 2)
+    periodic = [EvPeriodicSet(4, frozenset({1})), EvPeriodicSet(6, frozenset({0, 2})),
+                EvPeriodicSet(4, frozenset({0}), frozenset({0, 12, 5, 7})),
+                EvPeriodicSet(6, frozenset({3}), frozenset({3, 0, 2, 40}))]
+    prevs = [list(reversed(stages[:step])) + list(base.sets) for step in range(len(stages) + 1)]
+    prevs += [periodic, list(reversed(stages)) + periodic,
+              [stages[3], periodic[2], stages[0], periodic[0], stages[5], periodic[3],
+               stages[1], periodic[1], stages[4]],
+              [periodic[3], *stages, periodic[2], *base.sets[:3]],
+              # the index does not need almost disjointness: residue 1 mod 4 twice
+              [stages[2], periodic[0], EvPeriodicSet(4, frozenset({1, 2})), periodic[2]]]
+    horizon = 2 + max(x for stage in stages for x in stage.members)
+    for prev in prevs:
+        new, old = _MembershipIndex(prev), TupleIndex(prev)
+        assert new.size == old.size == len(prev)
+        held = [x for x in range(horizon) if any(s.contains(x) for s in prev)]
+        assert len(held) > horizon // 2
+        for x in held:
+            assert new.first(x) == old.first(x), (prev, x)
+            assert new.positions(x) == old.positions(x), (prev, x)
+
+
+def _traced_size(build):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = build()
+        return tracemalloc.get_traced_memory()[0] - before, index
+    finally:
+        tracemalloc.stop()
+
+
+def test_membership_index_is_two_thirds_of_the_tuple_oracle(lusin64):
+    base, stages = lusin64
+    prev = list(reversed(stages)) + list(base.sets)
+    new_size, new = _traced_size(lambda: _MembershipIndex(prev))
+    old_size, old = _traced_size(lambda: TupleIndex(prev))
+    assert len(new.youngest) == len(old.finite) == 179_200
+    assert 3 * new_size <= 2 * old_size, (new_size, old_size)
+
+
+def test_lusin_iterate_refuses_runs_over_max_picks(lusin64, monkeypatch):
+    # criterion 13's run is admitted: one pick per block element
+    _, stages = lusin64
+    assert sum(len(b) for stage in stages for b in stage.blocks) == 198_800 <= MAX_LUSIN_PICKS
+    # the largest admitted run over 64 sets, counted stage by stage
+    steps, picks = 0, 0
+    while picks + (64 + steps) * (63 + steps) // 2 <= MAX_LUSIN_PICKS:
+        picks += (64 + steps) * (63 + steps) // 2
+        steps += 1
+    base = ADFamily.progressions(64)
+    assert lusin_iterate(base, 0) == [] and lusin_iterate(base, -3) == []
+    # an admitted run reaches the scan, a refused one is refused before it
+    def scan_reached(prev):
+        raise RuntimeError("scan reached")
+
+    monkeypatch.setattr(mrowka, "_LusinScan", scan_reached)
+    with pytest.raises(RuntimeError, match="scan reached"):
+        lusin_iterate(base, steps)
+    for over in (steps + 1, 10 ** 18):
+        with pytest.raises(MrowkaError, match=f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}$"):
+            lusin_iterate(base, over)
 
 # -- canonical selector -------------------------------------------------------------
 

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from ordtop.acceptance import _ranks_rise_along_covers
 from ordtop.ordinal import Ordinal, ord_pow, OMEGA
 from ordtop.poset import (
     MAX_DOWNSETS,
@@ -433,15 +434,36 @@ def test_kw_rank_matches_longest_chain_oracle():
         assert kw_rank(p) == brute_kw_rank(p)
 
 
+def rank_rises_on_all_pairs(rank):
+    """Strict monotonicity of a rank map on downsets, over every pair:
+    the scan criterion 7 made before it walked lower covers."""
+    return all(rank[a] < rank[b] for a in rank for b in rank if a != b and a & ~b == 0)
+
+
 def test_kw_rank_monotone():
     rng = random.Random(7)
     for _ in range(25):
         p = random_poset(rng, 6)
-        got = kw_rank(p)
-        for a in got:
-            for b in got:
-                if a != b and a & ~b == 0:
-                    assert got[a] < got[b]
+        assert rank_rises_on_all_pairs(kw_rank(p))
+
+
+def test_rank_rise_along_covers_matches_the_all_pairs_scan():
+    rejected = 0
+    for n in range(1, 5):
+        for p in all_labeled_posets(n):
+            rank = kw_rank(p)
+            assert _ranks_rise_along_covers(p, rank) and rank_rises_on_all_pairs(rank), p
+            # plant one non-monotone rank: a downset no higher than one of
+            # its lower covers, or the full set no higher than its subsets
+            for mask in rank:
+                planted = dict(rank)
+                planted[mask] = 0 if _popcount(mask) > 1 else max(rank.values())
+                if planted == rank:
+                    continue  # the one-element poset has nothing to break
+                assert not _ranks_rise_along_covers(p, planted), (p, mask)
+                assert not rank_rises_on_all_pairs(planted), (p, mask)
+                rejected += 1
+    assert rejected == 1545
 
 
 def test_kw_rank_empty_poset_rejected():
