@@ -228,13 +228,13 @@ def hyper_group():
 def hyper_build(file, dot, json_file):
     """Build the hyperspace of a poset and print its points."""
     from .hyperspace import build_hyperspace, hyperspace_to_dot
-    from .poset import downset_label, poset_from_json
+    from .poset import downset_labels, poset_from_json
     h = build_hyperspace(poset_from_json(load_json_file(file)))
     if dot:
         emit_text(hyperspace_to_dot(h).rstrip("\n"), json_file)
     else:
         emit_json(CheckReport("hyperspace-structure", True, None, {
-            "size": h.size, "points": [downset_label(h.base, m) for m in h.points]}).to_json(),
+            "size": h.size, "points": downset_labels(h.base, h.points)}).to_json(),
             json_file)
 
 
@@ -504,9 +504,10 @@ def mrowka_convergence(file, i, j, horizon, json_file):
 @json_opt
 def mrowka_lusin(file, steps, json_file):
     """Iterate exact-count stages over a family file."""
-    from .mrowka import ADFamily, lusin_iterate
-    base = ADFamily.from_json(load_json_file(file))
-    last = lusin_iterate(base, steps)[-1]
+    from .mrowka import ADFamily, check_lusin_picks, family_sets, lusin_iterate
+    sets = family_sets(load_json_file(file))
+    check_lusin_picks(len(sets), steps)  # before the pairwise check of ADFamily
+    last = lusin_iterate(ADFamily(sets), steps)[-1]
     emit_json(CheckReport("lusin-stages", True, None, {
         "steps": steps, "final_m": last.m,
         "block_sizes": [len(b) for b in last.blocks],

@@ -20,8 +20,8 @@ from .ordinal import CheckReport
 from .poset import (
     FinitePoset,
     PosetError,
-    _bits,
     _popcount,
+    _union,
     all_downsets,
     inclusion_order,
     join_table_laws,
@@ -114,39 +114,38 @@ def selector_axioms_check(space: FinitePoset, sets) -> CheckReport:
     The last is always true: strict inclusion on a finite family has no
     infinite descending chain, so it is reported as a constant.
 
-    The witness is the first violation in a fixed order: the three
-    conditions, each by element and then by offending element in element
-    order (see ``selector_conditions``); then the minimal set that is not a
-    singleton, least by size and then by sorted member labels.  Labels are
-    read only to name the witness.
+    The witness is the first violation of the three conditions, each by
+    element and then by offending element in element order (see
+    ``selector_conditions``).  The other conditions need no witness of
+    their own, since the three imply them: nesting makes the induced
+    relation transitive, and a minimal U_x holds only x (each y in it has
+    U_y = U_x by nesting, against antisymmetry).  Labels are read only to
+    name the witness.
     """
     conditions, witness = selector_conditions(space.labels, sets)
     # the induced relation is irreflexive by construction, and antisymmetric
     # exactly when the selector is; transitivity: x in U_y, y in U_z, x != z
     # put x in U_z
     strict = [u & ~(1 << i) for i, u in enumerate(sets)]
-    transitive = all(not strict[y] & ~strict[z] & ~(1 << z)
-                     for z in range(space.n) for y in _bits(strict[z]))
+    transitive = not any(_union(strict, s) & ~s & ~(1 << z) for z, s in enumerate(strict))
     induced = transitive and conditions["antisymmetry"]
     equivalent = ((conditions["antisymmetry"] and conditions["nesting"]) == induced
                   if conditions["membership"] else True)
 
-    # by size, a set is minimal unless an earlier minimal set lies inside it
-    minimal: list = []
-    for u in sorted(set(sets), key=_popcount):
-        if all(v & ~u for v in minimal):
-            minimal.append(u)
-    bad_minimal = [u for u in minimal if _popcount(u) != 1]
-    if bad_minimal:
-        least = min(bad_minimal, key=lambda u: (_popcount(u), sorted(space.names(u))))
-        witness = witness or ("minimal-not-singleton", sorted(space.names(least)))
+    # every set holds a minimal one, so the minimal sets are all singletons
+    # exactly when every set meets a singleton set of the family
+    singletons = 0
+    for u in sets:
+        if _popcount(u) == 1:
+            singletons |= u
+    minimal_singletons = all(u & singletons for u in sets)
 
-    passed = all(conditions.values()) and induced and equivalent and not bad_minimal
+    passed = all(conditions.values()) and induced and equivalent and minimal_singletons
     return CheckReport("selector-axioms", passed, witness, {"conditions": {
         **conditions,
         "induced-order": induced,
         "equivalence": equivalent,
-        "minimal-singletons": not bad_minimal,
+        "minimal-singletons": minimal_singletons,
         "well-founded": True,
     }})
 
@@ -163,17 +162,6 @@ def kplus_selector(h: Hyperspace):
     """
     hp = inclusion_order(h.base, h.points)
     return hp, principal_selector(hp)
-
-
-def priestley_separation_check(poset: FinitePoset) -> bool:
-    """For x not below y there is an upset containing x and not y."""
-    for x in range(poset.n):
-        for y in range(poset.n):
-            if not poset.leq(x, y):
-                up = poset.up_mask(x)
-                if not (up >> x & 1) or (up >> y & 1):
-                    return False
-    return True
 
 
 # -- universal property ---------------------------------------------------
@@ -198,13 +186,6 @@ class FinJoinSemilattice:
 
     def join(self, i: int, j: int) -> int:
         return self.join_table[i][j]
-
-    def join_all(self, idxs: Iterable[int]) -> int:
-        it = iter(idxs)
-        out = next(it)
-        for i in it:
-            out = self.join_table[out][i]
-        return out
 
     @classmethod
     def from_poset(cls, poset: FinitePoset) -> "FinJoinSemilattice":
@@ -237,19 +218,19 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict):
     on the generators (sound because the principal downsets join-generate).
     """
     h = build_hyperspace(poset)
-    fi = {}
-    for i in range(poset.n):
-        name = poset.labels[i]
+    fi = []
+    for i, name in enumerate(poset.labels):
         if name not in f:
             raise HyperspaceError(f"f missing element {name!r}")
-        fi[i] = f[name] if isinstance(f[name], int) else y.carrier.index(f[name])
+        fi.append(f[name] if isinstance(f[name], int) else y.carrier.index(f[name]))
         if not 0 <= fi[i] < y.n:
             raise HyperspaceError(f"f maps {name!r} outside the semilattice")
 
-    values = {m: y.join_all(fi[i] for i in _bits(m)) for m in h.points}
     # f is increasing exactly when its join over each principal downset is f of the top
-    if any(values[h.eta(i)] != fi[i] for i in range(poset.n)):
+    g = _join_along(y.join_table, _join_steps(h, fi), fi)
+    if g is None:
         raise HyperspaceError("f is not increasing")
+    values = dict(zip(h.points, g))
 
     # a join with each generator is enough: every point is a join of them
     is_hom = all(values[a | d] == y.join(values[a], fi[i])
@@ -258,16 +239,8 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict):
     witness = None
     if h.size <= 64 and y.n <= 8 and y.n ** poset.n <= MAX_ASSIGNMENTS:
         method = "enumerated"
-        homs = set()
-        for assign in product(range(y.n), repeat=poset.n):
-            ok = all(y.join_all(assign[j] for j in _bits(poset.down_mask(i))) == fi[i]
-                     for i in range(poset.n))
-            if not ok:
-                continue
-            g = tuple(y.join_all(assign[i] for i in _bits(m)) for m in h.points)
-            homs.add(g)
-        hat_tuple = tuple(values[m] for m in h.points)
-        unique = homs == {hat_tuple}
+        homs = _enumerated_homs(h, y, fi)
+        unique = homs == {tuple(g)}
         if not unique:
             witness = ("homs", len(homs))
         count = len(homs)
@@ -280,6 +253,47 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict):
 
     return values, CheckReport("universal-property", is_hom and unique,
                                witness, {"method": method, "homs_found": count})
+
+
+def _join_steps(h: Hyperspace, fi) -> list:
+    """One step per point m of ``h``, in order: the index of its lower cover
+    m - {i}, i maximal in m (-1 when that is empty), the element i, and the
+    value f(i) that m must take if m is the principal downset of i, else
+    -1.  The points come by size, so each lower cover comes before m."""
+    pos = {m: k for k, m in enumerate(h.points)}
+    steps = []
+    for m in h.points:
+        top = h.base.max_of(m)
+        low = top & -top
+        i = low.bit_length() - 1
+        steps.append((pos.get(m ^ low, -1), i, fi[i] if m == h.eta(i) else -1))
+    return steps
+
+
+def _join_along(table, steps, assign):
+    """The join over each point of the values ``assign`` gives its
+    elements, one table lookup per point; None as soon as a principal
+    downset misses the value its step wants."""
+    g = []
+    for lower, i, want in steps:
+        v = assign[i] if lower < 0 else table[g[lower]][assign[i]]
+        if want >= 0 and v != want:
+            return None
+        g.append(v)
+    return g
+
+
+def _enumerated_homs(h: Hyperspace, y: FinJoinSemilattice, fi) -> set:
+    """Every join homomorphism from ``h`` to ``y`` that recovers ``fi`` on
+    the principal downsets, as a tuple of values over ``h.points``, read
+    off the join extension of each map of the elements into ``y``."""
+    steps = _join_steps(h, fi)
+    homs = set()
+    for assign in product(range(y.n), repeat=h.base.n):
+        g = _join_along(y.join_table, steps, assign)
+        if g is not None:
+            homs.add(tuple(g))
+    return homs
 
 
 # -- one-point compactification model -------------------------------------

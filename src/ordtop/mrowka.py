@@ -550,6 +550,16 @@ def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
     return LusinStage(tuple(blocks), m, l1)
 
 
+def check_lusin_picks(m: int, steps: int) -> None:
+    """Refuse a run of ``steps`` Lusin stages over m sets that takes more
+    than ``MAX_LUSIN_PICKS`` picks; it needs only the count of the sets,
+    so a family can be refused before it is loaded."""
+    picks = comb(m + steps, 3) - comb(m, 3) if steps > 0 else 0  # sum of C(m + k, 2), k < steps
+    if picks > MAX_LUSIN_PICKS:
+        raise MrowkaError(f"{steps} Lusin steps over {m} sets take {picks} picks, "
+                          f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}")
+
+
 def lusin_iterate(base: ADFamily, steps: int) -> list:
     """Run consecutive stages, enumerating newest stages first so that
     every prior set still has fresh elements to offer.  The scan state is
@@ -558,11 +568,7 @@ def lusin_iterate(base: ADFamily, steps: int) -> list:
     A stage over m prior sets picks m(m-1)/2 elements, each indexed once,
     so the run's work and memory grow with its total picks; a run of more
     than ``MAX_LUSIN_PICKS`` is refused before any work."""
-    m = len(base)
-    picks = comb(m + steps, 3) - comb(m, 3) if steps > 0 else 0  # sum of C(m + k, 2), k < steps
-    if picks > MAX_LUSIN_PICKS:
-        raise MrowkaError(f"{steps} Lusin steps over {m} sets take {picks} picks, "
-                          f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}")
+    check_lusin_picks(len(base), steps)
     stages: list = []
     scan = _LusinScan(base.sets)
     for _ in range(steps):

@@ -8,8 +8,12 @@ declaration order, which makes closure checks and hashing cheap and
 canonical, and lets ``max_of`` test each member with one AND against its
 ``above`` mask, O(k) for a k-element mask.
 
-``selector_conditions``, the one selector scan of the package, takes one
-such mask per point and reads labels only for its witness.
+Closure conditions are decided with one mask union per set (``_union``,
+the OR of a table's rows over the bits of a mask): ``close_down``, the
+selector nesting test and the transitivity of a selector's induced order.
+``selector_conditions``, the one selector check of the package, takes one
+such mask per point; the pairwise scan of each set's members runs only
+after the union test fails, and reads labels only to name the witness.
 
 ``all_downsets`` is the one enumeration of downsets, and through ``max_of``
 of antichains, behind every enumerating operation of the package; it
@@ -46,6 +50,17 @@ def _popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def _union(table, mask: int) -> int:
+    """The OR of ``table[i]`` over the set bits i of ``mask``."""
+    # the bit walk of _bits, inlined: a generator costs more than the OR
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """Finite strict order, transitively closed.
@@ -69,16 +84,23 @@ class FinitePoset:
         if len(self.below) != n:
             raise PosetError("below must have one mask per element")
         # no antisymmetry test: by transitivity, i < j < i would make i < i
+        below = self.below
         above = [0] * n
-        for i, mask in enumerate(self.below):
+        for i, mask in enumerate(below):
             if mask >> n:
                 raise PosetError("below mask out of range")
-            if mask & (1 << i):
+            bit = 1 << i
+            if mask & bit:
                 raise PosetError("order must be irreflexive")
+            # the walk of _union, inlined because it also fills ``above``
             closure = 0
-            for j in _bits(mask):
-                closure |= self.below[j]
-                above[j] |= 1 << i
+            rest = mask
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                closure |= below[j]
+                above[j] |= bit
+                rest ^= low
             if closure & ~mask:
                 raise PosetError("order must be transitive")
         object.__setattr__(self, "above", tuple(above))
@@ -112,10 +134,7 @@ class FinitePoset:
         return self.close_down(mask) == mask
 
     def close_down(self, mask: int) -> int:
-        out = mask
-        for i in _bits(mask):
-            out |= self.below[i]
-        return out
+        return mask | _union(self.below, mask)
 
     def max_of(self, mask: int) -> int:
         """Bitmask of the maximal elements within ``mask``."""
@@ -372,27 +391,39 @@ def downset_lattice(poset: FinitePoset) -> FinitePoset:
     return inclusion_order(poset, masks)
 
 
-def downset_label(poset: FinitePoset, mask: int) -> str:
-    """The member names of a downset, sorted and braced: ``{a,b}``."""
-    return "{" + ",".join(sorted(poset.names(mask))) + "}"
+def downset_labels(poset: FinitePoset, masks) -> list:
+    """The member names of each downset in ``masks``, sorted and braced:
+    ``{a,b}``.  The labels are sorted once, so each mask costs one pass over
+    them."""
+    labels = poset.labels
+    order = sorted(range(poset.n), key=labels.__getitem__)
+    return ["{" + ",".join([labels[i] for i in order if m >> i & 1]) + "}" for m in masks]
 
 
 def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
     """The downsets ``masks`` of ``poset`` ordered by inclusion; element i
-    is ``masks[i]``, labeled by ``downset_label``.  Each L comes after its
+    is ``masks[i]``, labeled by ``downset_labels``.  Each L comes after its
     lower covers L - {i}, i maximal in L, the empty set aside, as in all
     (nonempty) downsets sorted by size; then below L lie its lower covers
     and what lies below them (Birkhoff; Davey and Priestley, ch. 5)."""
     pos = {m: k for k, m in enumerate(masks)}
     below = [0] * len(masks)
+    poset_below, above = poset.below, poset.above
     for k, m in enumerate(masks):
-        for i in _bits(poset.max_of(m)):
-            lower = m ^ (1 << i)
-            if poset.below[i] & ~lower or lower and pos.get(lower, k) >= k:
+        rest = m
+        while rest:  # the maxima of m, as in max_of
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if above[i] & m:
+                continue
+            lower = m ^ low
+            j = pos.get(lower, -1)
+            if poset_below[i] & ~lower or lower and not 0 <= j < k:
                 raise PosetError("inclusion order needs downsets, each after its lower covers")
-            if lower in pos:
-                below[k] |= below[pos[lower]] | 1 << pos[lower]
-    return FinitePoset(tuple(downset_label(poset, m) for m in masks), tuple(below))
+            if j >= 0:
+                below[k] |= below[j] | 1 << j
+    return FinitePoset(tuple(downset_labels(poset, masks)), tuple(below))
 
 
 def kw_rank(poset: FinitePoset) -> dict:
@@ -432,6 +463,13 @@ def selector_conditions(labels, sets) -> tuple:
         raise PosetError("selector needs one set per point")
     if any(u >> k for u in sets):
         raise PosetError("selector set out of range")
+    conditions = ("membership", "antisymmetry", "nesting")
+    # one bit per set for membership, one union per set for nesting; given
+    # both, i in U_j and j in U_i make U_i = U_j, so antisymmetry is "all
+    # sets distinct"; the scan below only names the witness
+    if (all(u >> i & 1 for i, u in enumerate(sets)) and len(set(sets)) == k
+            and not any(_union(sets, u) & ~u for u in sets)):
+        return dict.fromkeys(conditions, True), None
     found: dict = {}
     for i, u in enumerate(sets):
         if not u >> i & 1:
@@ -441,7 +479,6 @@ def selector_conditions(labels, sets) -> tuple:
                 found.setdefault("antisymmetry", (labels[i], labels[j]))
             if sets[j] & ~u:
                 found.setdefault("nesting", (labels[i], labels[j]))
-    conditions = ("membership", "antisymmetry", "nesting")
     witness = next(((c, found[c]) for c in conditions if c in found), None)
     return {c: c not in found for c in conditions}, witness
 
@@ -556,25 +593,28 @@ def all_labeled_posets(n: int) -> tuple:
         raise PosetError("labeled enumeration beyond 5 elements explodes")
     labels = tuple(str(i) for i in range(n))
     pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    natural: list = []
+    natural: list = []  # the relations on i < j that are transitive
     for choice in range(1 << len(pair_list)):
-        rel = set()
+        below = [0] * n
         for k, (i, j) in enumerate(pair_list):
             if choice >> k & 1:
-                rel.add((i, j))
-        if all((i, k) in rel for (i, j) in rel for (j2, k) in rel if j == j2):
-            natural.append(rel)
+                below[j] |= 1 << i
+        if not any(_union(below, m) & ~m for m in below):
+            natural.append(below)
+    # each relation's relabelings in permutation order, each kept the first
+    # time its below masks turn up
     seen = set()
     out = []
-    for rel in natural:
+    for below in natural:
+        pairs = [(i, j) for j in range(n) for i in _bits(below[j])]
         for perm in permutations(range(n)):
-            mapped = frozenset((perm[i], perm[j]) for (i, j) in rel)
-            if mapped not in seen:
-                seen.add(mapped)
-                below = [0] * n
-                for i, j in mapped:
-                    below[j] |= 1 << i
-                out.append(FinitePoset(labels, tuple(below)))
+            mapped = [0] * n
+            for i, j in pairs:
+                mapped[perm[j]] |= 1 << perm[i]
+            key = tuple(mapped)
+            if key not in seen:
+                seen.add(key)
+                out.append(FinitePoset(labels, key))
     return tuple(out)
 
 

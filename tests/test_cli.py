@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from click.testing import CliRunner
@@ -573,6 +574,25 @@ def test_mrowka_lusin_steps_limit(runner, tmp_path):
         r = invoke_clean(runner, ["mrowka", "lusin", str(fam), "--steps", str(over)])
         assert (r.exit_code, r.stdout) == (2, ""), over
         assert r.stderr.endswith(f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}\n"), over
+
+
+def test_mrowka_lusin_refuses_over_max_picks_before_loading_the_family(runner, tmp_path,
+                                                                        monkeypatch):
+    # the progressions mod 1,500: the pairwise check of the family alone
+    # takes seconds, and a run over the limit must not pay it
+    m, steps = 1500, 10 ** 18
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"sets": [{"period": m, "residues": [r]} for r in range(m)]}))
+
+    def no_ad_check(sets):
+        raise AssertionError("ad_check reached")
+
+    monkeypatch.setattr("ordtop.mrowka.ad_check", no_ad_check)
+    r = invoke_clean(runner, ["mrowka", "lusin", str(fam), "--steps", str(steps)])
+    picks = comb(m + steps, 3) - comb(m, 3)
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert r.stderr == (f"error: {steps} Lusin steps over {m} sets take {picks} picks, "
+                        f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}\n")
 
 
 # -- golden output of every check command ------------------------------------------

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 import ordtop
+import ordtop.poset as poset_module
 from ordtop.hyperspace import (
     MAX_ASSIGNMENTS,
     Descriptor,
@@ -15,6 +16,7 @@ from ordtop.hyperspace import (
     Hyperspace,
     HyperspaceError,
     OnePointModel,
+    _enumerated_homs,
     build_hyperspace,
     hat_extension,
     hyperspace_to_dot,
@@ -23,17 +25,17 @@ from ordtop.hyperspace import (
     one_point_poset,
     one_point_rank_discrepancy,
     principal_selector,
-    priestley_separation_check,
     selector_axioms_check,
     vietoris_density_witness,
 )
+from ordtop.mrowka import ADFamily, EvPeriodicSet, mrowka_selector_check
 from ordtop.ordinal import CheckReport
 from ordtop.poset import (
     FinitePoset,
     PosetError,
     all_downsets,
     all_labeled_posets,
-    downset_label,
+    downset_labels,
     downset_lattice,
     inclusion_order,
     join_table_laws,
@@ -41,6 +43,7 @@ from ordtop.poset import (
     poset_from_covers,
     random_poset,
     ranks,
+    selector_conditions,
 )
 
 
@@ -441,6 +444,130 @@ def test_selector_witnesses_do_not_depend_on_hash_seed():
         ["antisymmetry", ["('branch', 2)", "('branch', 10)"]]]
 
 
+def selector_conditions_scan(labels, sets):
+    # selector_conditions as it was: all three conditions decided by the
+    # scan of each set's members, which now runs only to name a witness
+    k = len(sets)
+    if len(labels) != k:
+        raise PosetError("selector needs one set per point")
+    if any(u >> k for u in sets):
+        raise PosetError("selector set out of range")
+    found = {}
+    for i, u in enumerate(sets):
+        if not u >> i & 1:
+            found.setdefault("membership", labels[i])
+        for j in range(k):
+            if u >> j & 1:
+                if j > i and sets[j] >> i & 1:
+                    found.setdefault("antisymmetry", (labels[i], labels[j]))
+                if sets[j] & ~u:
+                    found.setdefault("nesting", (labels[i], labels[j]))
+    conditions = ("membership", "antisymmetry", "nesting")
+    witness = next(((c, found[c]) for c in conditions if c in found), None)
+    return {c: c not in found for c in conditions}, witness
+
+
+def minimal_singletons_by_sort(space, sets):
+    # the sort-based scan that the singleton union replaced: whether the
+    # minimal sets of the family are singletons, and the least one that is
+    # not, by size and then by sorted member labels
+    minimal = []
+    for u in sorted(set(sets), key=lambda u: u.bit_count()):
+        if all(v & ~u for v in minimal):
+            minimal.append(u)
+    bad = [u for u in minimal if u.bit_count() != 1]
+    if not bad:
+        return True, None
+    least = min(bad, key=lambda u: (u.bit_count(), sorted(space.names(u))))
+    return False, sorted(space.names(least))
+
+
+def _mrowka_selector_families(monkeypatch):
+    """The (labels, sets) that mrowka_selector_check hands to
+    selector_conditions over seeded families: progressions, which pass,
+    and sets with deltas and shared residue classes, which fail."""
+    recorded = []
+    scan = selector_conditions
+
+    def record(labels, sets):
+        recorded.append((tuple(labels), tuple(sets)))
+        return scan(labels, sets)
+
+    monkeypatch.setattr("ordtop.poset.selector_conditions", record)
+    for m in range(1, 7):
+        for t in (0, 4, 16):
+            mrowka_selector_check(ADFamily.progressions(m), t)
+    rng = random.Random(14)
+    for _ in range(60):
+        sets = []
+        for _ in range(rng.randint(1, 8)):
+            period = rng.choice([1, 2, 3, 4, 6, 12])
+            sets.append(EvPeriodicSet(period,
+                                      frozenset(rng.sample(range(period), rng.randint(1, period))),
+                                      frozenset(rng.sample(range(20), rng.randint(0, 2)))))
+        mrowka_selector_check(sets, rng.choice([0, 1, 4, 16]))
+    monkeypatch.undo()
+    return recorded
+
+
+def test_selector_conditions_match_the_pairwise_scan(monkeypatch):
+    # the cases of test_selector_check_matches_all_pairs_scan, the principal
+    # and K-plus families of every labeled poset with n <= 4, and the
+    # families of mrowka_selector_check
+    rng = random.Random(12)
+    cases = []
+    for _ in range(400):
+        space = random_poset(rng, rng.randrange(1, 7))
+        cases.append(("random", space, space.labels, _random_family(rng, space)))
+    for n in range(5):
+        for p in all_labeled_posets(n):
+            cases.append(("labeled", p, p.labels, principal_selector(p)))
+            if n:
+                hp, fam = kplus_selector(build_hyperspace(p))
+                cases.append(("labeled", hp, hp.labels, fam))
+    mrowka_cases = _mrowka_selector_families(monkeypatch)
+    cases += [("mrowka", None, labels, sets) for labels, sets in mrowka_cases]
+    # the scan walks members through _bits; the mask test never does
+    walks = []
+    bits = poset_module._bits
+    monkeypatch.setattr(poset_module, "_bits", lambda mask: walks.append(mask) or bits(mask))
+    paths = {}
+    not_minimal = 0
+    for source, space, labels, sets in cases:
+        walks.clear()
+        got = selector_conditions(labels, sets)
+        assert got == selector_conditions_scan(labels, sets), (labels, sets)
+        passed = all(got[0].values())
+        assert bool(walks) != passed, (labels, sets)
+        path = (source, "scan" if walks else "masks")
+        paths[path] = paths.get(path, 0) + 1
+        if space is not None:
+            # the three conditions imply that the minimal sets are singletons,
+            # so the sort's witness is never the report's
+            minimal, least = minimal_singletons_by_sort(space, sets)
+            rep = selector_axioms_check(space, sets)
+            assert rep.data["conditions"]["minimal-singletons"] == minimal, (labels, sets)
+            assert least is None or not passed, (labels, sets)
+            assert rep.witness == got[1]
+            not_minimal += not minimal
+    # principal and K-plus families are selectors, so only the others fail
+    assert paths == {("random", "masks"): 145, ("random", "scan"): 255,
+                     ("labeled", "masks"): 485,
+                     ("mrowka", "masks"): 23, ("mrowka", "scan"): 55}
+    assert not_minimal == 215  # each beside a failed condition
+
+
+def priestley_separation_check(poset):
+    """For x not below y there is an upset containing x and not y."""
+    for x in range(poset.n):
+        for y in range(poset.n):
+            if not poset.leq(x, y):
+                up = poset.up_mask(x)
+                if not (up >> x & 1) or (up >> y & 1):
+                    return False
+    return True
+
+
 def test_priestley_separation_on_finite_posets():
     rng = random.Random(6)
     for _ in range(30):
@@ -454,13 +581,14 @@ def test_hat_identity_instance():
     h = build_hyperspace(p)
     hp = inclusion_order(p, h.points)
     y = FinJoinSemilattice.from_poset(hp)
-    f = {p.labels[i]: hp.labels.index(downset_label(p, h.eta(i))) for i in range(p.n)}
+    labels = dict(zip(h.points, downset_labels(p, h.points)))
+    f = {p.labels[i]: hp.labels.index(labels[h.eta(i)]) for i in range(p.n)}
     hat, rep = hat_extension(p, y, f)
     assert rep.passed and rep.data["method"] == "enumerated"
     assert set(hat) == set(h.points)
     # the extension of eta is the identity on points
     for m in h.points:
-        assert hp.labels[hat[m]] == downset_label(p, m)
+        assert hp.labels[hat[m]] == labels[m]
 
 
 def test_hat_constant_map():
@@ -514,6 +642,50 @@ def test_hom_law_on_generators_matches_the_pairwise_law():
         # into a semilattice both laws hold, so both verdicts are true
         assert rep.passed, p
         assert _is_hom_pairwise(build_hyperspace(p), y, values), p
+
+
+def homs_by_join_all(h, y, fi):
+    # hat_extension's enumeration as it was: for each map of the elements
+    # into y, f recovered by a join over each principal downset, then the
+    # join over each point, each a fold through the join table
+    def join_all(values):
+        it = iter(values)
+        out = next(it)
+        for v in it:
+            out = y.join_table[out][v]
+        return out
+
+    p = h.base
+    homs = set()
+    for assign in product(range(y.n), repeat=p.n):
+        if all(join_all(assign[j] for j in range(p.n) if p.leq(j, i)) == fi[i]
+               for i in range(p.n)):
+            homs.add(tuple(join_all(assign[i] for i in range(p.n) if m >> i & 1)
+                           for m in h.points))
+    return homs
+
+
+def test_enumerated_homs_match_the_join_all_enumeration():
+    y2, y3 = FinJoinSemilattice.chain(2), FinJoinSemilattice.chain(3)
+    cases = [(p, y3, [min(r, 2) for r in ranks(p).by_index])
+             for n in range(1, 5) for p in all_labeled_posets(n)]
+    # criterion 8's five-element draws at seeds 0 and 1
+    five = all_labeled_posets(5)
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for p in [five[rng.randrange(len(five))] for _ in range(80)]:
+            cases.append((p, y2, [min(r, 1) for r in ranks(p).by_index]))
+    # every map into y3 on at most 3 elements, increasing or not
+    cases += [(p, y3, list(fi)) for n in range(1, 4) for p in all_labeled_posets(n)
+              for fi in product(range(3), repeat=n)]
+    sizes = {}
+    for p, y, fi in cases:
+        h = build_hyperspace(p)
+        homs = _enumerated_homs(h, y, fi)
+        assert homs == homs_by_join_all(h, y, fi), (p, fi)
+        sizes[len(homs)] = sizes.get(len(homs), 0) + 1
+    # a map recovering f on the generators is their join extension: at most one
+    assert set(sizes) == {0, 1} and sizes[0] > 100
 
 
 def test_hat_rejects_non_increasing_f():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +14,7 @@ from ordtop.poset import (
     _popcount,
     all_downsets,
     all_labeled_posets,
-    downset_label,
+    downset_labels,
     downset_lattice,
     extremal,
     inclusion_order,
@@ -330,7 +330,7 @@ def test_inclusion_order_labels_and_order():
     order = inclusion_order(p, [0b01, 0b10, 0b11])
     assert order.labels == ("{0}", "{1}", "{0,1}")
     assert [(i, j) for i in range(3) for j in range(3) if order.lt(i, j)] == [(0, 2), (1, 2)]
-    assert downset_label(p, 0) == "{}"
+    assert downset_labels(p, [0]) == ["{}"]
     assert downset_lattice(p).labels == ("{}",) + order.labels
 
 
@@ -533,6 +533,44 @@ def test_labeled_poset_counts():
     assert len(all_labeled_posets(2)) == 3
     assert len(all_labeled_posets(3)) == 19
     assert len(all_labeled_posets(4)) == 219
+
+
+def all_labeled_posets_by_pair_sets(n):
+    # the enumeration before it ran on below masks: relations as sets of
+    # pairs, transitivity by a scan of pairs of pairs, and relabelings kept
+    # by a frozenset of their pairs
+    labels = tuple(str(i) for i in range(n))
+    pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    natural = []
+    for choice in range(1 << len(pair_list)):
+        rel = set()
+        for k, (i, j) in enumerate(pair_list):
+            if choice >> k & 1:
+                rel.add((i, j))
+        if all((i, k) in rel for (i, j) in rel for (j2, k) in rel if j == j2):
+            natural.append(rel)
+    seen = set()
+    out = []
+    for rel in natural:
+        for perm in permutations(range(n)):
+            mapped = frozenset((perm[i], perm[j]) for (i, j) in rel)
+            if mapped not in seen:
+                seen.add(mapped)
+                below = [0] * n
+                for i, j in mapped:
+                    below[j] |= 1 << i
+                out.append(FinitePoset(labels, tuple(below)))
+    return tuple(out)
+
+
+def test_labeled_posets_match_the_pair_set_enumeration_in_order():
+    # criterion 8 draws five-element posets by index, so the order counts
+    for n in range(6):
+        got, want = all_labeled_posets(n), all_labeled_posets_by_pair_sets(n)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.labels, a.below, a.above) == (b.labels, b.below, b.above), n
+    assert len(all_labeled_posets(5)) == 4231
 
 
 def test_antichain_masks_count():
@@ -804,6 +842,23 @@ def test_validator_matches_the_pairwise_checks_on_seeded_relations():
     assert outcomes == {"poset", "order must be irreflexive", "order must be transitive",
                         "below mask out of range", "duplicate element name",
                         "below must have one mask per element"}
+
+
+def downset_label(poset, mask):
+    # the per-mask label builder that downset_labels replaced
+    return "{" + ",".join(sorted(poset.names(mask))) + "}"
+
+
+def test_downset_labels_match_the_per_mask_labels():
+    rng = random.Random(31)
+    pool = ["b", "a", "10", "2", "z", "x1", "x"]
+    posets = [p for n in range(5) for p in all_labeled_posets(n)]
+    for _ in range(100):
+        base = random_poset(rng, rng.randrange(0, 7))
+        posets.append(FinitePoset(tuple(rng.sample(pool, base.n)), base.below))
+    for p in posets:
+        masks = list(range(1 << p.n))  # any set, not just the downsets
+        assert downset_labels(p, masks) == [downset_label(p, m) for m in masks], p
 
 
 def _inclusion_order_pairwise(poset, masks):
