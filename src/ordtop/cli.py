@@ -41,6 +41,7 @@ from .ordinal import (
 # every domain error (OrdinalError, PosetError, ...) subclasses ValueError
 _INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
 MAX_HORIZON = 1 << 20  # mrowka convergence walks every n up to it: about 1.3 s
+MAX_TRUNCATION = 1 << 14  # mrowka.MAX_TRUNCATION, which the CLI loads only in handlers
 
 
 def emit_text(text, json_file=None):
@@ -516,7 +517,7 @@ def mrowka_lusin(file, steps, json_file):
 
 @mrowka_group.command("selector")
 @click.argument("file", type=click.Path())
-@click.option("--bound", "truncation", type=int, default=64,
+@click.option("--bound", "truncation", type=click.IntRange(max=MAX_TRUNCATION), default=64,
               help="truncation of the natural-number part")
 @json_opt
 def mrowka_selector(file, truncation, json_file):

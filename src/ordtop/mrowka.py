@@ -14,9 +14,11 @@ counts, and the canonical-selector check for the associated compact space.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -24,7 +26,7 @@ from .ordinal import CheckReport
 
 SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
-MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most 1.6 s and 47 MB on 2 CPUs
+MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most 2.2 s and 34 MB on 2 CPUs
 
 
 class MrowkaError(ValueError):
@@ -386,29 +388,44 @@ class LusinStage:
 
 class _MembershipIndex:
     """Positions of the prior sets containing a given natural, resolved by
-    one residue lookup per period group and two hash lookups.
+    one residue lookup per period group and two lookups by natural.
 
     Sets are stored by age (the last prior set has age 0), so ``push``
     puts a new set in front of the enumeration without touching the
-    others.  Three maps hold them:
+    others.  These hold them:
 
     - ``by_period``: period -> residue -> ascending ages of the eventually
       periodic sets with that residue class;
     - ``toggled``: natural -> ages of the eventually periodic sets whose
       delta holds it, which flip its membership in those sets;
-    - ``youngest`` and ``older``: natural -> the largest age of a stage
-      holding it, and the tuple of the other such ages.  In a Lusin run
-      most naturals lie in one stage only, and a dict of small ints costs
-      far less than a tuple per natural.
+    - ``youngest``: an ``array`` indexed by natural below ``span``, the
+      largest age of a stage holding it or -1 for none; ``far`` maps the
+      naturals from ``span`` on that a stage holds to that age;
+    - ``older``: natural -> the tuple of the other ages of stages holding
+      it.  In a Lusin run most naturals lie in one stage only.
+
+    When a stage brings members past its end, the array grows to the
+    largest of them and of the ``far`` naturals up to which at least one
+    slot in ``DENSE_SHARE`` is held, and ``far`` hands over the naturals
+    it then covers; ``naturals`` counts the naturals that stages hold.  So
+    a few members near ``SCAN_CAP`` stay in a small dict instead of
+    stretching the array.
 
     ``first`` of a natural no delta holds is the largest of its
     ``youngest`` age and the last age in each period group's list."""
+
+    # tracemalloc over 20,000 held naturals: 29.5 bytes each in a dict; in
+    # the array 4 bytes a slot, so 17.0 bytes each at a quarter held and 34.0
+    # at an eighth
+    DENSE_SHARE = 4
 
     def __init__(self, prev: Sequence):
         self.size = 0
         self.by_period: dict = {}
         self.toggled: dict = {}
-        self.youngest: dict = {}
+        self.youngest = array("i")
+        self.span = self.naturals = 0
+        self.far: dict = {}
         self.older: dict = {}
         for s in reversed(prev):
             self.push(s)
@@ -424,20 +441,60 @@ class _MembershipIndex:
             for x in s.delta:
                 toggled[x] = toggled.get(x, ()) + (age,)
         elif isinstance(s, LusinStage):
-            youngest, older = self.youngest, self.older
+            if s.members and s.members[0] < 0:
+                raise MrowkaError("stage members must be naturals")
+            self._grow(s.members)
+            youngest, span, far, older = self.youngest, self.span, self.far, self.older
+            self.naturals += len(s.members)
             for x in s.members:
-                held = youngest.get(x)
-                if held is not None:
-                    older[x] = older.get(x, ()) + (held,)
-                youngest[x] = age
+                if x < span:
+                    prior = youngest[x]
+                    youngest[x] = age
+                else:
+                    prior = far.get(x, -1)
+                    far[x] = age
+                if prior >= 0:
+                    older[x] = older.get(x, ()) + (prior,)
+                    self.naturals -= 1
         else:
             raise MrowkaError(f"unsupported set representation: {type(s).__name__}")
         self.size += 1
 
+    def _grow(self, members: tuple):
+        """Extend ``youngest`` over the ascending ``members`` from ``span``
+        on and the naturals of ``far``, as far as the share allows."""
+        far, share, span = self.far, self.DENSE_SHARE, self.span
+        start = bisect_left(members, span)
+        held = self.naturals - len(far)
+        # the array up to x needs (x + 1) / share held naturals; all of
+        # them held leaves none at or past ``limit`` within reach
+        limit = share * (self.naturals + len(members) - start)
+        if start == len(members) or members[start] >= limit:
+            return
+        near = [x for x in far if x < limit]
+        if near:  # a natural of ``far`` may come again in ``members``
+            candidates, start = sorted(set(near).union(islice(members, start, None))), 0
+        else:
+            candidates = members
+        # the largest candidate up to which enough naturals are held
+        for i in range(len(candidates) - 1, start - 1, -1):
+            if share * (held + i - start + 1) > candidates[i]:
+                end = candidates[i] + 1
+                break
+        else:
+            return
+        youngest = self.youngest
+        youngest.extend(array("i", [-1]) * (end - span))
+        self.span = end
+        for x in near:
+            if x < end:
+                youngest[x] = far.pop(x)
+
     def _ages(self, x: int) -> list:
         ages = list(self.older.get(x, ()))
-        if x in self.youngest:
-            ages.append(self.youngest[x])
+        age = self.youngest[x] if x < self.span else self.far.get(x, -1)
+        if age >= 0:
+            ages.append(age)
         for period, table in self.by_period.items():
             ages.extend(table.get(x % period, ()))
         if x in self.toggled:
@@ -449,7 +506,7 @@ class _MembershipIndex:
         """Position of the first set containing x."""
         if x in self.toggled:
             return self.size - 1 - max(self._ages(x))
-        age = self.youngest.get(x, -1)
+        age = self.youngest[x] if x < self.span else self.far.get(x, -1)
         for period, table in self.by_period.items():
             ages = table.get(x % period)
             if ages and ages[-1] > age:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordtop
-from ordtop.cli import MAX_HORIZON, main
+from ordtop.cli import MAX_HORIZON, MAX_TRUNCATION, main
 from ordtop.mrowka import MAX_LUSIN_PICKS
 from ordtop.ordinal import MAX_COEFF_BITS, MAX_NESTING, MAX_TERMS
 from ordtop.poset import MAX_DOWNSETS, MAX_ELEMENTS
@@ -402,7 +402,9 @@ def test_mrowka_selector_bound_below_zero_is_zero(runner, tmp_path):
         r = invoke_clean(runner, ["mrowka", "selector", str(fam), "--bound", bound])
         assert (r.exit_code, r.stdout, r.stderr) == (1, zero.stdout, ""), bound
     r = invoke_clean(runner, ["mrowka", "selector", str(fam), "--bound", str((1 << 14) + 1)])
-    assert (r.exit_code, r.stderr) == (2, "error: truncation bound exceeded (max 2^14)\n")
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert "Invalid value for '--bound': 16385 is not in the range x<=16384." in r.stderr
+    assert MAX_TRUNCATION == ordtop.mrowka.MAX_TRUNCATION == 1 << 14
 
 
 def test_unwritable_json_file_prints_nothing(runner, tmp_path):

@@ -312,6 +312,11 @@ def test_lusin_stage_reads_match_its_blocks():
             assert list(stage.ascending(x)) == sorted(e for e in elements if e >= x)
 
 
+def test_lusin_stage_members_must_be_naturals():
+    with pytest.raises(MrowkaError, match="stage members must be naturals"):
+        lusin_stage([finite_stage(-1, 2), EVENS])
+
+
 def test_lusin_non_ad_input_rejected():
     with pytest.raises(MrowkaError, match="non-AD"):
         lusin_stage([EVENS, EvPeriodicSet(4, frozenset({0}))])
@@ -436,6 +441,16 @@ class TupleIndex:
         return sorted(top - age for age in self._ages(x))
 
 
+def _assert_index_matches_the_oracle(prev, xs):
+    new, old = _MembershipIndex(prev), TupleIndex(prev)
+    assert new.size == old.size == len(prev)
+    held = sum(1 for age in new.youngest if age >= 0)
+    assert held + len(new.far) == new.naturals == len(old.finite)
+    for x in xs:
+        assert new.first(x) == old.first(x), (prev, x)
+        assert new.positions(x) == old.positions(x), (prev, x)
+
+
 def test_membership_index_matches_the_tuple_oracle():
     base = ADFamily.progressions(8)
     stages = lusin_iterate(base, 6)
@@ -452,13 +467,27 @@ def test_membership_index_matches_the_tuple_oracle():
               [stages[2], periodic[0], EvPeriodicSet(4, frozenset({1, 2})), periodic[2]]]
     horizon = 2 + max(x for stage in stages for x in stage.members)
     for prev in prevs:
-        new, old = _MembershipIndex(prev), TupleIndex(prev)
-        assert new.size == old.size == len(prev)
         held = [x for x in range(horizon) if any(s.contains(x) for s in prev)]
         assert len(held) > horizon // 2
-        for x in held:
-            assert new.first(x) == old.first(x), (prev, x)
-            assert new.positions(x) == old.positions(x), (prev, x)
+        _assert_index_matches_the_oracle(prev, held)
+    # stages far apart: members near SCAN_CAP stay in the dict, and a
+    # dense stage pushed later moves the dict's 400 into the array
+    sparse = LusinStage(((), (400,), (9_999_990, 9_999_999)), 3, ())
+    dense = finite_stage(*range(0, 1_000, 2))
+    near_cap = LusinStage(((9_999_990,), (3, 9_999_991)), 2, ())
+    far_prevs = [[sparse], [dense, sparse], [near_cap, dense, sparse, *base.sets],
+                 [sparse, near_cap, *stages[:2], *periodic],
+                 [dense, near_cap, stages[5], sparse, periodic[2], periodic[3]]]
+    for prev in far_prevs:
+        held = [x for x in range(1_002) if any(s.contains(x) for s in prev)]
+        held += sorted({x for s in prev if isinstance(s, LusinStage)
+                        for x in s.members if x >= 1_002})
+        _assert_index_matches_the_oracle(prev, held)
+    new = _MembershipIndex([dense, sparse])
+    assert new.span == 999 and set(new.far) == {9_999_990, 9_999_999}
+    assert new.youngest[400] == 1 and new.older[400] == (0,)
+    size, new = _traced_size(lambda: _MembershipIndex(far_prevs[2]))
+    assert new.span < 1_000 and size < 20_000, (new.span, size)
 
 
 def _traced_size(build):
@@ -476,8 +505,21 @@ def test_membership_index_is_two_thirds_of_the_tuple_oracle(lusin64):
     prev = list(reversed(stages)) + list(base.sets)
     new_size, new = _traced_size(lambda: _MembershipIndex(prev))
     old_size, old = _traced_size(lambda: TupleIndex(prev))
-    assert len(new.youngest) == len(old.finite) == 179_200
-    assert 3 * new_size <= 2 * old_size, (new_size, old_size)
+    # the naturals that hold a stage age, in the array and in the dict
+    held = sum(1 for age in new.youngest if age >= 0)
+    assert held + len(new.far) == new.naturals == len(old.finite) == 179_200
+    assert 5 * new_size <= old_size, (new_size, old_size)
+
+
+def test_lusin_iterate_peak_memory():
+    # criterion 13's run; its 50 stages alone take about 9.8 MB
+    tracemalloc.start()
+    try:
+        lusin_iterate(ADFamily.progressions(64), 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000, peak
 
 
 def test_lusin_iterate_refuses_runs_over_max_picks(lusin64, monkeypatch):
@@ -528,6 +570,13 @@ def test_selector_empty_branch_at_truncation():
     far = EvPeriodicSet(64, frozenset({63}))
     rep = mrowka_selector_check([far], truncation=4)
     assert not rep.data["heights"]
+
+
+def test_selector_truncation_limit_for_library_callers():
+    fam = ADFamily.progressions(2)
+    assert mrowka_selector_check(fam, mrowka.MAX_TRUNCATION).passed
+    with pytest.raises(MrowkaError, match=r"truncation bound exceeded \(max 2\^14\)"):
+        mrowka_selector_check(fam, mrowka.MAX_TRUNCATION + 1)
 
 
 def _selector_check_on_frozensets(sets, truncation):
