@@ -26,7 +26,7 @@ from .ordinal import CheckReport
 
 SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
-MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most 2.2 s and 34 MB on 2 CPUs
+MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most 1.8 s and 32 MB on 2 CPUs
 
 
 class MrowkaError(ValueError):
@@ -387,8 +387,8 @@ class LusinStage:
 
 
 class _MembershipIndex:
-    """Positions of the prior sets containing a given natural, resolved by
-    one residue lookup per period group and two lookups by natural.
+    """Ages of the prior sets containing a given natural, resolved by one
+    residue lookup per period group and two lookups by natural.
 
     Sets are stored by age (the last prior set has age 0), so ``push``
     puts a new set in front of the enumeration without touching the
@@ -411,8 +411,10 @@ class _MembershipIndex:
     a few members near ``SCAN_CAP`` stay in a small dict instead of
     stretching the array.
 
-    ``first`` of a natural no delta holds is the largest of its
-    ``youngest`` age and the last age in each period group's list."""
+    ``ages_of`` reads every age of each natural it is given, binding
+    these tables once per call.  ``first`` of a natural no delta holds is
+    the largest of its ``youngest`` age and the last age in each period
+    group's list."""
 
     # tracemalloc over 20,000 held naturals: 29.5 bytes each in a dict; in
     # the array 4 bytes a slot, so 17.0 bytes each at a quarter held and 34.0
@@ -490,33 +492,35 @@ class _MembershipIndex:
             if x < end:
                 youngest[x] = far.pop(x)
 
-    def _ages(self, x: int) -> list:
-        ages = list(self.older.get(x, ()))
-        age = self.youngest[x] if x < self.span else self.far.get(x, -1)
-        if age >= 0:
-            ages.append(age)
-        for period, table in self.by_period.items():
-            ages.extend(table.get(x % period, ()))
-        if x in self.toggled:
-            # a stage's age is never toggled, so the flip touches only sets with a delta
-            ages = list(set(ages).symmetric_difference(self.toggled[x]))
-        return ages
+    def ages_of(self, xs: Iterable[int]):
+        """Yield (x, ages) for each natural x of ``xs``: the ages of all
+        sets containing x, in no fixed order."""
+        older, youngest, span, far, toggled = (
+            self.older, self.youngest, self.span, self.far, self.toggled)
+        tables = [(period, table.get) for period, table in self.by_period.items()]
+        for x in xs:
+            age = youngest[x] if x < span else far.get(x, -1)
+            ages = [age] if age >= 0 else []
+            if x in older:
+                ages += older[x]
+            for period, residue_ages in tables:
+                ages += residue_ages(x % period, ())
+            if x in toggled:
+                # a stage's age is never toggled, so the flip touches only sets with a delta
+                ages = set(ages).symmetric_difference(toggled[x])
+            yield x, ages
 
     def first(self, x: int) -> int:
         """Position of the first set containing x."""
         if x in self.toggled:
-            return self.size - 1 - max(self._ages(x))
+            _, ages = next(self.ages_of((x,)))
+            return self.size - 1 - max(ages)
         age = self.youngest[x] if x < self.span else self.far.get(x, -1)
         for period, table in self.by_period.items():
             ages = table.get(x % period)
             if ages and ages[-1] > age:
                 age = ages[-1]
         return self.size - 1 - age
-
-    def positions(self, x: int) -> list:
-        """Positions of every set containing x, ascending."""
-        top = self.size - 1
-        return sorted(top - age for age in self._ages(x))
 
 
 class _LusinScan:
@@ -587,23 +591,25 @@ def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
         blocks.append(tuple(chosen))
 
     # exact-count recount over the finished blocks: they should be
-    # disjoint, and an element taken twice would break a count
+    # disjoint, and an element taken twice would break a count.  The set
+    # of age a sits at position top - a; a natural's first set is its oldest
+    top = m - 1
     counts = [0] * m
     maxima = [-1] * m
     for block in blocks:
-        for x in block:
-            pos = index.positions(x)
-            counts[pos[0]] += 1
-            for n in pos:
-                if x > maxima[n]:
-                    maxima[n] = x
+        for x, ages in index.ages_of(block):
+            counts[top - max(ages)] += 1
+            for age in ages:
+                if x > maxima[top - age]:
+                    maxima[top - age] = x
     for n in range(m):
         if counts[n] != n:
             raise AssertionError(f"fresh-intersection count at {n} is {counts[n]}, wanted {n}")
     # finite consequence of the splitting condition: for each probe k, how
     # many prior sets meet the new set only below k (boundedly many)
     probes = sorted({0, 1} | {max(b) + 1 for b in blocks if b})
-    l1 = tuple((k, sum(1 for n in range(m) if maxima[n] < k)) for k in probes)
+    maxima.sort()
+    l1 = tuple((k, bisect_left(maxima, k)) for k in probes)
     return LusinStage(tuple(blocks), m, l1)
 
 
@@ -622,17 +628,19 @@ def lusin_iterate(base: ADFamily, steps: int) -> list:
     every prior set still has fresh elements to offer.  The scan state is
     carried across stages (see ``_LusinScan.advance``).
 
-    A stage over m prior sets picks m(m-1)/2 elements, each indexed once,
-    so the run's work and memory grow with its total picks; a run of more
-    than ``MAX_LUSIN_PICKS`` is refused before any work."""
+    A stage over m prior sets picks m(m-1)/2 elements, each indexed once
+    when another stage follows, so the run's work and memory grow with its
+    total picks; a run of more than ``MAX_LUSIN_PICKS`` is refused before
+    any work."""
     check_lusin_picks(len(base), steps)
     stages: list = []
     scan = _LusinScan(base.sets)
-    for _ in range(steps):
+    for step in range(steps):
         prev = list(reversed(stages)) + list(base.sets)
         stage = lusin_stage(prev, scan=scan)
         stages.append(stage)
-        scan.advance(stage)
+        if step + 1 < steps:  # no later scan reads the last stage
+            scan.advance(stage)
     return stages
 
 

@@ -13,6 +13,7 @@ from ordtop.mrowka import (
     GPoint,
     LusinStage,
     MrowkaError,
+    _LusinScan,
     _MembershipIndex,
     ad_check,
     code_of,
@@ -441,6 +442,13 @@ class TupleIndex:
         return sorted(top - age for age in self._ages(x))
 
 
+def positions(index, x):
+    """Positions of every set of ``index`` containing x, ascending."""
+    top = index.size - 1
+    ((_, ages),) = index.ages_of((x,))
+    return sorted(top - age for age in ages)
+
+
 def _assert_index_matches_the_oracle(prev, xs):
     new, old = _MembershipIndex(prev), TupleIndex(prev)
     assert new.size == old.size == len(prev)
@@ -448,46 +456,155 @@ def _assert_index_matches_the_oracle(prev, xs):
     assert held + len(new.far) == new.naturals == len(old.finite)
     for x in xs:
         assert new.first(x) == old.first(x), (prev, x)
-        assert new.positions(x) == old.positions(x), (prev, x)
+        assert positions(new, x) == old.positions(x), (prev, x)
+    # read in bulk, as the recount reads a block
+    assert ([(x, sorted(ages)) for x, ages in new.ages_of(xs)]
+            == [(x, sorted(old._ages(x))) for x in xs]), prev
 
 
-def test_membership_index_matches_the_tuple_oracle():
+def index_prevs():
+    """The prior families the index is checked on: the stages of a run
+    over the progressions mod 8 with the base behind them, families with
+    deltas and stages mixed in (``delta``), and stages far apart (``far``)."""
     base = ADFamily.progressions(8)
     stages = lusin_iterate(base, 6)
     # each delta drops residue members (0, 12; 3) and adds others (5, 7; 0, 2)
     periodic = [EvPeriodicSet(4, frozenset({1})), EvPeriodicSet(6, frozenset({0, 2})),
                 EvPeriodicSet(4, frozenset({0}), frozenset({0, 12, 5, 7})),
                 EvPeriodicSet(6, frozenset({3}), frozenset({3, 0, 2, 40}))]
-    prevs = [list(reversed(stages[:step])) + list(base.sets) for step in range(len(stages) + 1)]
-    prevs += [periodic, list(reversed(stages)) + periodic,
-              [stages[3], periodic[2], stages[0], periodic[0], stages[5], periodic[3],
-               stages[1], periodic[1], stages[4]],
-              [periodic[3], *stages, periodic[2], *base.sets[:3]],
-              # the index does not need almost disjointness: residue 1 mod 4 twice
-              [stages[2], periodic[0], EvPeriodicSet(4, frozenset({1, 2})), periodic[2]]]
-    horizon = 2 + max(x for stage in stages for x in stage.members)
-    for prev in prevs:
-        held = [x for x in range(horizon) if any(s.contains(x) for s in prev)]
-        assert len(held) > horizon // 2
-        _assert_index_matches_the_oracle(prev, held)
+    runs = [list(reversed(stages[:step])) + list(base.sets) for step in range(len(stages) + 1)]
+    delta = [periodic, list(reversed(stages)) + periodic,
+             [stages[3], periodic[2], stages[0], periodic[0], stages[5], periodic[3],
+              stages[1], periodic[1], stages[4]],
+             [periodic[3], *stages, periodic[2], *base.sets[:3]],
+             # the index does not need almost disjointness: residue 1 mod 4 twice
+             [stages[2], periodic[0], EvPeriodicSet(4, frozenset({1, 2})), periodic[2]]]
     # stages far apart: members near SCAN_CAP stay in the dict, and a
     # dense stage pushed later moves the dict's 400 into the array
     sparse = LusinStage(((), (400,), (9_999_990, 9_999_999)), 3, ())
     dense = finite_stage(*range(0, 1_000, 2))
     near_cap = LusinStage(((9_999_990,), (3, 9_999_991)), 2, ())
-    far_prevs = [[sparse], [dense, sparse], [near_cap, dense, sparse, *base.sets],
-                 [sparse, near_cap, *stages[:2], *periodic],
-                 [dense, near_cap, stages[5], sparse, periodic[2], periodic[3]]]
+    far = [[sparse], [dense, sparse], [near_cap, dense, sparse, *base.sets],
+           [sparse, near_cap, *stages[:2], *periodic],
+           [dense, near_cap, stages[5], sparse, periodic[2], periodic[3]]]
+    return stages, runs, delta, far
+
+
+def test_membership_index_matches_the_tuple_oracle():
+    stages, runs, delta, far_prevs = index_prevs()
+    horizon = 2 + max(x for stage in stages for x in stage.members)
+    for prev in runs + delta:
+        held = [x for x in range(horizon) if any(s.contains(x) for s in prev)]
+        assert len(held) > horizon // 2
+        _assert_index_matches_the_oracle(prev, held)
     for prev in far_prevs:
         held = [x for x in range(1_002) if any(s.contains(x) for s in prev)]
         held += sorted({x for s in prev if isinstance(s, LusinStage)
                         for x in s.members if x >= 1_002})
         _assert_index_matches_the_oracle(prev, held)
+    dense, sparse = far_prevs[1]
     new = _MembershipIndex([dense, sparse])
     assert new.span == 999 and set(new.far) == {9_999_990, 9_999_999}
     assert new.youngest[400] == 1 and new.older[400] == (0,)
     size, new = _traced_size(lambda: _MembershipIndex(far_prevs[2]))
     assert new.span < 1_000 and size < 20_000, (new.span, size)
+
+
+def listed_recount(index, blocks):
+    """The recount as ``lusin_stage`` made it before ``ages_of``: the sorted
+    positions of each picked natural, and each probe counted over all m
+    sets.  Returns the fresh-intersection counts and ``l1_counts``."""
+    m = index.size
+    counts = [0] * m
+    maxima = [-1] * m
+    for block in blocks:
+        for x in block:
+            pos = positions(index, x)
+            counts[pos[0]] += 1
+            for n in pos:
+                if x > maxima[n]:
+                    maxima[n] = x
+    probes = sorted({0, 1} | {max(b) + 1 for b in blocks if b})
+    return counts, tuple((k, sum(1 for n in range(m) if maxima[n] < k)) for k in probes)
+
+
+def brute_l1_counts(stage, prev):
+    """``l1_counts`` read through ``contains`` alone: for each probe k, the
+    prior sets that hold no element of the stage from k on."""
+    descending = sorted(block_elements(stage), reverse=True)
+    tops = [next((x for x in descending if s.contains(x)), -1) for s in prev]
+    probes = sorted({0, 1} | {max(b) + 1 for b in stage.blocks if b})
+    return tuple((k, sum(1 for top in tops if top < k)) for k in probes)
+
+
+def unchecked_scan(prev):
+    """A scan of ``prev`` from 0 without ``_LusinScan``'s input checks, for
+    families the index serves although they are not almost disjoint."""
+    scan = object.__new__(_LusinScan)
+    scan.index, scan.starts = _MembershipIndex(prev), [0] * len(prev)
+    return scan
+
+
+def test_lusin_recount_matches_the_listed_recount(lusin64):
+    base, stages = lusin64
+    index = _MembershipIndex(base.sets)
+    for step, stage in enumerate(stages):
+        prev = list(reversed(stages[:step])) + list(base.sets)
+        counts, l1 = listed_recount(index, stage.blocks)
+        assert counts == list(range(len(prev))), f"stage {step}"
+        assert stage.l1_counts == l1, f"stage {step}"
+        # the brute count takes 0.15 s at the last stage, 3.3 s over all 50
+        if step < 5 or step == len(stages) - 1:
+            assert l1 == brute_l1_counts(stage, prev), f"stage {step}"
+        index.push(stage)
+
+
+def test_lusin_recount_matches_the_listed_recount_on_delta_bearing_prevs():
+    stages, _, delta, far_prevs = index_prevs()
+    # the fourth delta family has one set that the earlier ones cover from
+    # some point on, so its scan runs to SCAN_CAP
+    prevs = [delta[0], delta[1], delta[2], delta[4], far_prevs[3]]
+    toggled = 0
+    for prev in prevs:
+        scan = unchecked_scan(prev)
+        stage = lusin_stage(prev, scan)
+        counts, l1 = listed_recount(scan.index, stage.blocks)
+        assert counts == recount_oracle(stage, prev) == list(range(len(prev)))
+        assert stage.l1_counts == l1 == brute_l1_counts(stage, prev)
+        toggled += sum(1 for x in stage.members if x in scan.index.toggled)
+    assert toggled >= 8  # picks whose ages the deltas flip
+
+
+def test_lusin_recount_catches_a_scan_that_picks_covered_naturals(monkeypatch):
+    base = ADFamily.progressions(8)
+    prev = list(reversed(lusin_iterate(base, 3))) + list(base.sets)
+    # every natural looks fresh, so each block takes the least members of its set
+    monkeypatch.setattr(_MembershipIndex, "first", lambda self, x: self.size)
+    with pytest.raises(AssertionError, match=r"^fresh-intersection count at 0 is 5, wanted 0$"):
+        lusin_stage(prev)
+
+
+def test_lusin_iterate_does_not_index_its_last_stage(monkeypatch):
+    base = ADFamily.progressions(8)
+    # stage by stage, each built alone with its scans from 0
+    expected = []
+    for step in range(6):
+        prev = list(reversed(expected)) + list(base.sets)
+        expected.append(lusin_stage(prev))
+        assert list(expected[-1].blocks) == rescan_stage(prev)
+    advanced = []
+    advance = _LusinScan.advance
+
+    def counted(self, stage):
+        advanced.append(stage)
+        advance(self, stage)
+
+    monkeypatch.setattr(_LusinScan, "advance", counted)
+    for steps in (1, 2, 6):
+        advanced.clear()
+        stages = lusin_iterate(base, steps)
+        assert stages == expected[:steps]
+        assert advanced == stages[:-1]
 
 
 def _traced_size(build):
