@@ -61,7 +61,7 @@ from .poset import (
     kw_rank,
     random_poset,
     ranks,
-    zaguia_verify,
+    zaguia_verify_ranks,
 )
 from .spaceterm import (
     OrdSpace,
@@ -225,7 +225,8 @@ def criterion_07_zaguia_suite(seed: int):
 
 
 def _zaguia_one(p) -> bool:
-    return _ranks_rise_along_covers(p, kw_rank(p)) and zaguia_verify(p).passed
+    kw = kw_rank(p)  # ranked once, for both checks
+    return _ranks_rise_along_covers(p, kw) and zaguia_verify_ranks(p, kw).passed
 
 
 def _ranks_rise_along_covers(p, rank: dict) -> bool:

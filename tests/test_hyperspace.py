@@ -56,6 +56,15 @@ def chain(k):
                              [(str(i), str(i + 1)) for i in range(k - 1)])
 
 
+def leq(poset, i, j):
+    """i <= j in ``poset``."""
+    return i == j or poset.lt(i, j)
+
+
+def is_downset(poset, mask):
+    return poset.close_down(mask) == mask
+
+
 # -- construction --------------------------------------------------------
 
 def test_singleton_hyperspace():
@@ -116,7 +125,7 @@ def test_eta_is_an_order_embedding():
         h = build_hyperspace(p)
         for i in range(p.n):
             for j in range(p.n):
-                assert p.leq(i, j) == (h.eta(i) | h.eta(j) == h.eta(j))
+                assert leq(p, i, j) == (h.eta(i) | h.eta(j) == h.eta(j))
 
 
 def test_join_is_union_and_lattice_is_distributive():
@@ -199,13 +208,13 @@ def test_union_check_on_generators_matches_the_pairwise_scan(monkeypatch):
             if joins:
                 families.append([m for m in every if m != rng.choice(joins)])
             # a set that is not a downset: the verdict still agrees
-            odd = [m for m in range(1, 1 << p.n) if not p.is_downset(m)]
+            odd = [m for m in range(1, 1 << p.n) if not is_downset(p, m)]
             if odd:
                 families.append(every + [rng.choice(odd)])
         for family in families:
             got, want = _structure(monkeypatch, p, family), _structure_pairwise(p, family)
             assert (got is None) == (want is None), (p, family)
-            if all(p.is_downset(m) for m in family):
+            if all(is_downset(p, m) for m in family):
                 assert got == want, (p, family)
 
 
@@ -561,7 +570,7 @@ def priestley_separation_check(poset):
     """For x not below y there is an upset containing x and not y."""
     for x in range(poset.n):
         for y in range(poset.n):
-            if not poset.leq(x, y):
+            if not leq(poset, x, y):
                 up = poset.up_mask(x)
                 if not (up >> x & 1) or (up >> y & 1):
                     return False
@@ -658,7 +667,7 @@ def homs_by_join_all(h, y, fi):
     p = h.base
     homs = set()
     for assign in product(range(y.n), repeat=p.n):
-        if all(join_all(assign[j] for j in range(p.n) if p.leq(j, i)) == fi[i]
+        if all(join_all(assign[j] for j in range(p.n) if leq(p, j, i)) == fi[i]
                for i in range(p.n)):
             homs.add(tuple(join_all(assign[i] for i in range(p.n) if m >> i & 1)
                            for m in h.points))
@@ -761,8 +770,8 @@ def lub_table_oracle(poset):
     for i in range(n):
         row = []
         for j in range(n):
-            ubs = [k for k in range(n) if poset.leq(i, k) and poset.leq(j, k)]
-            lubs = [k for k in ubs if all(poset.leq(k, m) for m in ubs)]
+            ubs = [k for k in range(n) if leq(poset, i, k) and leq(poset, j, k)]
+            lubs = [k for k in ubs if all(leq(poset, k, m) for m in ubs)]
             if len(lubs) != 1:
                 return f"no least upper bound for ({i},{j})"
             row.append(lubs[0])

@@ -1,10 +1,11 @@
 import random
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import pytest
 
 from ordtop.acceptance import _ranks_rise_along_covers
-from ordtop.ordinal import Ordinal, ord_pow, OMEGA
+from ordtop.ordinal import CheckReport, Ordinal, ord_pow, OMEGA
 from ordtop.poset import (
     MAX_DOWNSETS,
     MAX_ELEMENTS,
@@ -16,18 +17,17 @@ from ordtop.poset import (
     all_labeled_posets,
     downset_labels,
     downset_lattice,
-    extremal,
     inclusion_order,
     kw_rank,
     poset_from_covers,
     poset_from_json,
     poset_to_dot,
     poset_to_json,
-    principal_sets,
     random_poset,
     ranks,
     width,
     zaguia_verify,
+    zaguia_verify_ranks,
 )
 
 
@@ -42,6 +42,42 @@ def antichain(k):
 
 def vee():
     return poset_from_covers(["a", "b", "c"], [("a", "c"), ("b", "c")])
+
+
+# -- queries only the tests use ------------------------------------------
+
+def is_downset(poset, mask):
+    return poset.close_down(mask) == mask
+
+
+def min_of(poset, mask):
+    """Bitmask of the minimal elements within ``mask``."""
+    out = 0
+    for i in _bits(mask):
+        if not (poset.below[i] & mask):
+            out |= 1 << i
+    return out
+
+
+def principal_sets(poset, name):
+    """Member names of the principal ideal and of the principal filter of
+    an element."""
+    i = poset.index(name)
+    return poset.names(poset.down_mask(i)), poset.names(poset.up_mask(i))
+
+
+class Extremal(NamedTuple):
+    max: frozenset
+    min: frozenset
+    is_antichain: bool
+
+
+def extremal(poset, names):
+    mask = poset.mask_of(names)
+    max_mask = poset.max_of(mask)
+    min_mask = min_of(poset, mask)
+    antichain = max_mask == mask and min_mask == mask
+    return Extremal(poset.names(max_mask), poset.names(min_mask), antichain)
 
 
 # -- oracles -----------------------------------------------------------
@@ -401,8 +437,8 @@ def test_downset_type_validates_closure():
     p = chain(3)
     assert p.mask_of([]) == 0
     assert p.mask_of(["0", "1"]) == 0b011
-    assert not p.is_downset(p.mask_of(["2"]))
-    assert p.is_downset(p.mask_of(["1", "0"]))
+    assert not is_downset(p, p.mask_of(["2"]))
+    assert is_downset(p, p.mask_of(["1", "0"]))
     with pytest.raises(PosetError, match="unknown element"):
         p.mask_of(["0", "z"])
 
@@ -489,7 +525,7 @@ def test_final_sets_are_up_of_min():
             if final:
                 up = 0
                 for i in range(p.n):
-                    if p.min_of(final) >> i & 1:
+                    if min_of(p, final) >> i & 1:
                         up |= p.up_mask(i)
                 assert up == final
 
@@ -519,6 +555,68 @@ def test_zaguia_all_labeled_posets_up_to_4():
             assert zaguia_verify(p).passed
 
 
+def oracle_zaguia(poset, kw):
+    """The union-rank check as it was before it scanned each unordered pair
+    once: claim 1 over the full square of downsets in row-major order, and
+    claim 2 looking up each maximum's principal-downset rank per downset."""
+    masks = list(kw)
+    claim1 = claim1_literal = True
+    claim2 = claim2_literal = True
+    counterexample = None
+
+    for a in masks:
+        ra = kw[a]
+        for b in masks:
+            u = a | b
+            ru = kw[u]
+            if ru > kw[b] + ra + 1:
+                claim1 = False
+                if counterexample is None:
+                    counterexample = (poset.names(a), poset.names(b))
+            if ru > kw[b] + ra:
+                claim1_literal = False
+
+    for m in masks:
+        parts = [kw[poset.down_mask(i)] for i in _bits(poset.max_of(m))]
+        if kw[m] > sum(parts) + len(parts) - 1:
+            claim2 = False
+            if counterexample is None:
+                counterexample = (poset.names(m), poset.names(poset.max_of(m)))
+        if kw[m] > sum(parts):
+            claim2_literal = False
+
+    elem_ranks = ranks(poset)
+    claim3 = True
+    for i in range(poset.n):
+        r = elem_ranks.by_index[i]
+        k = Ordinal.from_int(kw[poset.down_mask(i)])
+        if r == 0:
+            if not k.is_zero:
+                claim3 = False
+        elif not k < ord_pow(OMEGA, Ordinal.from_int(r)):
+            claim3 = False
+        if not claim3 and counterexample is None:
+            counterexample = (poset.names(poset.down_mask(i)), frozenset({poset.labels[i]}))
+            break
+    k_rank = Ordinal.from_int(max(kw.values()) + 1)
+    if not k_rank <= ord_pow(OMEGA, Ordinal.from_int(elem_ranks.poset_rank)):
+        claim3 = False
+        if counterexample is None:
+            counterexample = (poset.names(poset.full_mask()), frozenset())
+
+    witness = None if counterexample is None else [sorted(d) for d in counterexample]
+    return CheckReport("zaguia", claim1 and claim2 and claim3, witness, {
+        "claims": {
+            "claim1": claim1,
+            "claim2": claim2,
+            "claim3": claim3,
+            "claim1_literal": claim1_literal,
+            "claim2_literal": claim2_literal,
+        },
+        "poset": f"n={poset.n}, downsets={len(masks)}",
+    })
+
+
 def test_zaguia_claim3_ordinal_bound_spot_check():
     p = chain(3)
     r = ranks(p)
@@ -526,6 +624,84 @@ def test_zaguia_claim3_ordinal_bound_spot_check():
     for i in range(p.n):
         if r.by_index[i] >= 1:
             assert Ordinal.from_int(kw[p.down_mask(i)]) < ord_pow(OMEGA, Ordinal.from_int(r.by_index[i]))
+
+
+def test_zaguia_matches_the_full_square_oracle():
+    # every labeled poset up to 4 elements, and criterion 7's random shapes
+    rng = random.Random(18)
+    posets = [p for n in range(1, 5) for p in all_labeled_posets(n)]
+    posets += [random_poset(rng, rng.choice([6, 7, 8]), rng.choice([0.25, 0.35, 0.5]))
+               for _ in range(200)]
+    for p in posets:
+        assert zaguia_verify(p).to_json() == oracle_zaguia(p, kw_rank(p)).to_json(), p
+
+
+def doctored(poset, changes):
+    """``kw_rank(poset)`` with the ranks in ``changes`` put in, keyed by
+    mask; a new key goes last."""
+    kw = kw_rank(poset)
+    kw.update(changes)
+    return kw
+
+
+def test_zaguia_witness_is_the_first_failing_pair_in_any_key_order():
+    # the full set ranked 5 breaks claim 1 on every pair of pieces whose
+    # ranks sum to 3 or less, and with it claim 2; claim 1 names the witness
+    p = antichain(3)
+    kw = doctored(p, {0b111: 5})
+    rng = random.Random(3)
+    orders = [list(kw), list(kw)[::-1]] + [rng.sample(list(kw), len(kw)) for _ in range(40)]
+    for order in orders:
+        table = {m: kw[m] for m in order}
+        rep = zaguia_verify_ranks(p, table).to_json()
+        assert rep == oracle_zaguia(p, table).to_json(), order
+        assert not rep["claims"]["claim1"] and not rep["claims"]["claim2"]
+    # in rank order {0} comes before {1,2}; reversed, {1,2} comes first
+    # and is named first although it is the later downset of kw_rank
+    assert zaguia_verify_ranks(p, kw).witness == [["0"], ["1", "2"]]
+    reverse = {m: kw[m] for m in reversed(list(kw))}
+    assert list(kw).index(0b110) > list(kw).index(0b101)
+    assert zaguia_verify_ranks(p, reverse).witness == [["1", "2"], ["0", "2"]]
+
+
+def test_zaguia_doctored_tables_match_the_oracle():
+    least = poset_from_covers(list("0123"), [("0", "1"), ("0", "2"), ("0", "3")])
+    cases = [
+        # {0,1,2} ranked 1: {0,1,2} | {0,3} breaks the unshifted reading alone
+        (least, {least.mask_of("012"): 1}, None,
+         {"claim1": True, "claim2": True, "claim3": True,
+          "claim1_literal": False, "claim2_literal": True}),
+        # over the downsets claim 1 implies claim 2, by induction on the
+        # maxima; the set {1} of the chain 0 < 1 is no downset, and claim 2
+        # alone fails on it, so claim 2 names the witness
+        (chain(2), {0b10: 2}, [["1"], ["1"]],
+         {"claim1": True, "claim2": False, "claim3": True,
+          "claim1_literal": True, "claim2_literal": False}),
+        # a rank below -1 fails on the diagonal pair (A, A), which the scan
+        # keeps
+        (antichain(2), {0b11: -2}, [["0", "1"], ["0", "1"]],
+         {"claim1": False, "claim2": True, "claim3": True,
+          "claim1_literal": False, "claim2_literal": True}),
+        # a minimal element whose principal downset has rank 1
+        (antichain(1), {0b1: 1}, [["0"], ["0"]],
+         {"claim1": True, "claim2": True, "claim3": False,
+          "claim1_literal": True, "claim2_literal": True}),
+    ]
+    for p, changes, witness, claims in cases:
+        kw = doctored(p, changes)
+        rep = zaguia_verify_ranks(p, kw)
+        assert rep.to_json() == oracle_zaguia(p, kw).to_json(), changes
+        assert rep.witness == witness and rep.data["claims"] == claims, changes
+    # one rank raised or lowered by 1 or 2, in every labeled poset up to 3
+    # elements
+    for n in range(1, 4):
+        for p in all_labeled_posets(n):
+            for m, r in kw_rank(p).items():
+                for delta in (-2, -1, 1, 2):
+                    kw = doctored(p, {m: r + delta})
+                    if min(kw.values()) >= 0:
+                        assert (zaguia_verify_ranks(p, kw).to_json()
+                                == oracle_zaguia(p, kw).to_json()), (p, m, delta)
 
 
 def test_labeled_poset_counts():
