@@ -15,6 +15,7 @@ end point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
@@ -25,7 +26,6 @@ from .ordinal import (
     CheckReport,
     Ordinal,
     _trusted,
-    ord_add,
     format_ordinal,
     parse_ordinal,
     sort_key,
@@ -34,6 +34,10 @@ from .ordinal import (
 
 class ClopenError(ValueError):
     pass
+
+
+MAX_GRID = 1 << 9  # grid values min_clopen_with_endpoint accepts
+MAX_ENDPOINTS = 1 << 16  # end points clopen_cb lists
 
 
 @dataclass(frozen=True)
@@ -57,10 +61,6 @@ class ClopenSet:
     @property
     def is_empty(self) -> bool:
         return not self.zero_included and not self.intervals
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.intervals)
 
     def contains(self, point: Ordinal) -> bool:
         if point.is_zero:
@@ -142,46 +142,34 @@ def _same_ambient(a: ClopenSet, b: ClopenSet):
 
 # -- Cantor-Bendixson data ----------------------------------------------
 
-def _trunc_at_least(a: Ordinal, e: Ordinal) -> Ordinal:
-    """Terms of ``a`` with exponent >= e (the multiple-of-w^e floor).
+def _piece_rank(s: Ordinal, t: Ordinal) -> tuple:
+    """Rank of the piece (s, t] and the coefficients of its top-rank points.
 
-    Exponents decrease along a normal form, so these terms are a prefix of
-    it, and the matching prefix of ``a._key`` is its key.
+    A point's rank is its tip exponent.  Let i be the first index where the
+    keys of s and t differ; since s < t, t has a term (e, c_t) there.  Every
+    point of (s, t] is the first i terms that both ends share followed by
+    terms of exponent at most e, so the piece's rank is e, and its points
+    of rank e are ``t[:i] + w^e*c`` for c from c_s + 1 to c_t when the term
+    of s at i is (e, c_s), and for c from 1 to c_t otherwise.  Returns
+    ``(e, i, lo, c_t)`` with lo the least such c; ``_top_points`` builds
+    the points.
     """
-    key, ke = a._key, e._key
-    k = 0
-    while k < len(key) and key[k][0] >= ke:
-        k += 1
-    return _trusted(a.terms[:k], key[:k])
+    ks, kt = s._key, t._key
+    n = min(len(ks), len(kt))
+    i = 0
+    while i < n and ks[i] == kt[i]:
+        i += 1
+    ke, hi = kt[i]
+    lo = ks[i][1] + 1 if i < len(ks) and ks[i][0] == ke else 1
+    return t.terms[i][0], i, lo, hi
 
 
-def _next_multiple_above(s: Ordinal, e: Ordinal) -> Ordinal:
-    """Least multiple of w^e strictly greater than s."""
-    return ord_add(_trunc_at_least(s, e), Ordinal.omega_power(e))
-
-
-def _piece_rank(s: Ordinal, t: Ordinal):
-    """Max point rank over (s, t] and the witnesses attaining it.
-
-    The rank of a point is its tip exponent; feasibility of an exponent e
-    (some multiple of w^e in the piece) is monotone downward, and the
-    maximal feasible e always appears among the exponents of s or t.
-    """
-    candidates = {e for e, _ in s.terms} | {e for e, _ in t.terms} | {ZERO}
-    best = None
-    for e in candidates:
-        if _next_multiple_above(s, e) <= t:
-            if best is None or best < e:
-                best = e
-    if best is None:
-        raise AssertionError("empty piece has no rank")
-    step = Ordinal.omega_power(best)
-    points = []
-    m = _next_multiple_above(s, best)
-    while m <= t:
-        points.append(m)
-        m = ord_add(m, step)
-    return best, points
+def _top_points(t: Ordinal, i: int, lo: int, hi: int) -> list:
+    """The points ``t[:i] + w^e*c`` for c from lo to hi, e the exponent of
+    the term of t at i."""
+    terms, key = t.terms[:i], t._key[:i]
+    e, ke = t.terms[i][0], t._key[i][0]
+    return [_trusted(terms + ((e, c),), key + ((ke, c),)) for c in range(lo, hi + 1)]
 
 
 class CBData(NamedTuple):
@@ -195,23 +183,25 @@ def clopen_cb(u: ClopenSet) -> CBData:
     """Height, end points and unitarity of a nonempty clopen set.
 
     The height is the maximal Cantor-Bendixson rank over the points; the
-    end points are the finitely many points attaining it.
+    end points are the finitely many points attaining it.  They are counted
+    before any is built, and more than ``MAX_ENDPOINTS`` are refused.
     """
     if u.is_empty:
         raise ClopenError("empty set has no Cantor-Bendixson data")
     height = ZERO if u.zero_included else None
-    per_piece = []
+    ranked = []
     for s, t in u.intervals:
-        e, pts = _piece_rank(s, t)
-        per_piece.append((e, pts))
+        e, i, lo, hi = _piece_rank(s, t)
+        ranked.append((e, t, i, lo, hi))
         if height is None or height < e:
             height = e
-    endpoints: list = []
-    if u.zero_included and height == ZERO:
-        endpoints.append(ZERO)
-    for e, pts in per_piece:
-        if e == height:
-            endpoints.extend(pts)
+    zero = u.zero_included and height == ZERO
+    tops = [(t, i, lo, hi) for e, t, i, lo, hi in ranked if e == height]
+    if zero + sum(hi - lo + 1 for *_, lo, hi in tops) > MAX_ENDPOINTS:
+        raise ClopenError(f"more than MAX_ENDPOINTS = {MAX_ENDPOINTS} end points")
+    endpoints = [ZERO] if zero else []
+    for top in tops:
+        endpoints.extend(_top_points(*top))
     unitary = len(endpoints) == 1
     return CBData(height, tuple(endpoints), unitary,
                   endpoints[0] if unitary else None)
@@ -318,15 +308,19 @@ def _laminar_relation(a: ClopenSet, b: ClopenSet) -> str:
 def cnf_truncation_grid(beta: Ordinal) -> list:
     """All truncations of the normal form of beta, including partial
     leading-coefficient cuts of each block (contains 0, beta, and the
-    tip endpoint beta - tip)."""
-    values = {ZERO, beta}
-    for k in range(len(beta.terms)):
-        prefix = beta.terms[:k]
-        e, p = beta.terms[k]
-        for j in range(0, p + 1):
-            terms = prefix + (((e, j),) if j else ())
-            values.add(Ordinal(terms))
-    return sorted(values, key=sort_key)
+    tip endpoint beta - tip), in ascending order.
+
+    They are 0 and one value per unit of each coefficient of beta; a grid
+    of more than ``MAX_GRID`` values is refused before any is built.
+    """
+    terms, key = beta.terms, beta._key
+    if 1 + sum(c for _, c in key) > MAX_GRID:
+        raise ClopenError(f"truncation grid has more than MAX_GRID = {MAX_GRID} values")
+    values = [ZERO]
+    for k, ((e, p), (ke, _)) in enumerate(zip(terms, key)):
+        values += [_trusted(terms[:k] + ((e, j),), key[:k] + ((ke, j),))
+                   for j in range(1, p + 1)]
+    return values
 
 
 def min_clopen_with_endpoint(beta: Ordinal, ambient: Ordinal,
@@ -335,29 +329,37 @@ def min_clopen_with_endpoint(beta: Ordinal, ambient: Ordinal,
     whose end-point set is exactly {beta}, return one of minimal piece
     count, lexicographically least in the endpoint-sequence order.
 
+    One piece always suffices: when a set of several pieces has beta as its
+    only end point, so does the piece that holds beta.  That piece's rank
+    is at least rank(beta), since beta lies in it, and at most the set's
+    height, which is rank(beta); so its top-rank points are end points of
+    the set, which are just {beta}.  The search tries the pieces (s, t]
+    with s < beta <= t, s ascending and then t, which is the lexicographic
+    order, and returns the first whose only top-rank point is beta, read
+    from ``_piece_rank`` without building a point.  A grid of more than
+    ``MAX_GRID`` distinct values up to ``ambient`` is refused.
+
     When the grid contains the tip endpoints the result must coincide
     with the tip selector, and this is re-asserted.
     """
     if not beta <= ambient:
         raise ClopenError("point exceeds ambient")
     grid_vals = sorted({g for g in grid if g <= ambient}, key=sort_key)
-    for ell in range(1, max(1, len(grid_vals) // 2) + 1):
-        found = []
-        for seq in combinations(grid_vals, 2 * ell):
-            pieces = tuple((seq[2 * i], seq[2 * i + 1]) for i in range(ell))
-            candidate = ClopenSet(ambient, False, pieces)
-            data = clopen_cb(candidate)
-            if data.unitary and data.lastpt == beta:
-                found.append((seq, candidate))
-        if found:
-            found.sort(key=lambda sc: [sort_key(x) for x in sc[0]])
-            result = found[0][1]
-            tip = tip_selector(beta, ambient)
-            if not beta.is_zero:
-                tip_start = tip.intervals[0][0]
-                if tip_start in grid_vals and beta in grid_vals and result != tip:
-                    raise AssertionError("grid search disagrees with the tip selector")
-            return result
+    if len(grid_vals) > MAX_GRID:
+        raise ClopenError(f"grid has more than MAX_GRID = {MAX_GRID} values")
+    kb = beta._key
+    cut = bisect_left(grid_vals, kb, key=sort_key)
+    for s in grid_vals[:cut]:
+        for t in grid_vals[cut:]:
+            _, i, lo, hi = _piece_rank(s, t)
+            if lo == hi and t._key[:i + 1] == kb:
+                result = ClopenSet(ambient, False, ((s, t),))
+                tip = tip_selector(beta, ambient)
+                if not beta.is_zero:
+                    tip_start = tip.intervals[0][0]
+                    if tip_start in grid_vals and beta in grid_vals and result != tip:
+                        raise AssertionError("grid search disagrees with the tip selector")
+                return result
     raise ClopenError("no candidate in grid has the prescribed end point")
 
 
@@ -374,25 +376,6 @@ def format_clopen(u: ClopenSet) -> str:
     if not parts:
         parts.append("{}")
     return " ".join(parts) + " @ " + format_ordinal(u.ambient, compact=True)
-
-
-def clopen_to_json(u: ClopenSet) -> dict:
-    return {
-        "ambient": format_ordinal(u.ambient, compact=True),
-        "zero": u.zero_included,
-        "intervals": [[format_ordinal(s, compact=True), format_ordinal(t, compact=True)]
-                      for s, t in u.intervals],
-    }
-
-
-def clopen_from_json(data: dict) -> ClopenSet:
-    if "ambient" not in data:
-        raise ClopenError("clopen JSON must have an 'ambient' field")
-    return ClopenSet(
-        parse_ordinal(data["ambient"]),
-        bool(data.get("zero", False)),
-        tuple((parse_ordinal(s), parse_ordinal(t)) for s, t in data.get("intervals", ())),
-    )
 
 
 def parse_clopen(text: str) -> ClopenSet:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import ordtop
 from ordtop.cli import MAX_HORIZON, MAX_TRUNCATION, main
+from ordtop.clopen import MAX_ENDPOINTS, MAX_GRID
 from ordtop.mrowka import MAX_LUSIN_PICKS
 from ordtop.ordinal import MAX_COEFF_BITS, MAX_NESTING, MAX_TERMS
 from ordtop.poset import MAX_DOWNSETS, MAX_ELEMENTS
@@ -439,6 +440,26 @@ def test_clopen_minclopen_grid(runner):
     r = invoke_clean(runner, ["clopen", "minclopen", "w^2+w", "w^3", "--grid", "w,w^2+1"])
     assert r.exit_code == 2
     assert "no candidate in grid" in r.stderr
+
+
+def test_clopen_limits_are_usage_errors(runner):
+    # w*n has the n + 1 truncations 0, w, ..., w*n; (0,w*n] has the n end
+    # points w, ..., w*n
+    over = f"w*{MAX_GRID}"
+    grid_error = f"MAX_GRID = {MAX_GRID} values"
+    calls = {("clopen", "minclopen", over, over): grid_error,
+             ("clopen", "minclopen", f"w*{2 ** 9999}", "w^2"): grid_error,
+             ("clopen", "minclopen", "w", "w^2", "--grid",
+              ",".join(map(str, range(MAX_GRID + 1)))): grid_error,
+             ("clopen", "cb", f"(0,w*{MAX_ENDPOINTS + 1}] @ w^2"):
+                 f"MAX_ENDPOINTS = {MAX_ENDPOINTS} end points",
+             # twenty values and no answer: a search over all piece counts took 45 s
+             ("clopen", "minclopen", "w", "w^2", "--grid", ",".join(map(str, range(20)))):
+                 "no candidate in grid"}
+    for args, error in calls.items():
+        r = invoke_clean(runner, list(args))
+        assert (r.exit_code, r.stdout) == (2, ""), args[:3]
+        assert error in r.stderr, args[:3]
 
 
 def test_ord_pow_coefficient_limit(runner):

@@ -6,15 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordtop.clopen import (
+    MAX_ENDPOINTS,
+    MAX_GRID,
+    CBData,
     ClopenError,
     ClopenSet,
+    _piece_rank,
+    _top_points,
     clopen_algebra,
     clopen_cb,
     clopen_complement,
     clopen_from_pieces,
     clopen_intersect,
     clopen_union,
-    _trunc_at_least,
     cnf_truncation_grid,
     first_non_laminar_pair,
     format_clopen,
@@ -28,6 +32,9 @@ from ordtop.ordinal import (
     ZERO,
     Ordinal,
     OrdinalError,
+    _trusted,
+    format_ordinal,
+    ord_add,
     parse_ordinal,
     random_ordinal,
     random_ordinal_below,
@@ -63,6 +70,29 @@ def sample_points(rng, sets, ambient=AMB, extra=8):
     return [p for p in pts if p <= ambient]
 
 
+def piece_count(u):
+    return len(u.intervals)
+
+
+def clopen_to_json(u):
+    return {
+        "ambient": format_ordinal(u.ambient, compact=True),
+        "zero": u.zero_included,
+        "intervals": [[format_ordinal(s, compact=True), format_ordinal(t, compact=True)]
+                      for s, t in u.intervals],
+    }
+
+
+def clopen_from_json(data):
+    if "ambient" not in data:
+        raise ClopenError("clopen JSON must have an 'ambient' field")
+    return ClopenSet(
+        parse_ordinal(data["ambient"]),
+        bool(data.get("zero", False)),
+        tuple((parse_ordinal(s), parse_ordinal(t)) for s, t in data.get("intervals", ())),
+    )
+
+
 # -- oracle for Cantor-Bendixson data ------------------------------------
 
 def cb_scan_oracle(u, rng, tries=60):
@@ -90,6 +120,97 @@ def cb_scan_oracle(u, rng, tries=60):
     if u.zero_included and best == ZERO:
         witnesses.add(ZERO)
     return best, witnesses
+
+
+# -- the stepping code that the direct rank and the one-piece search replaced --
+
+def _trunc_at_least(a, e):
+    """Terms of ``a`` with exponent >= e (the multiple-of-w^e floor).
+
+    Exponents decrease along a normal form, so these terms are a prefix of
+    it, and the matching prefix of ``a._key`` is its key.
+    """
+    key, ke = a._key, e._key
+    k = 0
+    while k < len(key) and key[k][0] >= ke:
+        k += 1
+    return _trusted(a.terms[:k], key[:k])
+
+
+def _next_multiple_above(s, e):
+    """Least multiple of w^e strictly greater than s."""
+    return ord_add(_trunc_at_least(s, e), Ordinal.omega_power(e))
+
+
+def stepping_piece_rank(s, t):
+    """Oracle: max point rank over (s, t] and the points attaining it, found
+    by trying every exponent of s and t and stepping by w^e from the least
+    multiple above s."""
+    candidates = {e for e, _ in s.terms} | {e for e, _ in t.terms} | {ZERO}
+    best = None
+    for e in candidates:
+        if _next_multiple_above(s, e) <= t:
+            if best is None or best < e:
+                best = e
+    if best is None:
+        raise AssertionError("empty piece has no rank")
+    step = Ordinal.omega_power(best)
+    points = []
+    m = _next_multiple_above(s, best)
+    while m <= t:
+        points.append(m)
+        m = ord_add(m, step)
+    return best, points
+
+
+def stepping_cb(u):
+    """Oracle: ``clopen_cb`` over ``stepping_piece_rank``, with no limit."""
+    if u.is_empty:
+        raise ClopenError("empty set has no Cantor-Bendixson data")
+    height = ZERO if u.zero_included else None
+    per_piece = []
+    for s, t in u.intervals:
+        e, pts = stepping_piece_rank(s, t)
+        per_piece.append((e, pts))
+        if height is None or height < e:
+            height = e
+    endpoints = []
+    if u.zero_included and height == ZERO:
+        endpoints.append(ZERO)
+    for e, pts in per_piece:
+        if e == height:
+            endpoints.extend(pts)
+    unitary = len(endpoints) == 1
+    return CBData(height, tuple(endpoints), unitary,
+                  endpoints[0] if unitary else None)
+
+
+def all_counts_min_clopen(beta, ambient, grid):
+    """Oracle: the search over sets of 1, 2, 3, ... pieces, keeping the
+    lexicographically least of the first piece count with a hit."""
+    if not beta <= ambient:
+        raise ClopenError("point exceeds ambient")
+    grid_vals = sorted({g for g in grid if g <= ambient}, key=sort_key)
+    for ell in range(1, max(1, len(grid_vals) // 2) + 1):
+        found = []
+        for seq in combinations(grid_vals, 2 * ell):
+            pieces = tuple((seq[2 * i], seq[2 * i + 1]) for i in range(ell))
+            candidate = ClopenSet(ambient, False, pieces)
+            data = stepping_cb(candidate)
+            if data.unitary and data.lastpt == beta:
+                found.append((seq, candidate))
+        if found:
+            found.sort(key=lambda sc: [sort_key(x) for x in sc[0]])
+            return found[0][1]
+    raise ClopenError("no candidate in grid has the prescribed end point")
+
+
+def outcome(search, *args):
+    """The set a search returns, or the message of the ClopenError it raises."""
+    try:
+        return search(*args)
+    except ClopenError as e:
+        return str(e)
 
 
 # -- boolean algebra -------------------------------------------------------
@@ -198,6 +319,63 @@ def test_cb_matches_scan_oracle():
             assert u.contains(w)
             if not w.is_zero:
                 assert tip_deg(w).tip_exponent == data.height
+
+
+def random_piece(rng):
+    """Two distinct ordinals with depth-2 exponents that share a random
+    prefix of terms, in ascending order."""
+    base = random_ordinal(rng, max_terms=4, depth=2, max_coeff=3, max_finite_exp=3)
+    prefix = base.terms[:rng.randint(0, len(base.terms))]
+
+    def extend():
+        tail = random_ordinal(rng, max_terms=3, depth=2, max_coeff=3, max_finite_exp=3)
+        return Ordinal(prefix + tuple(term for term in tail.terms
+                                      if not prefix or term[0] < prefix[-1][0]))
+
+    a, b = extend(), extend()
+    return (a, b) if a < b else (b, a)
+
+
+def test_piece_rank_matches_stepping_oracle():
+    rng = random.Random(19)
+    shapes = set()
+    checked = 0
+    while checked < 3000:
+        s, t = random_piece(rng)
+        if s == t:
+            continue
+        checked += 1
+        e, i, lo, hi = _piece_rank(s, t)
+        assert (e, _top_points(t, i, lo, hi)) == stepping_piece_rank(s, t), (s, t)
+        same_exponent = i < len(s.terms) and s.terms[i][0] == e
+        shapes.add((i > 0, same_exponent, i == len(s.terms)))
+    # shared prefixes, a same-exponent term at the first difference, and s a
+    # prefix of t all occur
+    assert {(True, True, False), (True, False, False), (True, False, True),
+            (False, False, True)} <= shapes
+
+
+def test_cb_matches_stepping_oracle():
+    rng = random.Random(20)
+    for _ in range(400):
+        u = rand_clopen(rng, max_pieces=4)
+        if not u.is_empty:
+            assert clopen_cb(u) == stepping_cb(u), u
+
+
+def test_cb_endpoint_limit():
+    # (0, w*n] has the n end points w, w*2, ..., w*n
+    at = clopen_cb(parse_clopen(f"(0,w*{MAX_ENDPOINTS}] @ w*{MAX_ENDPOINTS}"))
+    assert len(at.endpoints) == MAX_ENDPOINTS and at.endpoints[-1] == P(f"w*{MAX_ENDPOINTS}")
+    for text in (f"(0,w*{MAX_ENDPOINTS + 1}] @ w^2",
+                 f"{{0}} (0,{MAX_ENDPOINTS}] @ w",  # the point 0 counts too
+                 f"(0,w*{2 ** 9999}] @ w^2",
+                 f"(0,w] (w*2,w*{MAX_ENDPOINTS + 2}] @ w^2"):  # summed over pieces
+        with pytest.raises(ClopenError, match=f"MAX_ENDPOINTS = {MAX_ENDPOINTS} end points"):
+            clopen_cb(parse_clopen(text))
+    # points of a lower rank than the height are not end points and are not counted
+    low = clopen_cb(parse_clopen(f"(0,{2 ** 9999}] (w,w*2] @ w*2"))
+    assert low.endpoints == (P("w*2"),)
 
 
 # -- tip selector --------------------------------------------------------------
@@ -427,7 +605,7 @@ def brute_min_clopen(beta, ambient, grid, max_ell=2):
 def test_min_clopen_omega():
     got = min_clopen_with_endpoint(P("w"), AMB, [ZERO, ONE, P("w"), P("w+1")])
     assert got.intervals == ((ZERO, P("w")),)
-    assert got.piece_count == 1
+    assert piece_count(got) == 1
 
 
 def test_min_clopen_isolated_point():
@@ -462,6 +640,88 @@ def test_min_clopen_no_candidate():
         min_clopen_with_endpoint(P("w"), AMB, [ZERO, ONE])
 
 
+def grid_variants(rng, beta, ambient):
+    """The truncation grid of beta, widened, thinned, pushed above the
+    ambient and stripped of its answer."""
+    grid = cnf_truncation_grid(beta)
+    extra = [random_ordinal_below(rng, ambient) for _ in range(3)]
+    yield "truncations", grid
+    yield "extra values", grid + extra
+    yield "removed values", rng.sample(grid, max(0, len(grid) - rng.randint(1, 2)))
+    yield "above the ambient", grid + [ambient + 1, ambient + P("w")]
+    # the only end point of (s, t] is beta only if t starts with beta's terms
+    others = [x for x in extra if x._key[:len(beta._key)] != beta._key]
+    yield "no answer", [g for g in grid if g != beta] + others
+
+
+def test_min_clopen_matches_all_counts_oracle():
+    rng = random.Random(21)
+    ambient = P("w^3*2")
+    kinds = {}
+    for _ in range(150):
+        beta = random_ordinal_below(rng, ambient)
+        for kind, grid in grid_variants(rng, beta, ambient):
+            got = outcome(min_clopen_with_endpoint, beta, ambient, grid)
+            assert got == outcome(all_counts_min_clopen, beta, ambient, grid), (beta, kind, grid)
+            if not beta.is_zero:
+                kinds.setdefault(kind, set()).add(isinstance(got, str))
+    # beta = 0 has no answer, as no (s, t] piece holds 0
+    for grid in ([ZERO], [ZERO, ONE, P("w")], cnf_truncation_grid(P("w+2"))):
+        assert (outcome(min_clopen_with_endpoint, ZERO, ambient, grid)
+                == outcome(all_counts_min_clopen, ZERO, ambient, grid)
+                == "no candidate in grid has the prescribed end point")
+    # a point above the ambient is refused by both
+    assert (outcome(min_clopen_with_endpoint, P("w^4"), ambient, [ZERO])
+            == outcome(all_counts_min_clopen, P("w^4"), ambient, [ZERO])
+            == "point exceeds ambient")
+    # widening keeps the answer, thinning may lose it
+    assert kinds == {"truncations": {False}, "extra values": {False},
+                     "removed values": {False, True}, "above the ambient": {False},
+                     "no answer": {True}}
+
+
+def test_one_piece_lemma_exhaustive():
+    # every two-piece set whose four ends are values below w^3*2 with
+    # exponents up to 3, coefficients up to 2 and at most two terms
+    values = {ZERO}
+    for e1 in range(4):
+        for c1 in (1, 2):
+            values.add(P(f"w^{e1}*{c1}"))
+            for e2 in range(e1):
+                for c2 in (1, 2):
+                    values.add(P(f"w^{e1}*{c1}+w^{e2}*{c2}"))
+    ambient = P("w^3*2")
+    values = sorted((v for v in values if v < ambient), key=sort_key)
+    unitary_pairs = 0
+    for a, b, c, d in combinations(values, 4):
+        data = clopen_cb(ClopenSet(ambient, False, ((a, b), (c, d))))
+        if not data.unitary:
+            continue
+        unitary_pairs += 1
+        beta = data.lastpt
+        piece = (a, b) if a < beta <= b else (c, d)
+        one = clopen_cb(ClopenSet(ambient, False, (piece,)))
+        assert one.unitary and one.lastpt == beta, (a, b, c, d)
+    assert unitary_pairs > 1000
+
+
+def test_grid_limit():
+    # w*n has n + 1 truncations: 0, w, ..., w*n
+    top = P(f"w*{MAX_GRID - 1}")
+    grid = cnf_truncation_grid(top)
+    assert len(grid) == MAX_GRID and grid[-1] == top
+    assert min_clopen_with_endpoint(top, top, grid).intervals == ((P(f"w*{MAX_GRID - 2}"), top),)
+    for coeff in (MAX_GRID, 2 ** 9999):
+        with pytest.raises(ClopenError, match=f"MAX_GRID = {MAX_GRID} values"):
+            cnf_truncation_grid(P(f"w*{coeff}"))
+    # a given grid counts its distinct values up to the ambient
+    finite = [Ordinal.from_int(n) for n in range(MAX_GRID - 1)]
+    got = min_clopen_with_endpoint(P("w"), P("w"), finite + [P("w"), P("w") + 1, ONE])
+    assert got == ClopenSet(P("w"), False, ((ZERO, P("w")),))
+    with pytest.raises(ClopenError, match=f"MAX_GRID = {MAX_GRID} values"):
+        min_clopen_with_endpoint(P("w"), P("w+1"), finite + [P("w"), P("w") + 1])
+
+
 def test_truncation_grid_contains_tip_endpoints():
     beta = P("w^2*3 + w*2 + 4")
     grid = cnf_truncation_grid(beta)
@@ -486,7 +746,6 @@ def test_text_empty_set():
 
 
 def test_json_roundtrip():
-    from ordtop.clopen import clopen_from_json, clopen_to_json
     u = clopen_from_pieces(AMB, [(P("w"), P("w*2"))], zero=True)
     data = clopen_to_json(u)
     assert data == {"ambient": "w^3*4", "zero": True, "intervals": [["w", "w*2"]]}
