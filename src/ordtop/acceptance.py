@@ -44,10 +44,10 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    _split_below,
     format_ordinal,
     nat_prod,
     nat_sum,
-    nat_sum_split_below,
     odot,
     ord_pow,
     parse_ordinal,
@@ -170,8 +170,10 @@ def criterion_06_nat_sum_properties(seed: int):
             return _fail("zero identity broke")
         # order equivalence and strict monotonicity in each argument
         if b != c:
-            lo, hi = (b, c) if b < c else (c, b)
-            if not nat_sum(a, lo) < nat_sum(a, hi):
+            b_low = b < c
+            lo, hi = (b, c) if b_low else (c, b)
+            ac = nat_sum(a, c)  # a(+)lo and a(+)hi are ab and ac
+            if not ((ab < ac) if b_low else (ac < ab)):
                 return _fail("monotonicity broke")
             if not nat_sum(lo, a) < nat_sum(hi, a):
                 return _fail("left monotonicity broke")
@@ -182,7 +184,7 @@ def criterion_06_nat_sum_properties(seed: int):
         # decomposability of anything below the sum
         if not ab.is_zero:
             gamma = random_ordinal_below(rng, ab)
-            a_half, b_half = nat_sum_split_below(gamma, a, b)
+            a_half, b_half = _split_below(gamma, a, b, ab)
             if nat_sum(a_half, b_half) != gamma or not (a_half <= a and b_half <= b):
                 return _fail(f"decomposition broke at {gamma}")
             if enum_checked < 150 and len(gamma.terms) <= 2 and all(

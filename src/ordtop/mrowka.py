@@ -242,11 +242,6 @@ def g_join(x: GPoint, y: GPoint, fam: ADFamily) -> GPoint:
     return GPoint.top()
 
 
-def g_leq(x: GPoint, y: GPoint, fam: ADFamily) -> bool:
-    """Induced order: x <= y iff x v y = y."""
-    return g_join(x, y, fam) == y
-
-
 # -- star construction ---------------------------------------------------------
 
 def code_of(sigma: Iterable[int]) -> int:
@@ -254,10 +249,6 @@ def code_of(sigma: Iterable[int]) -> int:
     for k in sigma:
         out |= 1 << k
     return out
-
-
-def support_of(code: int) -> frozenset:
-    return frozenset(i for i in range(code.bit_length()) if code >> i & 1)
 
 
 def star_truncation(fam: ADFamily, n_bound: int):

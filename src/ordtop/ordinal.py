@@ -439,7 +439,11 @@ def nat_sum_split_below(gamma: Ordinal, a: Ordinal, b: Ordinal):
     gamma's free tail to whichever side was strictly reduced; the halves
     are re-verified before returning.
     """
-    s = nat_sum(a, b)
+    return _split_below(gamma, a, b, nat_sum(a, b))
+
+
+def _split_below(gamma, a, b, s):
+    # nat_sum_split_below, given s = a(+)b
     gk = gamma._key
     gi = 0
     for si, (ks, cs) in enumerate(s._key):
@@ -695,38 +699,96 @@ def random_ordinal(rng, *, max_terms: int = 4, depth: int = 1,
     """Random normalized ordinal with at most ``max_terms`` terms.
 
     ``depth`` bounds the nesting of exponents: at depth 0 all exponents
-    are finite.  Each draw is the one ``rng.randint`` would make, in the
-    same order, so a seed gives the same ordinals and leaves ``rng`` in the
-    same state: on CPython ``randint(a, b)`` is
-    ``a + rng._randbelow(b - a + 1)``, called here directly.  An empty
-    range raises ``ValueError`` up front, where ``randint`` did at a draw.
+    are finite.  The seed fixes the ordinals.  Each draw from ``range(n)``
+    is ``rng.getrandbits(n.bit_length())``, repeated until it falls below
+    ``n``: the rejection loop ``rng.randint`` makes on CPython 3.10-3.13.
+    So a seed gives the ordinals that drawing with ``randint`` in the same
+    order gives, and leaves ``rng`` in the same state.  An empty range
+    raises ``ValueError`` up front, where ``randint`` did at a draw.
     """
     if max_terms < 0 or max_coeff < 1 or max_finite_exp < 0:
         raise ValueError("empty range for random_ordinal")
-    return _random_ordinal(rng._randbelow, max_terms + 1, depth, max_coeff, max_finite_exp + 1)
+    return _random_ordinal(rng.getrandbits, max_terms + 1, depth, max_coeff, max_finite_exp + 1)
 
 
-def _random_ordinal(below, n_terms, depth, n_coeffs, n_finite):
-    # random_ordinal, with each range given by its size
-    k = below(n_terms)
+_DEPTH1: dict = {}  # depth-1 exponents below w^16, keyed by their draws (n, c) or (n, c, m, d)
+
+
+def _random_ordinal(bits, n_terms, depth, n_coeffs, n_finite):
+    # random_ordinal, with each range given by its size; a draw from
+    # range(n) is bits(n.bit_length()) until below n (CPython's _randbelow)
+    w = n_terms.bit_length()
+    k = bits(w)
+    while k >= n_terms:
+        k = bits(w)
     if k == 0:
         return ZERO
+    wf = n_finite.bit_length()
     exps: dict = {}  # key -> exponent
     attempts = 12 * k
     while len(exps) < k and attempts:
         attempts -= 1
         if depth <= 0:
-            n = below(n_finite)
+            n = bits(wf)
+            while n >= n_finite:
+                n = bits(wf)
             e = _FINITE[n] if n < 16 else Ordinal.from_int(n)
+        elif depth > 1:
+            e = _random_ordinal(bits, 3, depth - 1, 3, n_finite)  # <= 2 terms, coeffs <= 3
         else:
-            e = _random_ordinal(below, 3, depth - 1, 3, n_finite)  # <= 2 terms, coeffs <= 3
+            # _random_ordinal(bits, 3, 0, 3, n_finite) unrolled: w^n*c for
+            # j = 1, and for j = 2 also + w^m*d (n > m) unless 24 attempts
+            # draw one exponent only
+            j = bits(2)
+            while j == 3:
+                j = bits(2)
+            if j == 0:
+                e = ZERO
+            else:
+                n = m = bits(wf)
+                while n >= n_finite:
+                    n = m = bits(wf)
+                if j == 2:
+                    for _ in range(23):
+                        m = bits(wf)
+                        while m >= n_finite:
+                            m = bits(wf)
+                        if m != n:
+                            break
+                c = bits(2)
+                while c == 3:
+                    c = bits(2)
+                if m == n:
+                    draws = (n, c + 1)
+                else:
+                    d = bits(2)
+                    while d == 3:
+                        d = bits(2)
+                    draws = (n, c + 1, m, d + 1) if n > m else (m, c + 1, n, d + 1)
+                e = _DEPTH1.get(draws)
+                if e is None:
+                    e = _depth1_exponent(draws)
         exps.setdefault(e._key, e)
+    w = n_coeffs.bit_length()
     terms, key = [], []
     for ke in sorted(exps, reverse=True):
-        c = 1 + below(n_coeffs)
-        terms.append((exps[ke], c))
-        key.append((ke, c))
+        c = bits(w)
+        while c >= n_coeffs:
+            c = bits(w)
+        terms.append((exps[ke], c + 1))
+        key.append((ke, c + 1))
     return _trusted(tuple(terms), tuple(key))
+
+
+def _depth1_exponent(draws):
+    # the sum of w^n*c over the pairs (n, c) in draws, interned in _DEPTH1
+    # when every n is below 16
+    terms = tuple((_FINITE[n] if n < 16 else Ordinal.from_int(n), c)
+                  for n, c in zip(draws[::2], draws[1::2]))
+    e = _trusted(terms, tuple((f._key, c) for f, c in terms))
+    if draws[0] < 16:
+        _DEPTH1[draws] = e
+    return e
 
 
 def random_ordinal_below(rng, bound: Ordinal) -> Ordinal:
@@ -734,16 +796,24 @@ def random_ordinal_below(rng, bound: Ordinal) -> Ordinal:
     with draws as in ``random_ordinal``."""
     if bound.is_zero:
         raise OrdinalError("no ordinal below 0")
-    i = rng._randbelow(len(bound.terms))
+    bits = rng.getrandbits
+    n = len(bound.terms)
+    w = n.bit_length()
+    i = bits(w)
+    while i >= n:
+        i = bits(w)
     exp, coeff = bound.terms[i]
     ke = bound._key[i][0]
-    new_coeff = rng._randbelow(coeff)
+    w = coeff.bit_length()
+    new_coeff = bits(w)
+    while new_coeff >= coeff:
+        new_coeff = bits(w)
     terms, key = bound.terms[:i], bound._key[:i]
     if new_coeff:
         terms, key = terms + ((exp, new_coeff),), key + ((ke, new_coeff),)
     if ke:
         # any tail below w^exp keeps the value below bound
-        tail = random_ordinal(rng, max_terms=2, depth=0, max_coeff=3)
+        tail = _random_ordinal(bits, 3, 0, 3, 10)  # random_ordinal(max_terms=2, depth=0, max_coeff=3)
         for t, kt in zip(tail.terms, tail._key):
             if kt[0] < ke:
                 return _trusted(terms + (t,), key + (kt,))

@@ -20,12 +20,10 @@ from ordtop.mrowka import (
     common_residue_classes,
     convergence_check,
     g_join,
-    g_leq,
     lusin_iterate,
     lusin_stage,
     mrowka_selector_check,
     star_truncation,
-    support_of,
 )
 from ordtop.ordinal import CheckReport
 
@@ -35,6 +33,16 @@ ODDS = EvPeriodicSet(2, frozenset({1}))
 
 def brute_intersection_infinite(a, b, horizon=5000):
     return sum(1 for n in range(horizon) if a.contains(n) and b.contains(n)) > 64
+
+
+def g_leq(x, y, fam):
+    """Induced order: x <= y iff x v y = y."""
+    return g_join(x, y, fam) == y
+
+
+def support_of(code):
+    """The set a star code codes: the k with bit k set."""
+    return frozenset(i for i in range(code.bit_length()) if code >> i & 1)
 
 
 # -- representations -----------------------------------------------------

@@ -34,7 +34,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.ordinal import _pow_nat
+from ordtop.ordinal import _DEPTH1, _pow_nat
 
 P = parse_ordinal
 
@@ -665,6 +665,11 @@ GENERATOR_SHAPES = {
     "finite exponents past 15": dict(max_terms=5, depth=1, max_finite_exp=40),
     "wide coefficients": dict(max_terms=3, depth=0, max_coeff=10**12),
     "attempt cap": dict(max_terms=6, depth=0, max_finite_exp=3),
+    "depth 1, exponents 0": dict(depth=1, max_finite_exp=0),
+    "depth 1, exponents 0..1": dict(depth=1, max_finite_exp=1),
+    "depth 1, coefficient 1": dict(depth=1, max_coeff=1),
+    "no terms": dict(max_terms=0),
+    "depth 3": dict(depth=3),
 }
 
 
@@ -683,6 +688,22 @@ def test_generators_draw_as_randint_does(shape):
                 got, want = random_ordinal_below(rng, got), randint_random_ordinal_below(ref, want)
                 assert got.terms == want.terms and got._key == want._key, (seed, got, want)
         assert rng.getstate() == ref.getstate(), seed
+
+
+def test_interned_depth1_exponents_stay_below_w16():
+    """Depth-1 exponents are interned by their draws only while every term
+    is below w^16, so the table stays bounded, and each entry is the
+    ordinal the public constructor builds from its draws."""
+    rng = random.Random(5)
+    drawn = [random_ordinal(rng, max_terms=5, depth=1, max_finite_exp=40) for _ in range(400)]
+    sixteen = Ordinal.from_int(16)
+    assert any(e >= Ordinal.omega_power(sixteen) for a in drawn for e, _ in a.terms)
+    assert 0 < len(_DEPTH1) <= 16 * 3 + 16 * 15 // 2 * 3 * 3
+    for draws, e in _DEPTH1.items():
+        pairs = list(zip(draws[::2], draws[1::2]))
+        assert all(f < sixteen for f, _ in e.terms), draws
+        want = Ordinal(tuple((Ordinal.from_int(n), c) for n, c in pairs))
+        assert e.terms == want.terms and e._key == want._key, draws
 
 
 @pytest.mark.parametrize("shape", [dict(max_terms=-1), dict(max_coeff=0),
