@@ -25,7 +25,6 @@ from .poset import (
     all_downsets,
     inclusion_order,
     join_table_laws,
-    ranks,
     selector_conditions,
 )
 
@@ -42,7 +41,8 @@ class Hyperspace:
     """All nonempty downsets of a finite poset, ordered by inclusion."""
 
     base: FinitePoset
-    points: tuple  # downset bitmasks, sorted by (size, value)
+    points: tuple  # nonempty downset bitmasks, sorted by (size, value)
+    maxima: tuple  # maxima[k]: the mask of the maxima of points[k]
 
     @property
     def size(self) -> int:
@@ -56,34 +56,25 @@ class Hyperspace:
 def build_hyperspace(poset: FinitePoset) -> Hyperspace:
     """Construct the hyperspace and re-verify its structural identities:
     principal downsets present, closure under union with each of them, and
-    every point the downset of its maxima, which together make the points
-    exactly the join closure of the principal downsets (all nonempty
-    downsets) and so closed under union."""
+    every point the downset of the maxima ``all_downsets`` gives it, which
+    together make the points exactly the join closure of the principal
+    downsets (all nonempty downsets) and so closed under union.  The
+    maxima are kept, one mask per point."""
     if poset.n == 0:
         raise PosetError("empty poset has an empty hyperspace")
-    masks = sorted((m for m in all_downsets(poset) if m),
-                   key=lambda m: (_popcount(m), m))
+    downsets = all_downsets(poset)
+    masks = sorted((m for m in downsets if m), key=lambda m: (_popcount(m), m))
     point_set = set(masks)
     principal = principal_selector(poset)
     if not point_set.issuperset(principal):
         raise AssertionError("principal downset missing from the hyperspace")
     if not point_set.issuperset([a | d for a in masks for d in principal]):
         raise AssertionError("hyperspace not closed under union")
-    for m in masks:
-        if poset.close_down(poset.max_of(m)) != m:
+    maxima = tuple(downsets[m] for m in masks)
+    for m, top in zip(masks, maxima):
+        if poset.close_down(top) != m:
             raise AssertionError("point is not the downset of its maxima")
-    return Hyperspace(poset, tuple(masks))
-
-
-def max_decomposition(h: Hyperspace, k: int) -> frozenset:
-    """The antichain of maxima generating the point with mask ``k``,
-    re-verified."""
-    if k not in set(h.points):
-        raise HyperspaceError("not a point of the hyperspace")
-    sigma = h.base.max_of(k)
-    if h.base.close_down(sigma) != k:
-        raise AssertionError("maxima fail to regenerate the downset")
-    return h.base.names(sigma)
+    return Hyperspace(poset, tuple(masks), maxima)
 
 
 def hyperspace_to_dot(h: Hyperspace) -> str:
@@ -262,8 +253,7 @@ def _join_steps(h: Hyperspace, fi) -> list:
     -1.  The points come by size, so each lower cover comes before m."""
     pos = {m: k for k, m in enumerate(h.points)}
     steps = []
-    for m in h.points:
-        top = h.base.max_of(m)
+    for m, top in zip(h.points, h.maxima):
         low = top & -top
         i = low.bit_length() - 1
         steps.append((pos.get(m ^ low, -1), i, fi[i] if m == h.eta(i) else -1))
@@ -377,35 +367,3 @@ def vietoris_density_witness(model: OnePointModel, u: Descriptor,
             return None
         picks.add(n)
     return sorted(picks)
-
-
-def one_point_poset(n: int) -> FinitePoset:
-    """Finite-scale pattern of the compactified naturals: an n-antichain
-    below a single top point."""
-    from .poset import poset_from_covers
-    names = [str(i) for i in range(n)] + ["inf"]
-    return poset_from_covers(names, [(str(i), "inf") for i in range(n)])
-
-
-def one_point_rank_discrepancy(n: int) -> dict:
-    """Both rank conventions for the hyperspace of the compactified
-    naturals, at finite scale n.
-
-    The sup-plus-one convention gives n+1 for the hyperspace (climbing to
-    w+1 with n), while the sup-of-point-ranks convention gives n (climbing
-    to w); the claimed equality rank(H) = w^rank(X) holds only under the
-    second convention, so the mismatch is flagged rather than resolved.
-    """
-    h = build_hyperspace(one_point_poset(n))
-    r = ranks(inclusion_order(h.base, h.points))
-    base_r = ranks(h.base)
-    sup_plus_one = r.poset_rank
-    sup_only = max(r.elem_rank.values())
-    return {
-        "scale": n,
-        "hyperspace_rank_sup_plus_one": sup_plus_one,
-        "hyperspace_rank_sup_only": sup_only,
-        "base_rank_sup_plus_one": base_r.poset_rank,
-        "base_rank_sup_only": max(base_r.elem_rank.values()),
-        "flag": "rank conventions disagree; recorded without normalizing",
-    }

@@ -15,10 +15,12 @@ selector nesting test and the transitivity of a selector's induced order.
 such mask per point; the pairwise scan of each set's members runs only
 after the union test fails, and reads labels only to name the witness.
 
-``all_downsets`` is the one enumeration of downsets, and through ``max_of``
-of antichains, behind every enumerating operation of the package; it
-refuses more than ``MAX_ELEMENTS`` elements or ``MAX_DOWNSETS`` downsets.
-``inclusion_order`` orders them from their lower covers, never by pairs.
+``all_downsets`` is the one enumeration of downsets, and of antichains as
+their maxima, behind every enumerating operation of the package: it maps
+each downset mask to the mask of its maxima, the antichain whose closure
+it is (Birkhoff), so no caller recomputes them.  It refuses more than
+``MAX_ELEMENTS`` elements or ``MAX_DOWNSETS`` downsets.  ``inclusion_order``
+orders downsets from their lower covers, never by pairs.
 """
 
 from __future__ import annotations
@@ -115,9 +117,6 @@ class FinitePoset:
         except ValueError:
             raise PosetError(f"unknown element {name!r}") from None
 
-    def lt(self, i: int, j: int) -> bool:
-        return bool(self.below[j] & (1 << i))
-
     def down_mask(self, i: int) -> int:
         return self.below[i] | (1 << i)
 
@@ -132,8 +131,8 @@ class FinitePoset:
 
     def max_of(self, mask: int) -> int:
         """Bitmask of the maximal elements within ``mask``."""
-        # the bit walk of _bits, inlined: this is the innermost loop of the
-        # downset ranks, and a generator costs more than the test itself
+        # the bit walk of _bits, inlined: a generator costs more than the
+        # test itself
         above = self.above
         out = 0
         rest = mask
@@ -155,13 +154,6 @@ class FinitePoset:
 
     def names(self, mask: int) -> frozenset:
         return frozenset(self.labels[i] for i in _bits(mask))
-
-    def mask_of(self, names: Iterable[str]) -> int:
-        """Bitmask of the named elements; an unknown name raises."""
-        mask = 0
-        for name in names:
-            mask |= 1 << self.index(name)
-        return mask
 
     def __repr__(self):
         rel = [(self.labels[i], self.labels[j]) for (i, j) in self.covers()]
@@ -333,18 +325,20 @@ def _alternating_search(above, match_right, free_right: int, roots):
 
 # -- downset enumeration ----------------------------------------------
 
-def all_downsets(poset: FinitePoset) -> list:
-    """All downsets as bitmasks, including 0 and the full set.  Elements
-    come in a linear extension, so a downset takes the next one exactly
-    when it holds everything below it.  Raises ``PosetError`` past
-    ``MAX_ELEMENTS`` elements or ``MAX_DOWNSETS`` downsets."""
+def all_downsets(poset: FinitePoset) -> dict:
+    """Every downset as a bitmask, including 0 and the full set, mapped to
+    the mask of its maxima.  Elements come in a linear extension, so a
+    downset takes the next one exactly when it holds everything below it,
+    and that element is then maximal: it joins the maxima, and the maxima
+    below it leave.  Raises ``PosetError`` past ``MAX_ELEMENTS`` elements
+    or ``MAX_DOWNSETS`` downsets."""
     if poset.n > MAX_ELEMENTS:
         raise PosetError(f"poset has {poset.n} elements, over MAX_ELEMENTS = {MAX_ELEMENTS}")
     below = poset.below
-    out = [0]
+    out = {0: 0}
     for i in sorted(range(poset.n), key=lambda i: _popcount(below[i])):
-        bit = 1 << i
-        out += [m | bit for m in out if not below[i] & ~m]
+        bit, under = 1 << i, below[i]
+        out.update([(m | bit, top & ~under | bit) for m, top in out.items() if not under & ~m])
         if len(out) > MAX_DOWNSETS:
             raise PosetError(f"poset has more than MAX_DOWNSETS = {MAX_DOWNSETS} downsets")
     return out
@@ -397,13 +391,13 @@ def kw_rank(poset: FinitePoset) -> dict:
     by the downset's mask."""
     if poset.n == 0:
         raise PosetError("empty poset")
-    masks = [m for m in all_downsets(poset) if m]
+    downsets = all_downsets(poset)
+    masks = [m for m in downsets if m]
     masks.sort(key=_popcount)
     rank: dict = {}
-    max_of = poset.max_of
     for m in masks:
         best = -1
-        rest = max_of(m)
+        rest = downsets[m]
         while rest:  # each lower cover m - {i}, i maximal in m
             low = rest & -rest
             pred = m ^ low

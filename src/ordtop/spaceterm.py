@@ -17,7 +17,6 @@ points' contributions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -84,9 +83,6 @@ class Skeleton:
         if any(not self.labels[i] < self.labels[j]
                for i in range(self.poset.n) for j in _bits(self.poset.above[i])):
             raise TermError("labels must strictly increase along the order")
-
-    def label_of(self, name: str) -> Ordinal:
-        return self.labels[self.poset.index(name)]
 
 
 @dataclass(frozen=True)
@@ -197,7 +193,7 @@ def _antichains(p: FinitePoset) -> list:
     """(antichain, downset) mask pairs for the nonempty antichains of ``p``,
     read as maxima of its downsets; ordered by the membership of element 0,
     then of element 1, and so on, absent first."""
-    return sorted(((p.max_of(d), d) for d in all_downsets(p) if d),
+    return sorted(((a, d) for d, a in all_downsets(p).items() if d),
                   key=lambda pair: [pair[0] >> i & 1 for i in range(p.n)])
 
 
@@ -362,20 +358,3 @@ def _split_args(inner: str) -> list:
             start = i + 1
     parts.append(inner[start:])
     return [p for p in parts if p.strip()]
-
-
-def format_term(t: SpaceTerm) -> str:
-    if isinstance(t, OrdSpace):
-        return f"ord({format_ordinal(t.alpha, compact=True)})"
-    if isinstance(t, SumTerm):
-        return "sum(" + ",".join(format_term(p) for p in t.parts) + ")"
-    if isinstance(t, ProdTerm):
-        return f"prod({format_term(t.left)},{format_term(t.right)})"
-    if isinstance(t, SkelTerm):
-        from .poset import poset_to_json
-        sk = t.skeleton
-        labels = {sk.poset.labels[i]: format_ordinal(sk.labels[i], compact=True)
-                  for i in range(sk.poset.n)}
-        return (f"skel({json.dumps(poset_to_json(sk.poset), sort_keys=True)},"
-                f"{json.dumps(labels, sort_keys=True)})")
-    raise TermError(f"not a space term: {t!r}")

@@ -46,6 +46,19 @@ def vee():
 
 # -- queries only the tests use ------------------------------------------
 
+def lt(poset, i, j):
+    """i < j in ``poset``."""
+    return bool(poset.below[j] >> i & 1)
+
+
+def mask_of(poset, names):
+    """Bitmask of the named elements; an unknown name raises."""
+    mask = 0
+    for name in names:
+        mask |= 1 << poset.index(name)
+    return mask
+
+
 def is_downset(poset, mask):
     return poset.close_down(mask) == mask
 
@@ -73,7 +86,7 @@ class Extremal(NamedTuple):
 
 
 def extremal(poset, names):
-    mask = poset.mask_of(names)
+    mask = mask_of(poset, names)
     max_mask = poset.max_of(mask)
     min_mask = min_of(poset, mask)
     antichain = max_mask == mask and min_mask == mask
@@ -81,6 +94,16 @@ def extremal(poset, names):
 
 
 # -- oracles -----------------------------------------------------------
+
+def listed_downsets(poset):
+    """The downset masks in the order ``all_downsets`` gives them: the list
+    it built before it kept each downset's maxima."""
+    below = poset.below
+    out = [0]
+    for i in sorted(range(poset.n), key=lambda i: _popcount(below[i])):
+        out += [m | 1 << i for m in out if not below[i] & ~m]
+    return out
+
 
 def recursive_downsets(poset):
     """Depth-first downset enumeration in the linear extension that
@@ -146,7 +169,7 @@ def reachable_down(poset, i):
 def longest_chain_below(poset, i):
     best = 0
     for j in range(poset.n):
-        if poset.lt(j, i):
+        if lt(poset, j, i):
             best = max(best, longest_chain_below(poset, j) + 1)
     return best
 
@@ -155,7 +178,7 @@ def brute_max_antichain(poset):
     best = 0
     for r in range(poset.n, 0, -1):
         for combo in combinations(range(poset.n), r):
-            if all(not poset.lt(a, b) and not poset.lt(b, a)
+            if all(not lt(poset, a, b) and not lt(poset, b, a)
                    for a, b in combinations(combo, 2)):
                 return r
     return best
@@ -203,9 +226,9 @@ def test_one_element_antichain():
 
 def test_vee_shape():
     p = vee()
-    assert p.lt(p.index("a"), p.index("c"))
-    assert p.lt(p.index("b"), p.index("c"))
-    assert not p.lt(p.index("a"), p.index("b"))
+    assert lt(p, p.index("a"), p.index("c"))
+    assert lt(p, p.index("b"), p.index("c"))
+    assert not lt(p, p.index("a"), p.index("b"))
 
 
 def test_cycle_rejected():
@@ -222,7 +245,7 @@ def test_duplicate_and_unknown_names_rejected():
 
 def test_transitive_closure_of_covers():
     p = chain(4)
-    assert p.lt(p.index("0"), p.index("3"))
+    assert lt(p, p.index("0"), p.index("3"))
 
 
 def test_json_roundtrip_and_dot():
@@ -282,11 +305,11 @@ def test_extremal_matches_pairwise_scan():
         r = extremal(p, members)
         idxs = [p.index(m) for m in members]
         oracle_max = {p.labels[i] for i in idxs
-                      if not any(p.lt(i, j) for j in idxs)}
+                      if not any(lt(p, i, j) for j in idxs)}
         oracle_min = {p.labels[i] for i in idxs
-                      if not any(p.lt(j, i) for j in idxs)}
+                      if not any(lt(p, j, i) for j in idxs)}
         assert r.max == oracle_max and r.min == oracle_min
-        assert r.is_antichain == all(not p.lt(a, b) and not p.lt(b, a)
+        assert r.is_antichain == all(not lt(p, a, b) and not lt(p, b, a)
                                      for a, b in combinations(idxs, 2))
 
 
@@ -365,7 +388,7 @@ def test_inclusion_order_labels_and_order():
     p = antichain(2)
     order = inclusion_order(p, [0b01, 0b10, 0b11])
     assert order.labels == ("{0}", "{1}", "{0,1}")
-    assert [(i, j) for i in range(3) for j in range(3) if order.lt(i, j)] == [(0, 2), (1, 2)]
+    assert [(i, j) for i in range(3) for j in range(3) if lt(order, i, j)] == [(0, 2), (1, 2)]
     assert downset_labels(p, [0]) == ["{}"]
     assert downset_lattice(p).labels == ("{}",) + order.labels
 
@@ -401,6 +424,8 @@ def test_all_downsets_match_the_recursive_oracle():
         got = all_downsets(p)
         assert len(got) == len(set(got))
         assert sorted(got) == sorted(recursive_downsets(p)), p
+        assert list(got) == listed_downsets(p), p
+        assert all(top == p.max_of(m) for m, top in got.items()), p
 
 
 def test_antichains_are_the_maxima_of_downsets_in_oracle_order():
@@ -435,12 +460,12 @@ def test_downset_bound_enforced():
 
 def test_downset_type_validates_closure():
     p = chain(3)
-    assert p.mask_of([]) == 0
-    assert p.mask_of(["0", "1"]) == 0b011
-    assert not is_downset(p, p.mask_of(["2"]))
-    assert is_downset(p, p.mask_of(["1", "0"]))
+    assert mask_of(p, []) == 0
+    assert mask_of(p, ["0", "1"]) == 0b011
+    assert not is_downset(p, mask_of(p, ["2"]))
+    assert is_downset(p, mask_of(p, ["1", "0"]))
     with pytest.raises(PosetError, match="unknown element"):
-        p.mask_of(["0", "z"])
+        mask_of(p, ["0", "z"])
 
 
 # -- kw_rank ---------------------------------------------------------------
@@ -668,7 +693,7 @@ def test_zaguia_doctored_tables_match_the_oracle():
     least = poset_from_covers(list("0123"), [("0", "1"), ("0", "2"), ("0", "3")])
     cases = [
         # {0,1,2} ranked 1: {0,1,2} | {0,3} breaks the unshifted reading alone
-        (least, {least.mask_of("012"): 1}, None,
+        (least, {mask_of(least, "012"): 1}, None,
          {"claim1": True, "claim2": True, "claim3": True,
           "claim1_literal": False, "claim2_literal": True}),
         # over the downsets claim 1 implies claim 2, by induction on the
@@ -804,7 +829,7 @@ def _kernel_corpus():
     for n in range(6, 15):
         for edge_prob in (0.15, 0.35, 0.6):
             p = random_poset(rng, n, edge_prob)
-            masks = [rng.getrandbits(n) for _ in range(60)] + all_downsets(p)[:60]
+            masks = [rng.getrandbits(n) for _ in range(60)] + list(all_downsets(p))[:60]
             yield p, masks
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.poset import all_labeled_posets, poset_from_covers, ranks
+from ordtop.poset import all_labeled_posets, poset_from_covers, poset_to_json, ranks
 from ordtop.spaceterm import (
     OrdSpace,
     ProdTerm,
@@ -27,7 +28,6 @@ from ordtop.spaceterm import (
     TermError,
     _is_forest,
     check_height_rank_bounds,
-    format_term,
     hyper_antichain_height,
     hyper_monotonicity_check,
     hyper_point_height,
@@ -37,6 +37,33 @@ from ordtop.spaceterm import (
 )
 
 P = parse_ordinal
+
+
+def lt(poset, i, j):
+    """i < j in ``poset``."""
+    return bool(poset.below[j] >> i & 1)
+
+
+def label_of(sk, name):
+    """The label of the named element of the skeleton ``sk``."""
+    return sk.labels[sk.poset.index(name)]
+
+
+def format_term(t):
+    """The text of a space term, which ``parse_term`` reads back."""
+    if isinstance(t, OrdSpace):
+        return f"ord({format_ordinal(t.alpha, compact=True)})"
+    if isinstance(t, SumTerm):
+        return "sum(" + ",".join(format_term(p) for p in t.parts) + ")"
+    if isinstance(t, ProdTerm):
+        return f"prod({format_term(t.left)},{format_term(t.right)})"
+    if isinstance(t, SkelTerm):
+        sk = t.skeleton
+        labels = {sk.poset.labels[i]: format_ordinal(sk.labels[i], compact=True)
+                  for i in range(sk.poset.n)}
+        return (f"skel({json.dumps(poset_to_json(sk.poset), sort_keys=True)},"
+                f"{json.dumps(labels, sort_keys=True)})")
+    raise TermError(f"not a space term: {t!r}")
 
 EXAMPLE_LABELS = [P(x) for x in ("0", "1", "1", "2", "10", "10", "w+7", "3")]
 EXAMPLE_VALUE = "w^(w+7) + w^9*2 + w^2 + w + 2"
@@ -288,10 +315,10 @@ def _is_forest_pairwise(p):
     # the forest test that spaceterm._is_forest replaced, with O(n^3) calls
     # of lt
     for z in range(p.n):
-        ups = [j for j in range(p.n) if p.lt(z, j)]
+        ups = [j for j in range(p.n) if lt(p, z, j)]
         for a in ups:
             for b in ups:
-                if a != b and not p.lt(a, b) and not p.lt(b, a):
+                if a != b and not lt(p, a, b) and not lt(p, b, a):
                     return False
     return True
 
@@ -302,7 +329,7 @@ def _skeleton_pairwise(poset, labels):
         raise TermError("one label per element required")
     for i in range(poset.n):
         for j in range(poset.n):
-            if poset.lt(i, j) and not labels[i] < labels[j]:
+            if lt(poset, i, j) and not labels[i] < labels[j]:
                 raise TermError("labels must strictly increase along the order")
 
 
@@ -390,7 +417,7 @@ def test_parse_nested_terms():
 def test_parse_skeleton_term():
     t = parse_term('skel({"elements": ["a", "b"], "covers": [["a", "b"]]}, {"a": 1, "b": "w"})')
     assert isinstance(t, SkelTerm)
-    assert t.skeleton.label_of("b") == OMEGA
+    assert label_of(t.skeleton, "b") == OMEGA
 
 
 def test_parse_errors():
