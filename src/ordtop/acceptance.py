@@ -32,11 +32,11 @@ from .hyperspace import (
 )
 from .mrowka import (
     ADFamily,
-    GPoint,
     convergence_check,
     g_join,
     lusin_iterate,
     mrowka_selector_check,
+    parse_point,
     star_truncation,
 )
 from .ordinal import (
@@ -369,9 +369,9 @@ def criterion_12_mrowka_suite(seed: int):
     fam4 = ADFamily.progressions(4)
     # exhaustive semilattice axioms: all nonempty subsets of [0,8), 4
     # branches and the top, with the join table built from the real join
-    points = [GPoint.fin_pt(frozenset(k for k in range(8) if mask >> k & 1))
-              for mask in range(1, 256)]
-    points += [GPoint.branch_pt(r) for r in range(4)] + [GPoint.top()]
+    texts = ["fin:" + ",".join(str(k) for k in range(8) if mask >> k & 1)
+             for mask in range(1, 256)]
+    points = [parse_point(t) for t in texts + [f"branch:{r}" for r in range(4)] + ["top"]]
     index = {pt: i for i, pt in enumerate(points)}
     table = [[index[g_join(x, y, fam4)] for y in points] for x in points]
     broken, _ = join_table_laws(table)

@@ -462,18 +462,6 @@ def mrowka_star(file, code_bound, json_file):
     emit_json(rep.to_json(), json_file)
 
 
-def _parse_gpoint(text):
-    from .mrowka import GPoint, MrowkaError
-    if text == "top":
-        return GPoint.top()
-    kind, _, rest = text.partition(":")
-    if kind == "fin":
-        return GPoint.fin_pt(frozenset(int(x) for x in rest.split(",") if x.strip()))
-    if kind == "branch":
-        return GPoint.branch_pt(int(rest))
-    raise MrowkaError(f"point must be fin:..., branch:i or top, got {text!r}")
-
-
 @mrowka_group.command("join")
 @click.argument("file", type=click.Path())
 @click.argument("x")
@@ -481,9 +469,9 @@ def _parse_gpoint(text):
 @json_opt
 def mrowka_join(file, x, y, json_file):
     """Join of two points of the quotient semilattice."""
-    from .mrowka import ADFamily, g_join
+    from .mrowka import ADFamily, format_point, g_join, parse_point
     fam = ADFamily.from_json(load_json_file(file))
-    emit_text(str(g_join(_parse_gpoint(x), _parse_gpoint(y), fam)), json_file)
+    emit_text(format_point(g_join(parse_point(x), parse_point(y), fam)), json_file)
 
 
 @mrowka_group.command("convergence")

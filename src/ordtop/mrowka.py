@@ -10,10 +10,17 @@ star construction, the join of the quotient semilattice over a family
 (finite sets, branches, and a top), net-convergence certificates for that
 join, finite stages of the Lusin construction with exact fresh-intersection
 counts, and the canonical-selector check for the associated compact space.
+
+A point of the quotient semilattice is one int: a nonempty finite set of
+naturals below ``MAX_POINT_MEMBER`` is its positive bitmask, branch r is
+``-(r + 1)`` (``~r``) and the top is 0.  Other modules make points only
+with ``parse_point``, from the text ``fin:1,2``, ``branch:0`` or ``top``,
+and print them with ``format_point``.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -27,6 +34,7 @@ from .ordinal import CheckReport
 SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
 MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most 1.8 s and 32 MB on 2 CPUs
+MAX_POINT_MEMBER = 1 << 20  # parse_point; the largest join takes 0.22-0.25 s in a fresh process
 
 
 class MrowkaError(ValueError):
@@ -87,6 +95,15 @@ class EvPeriodicSet:
 
     def elements_below(self, limit: int) -> list:
         return [n for n in range(limit) if self.contains(n)]
+
+    def mask_below(self, n: int) -> int:
+        """Bitmask of the members below n >= 0: one period's residues,
+        doubled until they cover n bits, then toggled by the delta below n."""
+        mask, width = code_of(self.residues), self.period
+        while width < n:
+            mask |= mask << width
+            width *= 2
+        return (mask & ((1 << n) - 1)) ^ code_of(d for d in self.delta if d < n)
 
     @classmethod
     def from_json(cls, data: dict) -> "EvPeriodicSet":
@@ -182,73 +199,64 @@ class ADFamily:
 
 # -- the quotient semilattice ------------------------------------------------
 
-@dataclass(frozen=True)
-class GPoint:
-    """Point of the quotient semilattice over a family: a nonempty finite
-    set of naturals, a branch of the family, or the collapsed top."""
-
-    kind: str
-    fin: frozenset = frozenset()
-    branch: int = -1
-
-    def __post_init__(self):
-        if self.kind not in ("fin", "branch", "top"):
-            raise MrowkaError(f"bad point kind {self.kind!r}")
-        if self.kind == "fin" and not self.fin:
+def parse_point(text: str) -> int:
+    """The point that ``fin:1,2``, ``branch:0`` or ``top`` names."""
+    if text == "top":
+        return 0
+    head, _, rest = text.partition(":")
+    if head == "fin":
+        members = [int(x) for x in rest.split(",") if x.strip()]
+        if not members:
             raise MrowkaError("finite point must be nonempty")
-        if self.kind == "branch" and self.branch < 0:
+        if min(members) < 0:
+            raise MrowkaError("point members must be naturals")
+        if max(members) >= MAX_POINT_MEMBER:
+            raise MrowkaError(f"point members must be below MAX_POINT_MEMBER = {MAX_POINT_MEMBER}")
+        return code_of(members)
+    if head == "branch":
+        r = int(rest)
+        if r < 0:
             raise MrowkaError("branch index out of range")
-
-    @classmethod
-    def fin_pt(cls, xs: Iterable[int]) -> "GPoint":
-        return cls("fin", frozenset(xs))
-
-    @classmethod
-    def branch_pt(cls, i: int) -> "GPoint":
-        return cls("branch", branch=i)
-
-    @classmethod
-    def top(cls) -> "GPoint":
-        return cls("top")
-
-    def __str__(self) -> str:
-        if self.kind == "fin":
-            return "fin:" + ",".join(map(str, sorted(self.fin)))
-        if self.kind == "branch":
-            return f"branch:{self.branch}"
-        return "top"
+        return ~r
+    raise MrowkaError(f"point must be fin:..., branch:i or top, got {text!r}")
 
 
-def g_join(x: GPoint, y: GPoint, fam: ADFamily) -> GPoint:
+def format_point(p: int) -> str:
+    """The text of a point.  A finite one is read back through ``bin``, one
+    search per member: a loop over every bit would cost the bound."""
+    if p > 0:
+        return "fin:" + ",".join([str(m.start()) for m in re.finditer("1", bin(p)[:1:-1])])
+    return f"branch:{~p}" if p else "top"
+
+
+def g_join(x: int, y: int, fam: ADFamily) -> int:
     """Join in the quotient: the image of the union of the two downsets.
 
     Finite sets join by union; a finite set absorbed by a branch's set
     joins into the branch, otherwise the pair collapses to the top; two
     distinct branches always collapse.
     """
-    for p in (x, y):
-        if p.kind == "branch" and p.branch >= len(fam.sets):
-            raise MrowkaError("branch index out of range")
-    if x.kind == "top" or y.kind == "top":
-        return GPoint.top()
-    if x.kind == "branch" and y.kind == "branch":
-        return x if x.branch == y.branch else GPoint.top()
-    if x.kind == "fin" and y.kind == "fin":
-        return GPoint.fin_pt(x.fin | y.fin)
-    fin, br = (x, y) if x.kind == "fin" else (y, x)
-    a = fam.sets[br.branch]
-    if all(a.contains(n) for n in fin.fin):
+    if min(x, y) < -len(fam.sets):
+        raise MrowkaError("branch index out of range")
+    if x > 0 and y > 0:
+        return x | y
+    if x == y:
+        return x
+    fin, br = (x, y) if x > 0 else (y, x)
+    if fin > 0 and br < 0 and not fin & ~fam.sets[~br].mask_below(fin.bit_length()):
         return br
-    return GPoint.top()
+    return 0  # the top
 
 
 # -- star construction ---------------------------------------------------------
 
 def code_of(sigma: Iterable[int]) -> int:
-    out = 0
-    for k in sigma:
-        out |= 1 << k
-    return out
+    """Bitmask of a finite set of naturals, set in a bytearray: an int would be copied per bit."""
+    members = list(sigma)
+    buf = bytearray(max(members, default=-1) // 8 + 1)
+    for k in members:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
 
 
 def star_truncation(fam: ADFamily, n_bound: int):
@@ -263,7 +271,7 @@ def star_truncation(fam: ADFamily, n_bound: int):
     if n_bound > 1 << 24:
         raise MrowkaError("code bound exceeded (max 2^24)")
     bits = max(0, (n_bound - 1).bit_length())
-    masks = [sum(1 << k for k in range(bits) if a.contains(k)) for a in fam.sets]
+    masks = [a.mask_below(bits) for a in fam.sets]
     per_branch = [frozenset(_submasks_below(mask, n_bound)) for mask in masks]
     passed = True
     witness = None
@@ -309,14 +317,18 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
     witnesses: dict = {}
     sigma: set = set()
     tau: set = set()
+    sigma_mask = tau_mask = 0  # sigma and tau as points, needed only up to the threshold
     for n in range(1, horizon + 1):
         if a.contains(n - 1):
             sigma.add(n - 1)
         if b.contains(n - 1):
             tau.add(n - 1)
-        if threshold is None and sigma and tau:
-            joined = g_join(GPoint.fin_pt(sigma), GPoint.fin_pt(tau), fam)
-            if joined != GPoint.fin_pt(sigma | tau):
+        if threshold is not None:
+            continue
+        sigma_mask |= a.contains(n - 1) << (n - 1)
+        tau_mask |= b.contains(n - 1) << (n - 1)
+        if sigma and tau:
+            if g_join(sigma_mask, tau_mask, fam) != sigma_mask | tau_mask:
                 raise AssertionError("join of finite prefixes must be their union")
             escape = {}
             union = sigma | tau
@@ -662,7 +674,7 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
     top = t + m
     labels = ([str(n) for n in range(t)] + [f"('branch', {k})" for k in range(m)]
               + ["inf"])
-    traces = [code_of(a.elements_below(t)) for a in members]
+    traces = [a.mask_below(t) for a in members]
     u = [1 << n for n in range(t)]
     for k, a in enumerate(members):
         # closure of the branch set: another branch accumulating inside it

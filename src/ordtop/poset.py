@@ -213,11 +213,6 @@ def poset_from_json(data: dict) -> FinitePoset:
     return poset_from_covers(data["elements"], data.get("covers", []))
 
 
-def poset_to_json(poset: FinitePoset) -> dict:
-    covers = [[poset.labels[i], poset.labels[j]] for (i, j) in poset.covers()]
-    return {"elements": list(poset.labels), "covers": covers}
-
-
 def poset_to_dot(poset: FinitePoset) -> str:
     """Hasse diagram in DOT, one rank layer per well-founded rank."""
     ranks_by_index = ranks(poset).by_index

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ordtop
 from ordtop.cli import MAX_HORIZON, MAX_TRUNCATION, main
 from ordtop.clopen import MAX_ENDPOINTS, MAX_GRID
-from ordtop.mrowka import MAX_LUSIN_PICKS
+from ordtop.mrowka import MAX_LUSIN_PICKS, MAX_POINT_MEMBER
 from ordtop.ordinal import MAX_COEFF_BITS, MAX_NESTING, MAX_TERMS
 from ordtop.poset import MAX_DOWNSETS, MAX_ELEMENTS
 
@@ -340,6 +340,27 @@ def test_mrowka_join_bad_point_exits_2(runner, tmp_path):
     r = invoke_clean(runner, ["mrowka", "join", str(fam), "nowhere", "top"])
     assert r.exit_code == 2
     assert "point must be" in r.stderr
+
+
+def test_mrowka_join_point_members_are_naturals_below_the_bound(runner, tmp_path):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(FAM2))
+    last = MAX_POINT_MEMBER - 1  # odd
+    for x, y, stdout in ((f"fin:1,{last}", "branch:1", "branch:1\n"),
+                         (f"fin:1,{last}", "branch:0", "top\n"),
+                         (f"fin:{last},0", "fin:2", f"fin:0,2,{last}\n")):
+        r = invoke_clean(runner, ["mrowka", "join", str(fam), x, y])
+        assert (r.exit_code, r.stdout, r.stderr) == (0, stdout, ""), (x, y)
+    over = f"error: point members must be below MAX_POINT_MEMBER = {MAX_POINT_MEMBER}\n"
+    negative = "error: point members must be naturals\n"
+    # -2 % 2 == 0 once put -2 inside branch 0
+    for x, y, stderr in ((f"fin:{MAX_POINT_MEMBER}", "top", over),
+                         ("fin:2", f"fin:1,{10 ** 10}", over),
+                         ("fin:-2", "branch:0", negative),
+                         ("fin:-1", "fin:3", negative),
+                         ("top", "fin:4,-1", negative)):
+        r = invoke_clean(runner, ["mrowka", "join", str(fam), x, y])
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr), (x, y)
 
 
 @pytest.mark.parametrize("command", ["skeleton-bound", "monotonicity"])
@@ -740,6 +761,29 @@ def test_check_commands_golden_output(runner, tmp_path):
         '{"check": "selftest", "pass": true, "seed": 0, "witness": null}')
 
 
+# every ordered pair of these points is joined on each family of JOIN_FAMILIES;
+# mrowka_join_golden.json holds [family, x, y, exit code, stdout, stderr] per call
+JOIN_POINTS = ["fin:0,4", "fin:1,2", "fin:4,8", "fin:3", "fin:1_0", "branch:0", "branch:1",
+               "branch:3", "top", "branch:11", "branch:-1", "fin:", "nowhere", "top:"]
+JOIN_FAMILIES = {"fam4": {"sets": [{"period": 4, "residues": [r], "delta": []}
+                                   for r in range(4)]},
+                 "parity": FAM2}
+
+
+def test_mrowka_join_golden_sweep(runner, tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), "mrowka_join_golden.json")) as fh:
+        golden = json.load(fh)
+    assert [row[:3] for row in golden] == [[name, x, y] for name in JOIN_FAMILIES
+                                           for x in JOIN_POINTS for y in JOIN_POINTS]
+    paths = {}
+    for name, data in JOIN_FAMILIES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    for name, x, y, code, stdout, stderr in golden:
+        r = invoke_clean(runner, ["mrowka", "join", paths[name], x, y])
+        assert (r.exit_code, r.stdout, r.stderr) == (code, stdout, stderr), (name, x, y)
+
+
 # -- import boundary: each group loads only its layers ---------------------------
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ordtop.__file__)))
@@ -844,7 +888,8 @@ def _fuzz_argv(draw, files):
     descriptor = st.sampled_from(["fin:1,2", "fin:", "cof:", "cof:0,5", "fin:50",
                                   "fin:-1", "fin:a", "bogus:1", ""])
     point = st.sampled_from(["top", "fin:2,4", "fin:", "branch:0", "branch:1",
-                             "branch:11", "branch:-1", "branch:x", "nowhere"])
+                             "branch:11", "branch:-1", "branch:x", "nowhere",
+                             "fin:-1", f"fin:{MAX_POINT_MEMBER}", "fin:1_0", "top:"])
     criteria = st.sampled_from(["1", "2", "3,4", "1,2,3,4", "99", "x", "1,,2"])
     slots = {
         ("ord", "add"): [ordinal, ordinal], ("ord", "mul"): [ordinal, ordinal],

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 
@@ -8,9 +9,9 @@ import pytest
 from ordtop import mrowka
 from ordtop.mrowka import (
     MAX_LUSIN_PICKS,
+    MAX_POINT_MEMBER,
     ADFamily,
     EvPeriodicSet,
-    GPoint,
     LusinStage,
     MrowkaError,
     _LusinScan,
@@ -19,10 +20,12 @@ from ordtop.mrowka import (
     code_of,
     common_residue_classes,
     convergence_check,
+    format_point,
     g_join,
     lusin_iterate,
     lusin_stage,
     mrowka_selector_check,
+    parse_point,
     star_truncation,
 )
 from ordtop.ordinal import CheckReport
@@ -33,6 +36,14 @@ ODDS = EvPeriodicSet(2, frozenset({1}))
 
 def brute_intersection_infinite(a, b, horizon=5000):
     return sum(1 for n in range(horizon) if a.contains(n) and b.contains(n)) > 64
+
+
+P = parse_point
+
+
+def fin_text(members):
+    """The text of the finite point with these members."""
+    return "fin:" + ",".join(map(str, members))
 
 
 def g_leq(x, y, fam):
@@ -111,27 +122,27 @@ def test_family_constructor_validates():
 
 def test_join_two_branches_collapse():
     fam = ADFamily.progressions(2)
-    assert g_join(GPoint.branch_pt(0), GPoint.branch_pt(1), fam) == GPoint.top()
-    assert g_join(GPoint.branch_pt(0), GPoint.branch_pt(0), fam) == GPoint.branch_pt(0)
+    assert g_join(P("branch:0"), P("branch:1"), fam) == P("top")
+    assert g_join(P("branch:0"), P("branch:0"), fam) == P("branch:0")
 
 
 def test_join_finite_absorbed_by_branch():
     fam = ADFamily.progressions(2)
-    assert g_join(GPoint.fin_pt({2, 4}), GPoint.branch_pt(0), fam) == GPoint.branch_pt(0)
-    assert g_join(GPoint.fin_pt({2, 3}), GPoint.branch_pt(0), fam) == GPoint.top()
+    assert g_join(P("fin:2,4"), P("branch:0"), fam) == P("branch:0")
+    assert g_join(P("fin:2,3"), P("branch:0"), fam) == P("top")
 
 
 def test_join_idempotent_on_samples():
     fam = ADFamily.progressions(3)
-    pts = [GPoint.fin_pt({1}), GPoint.fin_pt({0, 3}), GPoint.branch_pt(1), GPoint.top()]
+    pts = [P("fin:1"), P("fin:0,3"), P("branch:1"), P("top")]
     for x in pts:
         assert g_join(x, x, fam) == x
 
 
 def test_join_is_upper_bound():
     fam = ADFamily.progressions(3)
-    pts = ([GPoint.fin_pt(s) for s in ({0}, {1, 4}, {2, 3})]
-           + [GPoint.branch_pt(i) for i in range(3)] + [GPoint.top()])
+    pts = ([P(fin_text(s)) for s in ({0}, {1, 4}, {2, 3})]
+           + [P(f"branch:{i}") for i in range(3)] + [P("top")])
     for x in pts:
         for y in pts:
             z = g_join(x, y, fam)
@@ -146,17 +157,17 @@ def test_join_oracle_via_truncated_downsets():
     for _ in range(100):
         sigma = frozenset(rng.sample(range(12), rng.randint(1, 4)))
         k = rng.randrange(3)
-        expected = (GPoint.branch_pt(k)
+        expected = (P(f"branch:{k}")
                     if all(fam.sets[k].contains(n) for n in sigma)
-                    else GPoint.top())
-        assert g_join(GPoint.fin_pt(sigma), GPoint.branch_pt(k), fam) == expected
+                    else P("top"))
+        assert g_join(P(fin_text(sigma)), P(f"branch:{k}"), fam) == expected
 
 
 def test_join_semilattice_axioms_exhaustive_small():
     fam = ADFamily.progressions(2)
-    pts = ([GPoint.fin_pt(frozenset(c))
+    pts = ([P(fin_text(c))
             for r in range(1, 4) for c in combinations(range(4), r)]
-           + [GPoint.branch_pt(0), GPoint.branch_pt(1), GPoint.top()])
+           + [P("branch:0"), P("branch:1"), P("top")])
     for x in pts:
         for y in pts:
             assert g_join(x, y, fam) == g_join(y, x, fam)
@@ -168,9 +179,156 @@ def test_join_semilattice_axioms_exhaustive_small():
 def test_branch_index_validation():
     fam = ADFamily.progressions(2)
     with pytest.raises(MrowkaError):
-        g_join(GPoint.branch_pt(5), GPoint.top(), fam)
+        g_join(P("branch:5"), P("top"), fam)
+    # branch 2 is the first past the family, on either side of any point
+    for x in (P("top"), P("fin:1"), P("branch:1"), P("branch:2")):
+        for pair in ((x, P("branch:2")), (P("branch:2"), x)):
+            with pytest.raises(MrowkaError, match="branch index out of range"):
+                g_join(*pair, fam)
     with pytest.raises(MrowkaError):
-        GPoint.fin_pt(set())
+        P("fin:")
+
+
+# -- packed points against the frozenset oracle ----------------------------------
+
+@dataclass(frozen=True)
+class GPoint:
+    """The frozenset point that packed points replace, kept as the oracle:
+    a nonempty finite set of naturals, a branch of the family, or the top."""
+
+    kind: str
+    fin: frozenset = frozenset()
+    branch: int = -1
+
+    def __post_init__(self):
+        if self.kind not in ("fin", "branch", "top"):
+            raise MrowkaError(f"bad point kind {self.kind!r}")
+        if self.kind == "fin" and not self.fin:
+            raise MrowkaError("finite point must be nonempty")
+        if self.kind == "branch" and self.branch < 0:
+            raise MrowkaError("branch index out of range")
+
+    @classmethod
+    def parse(cls, text):
+        if text == "top":
+            return cls("top")
+        kind, _, rest = text.partition(":")
+        if kind == "fin":
+            return cls("fin", frozenset(int(x) for x in rest.split(",") if x.strip()))
+        if kind == "branch":
+            return cls("branch", branch=int(rest))
+        raise MrowkaError(f"point must be fin:..., branch:i or top, got {text!r}")
+
+    def __str__(self):
+        if self.kind == "fin":
+            return "fin:" + ",".join(map(str, sorted(self.fin)))
+        if self.kind == "branch":
+            return f"branch:{self.branch}"
+        return "top"
+
+
+def gpoint_join(x, y, fam):
+    """The join on frozenset points, member by member."""
+    for p in (x, y):
+        if p.kind == "branch" and p.branch >= len(fam.sets):
+            raise MrowkaError("branch index out of range")
+    if x.kind == "top" or y.kind == "top":
+        return GPoint("top")
+    if x.kind == "branch" and y.kind == "branch":
+        return x if x.branch == y.branch else GPoint("top")
+    if x.kind == "fin" and y.kind == "fin":
+        return GPoint("fin", x.fin | y.fin)
+    fin, br = (x, y) if x.kind == "fin" else (y, x)
+    a = fam.sets[br.branch]
+    if all(a.contains(n) for n in fin.fin):
+        return br
+    return GPoint("top")
+
+
+def _assert_joins_match_the_oracle(texts, fam):
+    packed = [P(t) for t in texts]
+    oracle = [GPoint.parse(t) for t in texts]
+    for t, p in zip(texts, packed):
+        assert format_point(p) == str(GPoint.parse(t)), t
+        assert P(format_point(p)) == p, t
+    known = dict(zip(oracle, packed))
+    for x, gx in zip(packed, oracle):
+        for y, gy in zip(packed, oracle):
+            want = gpoint_join(gx, gy, fam)
+            assert g_join(x, y, fam) == (known[want] if want in known else P(str(want))), (gx, gy)
+
+
+def test_packed_joins_match_the_oracle_on_criterion_12():
+    texts = [fin_text(k for k in range(8) if mask >> k & 1) for mask in range(1, 256)]
+    texts += [f"branch:{r}" for r in range(4)] + ["top"]
+    _assert_joins_match_the_oracle(texts, ADFamily.progressions(4))
+
+
+def test_packed_joins_match_the_oracle_up_to_the_member_bound():
+    # branches with deltas; each finite point is drawn inside one branch
+    # (or none) so that both outcomes of a finite-branch join come up
+    rng = random.Random(22)
+    for _ in range(4):
+        period = rng.randint(2, 12)
+        residues = rng.sample(range(period), rng.randint(1, period))
+        sets = [EvPeriodicSet(period, {r}, set(rng.sample(range(64), rng.randint(0, 3))))
+                for r in residues]
+        fam = ADFamily(sets)
+        texts = [f"branch:{k}" for k in range(len(sets))] + ["top"]
+        for _ in range(12):
+            size = rng.randint(1, 6)
+            starts = [rng.choice([rng.randrange(64), rng.randrange(MAX_POINT_MEMBER - 64)])
+                      for _ in range(size)]
+            home = rng.choice([None, rng.randrange(len(sets))])
+            members = {s if home is None else next(sets[home].ascending(s)) for s in starts}
+            if rng.random() < 0.3:
+                members.add(MAX_POINT_MEMBER - 1)
+            texts.append(fin_text(members))
+        _assert_joins_match_the_oracle(texts, fam)
+
+
+def test_point_members_are_naturals_below_the_bound():
+    assert MAX_POINT_MEMBER == 1 << 20
+    top_member = MAX_POINT_MEMBER - 1
+    assert format_point(P(f"fin:0,{top_member}")) == f"fin:0,{top_member}"
+    assert P(f"fin:{top_member}") == 1 << top_member
+    for text in (f"fin:{MAX_POINT_MEMBER}", f"fin:1,{10 ** 10}"):
+        with pytest.raises(MrowkaError, match="below MAX_POINT_MEMBER = 1048576"):
+            P(text)
+    for text in ("fin:-1", "fin:3,-2"):
+        with pytest.raises(MrowkaError, match="point members must be naturals"):
+            P(text)
+    # int()'s own syntax stays: underscores group digits, spaces are stripped
+    assert P("fin:1_0") == P("fin: 10 ") == P("fin:10,,10") == 1 << 10
+
+
+def test_packed_point_encoding():
+    assert [P(t) for t in ("top", "branch:0", "branch:3", "fin:0", "fin:1,3")] == [
+        0, -1, -4, 1, 0b1010]
+    with pytest.raises(MrowkaError, match="branch index out of range"):
+        P("branch:-1")
+    with pytest.raises(MrowkaError, match="point must be fin:..., branch:i or top"):
+        P("top:")
+
+
+def test_mask_below_matches_elements_below():
+    rng = random.Random(5)
+    for period in range(1, 13):
+        for _ in range(6):
+            residues = set(rng.sample(range(period), rng.randint(0, period)))
+            delta = set(rng.sample(range(3 * period + 20), rng.randint(0, 6)))
+            a = EvPeriodicSet(period, residues, delta)
+            for n in {0, 1, period - 1, period, period + 1, 7 * period + 3,
+                      rng.randrange(200), 3 * period + 21}:
+                assert a.mask_below(n) == sum(1 << k for k in a.elements_below(n)), (a, n)
+
+
+def test_code_of_matches_the_sum_of_powers():
+    rng = random.Random(6)
+    assert code_of(()) == 0
+    for _ in range(200):
+        members = rng.sample(range(rng.choice([8, 9, 64, 1000])), rng.randint(1, 8))
+        assert code_of(iter(members)) == sum(1 << k for k in set(members))
 
 
 # -- star truncation --------------------------------------------------------------

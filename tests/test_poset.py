@@ -22,7 +22,6 @@ from ordtop.poset import (
     poset_from_covers,
     poset_from_json,
     poset_to_dot,
-    poset_to_json,
     random_poset,
     ranks,
     width,
@@ -49,6 +48,12 @@ def vee():
 def lt(poset, i, j):
     """i < j in ``poset``."""
     return bool(poset.below[j] >> i & 1)
+
+
+def poset_to_json(poset):
+    """The poset in the JSON schema ``poset_from_json`` reads."""
+    covers = [[poset.labels[i], poset.labels[j]] for (i, j) in poset.covers()]
+    return {"elements": list(poset.labels), "covers": covers}
 
 
 def mask_of(poset, names):

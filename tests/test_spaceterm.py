@@ -18,7 +18,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.poset import all_labeled_posets, poset_from_covers, poset_to_json, ranks
+from ordtop.poset import all_labeled_posets, poset_from_covers, ranks
 from ordtop.spaceterm import (
     OrdSpace,
     ProdTerm,
@@ -42,6 +42,12 @@ P = parse_ordinal
 def lt(poset, i, j):
     """i < j in ``poset``."""
     return bool(poset.below[j] >> i & 1)
+
+
+def poset_to_json(poset):
+    """The poset in the JSON schema ``poset_from_json`` reads."""
+    covers = [[poset.labels[i], poset.labels[j]] for (i, j) in poset.covers()]
+    return {"elements": list(poset.labels), "covers": covers}
 
 
 def label_of(sk, name):
