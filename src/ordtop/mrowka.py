@@ -99,7 +99,7 @@ class EvPeriodicSet:
     def mask_below(self, n: int) -> int:
         """Bitmask of the members below n >= 0: one period's residues,
         doubled until they cover n bits, then toggled by the delta below n."""
-        mask, width = code_of(self.residues), self.period
+        mask, width = code_of(r for r in self.residues if r < n), self.period
         while width < n:
             mask |= mask << width
             width *= 2
@@ -317,16 +317,14 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
     witnesses: dict = {}
     sigma: set = set()
     tau: set = set()
-    sigma_mask = tau_mask = 0  # sigma and tau as points, needed only up to the threshold
+    sigma_mask = tau_mask = 0  # sigma and tau as points
     for n in range(1, horizon + 1):
         if a.contains(n - 1):
             sigma.add(n - 1)
+            sigma_mask |= 1 << (n - 1)
         if b.contains(n - 1):
             tau.add(n - 1)
-        if threshold is not None:
-            continue
-        sigma_mask |= a.contains(n - 1) << (n - 1)
-        tau_mask |= b.contains(n - 1) << (n - 1)
+            tau_mask |= 1 << (n - 1)
         if sigma and tau:
             if g_join(sigma_mask, tau_mask, fam) != sigma_mask | tau_mask:
                 raise AssertionError("join of finite prefixes must be their union")
@@ -342,6 +340,7 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
                 threshold = n
                 # string keys, as printed: sorted JSON puts "10" before "2"
                 witnesses = {str(k): v for k, v in escape.items()}
+                break
     if threshold is None:
         raise MrowkaError("horizon too small to certify (threshold not reached)")
     # permanence scan: past the threshold the union stays outside every branch

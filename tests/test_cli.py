@@ -363,6 +363,26 @@ def test_mrowka_join_point_members_are_naturals_below_the_bound(runner, tmp_path
         assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr), (x, y)
 
 
+def test_mrowka_masks_ignore_a_long_period(runner, tmp_path):
+    # a residue near a period of 2^41 once cost a 256 GB mask per call
+    period = 1 << 41
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"sets": [
+        {"period": period, "residues": [period - 1, 3], "delta": [5, period + 3]},
+        {"period": 2, "residues": [0]}]}))
+    for args, code, stdout in (
+            (["join", str(fam), "fin:3,5", "branch:0"], 0, "branch:0\n"),
+            (["join", str(fam), "fin:0", "branch:0"], 0, "top\n"),
+            (["star", str(fam), "256"], 0,
+             '{"check": "star-truncation", "pass": true, "sizes": [3, 15], "witness": null}\n'),
+            (["selector", str(fam), "--bound", "16"], 0,
+             '{"ad": true, "check": "mrowka-selector", "conditions": {"antisymmetry": true, '
+             '"membership": true, "nesting": true}, "heights": true, "induced_order": true, '
+             '"pass": true, "witness": null}\n')):
+        r = invoke_clean(runner, ["mrowka", *args])
+        assert (r.exit_code, r.stdout, r.stderr) == (code, stdout, ""), args
+
+
 @pytest.mark.parametrize("command", ["skeleton-bound", "monotonicity"])
 def test_space_skeleton_commands_need_skel_term(runner, command):
     r = invoke_clean(runner, ["space", command, "ord(w)"])

@@ -323,6 +323,15 @@ def test_mask_below_matches_elements_below():
                 assert a.mask_below(n) == sum(1 << k for k in a.elements_below(n)), (a, n)
 
 
+def test_mask_below_costs_n_bits_whatever_the_period():
+    # one period's residues would be a 256 GB mask; only those below n count
+    period = 1 << 41
+    a = EvPeriodicSet(period, {period - 1, 3}, {5, period + 3})
+    for n in (0, 3, 4, 6, 64, 1000):
+        assert a.mask_below(n) == sum(1 << k for k in a.elements_below(n)), n
+    assert a.mask_below(64) == 0b101000
+
+
 def test_code_of_matches_the_sum_of_powers():
     rng = random.Random(6)
     assert code_of(()) == 0
