@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product
 from dataclasses import dataclass
 
 from .clopen import (
@@ -45,6 +46,7 @@ from .ordinal import (
     ZERO,
     Ordinal,
     _split_below,
+    _trusted,
     format_ordinal,
     nat_prod,
     nat_sum,
@@ -187,8 +189,8 @@ def criterion_06_nat_sum_properties(seed: int):
             a_half, b_half = _split_below(gamma, a, b, ab)
             if nat_sum(a_half, b_half) != gamma or not (a_half <= a and b_half <= b):
                 return _fail(f"decomposition broke at {gamma}")
-            if enum_checked < 150 and len(gamma.terms) <= 2 and all(
-                    c <= 3 for _, c in gamma.terms):
+            if enum_checked < 150 and len(gamma._key) <= 2 and all(
+                    c <= 3 for _, c in gamma._key):
                 if not _decompose_by_enumeration(gamma, a, b):
                     return _fail(f"enumeration found no split of {gamma}")
                 enum_checked += 1
@@ -198,13 +200,10 @@ def criterion_06_nat_sum_properties(seed: int):
 def _decompose_by_enumeration(gamma, a, b):
     """Every split of gamma is a coefficient splitting of its terms; try
     them all and keep any with halves below a and b."""
-    choices = [()]
-    for e, c in gamma.terms:
-        choices = [prev + ((e, k),) for prev in choices for k in range(c + 1)]
-    for assignment in choices:
-        left = Ordinal(tuple((e, k) for e, k in assignment if k))
-        right = Ordinal(tuple((e, c - k) for (e, c), (_, k) in zip(gamma.terms, assignment)
-                              if c - k))
+    key = gamma._key
+    for split in product(*(range(c + 1) for _, c in key)):
+        left = _trusted(tuple((e, k) for (e, _), k in zip(key, split) if k))
+        right = _trusted(tuple((e, c - k) for (e, c), k in zip(key, split) if c - k))
         if left <= a and right <= b and nat_sum(left, right) == gamma:
             return True
     return False

@@ -161,15 +161,14 @@ def _piece_rank(s: Ordinal, t: Ordinal) -> tuple:
         i += 1
     ke, hi = kt[i]
     lo = ks[i][1] + 1 if i < len(ks) and ks[i][0] == ke else 1
-    return t.terms[i][0], i, lo, hi
+    return _trusted(ke), i, lo, hi
 
 
 def _top_points(t: Ordinal, i: int, lo: int, hi: int) -> list:
     """The points ``t[:i] + w^e*c`` for c from lo to hi, e the exponent of
     the term of t at i."""
-    terms, key = t.terms[:i], t._key[:i]
-    e, ke = t.terms[i][0], t._key[i][0]
-    return [_trusted(terms + ((e, c),), key + ((ke, c),)) for c in range(lo, hi + 1)]
+    key, ke = t._key[:i], t._key[i][0]
+    return [_trusted(key + ((ke, c),)) for c in range(lo, hi + 1)]
 
 
 class CBData(NamedTuple):
@@ -218,12 +217,9 @@ def tip_selector(beta: Ordinal, ambient: Ordinal) -> ClopenSet:
         raise ClopenError("point exceeds ambient")
     if beta.is_zero:
         return ClopenSet(ambient, zero_included=True)
-    terms, key = beta.terms, beta._key
-    (e, p), (ke, _) = terms[-1], key[-1]
-    if p > 1:
-        start = _trusted(terms[:-1] + ((e, p - 1),), key[:-1] + ((ke, p - 1),))
-    else:
-        start = _trusted(terms[:-1], key[:-1])
+    key = beta._key
+    ke, p = key[-1]
+    start = _trusted(key[:-1] + ((ke, p - 1),) if p > 1 else key[:-1])
     return ClopenSet(ambient, False, ((start, beta),))
 
 
@@ -313,13 +309,12 @@ def cnf_truncation_grid(beta: Ordinal) -> list:
     They are 0 and one value per unit of each coefficient of beta; a grid
     of more than ``MAX_GRID`` values is refused before any is built.
     """
-    terms, key = beta.terms, beta._key
+    key = beta._key
     if 1 + sum(c for _, c in key) > MAX_GRID:
         raise ClopenError(f"truncation grid has more than MAX_GRID = {MAX_GRID} values")
     values = [ZERO]
-    for k, ((e, p), (ke, _)) in enumerate(zip(terms, key)):
-        values += [_trusted(terms[:k] + ((e, j),), key[:k] + ((ke, j),))
-                   for j in range(1, p + 1)]
+    for k, (ke, p) in enumerate(key):
+        values += [_trusted(key[:k] + ((ke, j),)) for j in range(1, p + 1)]
     return values
 
 

@@ -306,7 +306,10 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
 
     The threshold is the least n at which both prefixes are nonempty and
     their union already fails to sit inside any branch; unions only grow,
-    so escape is permanent once witnessed.
+    so escape is permanent once witnessed.  Naturals join the union in
+    increasing order, so a branch's escape witness, the least member of
+    the union outside it, is the first one to join that lies outside it:
+    each natural is checked once, against the branches not yet escaped.
     """
     if i == j:
         raise MrowkaError("branch indices must differ")
@@ -314,32 +317,27 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
         raise MrowkaError("branch index out of range")
     a, b = fam.sets[i], fam.sets[j]
     threshold = None
-    witnesses: dict = {}
-    sigma: set = set()
-    tau: set = set()
-    sigma_mask = tau_mask = 0  # sigma and tau as points
+    inside = dict(enumerate(fam.sets))  # the branches that hold the whole union
+    escape: dict = {}
+    sigma_mask = tau_mask = 0  # the prefixes as points
     for n in range(1, horizon + 1):
-        if a.contains(n - 1):
-            sigma.add(n - 1)
-            sigma_mask |= 1 << (n - 1)
-        if b.contains(n - 1):
-            tau.add(n - 1)
-            tau_mask |= 1 << (n - 1)
-        if sigma and tau:
+        x = n - 1
+        in_a, in_b = a.contains(x), b.contains(x)
+        if in_a:
+            sigma_mask |= 1 << x
+        if in_b:
+            tau_mask |= 1 << x
+        if in_a or in_b:
+            for k in [k for k, branch_set in inside.items() if not branch_set.contains(x)]:
+                escape[k] = x
+                del inside[k]
+        if sigma_mask and tau_mask:
             if g_join(sigma_mask, tau_mask, fam) != sigma_mask | tau_mask:
                 raise AssertionError("join of finite prefixes must be their union")
-            escape = {}
-            union = sigma | tau
-            for k, branch_set in enumerate(fam.sets):
-                out = [x for x in union if not branch_set.contains(x)]
-                if not out:
-                    escape = None
-                    break
-                escape[k] = min(out)
-            if escape is not None:
+            if not inside:
                 threshold = n
                 # string keys, as printed: sorted JSON puts "10" before "2"
-                witnesses = {str(k): v for k, v in escape.items()}
+                witnesses = {str(k): escape[k] for k in sorted(escape)}
                 break
     if threshold is None:
         raise MrowkaError("horizon too small to certify (threshold not reached)")
@@ -530,20 +528,13 @@ class _LusinScan:
     next: the membership index of the prior family and, per prior set,
     the natural its scan resumes from.
 
-    Construction checks the input once per iteration: it raises when an
-    eventually periodic member of ``prev`` is finite or when those members
-    fail almost-disjointness.  Later stages add only finite ``LusinStage``
-    sets, so the periodic members, and the check, stay the same.
+    Construction trusts ``prev``: ``lusin_iterate`` builds the scan over an
+    ``ADFamily``, checked when it was built, and ``lusin_stage`` checks
+    its own ``prev`` before building one.  Later stages add only finite
+    ``LusinStage`` sets, so the periodic members stay as checked.
     """
 
     def __init__(self, prev: Sequence):
-        periodic = [s for s in prev if isinstance(s, EvPeriodicSet)]
-        for s in periodic:
-            if not s.is_infinite:
-                raise MrowkaError("prior set is finite")
-        rep = ad_check(periodic)
-        if not rep.passed:
-            raise MrowkaError(f"non-AD input: {rep.witness}")
         self.index = _MembershipIndex(prev)
         self.starts = [0] * len(prev)
 
@@ -564,8 +555,8 @@ def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
 
     ``scan``, which ``lusin_iterate`` passes, must describe ``prev``; it
     lets each scan resume where the previous stage left it instead of
-    starting from 0.  Without it the stage builds its own scan, which
-    checks ``prev`` (see ``_LusinScan``).
+    starting from 0.  Without it the stage checks ``prev`` and builds its
+    own scan.
 
     Raises when some prior set cannot supply n fresh elements, or when the
     eventually periodic members of ``prev`` are finite or fail
@@ -573,6 +564,12 @@ def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
     """
     m = len(prev)
     if scan is None:
+        periodic = [s for s in prev if isinstance(s, EvPeriodicSet)]
+        if not all(s.is_infinite for s in periodic):
+            raise MrowkaError("prior set is finite")
+        rep = ad_check(periodic)
+        if not rep.passed:
+            raise MrowkaError(f"non-AD input: {rep.witness}")
         scan = _LusinScan(prev)
     index, starts = scan.index, scan.starts
     if index.size != m:
@@ -628,7 +625,8 @@ def check_lusin_picks(m: int, steps: int) -> None:
 def lusin_iterate(base: ADFamily, steps: int) -> list:
     """Run consecutive stages, enumerating newest stages first so that
     every prior set still has fresh elements to offer.  The scan state is
-    carried across stages (see ``_LusinScan.advance``).
+    carried across stages (see ``_LusinScan.advance``).  The family was
+    checked when the ``ADFamily`` was built, and is not checked again.
 
     A stage over m prior sets picks m(m-1)/2 elements, each indexed once
     when another stage follows, so the run's work and memory grow with its

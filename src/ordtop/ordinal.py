@@ -6,6 +6,11 @@ coefficients ``ci >= 1``; the empty sum is 0.  Structural equality of
 normalized terms coincides with equality of ordinal values, so instances
 are hashable and usable as dict keys.
 
+An ``Ordinal`` stores its normal form once, as its key: the tuple of
+``(exponent key, coefficient)`` pairs, the key of 0 being ``()``.  Every
+operation here reads and builds keys; ``Ordinal.terms``, the pairs with
+``Ordinal`` exponents, is derived from the key when it is read.
+
 Everything here is immutable and pure: ordinary sum/product/power, the
 natural (coefficient-merging) sum, the polynomial natural product, the
 iterated-natural-sum product with finite-or-omega right argument, and the
@@ -32,33 +37,32 @@ class ParseError(OrdinalError):
         self.position = position
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Ordinal:
-    """Cantor normal form: tuple of (exponent, coefficient) pairs.
+    """Cantor normal form, stored as its key alone.
 
-    ``_key`` is ``tuple((e._key, c) for e, c in terms)``, computed once at
-    construction.  Plain tuple order on keys is exactly the normal-form
-    order, so comparison, equality and hashing run on the key and never
-    walk the exponents in Python.
+    ``Ordinal(terms)`` takes a sequence of (exponent, coefficient) pairs
+    with ``Ordinal`` exponents, checks it and stores only
+    ``_key = tuple((e._key, c) for e, c in terms)``.  Plain tuple order on
+    keys is exactly the normal-form order, so comparison, equality and
+    hashing run on the key and never walk the exponents in Python.
+    ``terms`` is a view that rebuilds the pairs from the key when read.
     """
 
-    terms: tuple = ()
-    _key: tuple = field(init=False, repr=False)
+    _key: tuple
 
-    def __post_init__(self):
-        if not isinstance(self.terms, tuple):
-            object.__setattr__(self, "terms", tuple(self.terms))
-        for t in self.terms:
-            exp, coeff = t
+    def __init__(self, terms=()):
+        key = []
+        for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
                 raise OrdinalError("exponent must be an Ordinal")
             if not isinstance(coeff, int) or coeff < 1:
                 raise OrdinalError("coefficient must be an integer >= 1")
-        key = tuple((e._key, c) for e, c in self.terms)
+            key.append((exp._key, coeff))
         for (k1, _), (k2, _) in zip(key, key[1:]):
             if k1 <= k2:
                 raise OrdinalError("exponents must strictly decrease")
-        object.__setattr__(self, "_key", key)
+        _set_key(self, tuple(key))
 
     # -- constructors ------------------------------------------------
 
@@ -70,7 +74,7 @@ class Ordinal:
             return ZERO
         if not isinstance(n, int):
             raise OrdinalError("coefficient must be an integer >= 1")
-        return _trusted(((ZERO, n),), (((), n),))
+        return _trusted(_nat(n))
 
     @classmethod
     def omega_power(cls, exponent: "Ordinal", coeff: int = 1) -> "Ordinal":
@@ -79,33 +83,36 @@ class Ordinal:
             raise OrdinalError("exponent must be an Ordinal")
         if not isinstance(coeff, int) or coeff < 1:
             raise OrdinalError("coefficient must be an integer >= 1")
-        return _trusted(((exponent, coeff),), ((exponent._key, coeff),))
+        return _trusted(((exponent._key, coeff),))
 
     # -- structure ---------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        """The (exponent, coefficient) pairs, exponents as ``Ordinal``."""
+        return tuple((_trusted(k), c) for k, c in self._key)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._key
 
     @property
     def is_finite(self) -> bool:
-        return not self.terms or self.terms[0][0].is_zero
+        return not self._key or not self._key[0][0]
 
     def __int__(self) -> int:
-        if self.is_zero:
-            return 0
         if not self.is_finite:
             raise OrdinalError(f"{self} is not finite")
-        return self.terms[0][1]
+        return self._key[0][1] if self._key else 0
 
     @property
     def degree(self) -> "Ordinal":
         """Leading exponent; 0 for finite ordinals (including 0)."""
-        return self.terms[0][0] if self.terms else ZERO
+        return _trusted(self._key[0][0]) if self._key else ZERO
 
     @property
     def leading_coeff(self) -> int:
-        return self.terms[0][1] if self.terms else 0
+        return self._key[0][1] if self._key else 0
 
     # -- comparisons and operators -----------------------------------
 
@@ -160,18 +167,21 @@ def _coerce(x) -> Ordinal:
 
 
 _new = object.__new__
-_set_terms = Ordinal.terms.__set__
 _set_key = Ordinal._key.__set__
 
 
-def _trusted(terms: tuple, key: tuple) -> Ordinal:
-    """Internal constructor for a normal form whose order is guaranteed by
-    how it was built; ``key`` must be the key of ``terms``.  Skips the
-    checks of the public constructor."""
+def _trusted(key: tuple) -> Ordinal:
+    """Internal constructor from a key, the one stored form, whose normal
+    form is guaranteed by how it was built.  Skips the checks of the
+    public constructor."""
     o = _new(Ordinal)
-    _set_terms(o, terms)
     _set_key(o, key)
     return o
+
+
+def _nat(n: int) -> tuple:
+    """Key of the natural number ``n``."""
+    return (((), n),) if n else ()
 
 
 sort_key = attrgetter("_key")
@@ -180,7 +190,6 @@ sort_key = attrgetter("_key")
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
-_FINITE = tuple(Ordinal.from_int(n) for n in range(16))  # for random_ordinal
 
 
 @dataclass(frozen=True)
@@ -235,42 +244,42 @@ def ord_cmp(a: Ordinal, b: Ordinal) -> int:
 
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum: terms of ``a`` below the degree of ``b`` are absorbed."""
-    if b.is_zero:
-        return a
-    if a.is_zero:
-        return b
-    e, ke = b.terms[0][0], b._key[0][0]
+    return _trusted(_add(a._key, b._key))
+
+
+def _add(ka: tuple, kb: tuple) -> tuple:
+    # ord_add on keys
+    if not kb:
+        return ka
+    ke = kb[0][0]
     keep = 0
-    merge = 0
-    for k, coeff in a._key:
+    for k, coeff in ka:
         if k > ke:
             keep += 1
         else:
             if k == ke:
-                merge = coeff
+                return ka[:keep] + ((ke, coeff + kb[0][1]),) + kb[1:]
             break
-    if merge:
-        c = merge + b.terms[0][1]
-        return _trusted(a.terms[:keep] + ((e, c),) + b.terms[1:],
-                        a._key[:keep] + ((ke, c),) + b._key[1:])
-    return _trusted(a.terms[:keep] + b.terms, a._key[:keep] + b._key)
+    return ka[:keep] + kb
 
 
 def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal product, distributing ``a`` over the normal form of ``b``."""
-    if a.is_zero or b.is_zero:
-        return ZERO
-    d = a.terms[0][0]
-    out = ZERO
-    for exp, coeff in b.terms:
-        if exp.is_zero:
-            # a * finite: scale the leading coefficient, keep the tail once
-            c = _coeff_mul(a.terms[0][1], coeff)
-            piece = _trusted(((d, c),) + a.terms[1:], ((d._key, c),) + a._key[1:])
+    return _trusted(_mul(a._key, b._key))
+
+
+def _mul(ka: tuple, kb: tuple) -> tuple:
+    # ord_mul on keys
+    if not ka:
+        return ka
+    (kd, lead), tail = ka[0], ka[1:]
+    out = ()
+    for ke, coeff in kb:
+        if ke:
+            out = _add(out, ((_add(kd, ke), coeff),))
         else:
-            e = ord_add(d, exp)
-            piece = _trusted(((e, coeff),), ((e._key, coeff),))
-        out = ord_add(out, piece)
+            # a * finite: scale the leading coefficient, keep the tail once
+            out = _add(out, ((kd, _coeff_mul(lead, coeff)),) + tail)
     return out
 
 
@@ -320,17 +329,17 @@ def _pow_nat(a: Ordinal, n: int) -> Ordinal:
     ``MAX_TERMS`` refuses exactly the powers whose result is over it.
     """
     result = None
-    base = a
+    base = a._key
     while True:
         if n & 1:
-            result = base if result is None else ord_mul(result, base)
-            if len(result.terms) > MAX_TERMS:
+            result = base if result is None else _mul(result, base)
+            if len(result) > MAX_TERMS:
                 break
         n >>= 1
         if not n:
-            return result
-        base = ord_mul(base, base)
-        if len(base.terms) > MAX_TERMS:
+            return _trusted(result)
+        base = _mul(base, base)
+        if len(base) > MAX_TERMS:
             break
     raise OrdinalError(f"power exceeds MAX_TERMS = {MAX_TERMS} terms")
 
@@ -352,8 +361,9 @@ def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
         return ONE
     if a == OMEGA:
         return Ordinal.omega_power(b)
-    inf_part = tuple(t for t in b.terms if not t[0].is_zero)
-    fin = b.terms[-1][1] if b.terms[-1][0].is_zero else 0
+    # only the last term of b can be finite
+    kb = b._key
+    inf_part, fin = (kb[:-1], kb[-1][1]) if not kb[-1][0] else (kb, 0)
     if a.is_finite:
         k = int(a)
         # with b = k.bit_length() >= 2, (b - 1) * fin < bit_length(k ** fin)
@@ -364,55 +374,44 @@ def ord_pow(a: Ordinal, b: Ordinal) -> Ordinal:
             raise OrdinalError(f"power coefficient exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
         if not inf_part:
             return Ordinal.from_int(factor)
-        # k^(w^e * q) = w^(w^d * q) where 1 + d = e
-        exp_terms = tuple((one_plus_inverse(e), q) for e, q in inf_part)
-        head = Ordinal.omega_power(Ordinal(exp_terms))
-        return ord_mul(head, Ordinal.from_int(factor))
-    d = a.terms[0][0]
-    limit_exp = Ordinal(inf_part)
-    head = Ordinal.omega_power(ord_mul(d, limit_exp)) if inf_part else ONE
+        # k^(w^e * q) = w^(w^d * q) where 1 + d = e; 1 + d = e is
+        # one-to-one, so the exponents w^d * q still strictly decrease
+        head = ((tuple((one_plus_inverse(_trusted(ke))._key, q) for ke, q in inf_part), 1),)
+        return _trusted(_mul(head, _nat(factor)))
+    head = _trusted(((_mul(a._key[0][0], inf_part), 1),)) if inf_part else ONE
     return ord_mul(head, _pow_nat(a, fin)) if fin else head
 
 
 # -- natural (Hessenberg) operations ---------------------------------
 
-def _merge(ta, ka, tb, kb):
-    """Merge two term lists sorted by decreasing exponent, adding the
-    coefficients of equal exponents; ``ka``/``kb`` are their keys."""
-    terms, key = [], []
+def _merge(ka: tuple, kb: tuple) -> tuple:
+    """Merge two keys, adding the coefficients of equal exponents: the key
+    of the natural sum."""
+    key = []
     i = j = 0
-    na, nb = len(ta), len(tb)
+    na, nb = len(ka), len(kb)
     while i < na and j < nb:
         ea, eb = ka[i][0], kb[j][0]
         if ea == eb:
-            c = ka[i][1] + kb[j][1]
-            terms.append((ta[i][0], c))
-            key.append((ea, c))
+            key.append((ea, ka[i][1] + kb[j][1]))
             i += 1
             j += 1
         elif ea > eb:
-            terms.append(ta[i])
             key.append(ka[i])
             i += 1
         else:
-            terms.append(tb[j])
             key.append(kb[j])
             j += 1
-    terms += ta[i:]
-    terms += tb[j:]
-    key += ka[i:]
-    key += kb[j:]
-    return terms, key
+    return (*key, *ka[i:], *kb[j:])
 
 
 def nat_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     """Natural sum: coefficient-wise addition over the merged exponents."""
-    if not b.terms:
+    if not b._key:
         return a
-    if not a.terms:
+    if not a._key:
         return b
-    terms, key = _merge(a.terms, a._key, b.terms, b._key)
-    return _trusted(tuple(terms), tuple(key))
+    return _trusted(_merge(a._key, b._key))
 
 
 def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -423,12 +422,10 @@ def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:
     Raises ``OrdinalError`` when a product of two coefficients would
     exceed ``MAX_COEFF_BITS`` bits.
     """
-    terms: list = []
-    key: list = []
-    for ea, ca in a.terms:
-        row = [(nat_sum(ea, eb), _coeff_mul(ca, cb)) for eb, cb in b.terms]
-        terms, key = _merge(terms, key, row, [(e._key, c) for e, c in row])
-    return _trusted(tuple(terms), tuple(key))
+    key = ()
+    for ea, ca in a._key:
+        key = _merge(key, tuple((_merge(ea, eb), _coeff_mul(ca, cb)) for eb, cb in b._key))
+    return _trusted(key)
 
 
 def nat_sum_split_below(gamma: Ordinal, a: Ordinal, b: Ordinal):
@@ -462,15 +459,13 @@ def _split_below(gamma, a, b, s):
         break
     else:
         raise OrdinalError("gamma is not strictly below the natural sum")
-    e, ke = s.terms[si][0], s._key[si][0]
+    ke = s._key[si][0]
 
     def half(x, c, t):
         # x's terms above e, then (e, c), then gamma's terms from t on, all below e
         n = next((i for i, (k, _) in enumerate(x._key) if k <= ke), len(x._key))
-        terms, key = x.terms[:n], x._key[:n]
-        if c:
-            terms, key = terms + ((e, c),), key + ((ke, c),)
-        return _trusted(terms + gamma.terms[t:], key + gk[t:])
+        key = x._key[:n] + ((ke, c),) if c else x._key[:n]
+        return _trusted(key + gk[t:])
 
     pa = next((c for k, c in a._key if k == ke), 0)
     ga = min(pa, g)
@@ -512,8 +507,8 @@ def tip_deg(a: Ordinal) -> TipInfo:
     """
     if a.is_zero:
         raise OrdinalError("tip of 0 is undefined")
-    last_exp = a.terms[-1][0]
-    return TipInfo(Ordinal.omega_power(last_exp), last_exp, a.terms[0][0])
+    last = a._key[-1][0]
+    return TipInfo(_trusted(((last, 1),)), _trusted(last), a.degree)
 
 
 def one_plus_inverse(r: Ordinal) -> Ordinal:
@@ -669,25 +664,25 @@ def format_ordinal(a: Ordinal, compact: bool = False) -> str:
     inside parenthesized exponents; ``compact=True`` uses '+' throughout
     (for embedding in larger expressions).
     """
-    return _format(a, compact=compact)
+    return _format(a._key, compact=compact)
 
 
-def _format(a: Ordinal, compact: bool) -> str:
-    if a.is_zero:
+def _format(key: tuple, compact: bool) -> str:
+    if not key:
         return "0"
     parts = []
-    for exp, coeff in a.terms:
-        if exp.is_zero:
+    for ke, coeff in key:
+        if not ke:
             parts.append(str(coeff))
             continue
-        if exp == ONE:
+        if ke == ONE._key:
             base = "w"
-        elif exp.is_finite:
-            base = f"w^{int(exp)}"
-        elif exp == OMEGA:
+        elif not ke[0][0]:
+            base = f"w^{ke[0][1]}"
+        elif ke == OMEGA._key:
             base = "w^w"
         else:
-            base = f"w^({_format(exp, compact=True)})"
+            base = f"w^({_format(ke, compact=True)})"
         parts.append(base if coeff == 1 else f"{base}*{coeff}")
     return ("+" if compact else " + ").join(parts)
 
@@ -708,23 +703,21 @@ def random_ordinal(rng, *, max_terms: int = 4, depth: int = 1,
     """
     if max_terms < 0 or max_coeff < 1 or max_finite_exp < 0:
         raise ValueError("empty range for random_ordinal")
-    return _random_ordinal(rng.getrandbits, max_terms + 1, depth, max_coeff, max_finite_exp + 1)
+    return _trusted(_random_key(rng.getrandbits, max_terms + 1, depth, max_coeff,
+                                max_finite_exp + 1))
 
 
-_DEPTH1: dict = {}  # depth-1 exponents below w^16, keyed by their draws (n, c) or (n, c, m, d)
-
-
-def _random_ordinal(bits, n_terms, depth, n_coeffs, n_finite):
-    # random_ordinal, with each range given by its size; a draw from
-    # range(n) is bits(n.bit_length()) until below n (CPython's _randbelow)
+def _random_key(bits, n_terms, depth, n_coeffs, n_finite):
+    # the key of random_ordinal, with each range given by its size; a draw
+    # from range(n) is bits(n.bit_length()) until below n (CPython's _randbelow)
     w = n_terms.bit_length()
     k = bits(w)
     while k >= n_terms:
         k = bits(w)
     if k == 0:
-        return ZERO
+        return ()
     wf = n_finite.bit_length()
-    exps: dict = {}  # key -> exponent
+    exps = set()
     attempts = 12 * k
     while len(exps) < k and attempts:
         attempts -= 1
@@ -732,63 +725,48 @@ def _random_ordinal(bits, n_terms, depth, n_coeffs, n_finite):
             n = bits(wf)
             while n >= n_finite:
                 n = bits(wf)
-            e = _FINITE[n] if n < 16 else Ordinal.from_int(n)
+            exps.add(_nat(n))
         elif depth > 1:
-            e = _random_ordinal(bits, 3, depth - 1, 3, n_finite)  # <= 2 terms, coeffs <= 3
+            exps.add(_random_key(bits, 3, depth - 1, 3, n_finite))  # <= 2 terms, coeffs <= 3
         else:
-            # _random_ordinal(bits, 3, 0, 3, n_finite) unrolled: w^n*c for
-            # j = 1, and for j = 2 also + w^m*d (n > m) unless 24 attempts
+            # _random_key(bits, 3, 0, 3, n_finite) unrolled: w^n*c for
+            # j = 1, and for j = 2 also + w^m*d (n != m) unless 24 attempts
             # draw one exponent only
             j = bits(2)
             while j == 3:
                 j = bits(2)
             if j == 0:
-                e = ZERO
-            else:
+                exps.add(())
+                continue
+            n = m = bits(wf)
+            while n >= n_finite:
                 n = m = bits(wf)
-                while n >= n_finite:
-                    n = m = bits(wf)
-                if j == 2:
-                    for _ in range(23):
+            if j == 2:
+                for _ in range(23):
+                    m = bits(wf)
+                    while m >= n_finite:
                         m = bits(wf)
-                        while m >= n_finite:
-                            m = bits(wf)
-                        if m != n:
-                            break
+                    if m != n:
+                        break
+            c = bits(2)
+            while c == 3:
                 c = bits(2)
-                while c == 3:
-                    c = bits(2)
-                if m == n:
-                    draws = (n, c + 1)
-                else:
-                    d = bits(2)
-                    while d == 3:
-                        d = bits(2)
-                    draws = (n, c + 1, m, d + 1) if n > m else (m, c + 1, n, d + 1)
-                e = _DEPTH1.get(draws)
-                if e is None:
-                    e = _depth1_exponent(draws)
-        exps.setdefault(e._key, e)
+            if m == n:
+                exps.add(((_nat(n), c + 1),))
+                continue
+            d = bits(2)
+            while d == 3:
+                d = bits(2)
+            # the first coefficient drawn goes with the larger exponent
+            exps.add(((_nat(max(n, m)), c + 1), (_nat(min(n, m)), d + 1)))
     w = n_coeffs.bit_length()
-    terms, key = [], []
+    key = []
     for ke in sorted(exps, reverse=True):
         c = bits(w)
         while c >= n_coeffs:
             c = bits(w)
-        terms.append((exps[ke], c + 1))
         key.append((ke, c + 1))
-    return _trusted(tuple(terms), tuple(key))
-
-
-def _depth1_exponent(draws):
-    # the sum of w^n*c over the pairs (n, c) in draws, interned in _DEPTH1
-    # when every n is below 16
-    terms = tuple((_FINITE[n] if n < 16 else Ordinal.from_int(n), c)
-                  for n, c in zip(draws[::2], draws[1::2]))
-    e = _trusted(terms, tuple((f._key, c) for f, c in terms))
-    if draws[0] < 16:
-        _DEPTH1[draws] = e
-    return e
+    return tuple(key)
 
 
 def random_ordinal_below(rng, bound: Ordinal) -> Ordinal:
@@ -797,27 +775,25 @@ def random_ordinal_below(rng, bound: Ordinal) -> Ordinal:
     if bound.is_zero:
         raise OrdinalError("no ordinal below 0")
     bits = rng.getrandbits
-    n = len(bound.terms)
+    kb = bound._key
+    n = len(kb)
     w = n.bit_length()
     i = bits(w)
     while i >= n:
         i = bits(w)
-    exp, coeff = bound.terms[i]
-    ke = bound._key[i][0]
+    ke, coeff = kb[i]
     w = coeff.bit_length()
     new_coeff = bits(w)
     while new_coeff >= coeff:
         new_coeff = bits(w)
-    terms, key = bound.terms[:i], bound._key[:i]
-    if new_coeff:
-        terms, key = terms + ((exp, new_coeff),), key + ((ke, new_coeff),)
+    key = kb[:i] + ((ke, new_coeff),) if new_coeff else kb[:i]
     if ke:
         # any tail below w^exp keeps the value below bound
-        tail = _random_ordinal(bits, 3, 0, 3, 10)  # random_ordinal(max_terms=2, depth=0, max_coeff=3)
-        for t, kt in zip(tail.terms, tail._key):
+        tail = _random_key(bits, 3, 0, 3, 10)  # random_ordinal(max_terms=2, depth=0, max_coeff=3)
+        for kt in tail:
             if kt[0] < ke:
-                return _trusted(terms + (t,), key + (kt,))
-    return _trusted(terms, key)
+                return _trusted(key + (kt,))
+    return _trusted(key)
 
 
 # -- check reports ----------------------------------------------------------

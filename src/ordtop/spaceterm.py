@@ -17,6 +17,7 @@ points' contributions.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -301,10 +302,11 @@ def _parse_term(text: str, pos: int, depth: int):
                     raise TermError("skel takes a poset and a label map")
                 poset = poset_from_json(loads_json(parts[0]))
                 raw = loads_json(parts[1])
+                if not isinstance(raw, dict):
+                    raise TermError("skel label map must be a JSON object")
                 labels = [None] * poset.n
                 for name, val in raw.items():
-                    labels[poset.index(name)] = (
-                        Ordinal.from_int(val) if isinstance(val, int) else parse_ordinal(val))
+                    labels[poset.index(name)] = _label(name, val)
                 if any(v is None for v in labels):
                     raise TermError("label map must cover every element")
                 return SkelTerm(Skeleton(poset, tuple(labels))), after
@@ -317,6 +319,16 @@ def _parse_term(text: str, pos: int, depth: int):
                 raise TermError("prod takes exactly two terms")
             return ProdTerm(args[0], args[1]), after
     raise TermError(f"expected a space term at position {pos}")
+
+
+def _label(name: str, val) -> Ordinal:
+    """A skeleton label: a natural number (not a bool) or an ordinal string."""
+    if isinstance(val, str):
+        return parse_ordinal(val)
+    if isinstance(val, int) and not isinstance(val, bool) and val >= 0:
+        return Ordinal.from_int(val)
+    raise TermError(f"label of {name!r} must be a natural number or an ordinal string,"
+                    f" not {json.dumps(val)}")
 
 
 def _balanced(text: str, open_at: int):

@@ -19,6 +19,7 @@ from ordtop.poset import MAX_DOWNSETS, MAX_ELEMENTS
 
 VEE = {"elements": ["a", "b", "c"], "covers": [["a", "c"], ["b", "c"]]}
 WIDE12 = {"elements": [str(i) for i in range(12)], "covers": []}
+ONE_POINT = {"elements": ["a"], "covers": []}
 FAM2 = {"sets": [{"period": 2, "residues": [0], "delta": []},
                  {"period": 2, "residues": [1], "delta": []}]}
 FAM_BAD = {"sets": [{"period": 2, "residues": [0], "delta": []},
@@ -388,6 +389,19 @@ def test_space_skeleton_commands_need_skel_term(runner, command):
     r = invoke_clean(runner, ["space", command, "ord(w)"])
     assert r.exit_code == 2
     assert f"{command} needs a skel(...) term" in r.stderr
+
+
+@pytest.mark.parametrize("labels,message", [
+    ('[1]', "skel label map must be a JSON object"),
+    ('3', "skel label map must be a JSON object"),
+    ('{"a": [1]}', "label of 'a' must be a natural number or an ordinal string, not [1]"),
+    ('{"a": true}', "label of 'a' must be a natural number or an ordinal string, not true"),
+    ('{"a": 1.5}', "label of 'a' must be a natural number or an ordinal string, not 1.5"),
+    ('{"a": -1}', "label of 'a' must be a natural number or an ordinal string, not -1"),
+], ids=["list", "int", "list-label", "bool-label", "float-label", "negative-label"])
+def test_space_skel_rejects_malformed_label_maps(runner, labels, message):
+    r = invoke_clean(runner, ["space", "report", f'skel({json.dumps(ONE_POINT)}, {labels})'])
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
 
 
 _FAMILY_COMMANDS = {"adcheck": [], "star": ["8"], "join": ["top", "top"],
@@ -902,6 +916,8 @@ def _fuzz_argv(draw, files):
                             'skel({"elements": ["c", "a", "b"], "covers": [["c", "a"],'
                             ' ["c", "b"]]}, {"c": 0, "a": 1, "b": 1})',
                             "skel(nope)", "ord(", "", "sum()",
+                            'skel({"elements": ["a"], "covers": []}, [1])',
+                            'skel({"elements": ["a"], "covers": []}, {"a": [1]})',
                             _nested_sum(MAX_NESTING + 1)]) | ordinal
     clopen = st.sampled_from(["(0,w] @ w^2", "(w,w*2] @ w^2", "{} @ w^2", "{0} @ w",
                               "(0,w^2*2] @ w^2*2", "(0,w] @ w", "(w,0] @ w", "@", ""])

@@ -134,7 +134,7 @@ def _trunc_at_least(a, e):
     k = 0
     while k < len(key) and key[k][0] >= ke:
         k += 1
-    return _trusted(a.terms[:k], key[:k])
+    return _trusted(key[:k])
 
 
 def _next_multiple_above(s, e):

@@ -420,6 +420,88 @@ def test_convergence_horizon_too_small():
         convergence_check(fam, 0, 1, horizon=1)
 
 
+def oracle_convergence_check(fam, i, j, horizon):
+    """The loop that the running escape witnesses replaced, kept as an
+    oracle: at each step it recomputes every branch's escape over the
+    whole union."""
+    a, b = fam.sets[i], fam.sets[j]
+    threshold = None
+    witnesses: dict = {}
+    sigma: set = set()
+    tau: set = set()
+    sigma_mask = tau_mask = 0  # sigma and tau as points
+    for n in range(1, horizon + 1):
+        if a.contains(n - 1):
+            sigma.add(n - 1)
+            sigma_mask |= 1 << (n - 1)
+        if b.contains(n - 1):
+            tau.add(n - 1)
+            tau_mask |= 1 << (n - 1)
+        if sigma and tau:
+            if g_join(sigma_mask, tau_mask, fam) != sigma_mask | tau_mask:
+                raise AssertionError("join of finite prefixes must be their union")
+            escape = {}
+            union = sigma | tau
+            for k, branch_set in enumerate(fam.sets):
+                out = [x for x in union if not branch_set.contains(x)]
+                if not out:
+                    escape = None
+                    break
+                escape[k] = min(out)
+            if escape is not None:
+                threshold = n
+                witnesses = {str(k): v for k, v in escape.items()}
+                break
+    if threshold is None:
+        raise MrowkaError("horizon too small to certify (threshold not reached)")
+    a_prefix = a.elements_below(horizon)
+    union = set(a_prefix) | set(b.elements_below(horizon))
+    for k, branch_set in enumerate(fam.sets):
+        if all(branch_set.contains(x) for x in union):
+            raise AssertionError("union of full prefixes re-entered a branch")
+    growth = len(a_prefix) >= 2 and len(a_prefix) > len(a.elements_below(horizon // 2))
+    return CheckReport("join-convergence", growth, None if growth else "prefixes stalled",
+                       {"threshold": threshold, "escape_witnesses": witnesses})
+
+
+def _converge_both(fam, i, j, horizon):
+    # the report or the error message, from the check and from the oracle
+    got = []
+    for check in (convergence_check, oracle_convergence_check):
+        try:
+            rep = check(fam, i, j, horizon)
+            got.append((rep, list(rep.data["escape_witnesses"])))
+        except MrowkaError as e:
+            got.append(str(e))
+    return got
+
+
+def test_convergence_matches_the_recomputing_oracle():
+    rng = random.Random(23)
+    families = [ADFamily.progressions(m) for m in range(2, 7)]
+    for _ in range(6):
+        period = rng.randint(2, 8)
+        residues = rng.sample(range(period), rng.randint(2, period))
+        families.append(ADFamily([EvPeriodicSet(period, {r}, set(rng.sample(range(40), 4)))
+                                  for r in residues]))
+    for fam in families:
+        for i in range(len(fam)):
+            for j in range(len(fam)):
+                if i != j:
+                    for horizon in (3, 64):
+                        got, want = _converge_both(fam, i, j, horizon)
+                        assert got == want, (fam, i, j, horizon)
+
+
+def test_convergence_on_a_long_shared_prefix_matches_the_oracle():
+    # the second parity set toggled on 0..11,999: both prefixes sit inside
+    # the evens until 12,000, so the threshold comes after 12,000 steps
+    fam = ADFamily([EVENS, EvPeriodicSet(2, {1}, set(range(12_000)))])
+    got, want = _converge_both(fam, 0, 1, 1 << 15)
+    assert got == want
+    assert got[0].data == {"threshold": 12_002, "escape_witnesses": {"0": 12_001, "1": 12_000}}
+
+
 # -- Lusin stages -----------------------------------------------------------------
 
 def block_elements(stage):
@@ -496,6 +578,28 @@ def test_lusin_stage_members_must_be_naturals():
 def test_lusin_non_ad_input_rejected():
     with pytest.raises(MrowkaError, match="non-AD"):
         lusin_stage([EVENS, EvPeriodicSet(4, frozenset({0}))])
+
+
+def test_lusin_finite_prior_set_rejected():
+    with pytest.raises(MrowkaError, match="prior set is finite"):
+        lusin_stage([EVENS, EvPeriodicSet(2, frozenset(), frozenset({3}))])
+
+
+def test_lusin_iterate_trusts_its_family(monkeypatch):
+    base = ADFamily.progressions(8)
+    calls = []
+    check = mrowka.ad_check
+
+    def counted(sets):
+        calls.append(len(sets))
+        return check(sets)
+
+    monkeypatch.setattr(mrowka, "ad_check", counted)
+    stages = lusin_iterate(base, 3)
+    assert calls == [] and len(stages) == 3
+    # a stage built alone checks the periodic members of its prior family
+    lusin_stage(list(reversed(stages)) + list(base.sets))
+    assert calls == [8]
 
 
 def test_lusin_iterated_stages_mod16():

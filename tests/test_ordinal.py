@@ -34,13 +34,21 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.ordinal import _DEPTH1, _pow_nat
+from ordtop.ordinal import _pow_nat
 
 P = parse_ordinal
 
 
 def w_pow(e, c=1):
     return Ordinal.omega_power(P(e) if isinstance(e, str) else Ordinal.from_int(e), c)
+
+
+def assert_view_agrees(*xs):
+    """The ``terms`` view rebuilds each key, and each printed form parses
+    back to the same ordinal."""
+    for x in xs:
+        assert Ordinal(x.terms)._key == x._key, x
+        assert parse_ordinal(format_ordinal(x)) == x, x
 
 
 @st.composite
@@ -224,6 +232,7 @@ def test_order_equality_and_hash_match_recursive_oracle(pair):
         assert hash(a) == hash(b)
     # the generator's output passes the public constructor's checks
     assert Ordinal(a.terms) == a and Ordinal(b.terms) == b
+    assert_view_agrees(a, b)
 
 
 @settings(max_examples=300)
@@ -231,6 +240,7 @@ def test_order_equality_and_hash_match_recursive_oracle(pair):
 def test_nat_sum_matches_dict_sort_oracle(pair):
     a, b = pair
     assert structure(nat_sum(a, b)) == structure(oracle_nat_sum(a, b))
+    assert_view_agrees(nat_sum(a, b))
 
 
 @settings(max_examples=150)
@@ -238,6 +248,7 @@ def test_nat_sum_matches_dict_sort_oracle(pair):
 def test_nat_prod_matches_dict_sort_oracle(pair):
     a, b = pair
     assert structure(nat_prod(a, b)) == structure(oracle_nat_prod(a, b))
+    assert_view_agrees(nat_prod(a, b))
 
 
 def test_ordinals_are_unequal_to_other_types():
@@ -295,6 +306,7 @@ def test_add_monotone_and_associative(a, b, c):
     if b < c:
         assert ord_add(a, b) < ord_add(a, c)
     assert ord_add(a, b) >= a
+    assert_view_agrees(ord_add(a, b), ord_add(ord_add(a, b), c))
 
 
 def test_mul_trivial():
@@ -314,6 +326,7 @@ def test_mul_two_times_omega():
 def test_mul_successor_recursion(a, b):
     # a * (b+1) = a*b + a at every successor step
     assert ord_mul(a, ord_add(b, ONE)) == ord_add(ord_mul(a, b), a)
+    assert_view_agrees(ord_mul(a, b), ord_mul(a, ord_add(b, ONE)))
 
 
 @given(ordinals(depth=0, max_terms=3), ordinals(depth=0, max_terms=3))
@@ -433,6 +446,7 @@ def test_parse_coefficient_limit():
 def test_pow_successor_recursion(a, n):
     b = Ordinal.from_int(n)
     assert ord_pow(a, ord_add(b, ONE)) == ord_mul(ord_pow(a, b), a)
+    assert_view_agrees(ord_pow(a, b), ord_pow(a, ord_add(b, ONE)))
 
 
 def test_pow_infinite_base_against_repeated_mul():
@@ -487,6 +501,7 @@ def test_nat_sum_two_term_hand_merge():
 def test_nat_sum_laws(a, b, c):
     assert nat_sum(a, b) == nat_sum(b, a)
     assert nat_sum(nat_sum(a, b), c) == nat_sum(a, nat_sum(b, c))
+    assert_view_agrees(nat_sum(a, b), nat_sum(nat_sum(a, b), c))
     if b < c:
         assert nat_sum(a, b) < nat_sum(a, c)
     assert ord_add(a, b) <= nat_sum(a, b)
@@ -504,6 +519,7 @@ def test_nat_prod_examples():
 @given(ordinals(max_terms=3), ordinals(max_terms=3))
 def test_nat_prod_commutative(a, b):
     assert nat_prod(a, b) == nat_prod(b, a)
+    assert_view_agrees(nat_prod(a, b))
 
 
 # -- odot --------------------------------------------------------------
@@ -690,22 +706,6 @@ def test_generators_draw_as_randint_does(shape):
         assert rng.getstate() == ref.getstate(), seed
 
 
-def test_interned_depth1_exponents_stay_below_w16():
-    """Depth-1 exponents are interned by their draws only while every term
-    is below w^16, so the table stays bounded, and each entry is the
-    ordinal the public constructor builds from its draws."""
-    rng = random.Random(5)
-    drawn = [random_ordinal(rng, max_terms=5, depth=1, max_finite_exp=40) for _ in range(400)]
-    sixteen = Ordinal.from_int(16)
-    assert any(e >= Ordinal.omega_power(sixteen) for a in drawn for e, _ in a.terms)
-    assert 0 < len(_DEPTH1) <= 16 * 3 + 16 * 15 // 2 * 3 * 3
-    for draws, e in _DEPTH1.items():
-        pairs = list(zip(draws[::2], draws[1::2]))
-        assert all(f < sixteen for f, _ in e.terms), draws
-        want = Ordinal(tuple((Ordinal.from_int(n), c) for n, c in pairs))
-        assert e.terms == want.terms and e._key == want._key, draws
-
-
 @pytest.mark.parametrize("shape", [dict(max_terms=-1), dict(max_coeff=0),
                                    dict(depth=0, max_finite_exp=-1)])
 def test_generator_empty_ranges_raise(shape):
@@ -755,6 +755,7 @@ def test_split_below_property(a, b, gseed):
     left, right = nat_sum_split_below(gamma, a, b)
     assert nat_sum(left, right) == gamma
     assert left <= a and right <= b
+    assert_view_agrees(gamma, left, right)
 
 
 def split_below_oracle(gamma, a, b):
@@ -856,6 +857,7 @@ def test_split_below_agrees_with_enumeration_exhaustively():
 @given(ordinals(max_terms=2), ordinals(max_terms=2), ordinals(max_terms=2))
 def test_mul_associative(a, b, c):
     assert ord_mul(ord_mul(a, b), c) == ord_mul(a, ord_mul(b, c))
+    assert_view_agrees(ord_mul(a, b), ord_mul(ord_mul(a, b), c))
 
 
 @given(ordinals(max_terms=2), ordinals(max_terms=2), ordinals(max_terms=2))
@@ -866,3 +868,4 @@ def test_mul_left_distributes_over_add(a, b, c):
 @given(ordinals(max_terms=2), ordinals(max_terms=2), ordinals(max_terms=2))
 def test_pow_splits_over_exponent_sum(a, b, c):
     assert ord_pow(a, ord_add(b, c)) == ord_mul(ord_pow(a, b), ord_pow(a, c))
+    assert_view_agrees(ord_pow(a, b), ord_pow(a, ord_add(b, c)))
