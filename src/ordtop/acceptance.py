@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .clopen import (
     clopen_cb,
     cnf_truncation_grid,
-    first_non_laminar_pair,
+    first_non_treelike_pair,
     min_clopen_with_endpoint,
     tip_selector,
 )
@@ -45,11 +45,11 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
-    _split_below,
     _trusted,
     format_ordinal,
     nat_prod,
     nat_sum,
+    nat_sum_split_below,
     odot,
     ord_pow,
     parse_ordinal,
@@ -186,7 +186,7 @@ def criterion_06_nat_sum_properties(seed: int):
         # decomposability of anything below the sum
         if not ab.is_zero:
             gamma = random_ordinal_below(rng, ab)
-            a_half, b_half = _split_below(gamma, a, b, ab)
+            a_half, b_half = nat_sum_split_below(gamma, a, b, ab)
             if nat_sum(a_half, b_half) != gamma or not (a_half <= a and b_half <= b):
                 return _fail(f"decomposition broke at {gamma}")
             if enum_checked < 150 and len(gamma._key) <= 2 and all(
@@ -342,7 +342,7 @@ def criterion_11_tip_selector(seed: int):
     while len(betas) < 1000:
         beta = random_ordinal_below(rng, ambient)
         betas.append(beta)
-    intervals = []
+    intervals, heights = [], []
     for beta in betas:
         u = tip_selector(beta, ambient)
         data = clopen_cb(u)
@@ -352,15 +352,16 @@ def criterion_11_tip_selector(seed: int):
             if data.height != tip_deg(beta).tip_exponent:
                 return _fail(f"height wrong at {beta}")
             intervals.append(u.intervals[0])
+            heights.append(data.height)
         grid = cnf_truncation_grid(beta)
         if beta.is_zero:
             continue
         if min_clopen_with_endpoint(beta, ambient, grid) != u:
             return _fail(f"grid search disagrees at {beta}")
-    crossing = first_non_laminar_pair(intervals)
-    if crossing is not None:
-        (s1, t1), (s2, t2) = crossing
-        return _fail(f"not laminar: ({s1},{t1}] vs ({s2},{t2}]")
+    bad = first_non_treelike_pair(intervals, heights)
+    if bad is not None:
+        (s1, t1), (s2, t2) = (intervals[k] for k in bad)
+        return _fail(f"not tree-like: ({s1},{t1}] vs ({s2},{t2}]")
     return True, f"{len(betas)} selector sets, {len(intervals)} laminar intervals"
 
 

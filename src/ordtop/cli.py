@@ -40,7 +40,7 @@ from .ordinal import (
 
 # every domain error (OrdinalError, PosetError, ...) subclasses ValueError
 _INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
-MAX_HORIZON = 1 << 20  # mrowka convergence walks every n up to it: about 1.3 s
+MAX_HORIZON = 1 << 20  # mrowka convergence masks every set up to it: about 0.15 s
 MAX_TRUNCATION = 1 << 14  # mrowka.MAX_TRUNCATION, which the CLI loads only in handlers
 
 

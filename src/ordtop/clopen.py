@@ -8,9 +8,10 @@ their normal forms coincide.
 
 On top of the Boolean operations this module computes Cantor-Bendixson
 data of a clopen set (height, end points, unitarity), the tip-based
-tree-like canonical selector, laminarity checks, and a grid search for
-the lexicographically least minimal-length clopen set with a prescribed
-end point.
+tree-like canonical selector, one sweep that decides whether a family of
+pieces with heights is tree-like, and a one-pass grid search for the
+lexicographically least minimal-length clopen set with a prescribed end
+point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .ordinal import (
@@ -228,75 +228,67 @@ def treelike_check(ambient: Ordinal, points: Iterable[Ordinal]) -> CheckReport:
     disjoint, with strictly increasing height along nesting.
 
     The witness is the first pair of points, in input order, whose sets
-    overlap or whose heights do not increase along nesting.
+    overlap or whose heights do not increase along nesting.  Point 0's set
+    {0} meets no piece, so it never takes part in one.
     """
     pts = list(points)
-    sels = [tip_selector(p, ambient) for p in pts]
-    datas = [clopen_cb(s) for s in sels]
-    witness = None
-    checked = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            checked += 1
-            rel = _laminar_relation(sels[i], sels[j])
-            if witness is None and (
-                    rel == "overlap"
-                    or rel == "i-in-j" and not datas[i].height < datas[j].height
-                    or rel == "j-in-i" and not datas[j].height < datas[i].height):
-                witness = (str(pts[i]), str(pts[j]))
-    return CheckReport("tree-like", witness is None, witness, {"pairs": checked})
+    pieces, heights, at = [], [], []
+    for k, p in enumerate(pts):
+        u = tip_selector(p, ambient)
+        if not p.is_zero:
+            (piece,) = u.intervals
+            pieces.append(piece)
+            heights.append(clopen_cb(u).height)
+            at.append(k)
+    bad = first_non_treelike_pair(pieces, heights)
+    witness = None if bad is None else (str(pts[at[bad[0]]]), str(pts[at[bad[1]]]))
+    return CheckReport("tree-like", witness is None, witness,
+                       {"pairs": len(pts) * (len(pts) - 1) // 2})
 
 
-def first_non_laminar_pair(intervals: Sequence) -> tuple | None:
-    """First pair of half-open intervals (s, t] that are neither disjoint
-    nor nested, in ``itertools.combinations`` order, or None when the
-    family is laminar.
+def first_non_treelike_pair(pieces: Sequence, heights: Sequence) -> tuple | None:
+    """First pair ``(i, j)``, i < j, of pieces (s, t] that is neither
+    disjoint, nor equal, nor nested with the inner piece strictly lower,
+    or None when the family is tree-like.  ``heights[k]`` is the height of
+    ``pieces[k]``.
 
-    A sweep decides laminarity in O(n log n).  The intervals are taken by
-    ``s`` ascending, ties by ``t`` descending, so each one comes after
-    every interval that contains it.  A stack holds the intervals still
-    open: the top is popped while it ends at or before the new ``s``, and
-    the family is not laminar exactly when the new interval then ends past
-    the top.  The sweep is exact because every popped interval ends at or
-    before ``s`` and so is disjoint from this and all later intervals, and
-    every interval left under the top contains the top: a crossing pair
-    (s1 < s2 < t1 < t2) leaves the first interval, or one nested in it,
-    on top when the second arrives.  Only on a failure does the pairwise
-    scan run, to find the first crossing pair.
+    A sweep decides it in O(n log n).  The pieces are taken by ``s``
+    ascending, then ``t`` descending, then height descending, so each one
+    comes after every piece that contains it.  A stack holds the pieces
+    still open: the top is popped while it ends at or before the new
+    ``s``, and the new piece is checked against the top alone.  Every
+    popped piece is disjoint from this and all later pieces.  Every
+    container of the new piece is left on the stack, where each piece
+    lies inside the one below it and is no higher; so once the new piece
+    fits inside the top, it fits inside all of them.  A piece (s, s] has
+    no point, so it is disjoint from every piece.  Only on a failure does
+    the pairwise scan run, to name the first bad pair.
     """
-    keyed = [(sort_key(s), sort_key(t)) for s, t in intervals]
-    keyed.sort(key=itemgetter(1), reverse=True)
-    keyed.sort(key=itemgetter(0))
+    keyed = [(sort_key(s), sort_key(t), sort_key(h))
+             for (s, t), h in zip(pieces, heights, strict=True)]
+    order = sorted(range(len(keyed)), key=lambda k: keyed[k][1:], reverse=True)
+    order.sort(key=lambda k: keyed[k][0])
     stack: list = []
-    for s, t in keyed:
-        while stack and stack[-1] <= s:
+    for k in order:
+        piece = keyed[k]
+        while stack and stack[-1][1] <= piece[0]:
             stack.pop()
-        if stack and not t <= stack[-1]:
-            return _first_crossing_pair(intervals)
-        stack.append(t)
+        if stack and not _tree_pair(stack[-1], piece):
+            return next((i, j) for i, j in combinations(range(len(keyed)), 2)
+                        if not _tree_pair(keyed[i], keyed[j]))
+        stack.append(piece)
     return None
 
 
-def _first_crossing_pair(intervals: Sequence) -> tuple:
-    for (s1, t1), (s2, t2) in combinations(intervals, 2):
-        disjoint = t1 <= s2 or t2 <= s1
-        nested = (s2 <= s1 and t1 <= t2) or (s1 <= s2 and t2 <= t1)
-        if not (disjoint or nested):
-            return (s1, t1), (s2, t2)
-    raise AssertionError("sweep found a crossing that the pairwise scan did not")
-
-
-def _laminar_relation(a: ClopenSet, b: ClopenSet) -> str:
-    inter = clopen_intersect(a, b)
-    if inter.is_empty:
-        return "disjoint"
-    if inter == a and inter == b:
-        return "equal"
-    if inter == a:
-        return "i-in-j"
-    if inter == b:
-        return "j-in-i"
-    return "overlap"
+def _tree_pair(a: tuple, b: tuple) -> bool:
+    """Whether keyed pieces (s, t, height) are disjoint, equal, or nested
+    with the inner one strictly lower."""
+    (s1, t1, h1), (s2, t2, h2) = a, b
+    if min(t1, t2) <= max(s1, s2) or (s1, t1) == (s2, t2):
+        return True
+    if s2 <= s1 and t1 <= t2:
+        return h1 < h2
+    return s1 <= s2 and t2 <= t1 and h2 < h1
 
 
 # -- minimal clopen with a prescribed end point ---------------------------
@@ -328,11 +320,16 @@ def min_clopen_with_endpoint(beta: Ordinal, ambient: Ordinal,
     only end point, so does the piece that holds beta.  That piece's rank
     is at least rank(beta), since beta lies in it, and at most the set's
     height, which is rank(beta); so its top-rank points are end points of
-    the set, which are just {beta}.  The search tries the pieces (s, t]
-    with s < beta <= t, s ascending and then t, which is the lexicographic
-    order, and returns the first whose only top-rank point is beta, read
-    from ``_piece_rank`` without building a point.  A grid of more than
-    ``MAX_GRID`` distinct values up to ``ambient`` is refused.
+    the set, which are just {beta}.  A piece (s, t] has beta as its only
+    top-rank point exactly when t starts with beta's terms, and s and t
+    first differ at beta's last term with one coefficient between them
+    there, read from ``_piece_rank`` without building a point.  Those t
+    are the grid values in [beta, beta + w^e), w^e beta's last term, and
+    where s and t first differ does not depend on which of them t is.  So
+    the least such t serves every s, and one pass finds the least s below
+    beta that passes against it, which is the lexicographic order.  A grid
+    of more than ``MAX_GRID`` distinct values up to ``ambient`` is
+    refused.
 
     When the grid contains the tip endpoints the result must coincide
     with the tip selector, and this is re-asserted.
@@ -344,16 +341,15 @@ def min_clopen_with_endpoint(beta: Ordinal, ambient: Ordinal,
         raise ClopenError(f"grid has more than MAX_GRID = {MAX_GRID} values")
     kb = beta._key
     cut = bisect_left(grid_vals, kb, key=sort_key)
-    for s in grid_vals[:cut]:
-        for t in grid_vals[cut:]:
+    if cut < len(grid_vals) and grid_vals[cut]._key[:len(kb)] == kb:
+        t = grid_vals[cut]
+        for s in grid_vals[:cut]:
             _, i, lo, hi = _piece_rank(s, t)
-            if lo == hi and t._key[:i + 1] == kb:
+            if lo == hi and i == len(kb) - 1:
                 result = ClopenSet(ambient, False, ((s, t),))
                 tip = tip_selector(beta, ambient)
-                if not beta.is_zero:
-                    tip_start = tip.intervals[0][0]
-                    if tip_start in grid_vals and beta in grid_vals and result != tip:
-                        raise AssertionError("grid search disagrees with the tip selector")
+                if t == beta and tip.intervals[0][0] in grid_vals and result != tip:
+                    raise AssertionError("grid search disagrees with the tip selector")
                 return result
     raise ClopenError("no candidate in grid has the prescribed end point")
 

@@ -29,7 +29,7 @@ from itertools import islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from .ordinal import CheckReport
+from .ordinal import CheckReport, _is_int
 
 SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
@@ -93,9 +93,6 @@ class EvPeriodicSet:
         if res:
             raise MrowkaError("scan cap exceeded")
 
-    def elements_below(self, limit: int) -> list:
-        return [n for n in range(limit) if self.contains(n)]
-
     def mask_below(self, n: int) -> int:
         """Bitmask of the members below n >= 0: one period's residues,
         doubled until they cover n bits, then toggled by the delta below n."""
@@ -122,10 +119,6 @@ class EvPeriodicSet:
         return {"period": self.period,
                 "residues": sorted(self.residues),
                 "delta": sorted(self.delta)}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def common_residue_classes(a: EvPeriodicSet, b: EvPeriodicSet) -> list:
@@ -342,12 +335,13 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
     if threshold is None:
         raise MrowkaError("horizon too small to certify (threshold not reached)")
     # permanence scan: past the threshold the union stays outside every branch
-    a_prefix = a.elements_below(horizon)
-    union = set(a_prefix) | set(b.elements_below(horizon))
-    for k, branch_set in enumerate(fam.sets):
-        if all(branch_set.contains(x) for x in union):
+    a_prefix = a.mask_below(horizon)
+    union = a_prefix | b.mask_below(horizon)
+    for branch_set in fam.sets:
+        if not union & ~branch_set.mask_below(horizon):
             raise AssertionError("union of full prefixes re-entered a branch")
-    growth = len(a_prefix) >= 2 and len(a_prefix) > len(a.elements_below(horizon // 2))
+    grown = a_prefix.bit_count()
+    growth = grown >= 2 and grown > a.mask_below(horizon // 2).bit_count()
     return CheckReport("join-convergence", growth, None if growth else "prefixes stalled",
                        {"threshold": threshold, "escape_witnesses": witnesses})
 

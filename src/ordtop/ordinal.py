@@ -56,8 +56,7 @@ class Ordinal:
         for exp, coeff in terms:
             if not isinstance(exp, Ordinal):
                 raise OrdinalError("exponent must be an Ordinal")
-            if not isinstance(coeff, int) or coeff < 1:
-                raise OrdinalError("coefficient must be an integer >= 1")
+            _check_coeff(coeff)
             key.append((exp._key, coeff))
         for (k1, _), (k2, _) in zip(key, key[1:]):
             if k1 <= k2:
@@ -68,21 +67,18 @@ class Ordinal:
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
+        if not _is_int(n):
+            raise OrdinalError("coefficient must be an integer >= 1")
         if n < 0:
             raise OrdinalError("ordinals are non-negative")
-        if n == 0:
-            return ZERO
-        if not isinstance(n, int):
-            raise OrdinalError("coefficient must be an integer >= 1")
-        return _trusted(_nat(n))
+        return _trusted(_nat(n)) if n else ZERO
 
     @classmethod
     def omega_power(cls, exponent: "Ordinal", coeff: int = 1) -> "Ordinal":
         # one term is always in normal form: only the inputs need checking
         if not isinstance(exponent, Ordinal):
             raise OrdinalError("exponent must be an Ordinal")
-        if not isinstance(coeff, int) or coeff < 1:
-            raise OrdinalError("coefficient must be an integer >= 1")
+        _check_coeff(coeff)
         return _trusted(((exponent._key, coeff),))
 
     # -- structure ---------------------------------------------------
@@ -156,6 +152,16 @@ class Ordinal:
 
     def __repr__(self) -> str:
         return f"Ord({format_ordinal(self)})"
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool, which ``isinstance(x, int)`` admits."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_coeff(c) -> None:
+    if not _is_int(c) or c < 1:
+        raise OrdinalError("coefficient must be an integer >= 1")
 
 
 def _coerce(x) -> Ordinal:
@@ -428,22 +434,20 @@ def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:
     return _trusted(key)
 
 
-def nat_sum_split_below(gamma: Ordinal, a: Ordinal, b: Ordinal):
-    """Split gamma < a(+)b as gamma = a'(+)b' with a' <= a and b' <= b.
+def nat_sum_split_below(gamma: Ordinal, a: Ordinal, b: Ordinal, total: Ordinal):
+    """Split gamma < a(+)b as gamma = a'(+)b' with a' <= a and b' <= b,
+    given ``total = nat_sum(a, b)``.
 
-    Walks the merged normal form to the first exponent where gamma falls
-    short, splits the coefficient there between the two sides, and hands
-    gamma's free tail to whichever side was strictly reduced; the halves
-    are re-verified before returning.
+    Walks the normal form of the total to the first exponent where gamma
+    falls short, splits the coefficient there between the two sides, and
+    hands gamma's free tail to whichever side was strictly reduced.  The
+    halves are re-verified before returning, so a wrong total cannot give
+    a wrong split: it raises, or the halves still sum to gamma within a
+    and b.
     """
-    return _split_below(gamma, a, b, nat_sum(a, b))
-
-
-def _split_below(gamma, a, b, s):
-    # nat_sum_split_below, given s = a(+)b
     gk = gamma._key
     gi = 0
-    for si, (ks, cs) in enumerate(s._key):
+    for si, (ks, cs) in enumerate(total._key):
         if gi < len(gk) and gk[gi][0] == ks:
             g = gk[gi][1]
             if g == cs:
@@ -459,7 +463,7 @@ def _split_below(gamma, a, b, s):
         break
     else:
         raise OrdinalError("gamma is not strictly below the natural sum")
-    ke = s._key[si][0]
+    ke = total._key[si][0]
 
     def half(x, c, t):
         # x's terms above e, then (e, c), then gamma's terms from t on, all below e

@@ -28,6 +28,7 @@ from .ordinal import (
     ZERO,
     CheckReport,
     Ordinal,
+    _is_int,
     format_ordinal,
     loads_json,
     nat_sum,
@@ -325,7 +326,7 @@ def _label(name: str, val) -> Ordinal:
     """A skeleton label: a natural number (not a bool) or an ordinal string."""
     if isinstance(val, str):
         return parse_ordinal(val)
-    if isinstance(val, int) and not isinstance(val, bool) and val >= 0:
+    if _is_int(val) and val >= 0:
         return Ordinal.from_int(val)
     raise TermError(f"label of {name!r} must be a natural number or an ordinal string,"
                     f" not {json.dumps(val)}")

@@ -1,10 +1,12 @@
 import random
+from bisect import bisect_left
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ordtop.clopen as clopen
 from ordtop.clopen import (
     MAX_ENDPOINTS,
     MAX_GRID,
@@ -20,7 +22,7 @@ from ordtop.clopen import (
     clopen_intersect,
     clopen_union,
     cnf_truncation_grid,
-    first_non_laminar_pair,
+    first_non_treelike_pair,
     format_clopen,
     min_clopen_with_endpoint,
     parse_clopen,
@@ -30,6 +32,7 @@ from ordtop.clopen import (
 from ordtop.ordinal import (
     ONE,
     ZERO,
+    CheckReport,
     Ordinal,
     OrdinalError,
     _trusted,
@@ -211,6 +214,60 @@ def outcome(search, *args):
         return search(*args)
     except ClopenError as e:
         return str(e)
+
+
+# -- the pair scan and the nested search that the sweep and the one-pass
+#    search replaced --
+
+def _laminar_relation(a, b):
+    inter = clopen_intersect(a, b)
+    if inter.is_empty:
+        return "disjoint"
+    if inter == a and inter == b:
+        return "equal"
+    if inter == a:
+        return "i-in-j"
+    if inter == b:
+        return "j-in-i"
+    return "overlap"
+
+
+def pairwise_treelike_check(ambient, points):
+    """Oracle: ``treelike_check`` over all pairs of selector sets, related
+    through ``clopen_intersect``."""
+    pts = list(points)
+    sels = [clopen.tip_selector(p, ambient) for p in pts]
+    datas = [clopen_cb(s) for s in sels]
+    witness = None
+    checked = 0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            checked += 1
+            rel = _laminar_relation(sels[i], sels[j])
+            if witness is None and (
+                    rel == "overlap"
+                    or rel == "i-in-j" and not datas[i].height < datas[j].height
+                    or rel == "j-in-i" and not datas[j].height < datas[i].height):
+                witness = (str(pts[i]), str(pts[j]))
+    return CheckReport("tree-like", witness is None, witness, {"pairs": checked})
+
+
+def nested_min_clopen(beta, ambient, grid):
+    """Oracle: ``min_clopen_with_endpoint`` trying every piece (s, t] with
+    s < beta <= t, s ascending and then t."""
+    if not beta <= ambient:
+        raise ClopenError("point exceeds ambient")
+    grid_vals = sorted({g for g in grid if g <= ambient}, key=sort_key)
+    if len(grid_vals) > MAX_GRID:
+        raise ClopenError(f"grid has more than MAX_GRID = {MAX_GRID} values")
+    kb = beta._key
+    cut = bisect_left(grid_vals, kb, key=sort_key)
+    for s in grid_vals[:cut]:
+        for t in grid_vals[cut:]:
+            _, i, lo, hi = _piece_rank(s, t)
+            if lo == hi and t._key[:i + 1] == kb:
+                return ClopenSet(ambient, False, ((s, t),))
+    raise ClopenError("no candidate in grid has the prescribed end point")
 
 
 # -- boolean algebra -------------------------------------------------------
@@ -448,6 +505,36 @@ def test_treelike_out_of_range_point():
         treelike_check(P("w"), [P("w^2")])
 
 
+def test_treelike_check_matches_the_pairwise_oracle(monkeypatch):
+    # half the lists widen some selector pieces to (s', beta] with s' below
+    # the tip start, which crosses pieces or breaks the height order
+    rng = random.Random(17)
+    amb = P("w^2*3")
+    real = clopen.tip_selector
+    verdicts = set()
+    for n in range(1200):
+        pool = [random_ordinal_below(rng, amb) for _ in range(rng.randint(1, 6))] + [ZERO]
+        pts = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+        wide = {}
+        if n % 2:
+            for p in rng.sample(pool, rng.randint(1, len(pool))):
+                if not p.is_zero:
+                    (start, _), = real(p, amb).intervals
+                    if not start.is_zero:
+                        wide[p] = random_ordinal_below(rng, start)
+
+        def selector(beta, ambient):
+            if beta in wide:
+                return ClopenSet(ambient, False, ((wide[beta], beta),))
+            return real(beta, ambient)
+
+        monkeypatch.setattr(clopen, "tip_selector", selector)
+        got = treelike_check(amb, pts)
+        assert got == pairwise_treelike_check(amb, pts), (pts, wide)
+        verdicts.add((bool(wide), got.passed))
+    assert verdicts == {(False, True), (True, True), (True, False)}
+
+
 def pairwise_first_non_laminar(intervals):
     """Oracle: the first pair in combinations order that is neither
     disjoint nor nested, by the all-pairs scan the sweep replaced."""
@@ -461,6 +548,22 @@ def pairwise_first_non_laminar(intervals):
 
 def _ints(pairs):
     return [(Ordinal.from_int(s), Ordinal.from_int(t)) for s, t in pairs]
+
+
+def nesting_heights(intervals):
+    """Heights that every strict nesting satisfies: each piece's place in
+    (t ascending, s descending) order, equal pieces sharing one."""
+    distinct = sorted(set(intervals), key=lambda p: sort_key(p[0]), reverse=True)
+    distinct.sort(key=lambda p: sort_key(p[1]))
+    place = {p: Ordinal.from_int(k) for k, p in enumerate(distinct)}
+    return [place[p] for p in intervals]
+
+
+def first_crossing(intervals):
+    """The first crossing pair, found by the tree-like sweep under heights
+    that every nesting satisfies."""
+    bad = first_non_treelike_pair(intervals, nesting_heights(intervals))
+    return None if bad is None else tuple(intervals[k] for k in bad)
 
 
 @pytest.mark.parametrize("pairs,expected", [
@@ -486,9 +589,68 @@ def _ints(pairs):
 ])
 def test_first_non_laminar_pair_cases(pairs, expected):
     intervals = _ints(pairs)
-    got = first_non_laminar_pair(intervals)
+    got = first_crossing(intervals)
     assert got == pairwise_first_non_laminar(intervals)
     assert got == (None if expected is None else tuple(_ints(expected)))
+
+
+def pairwise_first_non_treelike(pairs, heights):
+    """Oracle over natural-number pieces, read as sets of points: the first
+    pair (i, j) that is neither disjoint, nor equal, nor nested with the
+    inner one strictly lower."""
+    sets = [set(range(s + 1, t + 1)) for s, t in pairs]
+    for i, j in combinations(range(len(pairs)), 2):
+        a, b = sets[i], sets[j]
+        if (a & b and a != b and not (a < b and heights[i] < heights[j])
+                and not (b < a and heights[j] < heights[i])):
+            return i, j
+    return None
+
+
+@pytest.mark.parametrize("pairs,heights,expected", [
+    # the inner piece must be strictly lower
+    ([(0, 5), (1, 2)], [0, 1], (0, 1)),
+    ([(0, 5), (1, 2)], [1, 1], (0, 1)),
+    ([(1, 2), (0, 5)], [1, 0], (0, 1)),
+    ([(0, 5), (1, 2)], [1, 0], None),
+    # a shared end or start still nests
+    ([(0, 5), (3, 5)], [2, 2], (0, 1)),
+    ([(0, 5), (0, 3)], [2, 3], (0, 1)),
+    # equal pieces pass whatever their heights, but each one must sit above
+    # the pieces inside it: the lower twin is the one that fails
+    ([(0, 5), (0, 5)], [1, 9], None),
+    ([(0, 5), (0, 5), (1, 2)], [1, 9, 3], (0, 2)),
+    ([(0, 5), (0, 5), (1, 2)], [9, 1, 3], (1, 2)),
+    # only the nearest container is compared, and heights fall along nesting
+    ([(0, 9), (1, 8), (2, 7), (3, 4)], [3, 2, 1, 0], None),
+    ([(0, 9), (1, 8), (2, 7), (3, 4)], [3, 2, 0, 1], (2, 3)),
+    ([(3, 4), (2, 7), (0, 9), (1, 8)], [0, 1, 2, 3], (2, 3)),
+    # an empty piece (s, s] has no point, so it meets nothing
+    ([(0, 5), (2, 4), (2, 2)], [1, 0, 5], None),
+    ([(2, 2), (2, 2), (0, 5)], [3, 1, 0], None),
+    # disjoint pieces pass whatever their heights
+    ([(0, 2), (2, 4), (5, 6)], [2, 0, 2], None),
+])
+def test_first_non_treelike_pair_height_cases(pairs, heights, expected):
+    got = first_non_treelike_pair(_ints(pairs), [Ordinal.from_int(h) for h in heights])
+    assert got == pairwise_first_non_treelike(pairs, heights) == expected
+
+
+def test_first_non_treelike_pair_matches_the_set_oracle():
+    # small pieces with few heights: equal pieces of unequal height, empty
+    # pieces and ties of every kind occur
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(3000):
+        pairs = []
+        for _ in range(rng.randint(0, 9)):
+            a, b = rng.randint(0, 10), rng.randint(0, 10)
+            pairs.append((min(a, b), max(a, b)))
+        heights = [rng.randint(0, 3) for _ in pairs]
+        got = first_non_treelike_pair(_ints(pairs), [Ordinal.from_int(h) for h in heights])
+        assert got == pairwise_first_non_treelike(pairs, heights), (pairs, heights)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 def _random_intervals(rng, point):
@@ -509,7 +671,7 @@ def test_first_non_laminar_pair_matches_pairwise_scan(point):
     verdicts = set()
     for _ in range(3000):
         intervals = _random_intervals(rng, point)
-        got = first_non_laminar_pair(intervals)
+        got = first_crossing(intervals)
         assert got == pairwise_first_non_laminar(intervals), intervals
         verdicts.add(got is None)
     assert verdicts == {True, False}
@@ -523,12 +685,12 @@ def test_first_non_laminar_pair_on_tip_selectors():
         intervals = [tip_selector(b, amb).intervals[0]
                      for b in (random_ordinal_below(rng, amb) for _ in range(40))
                      if not b.is_zero]
-        assert first_non_laminar_pair(intervals) is None
+        assert first_crossing(intervals) is None
         assert pairwise_first_non_laminar(intervals) is None
         ends = sorted({x for p in intervals for x in p}, key=sort_key)
         s, t = sorted(rng.sample(ends, 2), key=sort_key)
         intervals.insert(rng.randint(0, len(intervals)), (s, t))
-        assert first_non_laminar_pair(intervals) == pairwise_first_non_laminar(intervals)
+        assert first_crossing(intervals) == pairwise_first_non_laminar(intervals)
 
 
 # -- trusted construction agrees with the public constructor ------------------
@@ -552,7 +714,7 @@ def test_omega_power_matches_public_constructor(e, c):
 
 
 @pytest.mark.parametrize("exponent,coeff", [
-    (1, 1), ("w", 1), (ONE, 0), (ONE, -2), (ONE, "1"), (ONE, 1.0)])
+    (1, 1), ("w", 1), (ONE, 0), (ONE, -2), (ONE, "1"), (ONE, 1.0), (ONE, True), (ONE, False)])
 def test_omega_power_still_checks_its_inputs(exponent, coeff):
     with pytest.raises(OrdinalError):
         Ordinal.omega_power(exponent, coeff)
@@ -678,6 +840,28 @@ def test_min_clopen_matches_all_counts_oracle():
     assert kinds == {"truncations": {False}, "extra values": {False},
                      "removed values": {False, True}, "above the ambient": {False},
                      "no answer": {True}}
+
+
+def test_min_clopen_matches_the_nested_oracle():
+    # grids around beta: some of its truncations, values that start with
+    # its terms (so t need not be beta), values that do not, and values
+    # above the ambient
+    rng = random.Random(23)
+    ambient = P("w^3*2")
+    answers = set()
+    for _ in range(10000):
+        beta = random_ordinal_below(rng, ambient)
+        trunc = cnf_truncation_grid(beta)
+        grid = rng.sample(trunc, rng.randint(0, len(trunc)))
+        if not beta.is_zero:
+            below_tip = Ordinal.omega_power(beta.terms[-1][0])
+            grid += [beta + random_ordinal_below(rng, below_tip) for _ in range(rng.randint(0, 2))]
+        grid += [random_ordinal_below(rng, ambient + ONE) for _ in range(rng.randint(0, 3))]
+        grid += [ambient + ONE] * rng.randint(0, 1)
+        got = outcome(min_clopen_with_endpoint, beta, ambient, grid)
+        assert got == outcome(nested_min_clopen, beta, ambient, grid), (beta, grid)
+        answers.add("none" if isinstance(got, str) else got.intervals[0][1] == beta)
+    assert answers == {"none", True, False}
 
 
 def test_one_piece_lemma_exhaustive():

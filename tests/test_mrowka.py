@@ -41,6 +41,11 @@ def brute_intersection_infinite(a, b, horizon=5000):
 P = parse_point
 
 
+def elements_below(a, limit):
+    """Members of a below limit, each tested through ``contains``."""
+    return [n for n in range(limit) if a.contains(n)]
+
+
 def fin_text(members):
     """The text of the finite point with these members."""
     return "fin:" + ",".join(map(str, members))
@@ -320,7 +325,7 @@ def test_mask_below_matches_elements_below():
             a = EvPeriodicSet(period, residues, delta)
             for n in {0, 1, period - 1, period, period + 1, 7 * period + 3,
                       rng.randrange(200), 3 * period + 21}:
-                assert a.mask_below(n) == sum(1 << k for k in a.elements_below(n)), (a, n)
+                assert a.mask_below(n) == sum(1 << k for k in elements_below(a, n)), (a, n)
 
 
 def test_mask_below_costs_n_bits_whatever_the_period():
@@ -328,7 +333,7 @@ def test_mask_below_costs_n_bits_whatever_the_period():
     period = 1 << 41
     a = EvPeriodicSet(period, {period - 1, 3}, {5, period + 3})
     for n in (0, 3, 4, 6, 64, 1000):
-        assert a.mask_below(n) == sum(1 << k for k in a.elements_below(n)), n
+        assert a.mask_below(n) == sum(1 << k for k in elements_below(a, n)), n
     assert a.mask_below(64) == 0b101000
 
 
@@ -367,7 +372,7 @@ def test_star_counts_nonempty_subsets():
     for m in (4, 8, 12):
         codes, _ = star_truncation(fam, 1 << m)
         for i, a in enumerate(fam.sets):
-            assert len(codes[i]) == 2 ** len(a.elements_below(m)) - 1
+            assert len(codes[i]) == 2 ** len(elements_below(a, m)) - 1
 
 
 def test_star_bound_enforced():
@@ -454,12 +459,12 @@ def oracle_convergence_check(fam, i, j, horizon):
                 break
     if threshold is None:
         raise MrowkaError("horizon too small to certify (threshold not reached)")
-    a_prefix = a.elements_below(horizon)
-    union = set(a_prefix) | set(b.elements_below(horizon))
+    a_prefix = elements_below(a, horizon)
+    union = set(a_prefix) | set(elements_below(b, horizon))
     for k, branch_set in enumerate(fam.sets):
         if all(branch_set.contains(x) for x in union):
             raise AssertionError("union of full prefixes re-entered a branch")
-    growth = len(a_prefix) >= 2 and len(a_prefix) > len(a.elements_below(horizon // 2))
+    growth = len(a_prefix) >= 2 and len(a_prefix) > len(elements_below(a, horizon // 2))
     return CheckReport("join-convergence", growth, None if growth else "prefixes stalled",
                        {"threshold": threshold, "escape_witnesses": witnesses})
 
@@ -986,7 +991,7 @@ def _selector_check_on_frozensets(sets, truncation):
     for k, a in enumerate(members):
         accumulating = {("branch", j) for j, b in enumerate(members)
                         if j != k and common_residue_classes(a, b)}
-        u[("branch", k)] = (frozenset(a.elements_below(truncation))
+        u[("branch", k)] = (frozenset(elements_below(a, truncation))
                             | {("branch", k)} | accumulating)
     u["inf"] = frozenset(points)
     conditions = {"membership": True, "antisymmetry": True, "nesting": True}
@@ -1022,7 +1027,7 @@ def _selector_check_on_frozensets(sets, truncation):
     except MrowkaError as e:
         ad_ok = False
         witness = witness or ("bad member", str(e))
-    heights_ok = all(a.is_infinite and a.elements_below(truncation)
+    heights_ok = all(a.is_infinite and elements_below(a, truncation)
                      for a in members) and bool(members)
     if not heights_ok:
         witness = witness or ("heights", "branch empty at truncation")

@@ -268,8 +268,11 @@ def test_ordinals_are_unequal_to_other_types():
     (((ONE, 1.0),), "integer >= 1"),
     (((1, 1),), "must be an Ordinal"),
     (((OMEGA, 1), ("w", 1)), "must be an Ordinal"),
+    (((ONE, True),), "integer >= 1"),
+    (((ONE, False),), "integer >= 1"),
+    (((ONE, "1"),), "integer >= 1"),
 ], ids=["increasing", "equal", "equal-last", "coefficient-0", "negative",
-        "float", "int-exponent", "str-exponent"])
+        "float", "int-exponent", "str-exponent", "bool-true", "bool-false", "str"])
 def test_public_constructor_rejects_malformed_terms(terms, message):
     with pytest.raises(OrdinalError, match=message):
         Ordinal(terms)
@@ -284,6 +287,14 @@ def test_public_constructors_reject_bad_numbers():
         Ordinal.omega_power(ONE, 0)
     with pytest.raises(OrdinalError):
         Ordinal.omega_power(3)
+    # a bool is an int to isinstance, but not a number of terms
+    for bad in (True, False, "1"):
+        with pytest.raises(OrdinalError, match="integer >= 1"):
+            Ordinal.from_int(bad)
+        with pytest.raises(OrdinalError, match="integer >= 1"):
+            Ordinal.omega_power(ONE, bad)
+    with pytest.raises(OrdinalError):
+        ONE + True
 
 # -- ordinary arithmetic ----------------------------------------------
 
@@ -734,16 +745,16 @@ def test_nat_sum_closure_below_power(a, b):
 def test_split_below_examples():
     a, b = P("w^2*2 + 3"), P("w + 1")
     for gamma in (ZERO, P("w^2"), P("w^2*2 + w + 3"), P("w^2 + w + 4"), P("5")):
-        left, right = nat_sum_split_below(gamma, a, b)
+        left, right = nat_sum_split_below(gamma, a, b, nat_sum(a, b))
         assert nat_sum(left, right) == gamma
         assert left <= a and right <= b
 
 
 def test_split_below_rejects_values_at_or_above_the_sum():
     with pytest.raises(OrdinalError):
-        nat_sum_split_below(P("w*2"), OMEGA, OMEGA)
+        nat_sum_split_below(P("w*2"), OMEGA, OMEGA, nat_sum(OMEGA, OMEGA))
     with pytest.raises(OrdinalError):
-        nat_sum_split_below(P("w^2"), OMEGA, OMEGA)
+        nat_sum_split_below(P("w^2"), OMEGA, OMEGA, nat_sum(OMEGA, OMEGA))
 
 
 @given(ordinals(), ordinals(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -752,10 +763,30 @@ def test_split_below_property(a, b, gseed):
     if s.is_zero:
         return
     gamma = random_ordinal_below(random.Random(gseed), s)
-    left, right = nat_sum_split_below(gamma, a, b)
+    left, right = nat_sum_split_below(gamma, a, b, nat_sum(a, b))
     assert nat_sum(left, right) == gamma
     assert left <= a and right <= b
     assert_view_agrees(gamma, left, right)
+
+
+def test_split_below_with_a_wrong_total_raises_or_still_splits():
+    # the halves are re-verified, so a wrong total never gives a wrong split
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(2000):
+        a, b = (random_ordinal(rng, max_terms=3, depth=1, max_coeff=3) for _ in range(2))
+        total = random_ordinal(rng, max_terms=3, depth=1, max_coeff=3)
+        gamma = random_ordinal(rng, max_terms=3, depth=1, max_coeff=3)
+        if total == nat_sum(a, b):
+            continue
+        try:
+            left, right = nat_sum_split_below(gamma, a, b, total)
+        except (OrdinalError, AssertionError):
+            outcomes.add("raised")
+            continue
+        assert nat_sum(left, right) == gamma and left <= a and right <= b, (gamma, a, b, total)
+        outcomes.add("split")
+    assert outcomes == {"raised", "split"}
 
 
 def split_below_oracle(gamma, a, b):
@@ -815,9 +846,9 @@ def test_split_below_halves_match_the_public_construction():
                 want = split_below_oracle(gamma, a, b)
             except OrdinalError as err:
                 with pytest.raises(OrdinalError, match=str(err)):
-                    nat_sum_split_below(gamma, a, b)
+                    nat_sum_split_below(gamma, a, b, nat_sum(a, b))
                 continue
-            got = nat_sum_split_below(gamma, a, b)
+            got = nat_sum_split_below(gamma, a, b, nat_sum(a, b))
             assert [h.terms for h in got] == [h.terms for h in want], (gamma, a, b)
             assert [h._key for h in got] == [h._key for h in want], (gamma, a, b)
 
@@ -840,14 +871,14 @@ def test_split_below_agrees_with_enumeration_exhaustively():
             s = nat_sum(a, b)
             for gamma in gammas:
                 if gamma < s:
-                    left, right = nat_sum_split_below(gamma, a, b)
+                    left, right = nat_sum_split_below(gamma, a, b, nat_sum(a, b))
                     assert nat_sum(left, right) == gamma
                     assert left <= a and right <= b
                     assert _decompose_by_enumeration(gamma, a, b), (gamma, a, b)
                     below += 1
                 else:
                     with pytest.raises(OrdinalError):
-                        nat_sum_split_below(gamma, a, b)
+                        nat_sum_split_below(gamma, a, b, nat_sum(a, b))
                     assert _decompose_by_enumeration(gamma, a, b) == (gamma == s)
     assert below > 2000
 
