@@ -238,7 +238,7 @@ def treelike_check(ambient: Ordinal, points: Iterable[Ordinal]) -> CheckReport:
         if not p.is_zero:
             (piece,) = u.intervals
             pieces.append(piece)
-            heights.append(clopen_cb(u).height)
+            heights.append(_piece_rank(*piece)[0])  # clopen_cb's height, no end point built
             at.append(k)
     bad = first_non_treelike_pair(pieces, heights)
     witness = None if bad is None else (str(pts[at[bad[0]]]), str(pts[at[bad[1]]]))

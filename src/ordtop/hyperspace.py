@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .ordinal import CheckReport
+from .ordinal import CheckReport, _is_int
 from .poset import (
     FinitePoset,
     PosetError,
@@ -213,7 +213,7 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict):
     for i, name in enumerate(poset.labels):
         if name not in f:
             raise HyperspaceError(f"f missing element {name!r}")
-        fi.append(f[name] if isinstance(f[name], int) else y.carrier.index(f[name]))
+        fi.append(f[name] if _is_int(f[name]) else y.carrier.index(f[name]))
         if not 0 <= fi[i] < y.n:
             raise HyperspaceError(f"f maps {name!r} outside the semilattice")
 
@@ -299,7 +299,7 @@ class Descriptor:
 
     def __post_init__(self):
         object.__setattr__(self, "elems", frozenset(self.elems))
-        if any((not isinstance(x, int)) or x < 0 for x in self.elems):
+        if any(not _is_int(x) or x < 0 for x in self.elems):
             raise HyperspaceError("malformed descriptor: members must be naturals")
 
     @classmethod

@@ -665,13 +665,20 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
     top = t + m
     labels = ([str(n) for n in range(t)] + [f"('branch', {k})" for k in range(m)]
               + ["inf"])
+    try:
+        rep = ad_check(members)
+        ad_ok, ad_witness = rep.passed, ("infinite overlap", rep.witness)
+    except MrowkaError as e:
+        ad_ok, ad_witness = False, ("bad member", str(e))
+
     traces = [a.mask_below(t) for a in members]
     u = [1 << n for n in range(t)]
     for k, a in enumerate(members):
         # closure of the branch set: another branch accumulating inside it
-        # (infinite overlap) belongs to the closure, spoiling the selector
-        accumulating = code_of(t + j for j, b in enumerate(members)
-                               if j != k and common_residue_classes(a, b))
+        # (infinite overlap) belongs to the closure, spoiling the selector;
+        # an almost disjoint family has none, so only a failed check scans
+        accumulating = 0 if ad_ok else code_of(
+            t + j for j, b in enumerate(members) if j != k and common_residue_classes(a, b))
         u.append(traces[k] | 1 << (t + k) | accumulating)
     u.append((2 << top) - 1)
     conditions, witness = selector_conditions(labels, u)
@@ -679,16 +686,8 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
     induced_ok = (all(bool(u[t + k] >> n & 1) == a.contains(n)
                       for k, a in enumerate(members) for n in range(t))
                   and all(u[top] >> (t + k) & 1 for k in range(m)))
-
-    ad_ok = True
-    try:
-        rep = ad_check(members)
-        ad_ok = rep.passed
-        if not rep.passed:
-            witness = witness or ("infinite overlap", rep.witness)
-    except MrowkaError as e:
-        ad_ok = False
-        witness = witness or ("bad member", str(e))
+    if not ad_ok:
+        witness = witness or ad_witness
 
     # combinatorial heights: naturals 0, branches 1 (nonempty at the
     # truncation and certified infinite), top 2

@@ -205,7 +205,7 @@ class NatOrOmega:
     value: int | None = None
 
     def __post_init__(self):
-        if self.value is not None and (not isinstance(self.value, int) or self.value < 0):
+        if self.value is not None and (not _is_int(self.value) or self.value < 0):
             raise OrdinalError("finite value must be a natural number")
 
     @classmethod
@@ -220,7 +220,7 @@ class NatOrOmega:
     def coerce(cls, x) -> "NatOrOmega":
         if isinstance(x, NatOrOmega):
             return x
-        if isinstance(x, int):
+        if _is_int(x):
             return cls(x)
         if isinstance(x, Ordinal):
             if x.is_finite:

@@ -223,9 +223,15 @@ def skeleton_hyper_bound_check(sk: Skeleton) -> CheckReport:
 
 
 def _is_forest(p: FinitePoset) -> bool:
-    """Whether the elements above each element form a chain."""
-    return not any(p.above[z] & ~(p.down_mask(a) | p.up_mask(a))
-                   for z in range(p.n) for a in _bits(p.above[z]))
+    """Whether the elements above each element form a chain; in a finite
+    poset, exactly when no element has two upper covers, that is, lies in
+    two ``lower`` masks."""
+    seen = 0
+    for low in p.lower:
+        if seen & low:
+            return False
+        seen |= low
+    return True
 
 
 def hyper_monotonicity_check(sk: Skeleton) -> CheckReport:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from math import comb
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -793,6 +794,63 @@ def test_check_commands_golden_output(runner, tmp_path):
     assert r.exit_code == 0
     assert r.stdout.splitlines()[-1] == (
         '{"check": "selftest", "pass": true, "seed": 0, "witness": null}')
+
+
+# -- the output contract: --json FILE holds exactly what stdout shows -------------
+
+def _command_paths(group, path=()):
+    for name, command in sorted(group.commands.items()):
+        if isinstance(command, click.Group):
+            yield from _command_paths(command, (*path, name))
+        else:
+            yield (*path, name)
+
+
+# at least one valid argv per command; file arguments as in GOLDEN
+CONTRACT_ARGV = [
+    ("ord", "add", "w", "1"), ("ord", "mul", "w+1", "w"), ("ord", "pow", "w", "w"),
+    ("ord", "natsum", "w", "1"), ("ord", "natprod", "w+1", "w+1"), ("ord", "norm", "1+w"),
+    ("ord", "odot", "w+1", "3"), ("ord", "cmp", "w", "w+1"), ("ord", "tip", "w^2+w*3"),
+    ("ord", "oneplusinv", "w+5"),
+    ("poset", "zaguia", "{diamond}"), ("poset", "ranks", "{diamond}"),
+    ("poset", "width", "{diamond}"), ("poset", "downsets", "{vee}"),
+    ("poset", "downsets", "{vee}", "--dot"), ("poset", "hasse", "{diamond}"),
+    ("hyper", "build", "{vee}"), ("hyper", "build", "{vee}", "--dot"),
+    ("hyper", "selector", "{vee}"), ("hyper", "universal", "{diamond}", "--chain", "2"),
+    ("hyper", "density", "--u", "cof:", "--v", "cof:0,1,2"),
+    ("hyper", "density", "--u", "fin:1", "--v", "fin:2"),
+    ("space", "report", SKEL), ("space", "bounds", "ord(w*3+5)"),
+    ("space", "hyper-point", "w+1"), ("space", "hyper-antichain", "0", "1", "w"),
+    ("space", "skeleton-bound", SKEL0), ("space", "monotonicity", SKEL0),
+    ("clopen", "op", "union", "(0,w] @ w^2", "(w,w*2] @ w^2"),
+    ("clopen", "cb", "(0,w^2*2] @ w^2*2"), ("clopen", "tip", "w+5", "w^2"),
+    ("clopen", "treelike", "w^2", "w", "w+3", "w*2"), ("clopen", "minclopen", "w^2+w", "w^3"),
+    ("mrowka", "adcheck", "{fam2}"), ("mrowka", "adcheck", "{fam_bad}"),
+    ("mrowka", "star", "{fam2}", "256"), ("mrowka", "join", "{fam2}", "fin:0,2", "branch:0"),
+    ("mrowka", "convergence", "{fam12}", "0", "1"), ("mrowka", "lusin", "{fam2}", "--steps", "2"),
+    ("mrowka", "selector", "{fam_bad}", "--bound", "8"),
+    ("selftest", "--seed", "0", "--criteria", "1,2"),
+]
+
+
+def test_json_file_holds_exactly_the_printed_output(runner, tmp_path):
+    paths = {}
+    for name, data in {"vee": VEE, "diamond": DIAMOND, "fam2": FAM2, "fam_bad": FAM_BAD,
+                       "fam12": FAM12}.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        paths[name] = str(tmp_path / f"{name}.json")
+    commands = set(_command_paths(main))
+    assert {c for c in commands for argv in CONTRACT_ARGV if argv[:len(c)] == c} == commands
+    out = tmp_path / "out.json"
+    codes = set()
+    for argv in CONTRACT_ARGV:
+        argv = [a.format(**paths) if a.startswith("{") else a for a in argv]
+        plain = invoke_clean(runner, argv)
+        r = invoke_clean(runner, [*argv, "--json", str(out)])
+        assert (r.exit_code, r.stdout, r.stderr) == (plain.exit_code, plain.stdout, ""), argv
+        assert out.read_bytes() == r.stdout_bytes, argv
+        codes.add(r.exit_code)
+    assert codes == {0, 1}
 
 
 # every ordered pair of these points is joined on each family of JOIN_FAMILIES;

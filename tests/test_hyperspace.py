@@ -752,6 +752,10 @@ def test_hat_rejects_f_outside_the_semilattice():
                  (FinJoinSemilattice.chain(0), {"0": -1, "1": -1})):
         with pytest.raises(HyperspaceError, match="outside the semilattice"):
             hat_extension(p, y, f)
+    # a bool is no index into Y, so it is looked up as a label, and is none
+    for bad in (True, False):
+        with pytest.raises(PosetError, match=f"unknown element {bad}"):
+            hat_extension(p, FinJoinSemilattice.chain(2), {"0": bad, "1": 1})
 
 
 def test_semilattice_validation():
@@ -954,6 +958,13 @@ def test_density_horizon_enforced():
 def test_descriptor_validation():
     with pytest.raises(HyperspaceError):
         Descriptor.finite({-1})
+    # a bool is an int to isinstance, but not a natural
+    for bad in (True, False):
+        for make in (Descriptor.finite, Descriptor.cofinite_complement):
+            with pytest.raises(HyperspaceError, match="members must be naturals"):
+                make([bad])
+    with pytest.raises(HyperspaceError, match="members must be naturals"):
+        vietoris_density_witness(OnePointModel(), Descriptor.finite([True]), [])
 
 
 # -- structural sweep over small posets ---------------------------------------

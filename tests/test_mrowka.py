@@ -1118,3 +1118,22 @@ def test_common_residue_classes_symmetry():
     a = EvPeriodicSet(6, frozenset({0, 3}))
     b = EvPeriodicSet(4, frozenset({3}))
     assert bool(common_residue_classes(a, b)) == bool(common_residue_classes(b, a))
+
+
+def test_selector_scans_pairs_once_on_an_almost_disjoint_family(monkeypatch):
+    # ad_check's scan decides every pair; only a failed check scans them again
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return common_residue_classes(a, b)
+
+    m = 12
+    family = ADFamily.progressions(m)  # its own ad_check runs before the count
+    monkeypatch.setattr(mrowka, "common_residue_classes", counted)
+    assert mrowka_selector_check(family, 16).passed
+    assert len(calls) == m * (m - 1) // 2
+    calls.clear()
+    overlapping = [EVENS, EvPeriodicSet(4, frozenset({0})), EvPeriodicSet(4, frozenset({1}))]
+    assert not mrowka_selector_check(overlapping, 16).passed
+    assert len(calls) == 1 + 3 * 2  # ad_check stops at the first pair; the scan takes all

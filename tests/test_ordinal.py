@@ -295,6 +295,17 @@ def test_public_constructors_reject_bad_numbers():
             Ordinal.omega_power(ONE, bad)
     with pytest.raises(OrdinalError):
         ONE + True
+    # nor a natural for odot's right operand
+    for bad in (True, False, -1, 1.0):
+        with pytest.raises(OrdinalError, match="natural number"):
+            NatOrOmega(bad)
+        with pytest.raises(OrdinalError, match="natural number"):
+            NatOrOmega.finite(bad)
+    for bad in (True, False, "1"):
+        with pytest.raises(TypeError, match="nat-or-omega"):
+            NatOrOmega.coerce(bad)
+        with pytest.raises(TypeError, match="nat-or-omega"):
+            odot(OMEGA, bad)
 
 # -- ordinary arithmetic ----------------------------------------------
 

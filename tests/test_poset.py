@@ -865,6 +865,55 @@ def test_above_masks_do_not_change_equality_or_hash():
     assert repr(a) == "FinitePoset(['a', 'b', 'c'], covers=[('a', 'c'), ('b', 'c')])"
 
 
+# -- stored lower covers against the pair walks they replaced -------------------
+#
+# ``covers()`` and ``ranks`` read the ``lower`` masks that the constructor
+# stores; before, each walked every comparable pair.  Those walks are kept
+# here verbatim as the reference.
+
+def _covers_pairwise(p):
+    out = []
+    for j in range(p.n):
+        for i in _bits(p.below[j]):
+            if not (p.above[i] & p.below[j]):
+                out.append((i, j))
+    return out
+
+
+def _ranks_pairwise(p):
+    n = p.n
+    rank = [0] * n
+    order = sorted(range(n), key=lambda i: _popcount(p.below[i]))
+    for i in order:
+        rank[i] = max((rank[j] + 1 for j in _bits(p.below[i])), default=0)
+    poset_rank = max((r + 1 for r in rank), default=0)
+    return {p.labels[i]: rank[i] for i in range(n)}, poset_rank, tuple(rank)
+
+
+def _lower_cover_corpus():
+    for n in range(6):
+        yield from all_labeled_posets(n)
+    rng = random.Random(2026)
+    for n in range(6, 40, 3):
+        for edge_prob in (0.1, 0.3, 0.6):
+            yield random_poset(rng, n, edge_prob)
+    # a chain whose covers run against declaration order
+    n = 1200
+    yield poset_from_covers([str(i) for i in range(n)],
+                            [(str(i + 1), str(i)) for i in range(n - 1)])
+
+
+def test_lower_covers_match_the_pair_walks():
+    for p in _lower_cover_corpus():
+        covers = _covers_pairwise(p)
+        assert p.covers() == covers
+        assert tuple(ranks(p)) == _ranks_pairwise(p)
+        lower = [0] * p.n
+        for i, j in covers:
+            lower[j] |= 1 << i
+        assert p.lower == tuple(lower)
+
+
 # -- the iterative closure against the builders it replaced --------------------
 
 def _poset_from_covers_recursive(elements, covers):
