@@ -658,18 +658,22 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
     if truncation > MAX_TRUNCATION:
         raise MrowkaError("truncation bound exceeded (max 2^14)")
 
-    members = tuple(sets.sets) if isinstance(sets, ADFamily) else tuple(sets)
+    validated = isinstance(sets, ADFamily)  # its constructor ran ad_check
+    members = tuple(sets.sets) if validated else tuple(sets)
     # points by index: the naturals below the truncation, the branches, the top
     t = max(truncation, 0)
     m = len(members)
     top = t + m
     labels = ([str(n) for n in range(t)] + [f"('branch', {k})" for k in range(m)]
               + ["inf"])
-    try:
-        rep = ad_check(members)
-        ad_ok, ad_witness = rep.passed, ("infinite overlap", rep.witness)
-    except MrowkaError as e:
-        ad_ok, ad_witness = False, ("bad member", str(e))
+    if validated:
+        ad_ok = True
+    else:
+        try:
+            rep = ad_check(members)
+            ad_ok, ad_witness = rep.passed, ("infinite overlap", rep.witness)
+        except MrowkaError as e:
+            ad_ok, ad_witness = False, ("bad member", str(e))
 
     traces = [a.mask_below(t) for a in members]
     u = [1 << n for n in range(t)]

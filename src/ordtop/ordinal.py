@@ -20,6 +20,7 @@ tip/degree decomposition of a normal form.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
@@ -530,6 +531,7 @@ def one_plus_inverse(r: Ordinal) -> Ordinal:
 #   expr := term ('+' term)*
 #   term := atom ('*' nat)?
 #   atom := '0' | nat | 'w' | 'w^' atom | 'w^(' expr ')'
+#   nat  := [0-9]+   (ASCII digits only)
 
 MAX_NESTING = 100
 """Deepest tower of ``w^`` exponents that ``parse_ordinal`` accepts.
@@ -554,6 +556,7 @@ def loads_json(text: str):
 
 
 _MAX_COEFF_DIGITS = len(str(1 << MAX_COEFF_BITS))
+_DIGITS = re.compile("[0-9]+")
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -567,9 +570,9 @@ def parse_ordinal(text: str) -> Ordinal:
 
 
 def parse_natural(text: str) -> int:
-    """Parse a natural number the way ``parse_ordinal`` reads one: decimal
-    digits with optional surrounding whitespace, at most ``MAX_COEFF_BITS``
-    bits, else ``ParseError``."""
+    """Parse a natural number the way ``parse_ordinal`` reads one: ASCII
+    decimal digits with optional surrounding whitespace, at most
+    ``MAX_COEFF_BITS`` bits, else ``ParseError``."""
     return _parse_whole(text, _Parser.parse_nat)
 
 
@@ -642,19 +645,19 @@ class _Parser:
                 self.depth -= 1
                 return Ordinal.omega_power(exp)
             return OMEGA
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return Ordinal.from_int(self.parse_nat())
         raise ParseError("expected '0', a number, or 'w'", self.pos)
 
     def parse_nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError("expected a number", self.pos)
+        match = _DIGITS.match(self.text, start)
+        if match is None:
+            raise ParseError("expected a number", start)
+        self.pos = match.end()
         # more digits than the largest allowed value has: refused unconverted
-        digits = self.text[start:self.pos].lstrip("0") or "0"
+        digits = match[0].lstrip("0") or "0"
         if len(digits) > _MAX_COEFF_DIGITS or int(digits).bit_length() > MAX_COEFF_BITS:
             raise ParseError(f"coefficient exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS} bits",
                              start)

@@ -91,6 +91,18 @@ def test_ord_parse_error_is_usage_error(runner):
     assert "error:" in r.stderr
 
 
+def test_ord_non_ascii_digits_are_usage_errors(runner):
+    # a superscript two, an Arabic-Indic three and full-width "12" once
+    # crashed int(), or parsed as 3 and 12; now the parser names the position
+    for a in ("\u00b2", "\u0663", "\uff11\uff12"):
+        r = invoke_clean(runner, ["ord", "natsum", a, "1"])
+        assert r.exit_code == 2, a
+        assert r.stderr == "error: expected '0', a number, or 'w' (at position 0)\n", a
+    r = invoke_clean(runner, ["ord", "odot", "w", "1\u0663"])
+    assert r.exit_code == 2
+    assert r.stderr == "error: unexpected trailing input (at position 1)\n"
+
+
 def test_ord_deeply_nested_input_is_usage_error(runner):
     # a tower far past the nesting limit is rejected, not a RecursionError
     r = runner.invoke(main, ["ord", "norm", "w^" * 3000 + "1"])

@@ -30,6 +30,7 @@ from ordtop.ordinal import CheckReport
 from ordtop.poset import (
     FinitePoset,
     PosetError,
+    _union,
     all_downsets,
     all_labeled_posets,
     downset_labels,
@@ -430,6 +431,53 @@ def test_selector_check_matches_all_pairs_scan():
                         if y == y2 and x != z)):
             non_transitive += 1
     assert non_transitive >= 20
+
+
+def _induced_order_by_union_pass(space, sets):
+    # the induced-order condition as selector_axioms_check computed it before
+    # it read transitivity from nesting: one union pass over the strict sets
+    conditions, _ = selector_conditions(space.labels, sets)
+    strict = [u & ~(1 << i) for i, u in enumerate(sets)]
+    transitive = not any(_union(strict, s) & ~s & ~(1 << z) for z, s in enumerate(strict))
+    return conditions["nesting"], transitive, transitive and conditions["antisymmetry"]
+
+
+def _swapped_family(rng, n):
+    # points matched in pairs, each holding its partner and, half the time,
+    # itself: the induced relation is transitive (x below y below z makes
+    # z = x), and nesting fails where a point misses its own set
+    order = rng.sample(range(n), n)
+    partner = {}
+    for k in range(0, n - 1, 2):
+        if rng.random() < 0.7:
+            partner[order[k]], partner[order[k + 1]] = order[k + 1], order[k]
+    sets = []
+    for i in range(n):
+        own = 1 << i if rng.random() < (0.5 if i in partner else 0.9) else 0
+        sets.append(own | (1 << partner[i] if i in partner else 0))
+    return tuple(sets)
+
+
+def test_induced_order_matches_the_union_pass():
+    # nesting makes the induced relation transitive, so the check skips the
+    # union pass on a nested family; seeded families where nesting holds,
+    # where it fails, and where it fails with the relation still transitive
+    rng = random.Random(27)
+    cases = []
+    for _ in range(300):
+        space = random_poset(rng, rng.randrange(1, 7))
+        cases.append((space, _random_family(rng, space)))
+        cases.append((space, _swapped_family(rng, space.n)))
+        cases.append((space, principal_selector(space)))
+    for p in all_labeled_posets(3):
+        cases.append(kplus_selector(build_hyperspace(p)))
+    kinds = {}
+    for space, fam in cases:
+        nesting, transitive, induced = _induced_order_by_union_pass(space, fam)
+        assert selector_axioms_check(space, fam).data["conditions"]["induced-order"] == induced
+        kinds[nesting, transitive] = kinds.get((nesting, transitive), 0) + 1
+    assert (True, False) not in kinds
+    assert min(kinds.values()) >= 30, kinds
 
 
 def test_selector_check_on_unsorted_labels_keeps_verdict_and_conditions():

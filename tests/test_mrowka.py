@@ -1121,7 +1121,9 @@ def test_common_residue_classes_symmetry():
 
 
 def test_selector_scans_pairs_once_on_an_almost_disjoint_family(monkeypatch):
-    # ad_check's scan decides every pair; only a failed check scans them again
+    # ad_check's scan decides every pair: the ADFamily constructor's for a
+    # validated family, which the check does not repeat, and the check's own
+    # for a raw list; only a failed check scans them again
     calls = []
 
     def counted(a, b):
@@ -1129,9 +1131,13 @@ def test_selector_scans_pairs_once_on_an_almost_disjoint_family(monkeypatch):
         return common_residue_classes(a, b)
 
     m = 12
-    family = ADFamily.progressions(m)  # its own ad_check runs before the count
     monkeypatch.setattr(mrowka, "common_residue_classes", counted)
+    family = ADFamily.progressions(m)
+    assert len(calls) == m * (m - 1) // 2
+    calls.clear()
     assert mrowka_selector_check(family, 16).passed
+    assert calls == []
+    assert mrowka_selector_check(list(family.sets), 16) == mrowka_selector_check(family, 16)
     assert len(calls) == m * (m - 1) // 2
     calls.clear()
     overlapping = [EVENS, EvPeriodicSet(4, frozenset({0})), EvPeriodicSet(4, frozenset({1}))]

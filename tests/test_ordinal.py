@@ -29,6 +29,7 @@ from ordtop.ordinal import (
     ord_cmp,
     ord_mul,
     ord_pow,
+    parse_natural,
     parse_ordinal,
     random_ordinal,
     random_ordinal_below,
@@ -98,6 +99,27 @@ def test_parse_errors_report_position():
         P("w*0")
     with pytest.raises(ParseError):
         P("w w")
+
+
+def test_parse_reads_ascii_digits_only():
+    # str.isdigit also holds for superscripts, other scripts' digits and
+    # full-width digits; the grammar's numbers are ASCII 0-9, so each of
+    # these is a parse error at its own position
+    assert P(" 12 ") == Ordinal.from_int(12) and parse_natural(" 0907 ") == 907
+    for text, at, message in (("\u00b2", 0, "expected '0', a number, or 'w'"),
+                              ("\u0663", 0, "expected '0', a number, or 'w'"),
+                              ("\uff11\uff12", 0, "expected '0', a number, or 'w'"),
+                              ("1 + \u0663", 4, "expected '0', a number, or 'w'"),
+                              ("w^\u00b2", 2, "expected '0', a number, or 'w'"),
+                              ("w*\u0663", 2, "expected a number"),
+                              ("w*3\u0663", 3, "unexpected trailing input")):
+        with pytest.raises(ParseError, match=message) as e:
+            P(text)
+        assert e.value.position == at, text
+    for text, at in (("\u0663", 0), (" \u00b2", 1), ("7\uff17", 1)):
+        with pytest.raises(ParseError) as e:
+            parse_natural(text)
+        assert e.value.position == at, text
 
 
 def test_parse_nesting_limit():

@@ -779,6 +779,26 @@ def test_labeled_posets_match_the_pair_set_enumeration_in_order():
     assert len(all_labeled_posets(5)) == 4231
 
 
+def test_labeled_posets_relabel_each_orbit_once(monkeypatch):
+    # one pass of relabelings per unlabeled poset: 1, 2, 5, 16 and 63 of
+    # them for n = 1..5 (OEIS A000112), not one per transitive relation
+    import ordtop.poset as poset_module
+
+    want = {n: all_labeled_posets(n) for n in range(1, 6)}
+    passes = []
+    monkeypatch.setattr(poset_module, "permutations",
+                        lambda xs: passes.append(1) or permutations(xs))
+    all_labeled_posets.cache_clear()
+    try:
+        for n, orbits in zip(range(1, 6), (1, 2, 5, 16, 63)):
+            passes.clear()
+            got = all_labeled_posets(n)
+            assert len(passes) == orbits, n
+            assert [(p.labels, p.below) for p in got] == [(p.labels, p.below) for p in want[n]]
+    finally:
+        all_labeled_posets.cache_clear()
+
+
 def test_antichain_masks_count():
     # antichains of a 3-chain: empty + singletons; each is the set of maxima
     # of exactly one downset
