@@ -7,7 +7,6 @@ from .ordinal import (
     OMEGA,
     ONE,
     ZERO,
-    NatOrOmega,
     Ordinal,
     OrdinalError,
     ParseError,

@@ -246,28 +246,28 @@ def _ranks_rise_along_covers(p, rank: dict) -> bool:
 
 def criterion_08_hyperspace_suite(seed: int):
     rng = random.Random(seed)
+    # the five-element draws come first; the selector loop draws nothing
+    draws = [rng.randrange(len(all_labeled_posets(5))) for _ in range(80)]
+    small, drawn = [], dict.fromkeys(draws)  # the hyperspaces the uniqueness runs read
     checked = unique_runs = 0
     for n in range(1, 6):
-        posets = all_labeled_posets(n)
-        for p in posets:
+        for k, p in enumerate(all_labeled_posets(n)):
             h = build_hyperspace(p)  # structural identities assert inside
             hp, fam = kplus_selector(h)
             if not selector_axioms_check(hp, fam).passed:
                 return _fail(f"selector axioms failed on {p!r}")
             checked += 1
+            if n < 5:
+                small.append(h)
+            elif k in drawn:
+                drawn[k] = h
     y3 = FinJoinSemilattice.chain(3)
     y2 = FinJoinSemilattice.chain(2)
-    for n in range(1, 5):
-        for p in all_labeled_posets(n):
-            f = {name: min(r, 2) for name, r in zip(p.labels, ranks(p).by_index)}
-            _, rep = hat_extension(p, y3, f)
-            if not (rep.passed and rep.data["method"] == "enumerated"):
-                return _fail(f"uniqueness failed on {p!r}")
-            unique_runs += 1
-    five = all_labeled_posets(5)
-    for p in [five[rng.randrange(len(five))] for _ in range(80)]:
-        f = {name: min(r, 1) for name, r in zip(p.labels, ranks(p).by_index)}
-        _, rep = hat_extension(p, y2, f)
+    runs = [(h, y3, 2) for h in small] + [(drawn[k], y2, 1) for k in draws]
+    for h, y, cap in runs:
+        p = h.base
+        f = {name: min(r, cap) for name, r in zip(p.labels, ranks(p).by_index)}
+        _, rep = hat_extension(h, y, f)
         if not (rep.passed and rep.data["method"] == "enumerated"):
             return _fail(f"uniqueness failed on {p!r}")
         unique_runs += 1

@@ -22,8 +22,8 @@ import sys
 import click
 
 from .ordinal import (
+    OMEGA,
     CheckReport,
-    NatOrOmega,
     format_ordinal,
     loads_json,
     nat_prod,
@@ -35,6 +35,7 @@ from .ordinal import (
     ord_mul,
     ord_pow,
     parse_natural,
+    parse_naturals,
     parse_ordinal,
     tip_deg,
 )
@@ -135,7 +136,7 @@ def ord_norm(expr):
 @click.argument("b")
 def ord_odot(a, b):
     """Iterated natural sum a (.) b with b a natural or 'w'."""
-    right = NatOrOmega.omega() if b.strip() == "w" else NatOrOmega.finite(parse_natural(b))
+    right = OMEGA if b.strip() == "w" else parse_natural(b)
     return format_ordinal(odot(parse_ordinal(a), right))
 
 
@@ -259,23 +260,20 @@ def hyper_selector(file):
               help="target chain semilattice length, between 1 and 64")
 def hyper_universal(file, chain_len):
     """Verify the unique join-extension property against a chain target."""
-    from .hyperspace import FinJoinSemilattice, hat_extension
+    from .hyperspace import FinJoinSemilattice, build_hyperspace, hat_extension
     from .poset import poset_from_json, ranks
     p = poset_from_json(load_json_file(file))
     y = FinJoinSemilattice.chain(chain_len)
     f = {name: min(r, chain_len - 1) for name, r in zip(p.labels, ranks(p).by_index)}
-    return hat_extension(p, y, f)[1]
+    return hat_extension(build_hyperspace(p), y, f)[1]
 
 
 def _parse_descriptor(text):
     from .hyperspace import Descriptor, HyperspaceError
-    kind, _, rest = text.partition(":")
-    members = frozenset(int(x) for x in rest.split(",") if x.strip())
-    if kind == "fin":
-        return Descriptor.finite(members)
-    if kind == "cof":
-        return Descriptor.cofinite_complement(members)
-    raise HyperspaceError(f"descriptor must be fin:... or cof:..., got {text!r}")
+    kind = text.partition(":")[0]
+    if kind not in ("fin", "cof"):
+        raise HyperspaceError(f"descriptor must be fin:... or cof:..., got {text!r}")
+    return Descriptor(kind == "cof", parse_naturals(text, len(kind) + 1))
 
 
 @hyper_group.command("density")
@@ -500,7 +498,7 @@ def mrowka_selector(file, truncation):
 def selftest(seed, criteria):
     """Run the acceptance battery; one line per criterion."""
     from .acceptance import run_all
-    numbers = [int(x) for x in criteria.split(",")] if criteria else None
+    numbers = parse_naturals(criteria) if criteria else None
     results = run_all(seed=seed, numbers=numbers)
     return [*(r.line() for r in results),
             CheckReport("selftest", all(r.passed for r in results),

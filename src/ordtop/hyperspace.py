@@ -205,8 +205,8 @@ class FinJoinSemilattice:
         return cls.from_poset(p)
 
 
-def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict):
-    """Extend an increasing map f: P -> Y to the hyperspace by joins.
+def hat_extension(h: Hyperspace, y: FinJoinSemilattice, f: dict):
+    """Extend an increasing map f: P -> Y to the hyperspace ``h`` of P by joins.
 
     Returns the extension (downset mask -> Y index) and a report verifying
     it is a join homomorphism restricting to f, and that it is the only
@@ -215,7 +215,7 @@ def hat_extension(poset: FinitePoset, y: FinJoinSemilattice, f: dict):
     values and ``MAX_ASSIGNMENTS`` maps of the elements into Y), otherwise
     on the generators (sound because the principal downsets join-generate).
     """
-    h = build_hyperspace(poset)
+    poset = h.base
     fi = []
     for i, name in enumerate(poset.labels):
         if name not in f:

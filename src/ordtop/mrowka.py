@@ -29,7 +29,7 @@ from itertools import islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from .ordinal import CheckReport, _is_int
+from .ordinal import CheckReport, _is_int, parse_natural, parse_naturals
 
 SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
@@ -196,21 +196,16 @@ def parse_point(text: str) -> int:
     """The point that ``fin:1,2``, ``branch:0`` or ``top`` names."""
     if text == "top":
         return 0
-    head, _, rest = text.partition(":")
+    head = text.partition(":")[0]
     if head == "fin":
-        members = [int(x) for x in rest.split(",") if x.strip()]
+        members = parse_naturals(text, len("fin:"))
         if not members:
             raise MrowkaError("finite point must be nonempty")
-        if min(members) < 0:
-            raise MrowkaError("point members must be naturals")
         if max(members) >= MAX_POINT_MEMBER:
             raise MrowkaError(f"point members must be below MAX_POINT_MEMBER = {MAX_POINT_MEMBER}")
         return code_of(members)
     if head == "branch":
-        r = int(rest)
-        if r < 0:
-            raise MrowkaError("branch index out of range")
-        return ~r
+        return ~parse_natural(text, len("branch:"))
     raise MrowkaError(f"point must be fin:..., branch:i or top, got {text!r}")
 
 

@@ -199,46 +199,6 @@ ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
 
 
-@dataclass(frozen=True)
-class NatOrOmega:
-    """A natural number or omega (value None encodes omega)."""
-
-    value: int | None = None
-
-    def __post_init__(self):
-        if self.value is not None and (not _is_int(self.value) or self.value < 0):
-            raise OrdinalError("finite value must be a natural number")
-
-    @classmethod
-    def finite(cls, n: int) -> "NatOrOmega":
-        return cls(n)
-
-    @classmethod
-    def omega(cls) -> "NatOrOmega":
-        return cls(None)
-
-    @classmethod
-    def coerce(cls, x) -> "NatOrOmega":
-        if isinstance(x, NatOrOmega):
-            return x
-        if _is_int(x):
-            return cls(x)
-        if isinstance(x, Ordinal):
-            if x.is_finite:
-                return cls(int(x))
-            if x == OMEGA:
-                return cls(None)
-            raise OrdinalError(f"{x} is neither finite nor omega")
-        raise TypeError(f"cannot interpret {x!r} as nat-or-omega")
-
-    @property
-    def is_omega(self) -> bool:
-        return self.value is None
-
-    def __str__(self) -> str:
-        return "w" if self.value is None else str(self.value)
-
-
 # -- comparison ------------------------------------------------------
 
 def ord_cmp(a: Ordinal, b: Ordinal) -> int:
@@ -486,16 +446,18 @@ def odot(a: Ordinal, b) -> Ordinal:
     """Iterated natural sum of ``a``: a(.)0 = 0, a(.)(n+1) = (a(.)n) (+) a,
     and a(.)w is the supremum of the a(.)n.
 
-    The right argument must be a natural number or omega; anything between
-    omega and epsilon_0 is rejected as unsupported.
+    The right argument is an int or an ``Ordinal`` no larger than omega;
+    anything between omega and epsilon_0 is rejected as unsupported.
     """
-    n = NatOrOmega.coerce(b)
-    if n.is_omega:
+    n = _coerce(b)
+    if n == OMEGA:
         if a.is_zero:
             return ZERO
         return Ordinal.omega_power(ord_add(a.degree, ONE))
+    if not n.is_finite:
+        raise OrdinalError(f"{n} is neither finite nor omega")
     # n-fold natural sum = coefficient-wise scaling
-    return nat_prod(a, Ordinal.from_int(n.value)) if n.value else ZERO
+    return nat_prod(a, n)
 
 
 class TipInfo(NamedTuple):
@@ -555,6 +517,18 @@ def loads_json(text: str):
         raise JSONDepthError("JSON nested too deep to decode") from None
 
 
+_JSON = json.JSONDecoder()
+
+
+def loads_json_at(text: str, pos: int) -> tuple:
+    """The JSON value that starts at ``text[pos]`` and the index just past
+    it, with a decoder recursion overflow as an input error."""
+    try:
+        return _JSON.raw_decode(text, pos)
+    except RecursionError:
+        raise JSONDepthError("JSON nested too deep to decode") from None
+
+
 _MAX_COEFF_DIGITS = len(str(1 << MAX_COEFF_BITS))
 _DIGITS = re.compile("[0-9]+")
 
@@ -569,15 +543,34 @@ def parse_ordinal(text: str) -> Ordinal:
     return _parse_whole(text, _Parser.parse_expr)
 
 
-def parse_natural(text: str) -> int:
-    """Parse a natural number the way ``parse_ordinal`` reads one: ASCII
-    decimal digits with optional surrounding whitespace, at most
-    ``MAX_COEFF_BITS`` bits, else ``ParseError``."""
-    return _parse_whole(text, _Parser.parse_nat)
+def parse_natural(text: str, start: int = 0) -> int:
+    """Parse ``text[start:]`` as a natural number the way ``parse_ordinal``
+    reads one: ASCII decimal digits with optional surrounding whitespace,
+    at most ``MAX_COEFF_BITS`` bits, else ``ParseError`` at a position
+    counted from the start of ``text``."""
+    return _parse_whole(text, _Parser.parse_nat, start)
 
 
-def _parse_whole(text: str, rule):
-    parser = _Parser(text)
+def parse_naturals(text: str, start: int = 0) -> list:
+    """The naturals of the comma-separated list ``text[start:]``, each read
+    as ``parse_natural`` reads one; blank items are skipped.  A
+    ``ParseError`` counts its position from the start of ``text``."""
+    parser = _Parser(text, start)
+    values = []
+    while True:
+        parser.skip_ws()
+        if parser.peek() not in (",", ""):
+            values.append(parser.parse_nat())
+            parser.skip_ws()
+        if not parser.peek():
+            return values
+        if parser.peek() != ",":
+            raise ParseError("expected ','", parser.pos)
+        parser.pos += 1
+
+
+def _parse_whole(text: str, rule, start: int = 0):
+    parser = _Parser(text, start)
     value = rule(parser)
     parser.skip_ws()
     if parser.pos != len(parser.text):
@@ -586,9 +579,9 @@ def _parse_whole(text: str, rule):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
         self.depth = 0
 
     def skip_ws(self):

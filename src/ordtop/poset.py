@@ -208,10 +208,21 @@ def _transitive_closure(n: int, pairs) -> tuple:
 
 
 def poset_from_json(data: dict) -> FinitePoset:
-    """Schema: {"elements": [names...], "covers": [[a, b]...]} with a < b."""
+    """Schema: {"elements": [names...], "covers": [[a, b]...]} with a < b,
+    each name a string and "covers" optional; any other shape is a
+    ``PosetError`` that names the field."""
     if not isinstance(data, dict) or "elements" not in data:
         raise PosetError("poset JSON must have an 'elements' field")
-    return poset_from_covers(data["elements"], data.get("covers", []))
+    elements, covers = data["elements"], data.get("covers", [])
+    if not (isinstance(elements, list) and all(isinstance(e, str) for e in elements)):
+        raise PosetError("poset 'elements' must be a list of strings")
+    if not isinstance(covers, list):
+        raise PosetError("poset 'covers' must be a list of [a, b] pairs")
+    for k, cover in enumerate(covers):
+        if not (isinstance(cover, list) and len(cover) == 2
+                and all(isinstance(name, str) for name in cover)):
+            raise PosetError(f"poset cover {k} must be a list of two element names")
+    return poset_from_covers(elements, covers)
 
 
 def poset_to_dot(poset: FinitePoset) -> str:

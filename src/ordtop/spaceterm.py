@@ -29,8 +29,9 @@ from .ordinal import (
     CheckReport,
     Ordinal,
     _is_int,
+    _Parser,
     format_ordinal,
-    loads_json,
+    loads_json_at,
     nat_sum,
     one_plus_inverse,
     ord_add,
@@ -282,98 +283,79 @@ def hyper_monotonicity_check(sk: Skeleton) -> CheckReport:
 # -- term syntax -------------------------------------------------------------
 #
 #   ord(<ordinal>) | sum(t1,t2,...) | prod(t1,t2) | skel(<poset-json>, {elem: ord})
+#
+# One cursor, the ordinal parser's, reads a term: it parses the inside of
+# ord(...) itself, the JSON decoder reads each argument of skel(...) from
+# its position, and the descent below reads the rest.
 
-def parse_term(text: str, _depth: int = 0) -> SpaceTerm:
+def parse_term(text: str) -> SpaceTerm:
     """The space term in ``text``.  Sum and prod terms nest at most
     ``MAX_NESTING`` deep; deeper is a ``TermError``, not a recursion overflow."""
-    term, pos = _parse_term(text, 0, _depth)
-    if text[pos:].strip():
-        raise TermError(f"trailing input after term: {text[pos:].strip()!r}")
+    cursor = _Parser(text)
+    term = _parse_term(cursor, 0)
+    if text[cursor.pos:].strip():
+        raise TermError(f"trailing input after term: {text[cursor.pos:].strip()!r}")
     return term
 
 
-def _parse_term(text: str, pos: int, depth: int):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    for head in ("ord", "sum", "prod", "skel"):
-        if text.startswith(head, pos):
-            open_at = text.find("(", pos + len(head))
-            if open_at < 0 or text[pos + len(head):open_at].strip():
-                raise TermError(f"expected '(' after {head!r}")
-            inner, after = _balanced(text, open_at)
-            if head == "ord":
-                return OrdSpace(parse_ordinal(inner)), after
-            if head == "skel":
-                parts = _split_args(inner)
-                if len(parts) != 2:
-                    raise TermError("skel takes a poset and a label map")
-                poset = poset_from_json(loads_json(parts[0]))
-                raw = loads_json(parts[1])
-                if not isinstance(raw, dict):
-                    raise TermError("skel label map must be a JSON object")
-                labels = [None] * poset.n
-                for name, val in raw.items():
-                    labels[poset.index(name)] = _label(name, val)
-                if any(v is None for v in labels):
-                    raise TermError("label map must cover every element")
-                return SkelTerm(Skeleton(poset, tuple(labels))), after
-            if depth == MAX_NESTING:
-                raise TermError(f"space terms nested deeper than MAX_NESTING = {MAX_NESTING}")
-            args = [parse_term(a, depth + 1) for a in _split_args(inner)]
-            if head == "sum":
-                return SumTerm(tuple(args)), after
-            if len(args) != 2:
-                raise TermError("prod takes exactly two terms")
-            return ProdTerm(args[0], args[1]), after
-    raise TermError(f"expected a space term at position {pos}")
+def _parse_term(cursor: _Parser, depth: int) -> SpaceTerm:
+    """The term at ``cursor``, which is left past it and any whitespace."""
+    cursor.skip_ws()
+    text, pos = cursor.text, cursor.pos
+    head = next((h for h in ("ord", "sum", "prod", "skel") if text.startswith(h, pos)), None)
+    if head is None:
+        raise TermError(f"expected a space term at position {pos}")
+    cursor.pos += len(head)
+    _expect(cursor, "(", f"after {head!r}")
+    if head == "ord":
+        term = OrdSpace(cursor.parse_expr())
+    elif head == "skel":
+        data, cursor.pos = loads_json_at(text, cursor.pos)
+        poset = poset_from_json(data)
+        _expect(cursor, ",", "after the poset of 'skel'")
+        raw, cursor.pos = loads_json_at(text, cursor.pos)
+        term = SkelTerm(Skeleton(poset, _labels(poset, raw)))
+    else:
+        if depth == MAX_NESTING:
+            raise TermError(f"space terms nested deeper than MAX_NESTING = {MAX_NESTING}")
+        args = [_parse_term(cursor, depth + 1)]
+        while cursor.peek() == ",":
+            cursor.pos += 1
+            args.append(_parse_term(cursor, depth + 1))
+        if head == "sum":
+            term = SumTerm(tuple(args))
+        elif len(args) != 2:
+            raise TermError("prod takes exactly two terms")
+        else:
+            term = ProdTerm(args[0], args[1])
+    _expect(cursor, ")", f"to close {head!r}")
+    return term
 
 
-def _label(name: str, val) -> Ordinal:
-    """A skeleton label: a natural number (not a bool) or an ordinal string."""
-    if isinstance(val, str):
-        return parse_ordinal(val)
-    if _is_int(val) and val >= 0:
-        return Ordinal.from_int(val)
-    raise TermError(f"label of {name!r} must be a natural number or an ordinal string,"
-                    f" not {json.dumps(val)}")
+def _expect(cursor: _Parser, ch: str, where: str) -> None:
+    """Move ``cursor`` past ``ch``, the next character after whitespace,
+    and past any whitespace after it."""
+    cursor.skip_ws()
+    if cursor.peek() != ch:
+        raise TermError(f"expected {ch!r} {where} at position {cursor.pos}")
+    cursor.pos += 1
+    cursor.skip_ws()
 
 
-def _balanced(text: str, open_at: int):
-    """Contents of the parenthesized group opening at ``open_at`` and the
-    index just past its closing parenthesis."""
-    depth = 0
-    in_string = False
-    for i in range(open_at, len(text)):
-        ch = text[i]
-        if in_string:
-            in_string = ch != '"'
-        elif ch == '"':
-            in_string = True
-        elif ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-            if depth == 0:
-                return text[open_at + 1:i], i + 1
-    raise TermError("unbalanced parentheses")
-
-
-def _split_args(inner: str) -> list:
-    parts = []
-    depth = 0
-    in_string = False
-    start = 0
-    for i, ch in enumerate(inner):
-        if in_string:
-            in_string = ch != '"'
-        elif ch == '"':
-            in_string = True
-        elif ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    parts.append(inner[start:])
-    return [p for p in parts if p.strip()]
+def _labels(poset: FinitePoset, raw) -> tuple:
+    """The skeleton labels that the JSON label map ``raw`` gives, one per
+    element: a natural number (not a bool) or an ordinal string each."""
+    if not isinstance(raw, dict):
+        raise TermError("skel label map must be a JSON object")
+    labels = [None] * poset.n
+    for name, val in raw.items():
+        if isinstance(val, str):
+            labels[poset.index(name)] = parse_ordinal(val)
+        elif _is_int(val) and val >= 0:
+            labels[poset.index(name)] = Ordinal.from_int(val)
+        else:
+            raise TermError(f"label of {name!r} must be a natural number or an ordinal"
+                            f" string, not {json.dumps(val)}")
+    if any(v is None for v in labels):
+        raise TermError("label map must cover every element")
+    return tuple(labels)

@@ -1,12 +1,15 @@
 """Runs the full acceptance battery and prints one line per criterion."""
 
+import random
 import re
 
 import pytest
 
 from ordtop import acceptance
 from ordtop.acceptance import CRITERIA, run_all
+from ordtop.hyperspace import build_hyperspace, hat_extension
 from ordtop.mrowka import ADFamily, g_join, parse_point
+from ordtop.poset import all_labeled_posets
 
 RESULTS = {}
 
@@ -63,6 +66,35 @@ def test_seeded_criteria_details_are_unchanged(seed):
         if number in SEEDED_DETAILS:
             want = SEEDED_DETAILS[number].format(LAMINAR_AT_SEED[seed])
             assert fn(seed) == (True, want), (number, seed)
+
+
+def test_criterion_8_builds_each_hyperspace_once(monkeypatch):
+    built, read = [], []
+
+    def counted_build(p):
+        built.append(build_hyperspace(p))
+        return built[-1]
+
+    def recorded_hat(h, y, f):
+        read.append(h)
+        return hat_extension(h, y, f)
+
+    monkeypatch.setattr(acceptance, "build_hyperspace", counted_build)
+    monkeypatch.setattr(acceptance, "hat_extension", recorded_hat)
+    seed = 3
+    assert acceptance.criterion_08_hyperspace_suite(seed) == (
+        True, "4473 hyperspaces, 322 uniqueness runs")
+    # one build per labeled poset with up to 5 elements; each uniqueness
+    # run reads a hyperspace the selector loop built
+    assert len(built) == 4473
+    assert {id(h) for h in read} <= {id(h) for h in built}
+    # the runs take every poset with up to 4 elements, then 80 five-element
+    # posets, the first 80 draws of random.Random(seed)
+    rng = random.Random(seed)
+    five = all_labeled_posets(5)
+    want = [p for n in range(1, 5) for p in all_labeled_posets(n)]
+    want += [five[rng.randrange(len(five))] for _ in range(80)]
+    assert [id(h.base) for h in read] == [id(p) for p in want]
 
 # -- criterion 12's join-law check against the direct row scan -----------------
 

@@ -342,6 +342,28 @@ def test_hyper_build_dot(runner, tmp_path):
     assert 'p3 [label="{a,b,c}"];' in r.output
 
 
+# a poset file, or the poset of a skel(...) term, that is not a list of
+# string names with [a, b] name pairs as covers is an input error naming it
+@pytest.mark.parametrize("data, stderr", [
+    ({"elements": "ab"}, "poset 'elements' must be a list of strings"),
+    ({"elements": ["a", 2]}, "poset 'elements' must be a list of strings"),
+    ({"elements": ["a", "b"], "covers": "ab"}, "poset 'covers' must be a list of [a, b] pairs"),
+    ({"elements": ["a", "b"], "covers": [["a", ["b"]]]},
+     "poset cover 0 must be a list of two element names"),
+    ({"elements": ["a"], "covers": [1]}, "poset cover 0 must be a list of two element names"),
+    ({"elements": ["a", "b"], "covers": [["a", "b"], ["a", "b", "a"]]},
+     "poset cover 1 must be a list of two element names"),
+    ({"elements": ["a", "b"], "covers": [["a", "c"]]}, "unknown element 'c' in cover"),
+])
+def test_poset_schema_is_checked(runner, tmp_path, data, stderr):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(data))
+    for args in (["poset", "width", str(f)],
+                 ["space", "report", f'skel({json.dumps(data)}, {{"a": 0}})']):
+        r = invoke_clean(runner, args)
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {stderr}\n"), args
+
+
 def test_hyper_density_bad_descriptor_exits_2(runner):
     r = invoke_clean(runner, ["hyper", "density", "--u", "bogus:1"])
     assert r.exit_code == 2
@@ -356,6 +378,38 @@ def test_mrowka_join_bad_point_exits_2(runner, tmp_path):
     assert "point must be" in r.stderr
 
 
+# every number a point, a descriptor or --criteria holds is the ordinal
+# grammar's nat; the position counts from the start of the argument
+@pytest.mark.parametrize("args, stderr", [
+    (["mrowka", "join", "FAM", "fin:\u0663", "top"], "expected a number (at position 4)"),
+    (["mrowka", "join", "FAM", "top", "fin:1_0"], "expected ',' (at position 5)"),
+    (["mrowka", "join", "FAM", "branch:-1", "top"], "expected a number (at position 7)"),
+    (["mrowka", "join", "FAM", "branch:1,", "top"], "unexpected trailing input (at position 8)"),
+    (["hyper", "density", "--u", "fin:\u0663"], "expected a number (at position 4)"),
+    (["hyper", "density", "--u", "cof:1_0"], "expected ',' (at position 5)"),
+    (["hyper", "density", "--u", "fin:1", "--v", "cof:2,-3"], "expected a number (at position 6)"),
+    (["selftest", "--seed", "0", "--criteria", "\uff11"], "expected a number (at position 0)"),
+    (["selftest", "--seed", "0", "--criteria", "2,1_4"], "expected ',' (at position 3)"),
+])
+def test_numbers_in_points_descriptors_and_criteria_are_nats(runner, tmp_path, args, stderr):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(FAM2))
+    r = invoke_clean(runner, [str(fam) if a == "FAM" else a for a in args])
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {stderr}\n")
+
+
+def test_blank_number_items_are_skipped(runner, tmp_path):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(FAM2))
+    r = invoke_clean(runner, ["mrowka", "join", str(fam), "fin:, 2,,4 ,", "fin:6"])
+    assert (r.exit_code, r.stdout) == (0, "fin:2,4,6\n")
+    r = invoke_clean(runner, ["hyper", "density", "--u", "cof:,0, ,1,", "--v", "fin:1,,2"])
+    assert (r.exit_code, json.loads(r.stdout)["witness"]) == (0, [2])
+    r = invoke_clean(runner, ["selftest", "--seed", "0", "--criteria", " 2, ,"])
+    assert r.exit_code == 0
+    assert [line.split()[1] for line in r.stdout.splitlines()[:-1]] == ["criterion-02"]
+
+
 def test_mrowka_join_point_members_are_naturals_below_the_bound(runner, tmp_path):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps(FAM2))
@@ -366,13 +420,12 @@ def test_mrowka_join_point_members_are_naturals_below_the_bound(runner, tmp_path
         r = invoke_clean(runner, ["mrowka", "join", str(fam), x, y])
         assert (r.exit_code, r.stdout, r.stderr) == (0, stdout, ""), (x, y)
     over = f"error: point members must be below MAX_POINT_MEMBER = {MAX_POINT_MEMBER}\n"
-    negative = "error: point members must be naturals\n"
-    # -2 % 2 == 0 once put -2 inside branch 0
+    # -2 % 2 == 0 once put -2 inside branch 0; a sign is no part of a number
     for x, y, stderr in ((f"fin:{MAX_POINT_MEMBER}", "top", over),
                          ("fin:2", f"fin:1,{10 ** 10}", over),
-                         ("fin:-2", "branch:0", negative),
-                         ("fin:-1", "fin:3", negative),
-                         ("top", "fin:4,-1", negative)):
+                         ("fin:-2", "branch:0", "error: expected a number (at position 4)\n"),
+                         ("fin:-1", "fin:3", "error: expected a number (at position 4)\n"),
+                         ("top", "fin:4,-1", "error: expected a number (at position 6)\n")):
         r = invoke_clean(runner, ["mrowka", "join", str(fam), x, y])
         assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr), (x, y)
 

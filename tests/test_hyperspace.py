@@ -681,7 +681,7 @@ def test_hat_identity_instance():
     y = FinJoinSemilattice.from_poset(hp)
     labels = dict(zip(h.points, downset_labels(p, h.points)))
     f = {p.labels[i]: hp.labels.index(labels[h.eta(i)]) for i in range(p.n)}
-    hat, rep = hat_extension(p, y, f)
+    hat, rep = hat_extension(h, y, f)
     assert rep.passed and rep.data["method"] == "enumerated"
     assert set(hat) == set(h.points)
     # the extension of eta is the identity on points
@@ -692,7 +692,7 @@ def test_hat_identity_instance():
 def test_hat_constant_map():
     p = antichain(2)
     y = FinJoinSemilattice.chain(2)
-    hat, rep = hat_extension(p, y, {"0": 1, "1": 1})
+    hat, rep = hat_extension(build_hyperspace(p), y, {"0": 1, "1": 1})
     assert rep.passed
     assert set(hat.values()) == {1}
 
@@ -705,7 +705,7 @@ def test_hat_uniqueness_on_random_instances():
         rk = {p.labels[i]: 0 for i in range(p.n)}
         for i in range(p.n):
             rk[p.labels[i]] = min(bin(p.below[i]).count("1"), y.n - 1)
-        hat, rep = hat_extension(p, y, rk)
+        hat, rep = hat_extension(build_hyperspace(p), y, rk)
         assert rep.passed and rep.data["method"] == "enumerated"
         assert rep.data["homs_found"] == 1
 
@@ -719,7 +719,8 @@ def test_hat_enumerates_at_most_max_assignments():
         p = chain(n)
         y = FinJoinSemilattice.chain(k)
         assert (k ** n <= MAX_ASSIGNMENTS) == (method == "enumerated")
-        _, rep = hat_extension(p, y, {p.labels[i]: min(i, k - 1) for i in range(n)})
+        f = {p.labels[i]: min(i, k - 1) for i in range(n)}
+        _, rep = hat_extension(build_hyperspace(p), y, f)
         assert rep.passed and rep.data == {"method": method, "homs_found": 1}, (n, k)
 
 
@@ -736,10 +737,11 @@ def test_hom_law_on_generators_matches_the_pairwise_law():
     cases += [(p, y3) for p in _seeded_posets(23, 8)]
     for p, y in cases:
         f = {name: min(r, y.n - 1) for name, r in zip(p.labels, ranks(p).by_index)}
-        values, rep = hat_extension(p, y, f)
+        h = build_hyperspace(p)
+        values, rep = hat_extension(h, y, f)
         # into a semilattice both laws hold, so both verdicts are true
         assert rep.passed, p
-        assert _is_hom_pairwise(build_hyperspace(p), y, values), p
+        assert _is_hom_pairwise(h, y, values), p
 
 
 def homs_by_join_all(h, y, fi):
@@ -790,7 +792,7 @@ def test_hat_rejects_non_increasing_f():
     p = chain(2)
     y = FinJoinSemilattice.chain(2)
     with pytest.raises(HyperspaceError, match="increasing"):
-        hat_extension(p, y, {"0": 1, "1": 0})
+        hat_extension(build_hyperspace(p), y, {"0": 1, "1": 0})
 
 
 def test_hat_rejects_f_outside_the_semilattice():
@@ -799,11 +801,12 @@ def test_hat_rejects_f_outside_the_semilattice():
                  (FinJoinSemilattice.chain(2), {"0": -1, "1": 0}),
                  (FinJoinSemilattice.chain(0), {"0": -1, "1": -1})):
         with pytest.raises(HyperspaceError, match="outside the semilattice"):
-            hat_extension(p, y, f)
+            hat_extension(build_hyperspace(p), y, f)
     # a bool is no index into Y, so it is looked up as a label, and is none
     for bad in (True, False):
         with pytest.raises(PosetError, match=f"unknown element {bad}"):
-            hat_extension(p, FinJoinSemilattice.chain(2), {"0": bad, "1": 1})
+            hat_extension(build_hyperspace(p), FinJoinSemilattice.chain(2),
+                          {"0": bad, "1": 1})
 
 
 def test_semilattice_validation():

@@ -28,7 +28,7 @@ from ordtop.mrowka import (
     parse_point,
     star_truncation,
 )
-from ordtop.ordinal import CheckReport
+from ordtop.ordinal import CheckReport, ParseError
 
 EVENS = EvPeriodicSet(2, frozenset({0}))
 ODDS = EvPeriodicSet(2, frozenset({1}))
@@ -300,17 +300,23 @@ def test_point_members_are_naturals_below_the_bound():
     for text in (f"fin:{MAX_POINT_MEMBER}", f"fin:1,{10 ** 10}"):
         with pytest.raises(MrowkaError, match="below MAX_POINT_MEMBER = 1048576"):
             P(text)
-    for text in ("fin:-1", "fin:3,-2"):
-        with pytest.raises(MrowkaError, match="point members must be naturals"):
+    # members are the ordinal grammar's nat, ASCII digits alone, at a
+    # position counted from the start of the point's text
+    for text, message in (("fin:-1", "expected a number (at position 4)"),
+                          ("fin:3,-2", "expected a number (at position 6)"),
+                          ("fin:\u0663", "expected a number (at position 4)"),
+                          ("fin:1_0", "expected ',' (at position 5)")):
+        with pytest.raises(ParseError) as raised:
             P(text)
-    # int()'s own syntax stays: underscores group digits, spaces are stripped
-    assert P("fin:1_0") == P("fin: 10 ") == P("fin:10,,10") == 1 << 10
+        assert str(raised.value) == message, text
+    # spaces around a member and blank items are skipped
+    assert P("fin: 10 ") == P("fin:10,,10") == P("fin:,10, ,") == 1 << 10
 
 
 def test_packed_point_encoding():
     assert [P(t) for t in ("top", "branch:0", "branch:3", "fin:0", "fin:1,3")] == [
         0, -1, -4, 1, 0b1010]
-    with pytest.raises(MrowkaError, match="branch index out of range"):
+    with pytest.raises(ParseError, match=r"expected a number \(at position 7\)"):
         P("branch:-1")
     with pytest.raises(MrowkaError, match="point must be fin:..., branch:i or top"):
         P("top:")

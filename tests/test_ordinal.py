@@ -15,7 +15,6 @@ from ordtop.ordinal import (
     OMEGA,
     ONE,
     ZERO,
-    NatOrOmega,
     Ordinal,
     OrdinalError,
     ParseError,
@@ -317,16 +316,13 @@ def test_public_constructors_reject_bad_numbers():
             Ordinal.omega_power(ONE, bad)
     with pytest.raises(OrdinalError):
         ONE + True
-    # nor a natural for odot's right operand
-    for bad in (True, False, -1, 1.0):
-        with pytest.raises(OrdinalError, match="natural number"):
-            NatOrOmega(bad)
-        with pytest.raises(OrdinalError, match="natural number"):
-            NatOrOmega.finite(bad)
-    for bad in (True, False, "1"):
-        with pytest.raises(TypeError, match="nat-or-omega"):
-            NatOrOmega.coerce(bad)
-        with pytest.raises(TypeError, match="nat-or-omega"):
+    # nor a natural for odot's right operand, which is read as an ordinal
+    for bad, error, message in ((True, OrdinalError, "integer >= 1"),
+                                (False, OrdinalError, "integer >= 1"),
+                                (-1, OrdinalError, "non-negative"),
+                                (1.0, TypeError, "cannot interpret 1.0 as an ordinal"),
+                                ("1", TypeError, "cannot interpret '1' as an ordinal")):
+        with pytest.raises(error, match=message):
             odot(OMEGA, bad)
 
 # -- ordinary arithmetic ----------------------------------------------
@@ -570,7 +566,7 @@ def test_nat_prod_commutative(a, b):
 
 def test_odot_worked_examples():
     assert odot(OMEGA, 2) == P("w+w")
-    assert odot(Ordinal.from_int(2), NatOrOmega.omega()) == OMEGA
+    assert odot(Ordinal.from_int(2), OMEGA) == OMEGA
     assert odot(P("w^2*4 + 3"), 0) == ZERO
 
 
@@ -588,7 +584,7 @@ def test_odot_omega_is_sup_of_finite_multiples():
     rng = random.Random(4)
     for _ in range(60):
         a = random_ordinal(rng)
-        limit = odot(a, NatOrOmega.omega())
+        limit = odot(a, OMEGA)
         for n in range(1, 6):
             assert odot(a, n) < limit or a.is_zero
         if not a.is_zero:

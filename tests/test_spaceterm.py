@@ -9,7 +9,9 @@ from ordtop.ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    ParseError,
     format_ordinal,
+    loads_json,
     nat_sum,
     odot,
     ord_pow,
@@ -18,7 +20,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.poset import all_labeled_posets, poset_from_covers, ranks
+from ordtop.poset import all_labeled_posets, poset_from_covers, poset_from_json, ranks
 from ordtop.spaceterm import (
     OrdSpace,
     ProdTerm,
@@ -27,6 +29,7 @@ from ordtop.spaceterm import (
     SumTerm,
     TermError,
     _is_forest,
+    _labels,
     check_height_rank_bounds,
     hyper_antichain_height,
     hyper_monotonicity_check,
@@ -457,3 +460,191 @@ def test_format_term_roundtrip():
     for s in texts:
         t = parse_term(s)
         assert parse_term(format_term(t)) == t
+
+
+# -- the bracket-scanning parser as an oracle ------------------------------------------
+
+def oracle_parse_term(text, blanks, depth=0):
+    """``parse_term`` as it read terms before the one-pass reader: each
+    group is cut out by a string-aware bracket scan, its arguments split at
+    top-level commas and each argument parsed again as a substring; blank
+    arguments are dropped, and counted in ``blanks``."""
+    pos = 0
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    for head in ("ord", "sum", "prod", "skel"):
+        if text.startswith(head, pos):
+            open_at = text.find("(", pos + len(head))
+            if open_at < 0 or text[pos + len(head):open_at].strip():
+                raise TermError(f"expected '(' after {head!r}")
+            inner, after = _oracle_balanced(text, open_at)
+            if text[after:].strip():
+                raise TermError(f"trailing input after term: {text[after:].strip()!r}")
+            if head == "ord":
+                return OrdSpace(parse_ordinal(inner))
+            parts = _oracle_split_args(inner, blanks)
+            if head == "skel":
+                if len(parts) != 2:
+                    raise TermError("skel takes a poset and a label map")
+                poset = poset_from_json(loads_json(parts[0]))
+                return SkelTerm(Skeleton(poset, _labels(poset, loads_json(parts[1]))))
+            if depth == MAX_NESTING:
+                raise TermError(f"space terms nested deeper than MAX_NESTING = {MAX_NESTING}")
+            args = [oracle_parse_term(a, blanks, depth + 1) for a in parts]
+            if head == "sum":
+                return SumTerm(tuple(args))
+            if len(args) != 2:
+                raise TermError("prod takes exactly two terms")
+            return ProdTerm(args[0], args[1])
+    raise TermError(f"expected a space term at position {pos}")
+
+
+def _oracle_balanced(text, open_at):
+    depth = 0
+    in_string = False
+    for i in range(open_at, len(text)):
+        ch = text[i]
+        if in_string:
+            in_string = ch != '"'
+        elif ch == '"':
+            in_string = True
+        elif ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth == 0:
+                return text[open_at + 1:i], i + 1
+    raise TermError("unbalanced parentheses")
+
+
+def _oracle_split_args(inner, blanks):
+    parts = []
+    depth = 0
+    in_string = False
+    start = 0
+    for i, ch in enumerate(inner):
+        if in_string:
+            in_string = ch != '"'
+        elif ch == '"':
+            in_string = True
+        elif ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(inner[start:i])
+            start = i + 1
+    parts.append(inner[start:])
+    kept = [p for p in parts if p.strip()]
+    blanks[0] += len(parts) - len(kept)
+    return kept
+
+
+# names that a bracket or comma scan must read inside a JSON string; the old
+# scan did not know escapes, so no name holds a quote or a backslash
+NAMES = ["a", "b", "c,d", "e)", "(f", "g]", "{h}", "i j"]
+
+
+def _random_term_text(rng, depth=0):
+    """A valid term's text, with random whitespace between its tokens."""
+    def ws():
+        return "".join(rng.choice(" \t\n") for _ in range(rng.choice([0, 0, 1, 2])))
+
+    kind = rng.choice(["ord", "ord", "skel"] + (["sum", "prod"] if depth < 3 else []))
+    if kind == "ord":
+        alpha = random_ordinal(rng, max_terms=3, depth=1)
+        body = format_ordinal(alpha, compact=rng.random() < 0.5)
+    elif kind == "skel":
+        p = rng.choice(all_labeled_posets(rng.randint(1, 3)))
+        names = rng.sample(NAMES, p.n)
+        covers = [[names[i], names[j]] for i, j in p.covers()]
+        separators = rng.choice([(", ", ": "), (",", ":"), (" ,\n", " : ")])
+        poset = json.dumps({"elements": names, "covers": covers}, separators=separators)
+        step = rng.randint(1, 3)
+        labels = {names[i]: r * step if rng.random() < 0.5 else f"w*{r * step}+{r}"
+                  for i, r in enumerate(ranks(p).by_index)}
+        body = poset + ws() + "," + ws() + json.dumps(labels, separators=separators)
+    else:
+        count = 2 if kind == "prod" else rng.randint(1, 3)
+        body = (ws() + "," + ws()).join(_random_term_text(rng, depth + 1) for _ in range(count))
+    return ws() + kind + ws() + "(" + ws() + body + ws() + ")" + ws()
+
+
+def _mutate(rng, text):
+    """``text`` with one random edit: a character deleted, inserted,
+    doubled or swapped with the next, a comma doubled, or the text cut
+    short."""
+    i = rng.randrange(len(text))
+    edit = rng.choice(["delete", "insert", "double", "swap", "comma", "cut"])
+    if edit == "comma" and "," in text:
+        i = rng.choice([k for k, ch in enumerate(text) if ch == ","])
+        return text[:i] + rng.choice([",", ", ", ",\n"]) + text[i:]
+    if edit == "delete":
+        return text[:i] + text[i + 1:]
+    if edit == "insert":
+        return text[:i] + rng.choice('(),[]{}":w0+* ') + text[i:]
+    if edit == "double":
+        return text[:i] + text[i] + text[i:]
+    if edit == "swap":
+        return text[:i] + text[i + 1:i + 2] + text[i] + text[i + 2:]
+    return text[:i]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def test_parse_term_matches_the_bracket_scanning_oracle():
+    rng = random.Random(28)
+    seen = {"accepted": 0, "refused": 0, "blank": 0}
+    for k in range(3000):
+        text = _random_term_text(rng)
+        if k % 2:
+            text = _mutate(rng, text)
+        blanks = [0]
+        want = _outcome(lambda t: oracle_parse_term(t, blanks), text)
+        got = _outcome(parse_term, text)
+        if blanks[0] and want is not ValueError:
+            # a blank argument, which the oracle dropped, is refused now
+            assert got is ValueError, text
+            seen["blank"] += 1
+        else:
+            assert got == want, text
+            seen["accepted" if got is not ValueError else "refused"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_blank_arguments_are_refused_at_their_position():
+    for text, at in (("sum(ord(1),,ord(2))", 11), ("sum(ord(1),)", 11), ("sum()", 4),
+                     ("prod(,ord(1),ord(2))", 5)):
+        with pytest.raises(TermError, match=f"expected a space term at position {at}"):
+            parse_term(text)
+    with pytest.raises(TermError, match="expected '\\)' to close 'skel' at position 34"):
+        parse_term('skel({"elements": ["a"]}, {"a": 0}, )')
+
+
+def test_term_structure_errors_name_their_position():
+    for text, message in (("ord w", "expected '(' after 'ord' at position 4"),
+                          ("ord(w", "expected ')' to close 'ord' at position 5"),
+                          ("sum(ord(1) ord(2))", "expected ')' to close 'sum' at position 11"),
+                          ('skel({"elements": ["a"]} {"a": 0})',
+                           "expected ',' after the poset of 'skel' at position 25"),
+                          ("foo(1)", "expected a space term at position 0")):
+        with pytest.raises(TermError) as raised:
+            parse_term(text)
+        assert str(raised.value) == message, text
+    # an ordinal inside ord(...) is read in place: its error counts from
+    # the start of the term
+    with pytest.raises(ParseError, match="at position 7"):
+        parse_term("ord(w+ +1)")
+
+
+def test_skel_names_may_hold_escaped_quotes():
+    # the bracket scan took the quote in "a\\"b" for the end of the string
+    t = parse_term('skel({"elements": ["a\\"b", "c"], "covers": [["a\\"b", "c"]]},'
+                   ' {"a\\"b": 0, "c": "w"})')
+    assert label_of(t.skeleton, 'a"b') == ZERO
+    assert label_of(t.skeleton, "c") == OMEGA
