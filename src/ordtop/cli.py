@@ -37,6 +37,7 @@ from .ordinal import (
     parse_natural,
     parse_naturals,
     parse_ordinal,
+    parse_ordinals,
     tip_deg,
 )
 
@@ -410,8 +411,7 @@ def clopen_minclopen(beta, alpha, grid):
     """Least minimal-length clopen set with the prescribed end point."""
     from .clopen import cnf_truncation_grid, format_clopen, min_clopen_with_endpoint
     b = parse_ordinal(beta)
-    grid_vals = ([parse_ordinal(g) for g in grid.split(",")]
-                 if grid else cnf_truncation_grid(b))
+    grid_vals = parse_ordinals(grid) if grid else cnf_truncation_grid(b)
     return format_clopen(min_clopen_with_endpoint(b, parse_ordinal(alpha), grid_vals))
 
 

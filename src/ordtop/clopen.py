@@ -25,9 +25,10 @@ from .ordinal import (
     ZERO,
     CheckReport,
     Ordinal,
+    _parse_whole,
+    _Parser,
     _trusted,
     format_ordinal,
-    parse_ordinal,
     sort_key,
 )
 
@@ -356,7 +357,8 @@ def min_clopen_with_endpoint(beta: Ordinal, ambient: Ordinal,
 
 # -- text form -------------------------------------------------------------
 #
-#   {0}? (s1,t1] (s2,t2] ... @ alpha     (empty set: "{} @ alpha")
+#   clopen := ('{0}' | '{}' | '(' expr ',' expr ']')* '@' expr
+#   (expr an ordinal, whitespace insignificant; the empty set is {} @ alpha)
 
 def format_clopen(u: ClopenSet) -> str:
     parts = []
@@ -370,34 +372,24 @@ def format_clopen(u: ClopenSet) -> str:
 
 
 def parse_clopen(text: str) -> ClopenSet:
-    if "@" not in text:
-        raise ClopenError("missing '@ ambient' part")
-    body, _, amb = text.rpartition("@")
-    ambient = parse_ordinal(amb)
-    body = body.strip()
-    zero = False
-    pieces = []
-    pos = 0
-    while pos < len(body):
-        ch = body[pos]
-        if ch.isspace():
-            pos += 1
-        elif body.startswith("{0}", pos):
+    """The clopen set ``text`` writes, read on the ordinal parser's cursor;
+    an error names its position in ``text``."""
+    cursor = _Parser(text)
+    zero, pieces = False, []
+    while True:
+        cursor.skip_ws()
+        if text.startswith("{0}", cursor.pos):
             zero = True
-            pos += 3
-        elif body.startswith("{}", pos):
-            pos += 2
-        elif ch == "(":
-            end = body.find("]", pos)
-            if end < 0:
-                raise ClopenError("unterminated interval")
-            inner = body[pos + 1:end]
-            try:
-                s_text, t_text = inner.split(",")
-            except ValueError:
-                raise ClopenError(f"malformed interval {inner!r}") from None
-            pieces.append((parse_ordinal(s_text), parse_ordinal(t_text)))
-            pos = end + 1
+            cursor.pos += 3
+        elif text.startswith("{}", cursor.pos):
+            cursor.pos += 2
+        elif cursor.peek() == "(":
+            cursor.pos += 1
+            s = cursor.parse_expr()
+            cursor.expect(",", "in an interval", ClopenError)
+            pieces.append((s, cursor.parse_expr()))
+            cursor.expect("]", "to close an interval", ClopenError)
         else:
-            raise ClopenError(f"unexpected {ch!r} in clopen text")
-    return ClopenSet(ambient, zero, tuple(pieces))
+            cursor.expect("@", "or an interval", ClopenError)
+            ambient = _parse_whole(text, _Parser.parse_expr, cursor.pos)
+            return ClopenSet(ambient, zero, tuple(pieces))

@@ -168,7 +168,7 @@ def _check_coeff(c) -> None:
 def _coerce(x) -> Ordinal:
     if isinstance(x, Ordinal):
         return x
-    if isinstance(x, int):
+    if _is_int(x):
         return Ordinal.from_int(x)
     raise TypeError(f"cannot interpret {x!r} as an ordinal")
 
@@ -555,12 +555,21 @@ def parse_naturals(text: str, start: int = 0) -> list:
     """The naturals of the comma-separated list ``text[start:]``, each read
     as ``parse_natural`` reads one; blank items are skipped.  A
     ``ParseError`` counts its position from the start of ``text``."""
+    return _parse_list(text, _Parser.parse_nat, start)
+
+
+def parse_ordinals(text: str) -> list:
+    """The ordinals of a comma-separated list, read as ``parse_naturals`` reads naturals."""
+    return _parse_list(text, _Parser.parse_expr)
+
+
+def _parse_list(text: str, item, start: int = 0) -> list:
     parser = _Parser(text, start)
     values = []
     while True:
         parser.skip_ws()
         if parser.peek() not in (",", ""):
-            values.append(parser.parse_nat())
+            values.append(item(parser))
             parser.skip_ws()
         if not parser.peek():
             return values
@@ -590,6 +599,15 @@ class _Parser:
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str, where: str, error: type) -> None:
+        """Move past ``ch``, the next character after whitespace, and past
+        any whitespace after it; else raise ``error`` naming the position."""
+        self.skip_ws()
+        if self.peek() != ch:
+            raise error(f"expected {ch!r} {where} at position {self.pos}")
+        self.pos += 1
+        self.skip_ws()
 
     def parse_expr(self) -> Ordinal:
         value = self.parse_term()
@@ -628,8 +646,7 @@ class _Parser:
                 self.skip_ws()
                 if self.peek() == "(":
                     self.pos += 1
-                    exp = self.parse_expr()
-                    self.skip_ws()
+                    exp = self.parse_expr()  # which ends past any whitespace
                     if self.peek() != ")":
                         raise ParseError("expected ')'", self.pos)
                     self.pos += 1
@@ -652,7 +669,7 @@ class _Parser:
         # more digits than the largest allowed value has: refused unconverted
         digits = match[0].lstrip("0") or "0"
         if len(digits) > _MAX_COEFF_DIGITS or int(digits).bit_length() > MAX_COEFF_BITS:
-            raise ParseError(f"coefficient exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS} bits",
+            raise ParseError(f"number exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS} bits",
                              start)
         return int(digits)
 

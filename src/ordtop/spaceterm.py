@@ -306,13 +306,13 @@ def _parse_term(cursor: _Parser, depth: int) -> SpaceTerm:
     if head is None:
         raise TermError(f"expected a space term at position {pos}")
     cursor.pos += len(head)
-    _expect(cursor, "(", f"after {head!r}")
+    cursor.expect("(", f"after {head!r}", TermError)
     if head == "ord":
         term = OrdSpace(cursor.parse_expr())
     elif head == "skel":
         data, cursor.pos = loads_json_at(text, cursor.pos)
         poset = poset_from_json(data)
-        _expect(cursor, ",", "after the poset of 'skel'")
+        cursor.expect(",", "after the poset of 'skel'", TermError)
         raw, cursor.pos = loads_json_at(text, cursor.pos)
         term = SkelTerm(Skeleton(poset, _labels(poset, raw)))
     else:
@@ -328,18 +328,8 @@ def _parse_term(cursor: _Parser, depth: int) -> SpaceTerm:
             raise TermError("prod takes exactly two terms")
         else:
             term = ProdTerm(args[0], args[1])
-    _expect(cursor, ")", f"to close {head!r}")
+    cursor.expect(")", f"to close {head!r}", TermError)
     return term
-
-
-def _expect(cursor: _Parser, ch: str, where: str) -> None:
-    """Move ``cursor`` past ``ch``, the next character after whitespace,
-    and past any whitespace after it."""
-    cursor.skip_ws()
-    if cursor.peek() != ch:
-        raise TermError(f"expected {ch!r} {where} at position {cursor.pos}")
-    cursor.pos += 1
-    cursor.skip_ws()
 
 
 def _labels(poset: FinitePoset, raw) -> tuple:

@@ -390,6 +390,9 @@ def test_mrowka_join_bad_point_exits_2(runner, tmp_path):
     (["hyper", "density", "--u", "fin:1", "--v", "cof:2,-3"], "expected a number (at position 6)"),
     (["selftest", "--seed", "0", "--criteria", "\uff11"], "expected a number (at position 0)"),
     (["selftest", "--seed", "0", "--criteria", "2,1_4"], "expected ',' (at position 3)"),
+    # an over-long member is a number, not a coefficient
+    (["mrowka", "join", "FAM", "fin:" + "9" * 3100, "top"],
+     f"number exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS} bits (at position 4)"),
 ])
 def test_numbers_in_points_descriptors_and_criteria_are_nats(runner, tmp_path, args, stderr):
     fam = tmp_path / "fam.json"
@@ -561,6 +564,31 @@ def test_clopen_minclopen_grid(runner):
     r = invoke_clean(runner, ["clopen", "minclopen", "w^2+w", "w^3", "--grid", "w,w^2+1"])
     assert r.exit_code == 2
     assert "no candidate in grid" in r.stderr
+
+
+# clopen text and --grid are read on the ordinal parser's cursor: a
+# position counts from the start of the argument
+@pytest.mark.parametrize("args, stderr", [
+    (["cb", "(0,w^x] @ w^2"], "expected '0', a number, or 'w' (at position 5)"),
+    (["cb", "(w w*2] @ w"], "expected ',' in an interval at position 3"),
+    (["cb", "(0,w @ w"], "expected ']' to close an interval at position 5"),
+    (["cb", "(0,w]"], "expected '@' or an interval at position 5"),
+    (["cb", "(0,w] @"], "expected '0', a number, or 'w' (at position 7)"),
+    (["op", "union", "(0,w] @ w", "(0,w] @ w @ w"], "unexpected trailing input (at position 10)"),
+    (["minclopen", "w+1", "w^2", "--grid", "0, w, w+1, w+x"],
+     "expected '0', a number, or 'w' (at position 13)"),
+    (["minclopen", "w+1", "w^2", "--grid", "0, w w+1"], "expected ',' (at position 5)"),
+])
+def test_clopen_text_errors_name_their_position_in_the_argument(runner, args, stderr):
+    r = invoke_clean(runner, ["clopen", *args])
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {stderr}\n")
+
+
+def test_clopen_grid_skips_blank_items(runner):
+    # --grid is read by the list rule of fin:1,,2; an empty --grid is the default grid
+    for grid in ("0,,w,w+1", " 0 , w,w+1,", "0,w,w+1", ""):
+        r = invoke_clean(runner, ["clopen", "minclopen", "w+1", "w^2", "--grid", grid])
+        assert (r.exit_code, r.stdout, r.stderr) == (0, "(w,w+1] @ w^2\n", ""), grid
 
 
 def test_clopen_limits_are_usage_errors(runner):
@@ -1043,7 +1071,8 @@ def _fuzz_argv(draw, files):
                             'skel({"elements": ["a"], "covers": []}, {"a": [1]})',
                             _nested_sum(MAX_NESTING + 1)]) | ordinal
     clopen = st.sampled_from(["(0,w] @ w^2", "(w,w*2] @ w^2", "{} @ w^2", "{0} @ w",
-                              "(0,w^2*2] @ w^2*2", "(0,w] @ w", "(w,0] @ w", "@", ""])
+                              "(0,w^2*2] @ w^2*2", "(0,w] @ w", "(w,0] @ w", "@", "",
+                              "(0,w^x] @ w^2", "(w w*2] @ w", "(0,w] @"])
     descriptor = st.sampled_from(["fin:1,2", "fin:", "cof:", "cof:0,5", "fin:50",
                                   "fin:-1", "fin:a", "bogus:1", ""])
     point = st.sampled_from(["top", "fin:2,4", "fin:", "branch:0", "branch:1",

@@ -35,6 +35,7 @@ from ordtop.ordinal import (
     CheckReport,
     Ordinal,
     OrdinalError,
+    ParseError,
     _trusted,
     format_ordinal,
     ord_add,
@@ -941,6 +942,117 @@ def test_text_errors():
         parse_clopen("(w,w*2]")
     with pytest.raises(ClopenError):
         parse_clopen("(w w*2] @ w^2")
+
+
+def oracle_parse_clopen(text):
+    """The substring reader that ``parse_clopen`` replaced: it cuts the text
+    at its last '@', each interval at its first ']' and then at its commas,
+    and parses each piece on its own."""
+    if "@" not in text:
+        raise ClopenError("missing '@ ambient' part")
+    body, _, amb = text.rpartition("@")
+    ambient = parse_ordinal(amb)
+    body = body.strip()
+    zero = False
+    pieces = []
+    pos = 0
+    while pos < len(body):
+        ch = body[pos]
+        if ch.isspace():
+            pos += 1
+        elif body.startswith("{0}", pos):
+            zero = True
+            pos += 3
+        elif body.startswith("{}", pos):
+            pos += 2
+        elif ch == "(":
+            end = body.find("]", pos)
+            if end < 0:
+                raise ClopenError("unterminated interval")
+            inner = body[pos + 1:end]
+            try:
+                s_text, t_text = inner.split(",")
+            except ValueError:
+                raise ClopenError(f"malformed interval {inner!r}") from None
+            pieces.append((parse_ordinal(s_text), parse_ordinal(t_text)))
+            pos = end + 1
+        else:
+            raise ClopenError(f"unexpected {ch!r} in clopen text")
+    return ClopenSet(ambient, zero, tuple(pieces))
+
+
+GOOD_ORDINAL_TEXT = ["0", "1", "3", " 07 ", "w", "w+1", "w*2", "w * 3 + 1", "w^2",
+                     "w^2+w*3", "w^ (1+1)", "w^w", "w^(w+1)"]
+BAD_ORDINAL_TEXT = ["w^x", "", " ", "w+", "1_0", "\u0663", "w^(1", "(1)", "w*0", "-1", "w@"]
+
+
+def random_clopen_text(rng):
+    """Clopen text with random whitespace, repeated {0} and {} parts, some bad
+    ordinals, and a few ',', ']', '@', '(', '{' or '}' inserted, doubled or
+    dropped."""
+    def ws():
+        return rng.choice(["", "", " ", "  ", "\t", "\n "])
+
+    def ordinal():
+        pool = BAD_ORDINAL_TEXT if rng.random() < 0.08 else GOOD_ORDINAL_TEXT
+        return rng.choice(pool)
+
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.randrange(5)
+        if kind < 2:
+            parts.append(("{0}", "{}")[kind])
+        else:
+            parts.append(f"({ws()}{ordinal()}{ws()},{ws()}{ordinal()}{ws()}]")
+    text = ws() + ws().join(parts) + ws() + "@" + ws() + ordinal() + ws()
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+        ch = rng.choice(",]@({}")
+        at = [i for i, c in enumerate(text) if c == ch]
+        action = rng.randrange(3)
+        if action == 0 or not at:
+            i = rng.randint(0, len(text))
+            text = text[:i] + ch + text[i:]
+        else:
+            i = rng.choice(at)
+            text = text[:i] + (ch + ch if action == 1 else "") + text[i + 1:]
+    return text
+
+
+def test_parse_clopen_matches_the_substring_oracle():
+    rng = random.Random(29)
+    accepted = 0
+    for _ in range(5000):
+        text = random_clopen_text(rng)
+        try:
+            want = oracle_parse_clopen(text)
+        except ValueError:
+            want = ValueError
+        try:
+            got = parse_clopen(text)
+        except ValueError:
+            got = ValueError
+        assert got == want, text
+        accepted += want is not ValueError
+    # both sides accept a good share, so the sets are compared, not just errors
+    assert accepted > 500
+
+
+def test_clopen_text_errors_name_their_position_in_the_whole_text():
+    # each ordinal is read where it stands, not as a substring cut out first
+    for text in ("(0,w^x] @ w^2", "{0} (w+x,w*2] @ w^2", "(0,w] @ w^x", "(0, w] (w+1,w*x] @ w^2"):
+        with pytest.raises(ParseError) as e:
+            parse_clopen(text)
+        assert text[e.value.position] == "x", text
+    # a missing ',', ']' or '@' is a ClopenError at its position
+    for text, message in (("(w w*2] @ w", "expected ',' in an interval at position 3"),
+                          ("(0,w @ w", "expected ']' to close an interval at position 5"),
+                          ("(0,w] x @ w", "expected '@' or an interval at position 6"),
+                          ("(0,w]", "expected '@' or an interval at position 5")):
+        with pytest.raises(ClopenError) as e:
+            parse_clopen(text)
+        assert str(e.value) == message
+    with pytest.raises(ParseError, match="trailing input"):
+        parse_clopen("(0,w] @ w @ w")
 
 
 def test_interval_validation():

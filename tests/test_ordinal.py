@@ -314,11 +314,14 @@ def test_public_constructors_reject_bad_numbers():
             Ordinal.from_int(bad)
         with pytest.raises(OrdinalError, match="integer >= 1"):
             Ordinal.omega_power(ONE, bad)
-    with pytest.raises(OrdinalError):
+    # nor an ordinal operand
+    with pytest.raises(TypeError, match="cannot interpret True as an ordinal"):
         ONE + True
+    with pytest.raises(TypeError, match="cannot interpret True as an ordinal"):
+        OMEGA < True
     # nor a natural for odot's right operand, which is read as an ordinal
-    for bad, error, message in ((True, OrdinalError, "integer >= 1"),
-                                (False, OrdinalError, "integer >= 1"),
+    for bad, error, message in ((True, TypeError, "cannot interpret True as an ordinal"),
+                                (False, TypeError, "cannot interpret False as an ordinal"),
                                 (-1, OrdinalError, "non-negative"),
                                 (1.0, TypeError, "cannot interpret 1.0 as an ordinal"),
                                 ("1", TypeError, "cannot interpret '1' as an ordinal")):
