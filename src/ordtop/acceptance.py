@@ -163,8 +163,8 @@ def criterion_06_nat_sum_properties(seed: int):
         a = random_ordinal(rng, max_terms=6, depth=1, max_coeff=6)
         b = random_ordinal(rng, max_terms=6, depth=1, max_coeff=6)
         c = random_ordinal(rng, max_terms=6, depth=1, max_coeff=6)
-        ab = nat_sum(a, b)
-        if ab != nat_sum(b, a):
+        ab, ba = nat_sum(a, b), nat_sum(b, a)
+        if ab != ba:
             return _fail("commutativity broke")
         if nat_sum(ab, c) != nat_sum(a, nat_sum(b, c)):
             return _fail("associativity broke")
@@ -172,12 +172,13 @@ def criterion_06_nat_sum_properties(seed: int):
             return _fail("zero identity broke")
         # order equivalence and strict monotonicity in each argument
         if b != c:
+            # with lo < hi the smaller and larger of b and c: a(+)lo < a(+)hi
+            # and lo(+)a < hi(+)a, over the sums ab, ac, ba and ca
             b_low = b < c
-            lo, hi = (b, c) if b_low else (c, b)
-            ac = nat_sum(a, c)  # a(+)lo and a(+)hi are ab and ac
+            ac, ca = nat_sum(a, c), nat_sum(c, a)
             if not ((ab < ac) if b_low else (ac < ab)):
                 return _fail("monotonicity broke")
-            if not nat_sum(lo, a) < nat_sum(hi, a):
+            if not ((ba < ca) if b_low else (ca < ba)):
                 return _fail("left monotonicity broke")
         # closure below a power of w dominating both arguments
         delta = nat_sum(a.degree, b.degree) + 1
@@ -314,8 +315,8 @@ def criterion_10_product_rule(seed: int):
             return _fail(f"endpoint product failed at ({a}, {b})")
         best = ZERO
         for x in _point_samples(rng, a):
+            rx = ZERO if x.is_zero else tip_deg(x).tip_exponent
             for y in _point_samples(rng, b):
-                rx = ZERO if x.is_zero else tip_deg(x).tip_exponent
                 ry = ZERO if y.is_zero else tip_deg(y).tip_exponent
                 v = nat_sum(rx, ry)
                 if best < v:

@@ -47,6 +47,25 @@ MAX_HORIZON = 1 << 20  # mrowka convergence masks every set up to it: about 0.15
 MAX_TRUNCATION = 1 << 14  # mrowka.MAX_TRUNCATION, which the CLI loads only in handlers
 
 
+class _Natural(click.ParamType):
+    """An integer option or argument read as the ordinal grammar's ``nat``,
+    as every other number the CLI reads: a sign, an underscore or a
+    non-ASCII digit is a usage error that names its position."""
+
+    name = "natural"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, int):  # a default
+            return value
+        try:
+            return parse_natural(value)
+        except ValueError as e:
+            self.fail(str(e), param, ctx)
+
+
+NATURAL = _Natural()
+
+
 def load_json_file(path):
     with open(path) as fh:
         return loads_json(fh.read())
@@ -281,7 +300,7 @@ def _parse_descriptor(text):
 @click.option("--u", "upper", required=True,
               help="clopen descriptor, e.g. fin:1,2 or cof:0,5 (complement)")
 @click.option("--v", "lowers", multiple=True, help="lower constraints")
-@click.option("--horizon", type=int, default=10_000)
+@click.option("--horizon", type=NATURAL, default=10_000)
 def hyper_density(upper, lowers, horizon):
     """Find a finite set inside a basic Vietoris open, if one exists."""
     from .hyperspace import OnePointModel, vietoris_density_witness
@@ -432,7 +451,7 @@ def mrowka_adcheck(file):
 
 @mrowka_group.command("star")
 @click.argument("file", type=click.Path())
-@click.argument("code_bound", type=int)
+@click.argument("code_bound", type=NATURAL)
 def mrowka_star(file, code_bound):
     """Finite-subset codes per branch and the intersection law."""
     from .mrowka import ADFamily, star_truncation
@@ -453,8 +472,8 @@ def mrowka_join(file, x, y):
 
 @mrowka_group.command("convergence")
 @click.argument("file", type=click.Path())
-@click.argument("i", type=int)
-@click.argument("j", type=int)
+@click.argument("i", type=NATURAL)
+@click.argument("j", type=NATURAL)
 @click.option("--horizon", type=click.IntRange(max=MAX_HORIZON), default=128)
 def mrowka_convergence(file, i, j, horizon):
     """Certify the escape threshold of joined prefix nets."""
@@ -492,7 +511,7 @@ def mrowka_selector(file, truncation):
 # -- selftest ---------------------------------------------------------------------
 
 @main.command("selftest")
-@click.option("--seed", type=int, required=True, help="seed for the randomized suites")
+@click.option("--seed", type=NATURAL, required=True, help="seed for the randomized suites")
 @click.option("--criteria", default=None,
               help="comma-separated criterion numbers to run (default: all)")
 def selftest(seed, criteria):

@@ -33,7 +33,7 @@ from .ordinal import CheckReport, _is_int, parse_natural, parse_naturals
 
 SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
-MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most 1.8 s and 32 MB on 2 CPUs
+MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most about 1.1 s and 32 MB on 2 CPUs
 MAX_POINT_MEMBER = 1 << 20  # parse_point; the largest join takes 0.22-0.25 s in a fresh process
 
 
@@ -400,10 +400,14 @@ class _MembershipIndex:
     a few members near ``SCAN_CAP`` stay in a small dict instead of
     stretching the array.
 
-    ``ages_of`` reads every age of each natural it is given, binding
-    these tables once per call.  ``first`` of a natural no delta holds is
-    the largest of its ``youngest`` age and the last age in each period
-    group's list."""
+    The scan reads the index once per block and once per stage, binding
+    these tables once per call rather than once per natural: ``fresh``
+    takes a block's picks from its candidates, and ``tally`` recounts the
+    finished stage.  A natural's first set is the one with its largest
+    age, the largest of its ``youngest`` age and the last age in each
+    period group's list.  A natural that a delta holds takes its exact
+    ages from ``ages_of``, which reads every age of each natural it is
+    given."""
 
     # tracemalloc over 20,000 held naturals: 29.5 bytes each in a dict; in
     # the array 4 bytes a slot, so 17.0 bytes each at a quarter held and 34.0
@@ -499,17 +503,73 @@ class _MembershipIndex:
                 ages = set(ages).symmetric_difference(toggled[x])
             yield x, ages
 
-    def first(self, x: int) -> int:
-        """Position of the first set containing x."""
-        if x in self.toggled:
-            _, ages = next(self.ages_of((x,)))
-            return self.size - 1 - max(ages)
-        age = self.youngest[x] if x < self.span else self.far.get(x, -1)
-        for period, table in self.by_period.items():
-            ages = table.get(x % period)
-            if ages and ages[-1] > age:
-                age = ages[-1]
-        return self.size - 1 - age
+    def fresh(self, candidates: Iterable[int], n: int) -> list:
+        """The first n naturals of ``candidates`` that no set before
+        position n holds.  The set at position n has age ``limit``, so a
+        natural is covered when one of its ages is past ``limit``; its
+        test stops at the first such age."""
+        limit = self.size - 1 - n
+        youngest, span, far, toggled = self.youngest, self.span, self.far, self.toggled
+        tables = [(period, table.get) for period, table in self.by_period.items()]
+        chosen: list = []
+        if not n:
+            return chosen
+        for x in candidates:
+            if x in toggled:
+                ((_, ages),) = self.ages_of((x,))
+                if max(ages) > limit:
+                    continue
+            elif (youngest[x] if x < span else far.get(x, -1)) > limit:
+                continue
+            else:
+                covered = False
+                for period, residue_ages in tables:
+                    ages = residue_ages(x % period)
+                    if ages and ages[-1] > limit:
+                        covered = True
+                        break
+                if covered:
+                    continue
+            chosen.append(x)
+            if len(chosen) == n:
+                break
+        return chosen
+
+    def tally(self, blocks: Sequence) -> tuple:
+        """The recount of a finished stage's ``blocks``, by position: how
+        many picked naturals have their first set there, and the largest
+        picked natural its set holds (-1 for none).  This pass is the check
+        of the scan, so it reads every age anew rather than trusting
+        ``fresh``."""
+        older, youngest, span, far, toggled = (
+            self.older, self.youngest, self.span, self.far, self.toggled)
+        tables = [(period, table.get) for period, table in self.by_period.items()]
+        counts = [0] * self.size  # by age until the end
+        maxima = [-1] * self.size
+        for block in blocks:
+            for x in block:
+                if x in toggled:
+                    ((_, ages),) = self.ages_of((x,))
+                    oldest = max(ages)
+                else:
+                    oldest = youngest[x] if x < span else far.get(x, -1)
+                    ages = [oldest] if oldest >= 0 else []
+                    if x in older:
+                        ages += older[x]
+                    for period, residue_ages in tables:
+                        more = residue_ages(x % period)
+                        if more:
+                            ages += more
+                            if more[-1] > oldest:
+                                oldest = more[-1]
+                counts[oldest] += 1
+                for age in ages:
+                    if x > maxima[age]:
+                        maxima[age] = x
+        # the set of age a sits at position size - 1 - a
+        counts.reverse()
+        maxima.reverse()
+        return counts, maxima
 
 
 class _LusinScan:
@@ -545,7 +605,10 @@ def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
     ``scan``, which ``lusin_iterate`` passes, must describe ``prev``; it
     lets each scan resume where the previous stage left it instead of
     starting from 0.  Without it the stage checks ``prev`` and builds its
-    own scan.
+    own scan.  Each block is one ``fresh`` call of the scan's index over
+    the lazy ``ascending`` of its prior set; then ``tally`` recounts the
+    finished blocks from the index alone, a separate pass that catches a
+    scan that picked covered naturals.
 
     Raises when some prior set cannot supply n fresh elements, or when the
     eventually periodic members of ``prev`` are finite or fail
@@ -565,31 +628,15 @@ def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
         raise MrowkaError("scan state does not match the prior family")
     blocks = []
     for n in range(m):
-        chosen = []
-        if n:
-            for x in prev[n].ascending(starts[n]):
-                if index.first(x) < n:
-                    continue
-                chosen.append(x)
-                if len(chosen) == n:
-                    break
-            if len(chosen) < n:
-                raise MrowkaError(
-                    f"prior set {n} has fewer than {n} elements outside its predecessors")
+        chosen = index.fresh(prev[n].ascending(starts[n]), n)
+        if len(chosen) < n:
+            raise MrowkaError(
+                f"prior set {n} has fewer than {n} elements outside its predecessors")
         blocks.append(tuple(chosen))
 
     # exact-count recount over the finished blocks: they should be
-    # disjoint, and an element taken twice would break a count.  The set
-    # of age a sits at position top - a; a natural's first set is its oldest
-    top = m - 1
-    counts = [0] * m
-    maxima = [-1] * m
-    for block in blocks:
-        for x, ages in index.ages_of(block):
-            counts[top - max(ages)] += 1
-            for age in ages:
-                if x > maxima[top - age]:
-                    maxima[top - age] = x
+    # disjoint, and an element taken twice would break a count
+    counts, maxima = index.tally(blocks)
     for n in range(m):
         if counts[n] != n:
             raise AssertionError(f"fresh-intersection count at {n} is {counts[n]}, wanted {n}")

@@ -401,6 +401,48 @@ def test_numbers_in_points_descriptors_and_criteria_are_nats(runner, tmp_path, a
     assert (r.exit_code, r.stdout, r.stderr) == (2, "", f"error: {stderr}\n")
 
 
+# click's integer options and arguments read their text by the same nat;
+# "--" puts a signed argument past click's option parsing
+@pytest.mark.parametrize("args, name", [
+    (["selftest", "--criteria", "1", "--seed", "N"], "'--seed'"),
+    (["hyper", "density", "--u", "fin:1", "--horizon", "N"], "'--horizon'"),
+    (["mrowka", "convergence", "FAM", "--", "N", "1"], "'I'"),
+    (["mrowka", "convergence", "FAM", "--", "0", "N"], "'J'"),
+    (["mrowka", "star", "FAM", "--", "N"], "'CODE_BOUND'"),
+])
+@pytest.mark.parametrize("text, error", [
+    ("\u0660", "expected a number (at position 0)"),
+    ("1\u0663", "unexpected trailing input (at position 1)"),
+    ("1_0", "unexpected trailing input (at position 1)"),
+    ("-3", "expected a number (at position 0)"),
+    ("+3", "expected a number (at position 0)"),
+])
+def test_integer_options_are_nats(runner, tmp_path, args, name, text, error):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(FAM2))
+    r = invoke_clean(runner, [str(fam) if a == "FAM" else text if a == "N" else a
+                              for a in args])
+    assert (r.exit_code, r.stdout) == (2, ""), text
+    assert f"Invalid value for {name}: {error}" in r.stderr, r.stderr
+
+
+def test_integer_options_read_their_values(runner, tmp_path):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(FAM2))
+    r = invoke_clean(runner, ["selftest", "--criteria", "1", "--seed", " 7 "])
+    assert r.exit_code == 0 and json.loads(r.stdout.splitlines()[-1])["seed"] == 7
+    # a horizon of 50 leaves fin:50 out, one of 51 takes it in
+    density = ["hyper", "density", "--u", "fin:50", "--horizon"]
+    r = invoke_clean(runner, [*density, "050"])
+    assert (r.exit_code, r.stdout, r.stderr) == (2, "", "error: descriptor exceeds horizon\n")
+    r = invoke_clean(runner, [*density, "51"])
+    assert r.exit_code == 0 and json.loads(r.stdout)["witness"] == [50]
+    r = invoke_clean(runner, ["mrowka", "convergence", str(fam), "1", "0"])
+    assert r.exit_code == 0 and json.loads(r.stdout)["threshold"] == 2
+    r = invoke_clean(runner, ["mrowka", "star", str(fam), "64"])
+    assert r.exit_code == 0 and json.loads(r.stdout)["sizes"] == [7, 7]
+
+
 def test_blank_number_items_are_skipped(runner, tmp_path):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps(FAM2))

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 
 import pytest
@@ -739,13 +739,56 @@ def positions(index, x):
     return sorted(top - age for age in ages)
 
 
+def first_position(index, x):
+    """Position of the first set of ``index`` containing x, read one
+    natural at a time, as the scan read it before ``fresh``."""
+    if x in index.toggled:
+        ((_, ages),) = index.ages_of((x,))
+        return index.size - 1 - max(ages)
+    age = index.youngest[x] if x < index.span else index.far.get(x, -1)
+    for period, table in index.by_period.items():
+        ages = table.get(x % period)
+        if ages and ages[-1] > age:
+            age = ages[-1]
+    return index.size - 1 - age
+
+
+def fresh_oracle(index, candidates, n):
+    """``fresh`` as the scan made it before: one ``first_position`` per
+    candidate."""
+    chosen = []
+    if n:
+        for x in candidates:
+            if first_position(index, x) < n:
+                continue
+            chosen.append(x)
+            if len(chosen) == n:
+                break
+    return chosen
+
+
+def tally_oracle(index, blocks):
+    """``tally`` as the recount made it before: every age of each picked
+    natural read through ``ages_of``, block by block."""
+    top = index.size - 1
+    counts = [0] * index.size
+    maxima = [-1] * index.size
+    for block in blocks:
+        for x, ages in index.ages_of(block):
+            counts[top - max(ages)] += 1
+            for age in ages:
+                if x > maxima[top - age]:
+                    maxima[top - age] = x
+    return counts, maxima
+
+
 def _assert_index_matches_the_oracle(prev, xs):
     new, old = _MembershipIndex(prev), TupleIndex(prev)
     assert new.size == old.size == len(prev)
     held = sum(1 for age in new.youngest if age >= 0)
     assert held + len(new.far) == new.naturals == len(old.finite)
     for x in xs:
-        assert new.first(x) == old.first(x), (prev, x)
+        assert first_position(new, x) == old.first(x), (prev, x)
         assert positions(new, x) == old.positions(x), (prev, x)
     # read in bulk, as the recount reads a block
     assert ([(x, sorted(ages)) for x, ages in new.ages_of(xs)]
@@ -865,11 +908,73 @@ def test_lusin_recount_matches_the_listed_recount_on_delta_bearing_prevs():
     assert toggled >= 8  # picks whose ages the deltas flip
 
 
+def test_fresh_and_tally_match_the_per_natural_path_on_lusin64(lusin64):
+    base, stages = lusin64
+    scan = _LusinScan(base.sets)
+    for step, stage in enumerate(stages):
+        prev = list(reversed(stages[:step])) + list(base.sets)
+        index, starts = scan.index, scan.starts
+        for n in range(1, len(prev)):
+            picks = index.fresh(prev[n].ascending(starts[n]), n)
+            assert picks == fresh_oracle(index, prev[n].ascending(starts[n]), n), (step, n)
+            assert tuple(picks) == stage.blocks[n], (step, n)
+        # from 0 most candidates are covered; the later stages take too long
+        if step < 4:
+            for n in range(1, len(prev)):
+                assert (index.fresh(prev[n].ascending(), n)
+                        == fresh_oracle(index, prev[n].ascending(), n)), (step, n)
+        counts, maxima = index.tally(stage.blocks)
+        assert (counts, maxima) == tally_oracle(index, stage.blocks), step
+        assert counts == list(range(len(prev))), step
+        if step + 1 < len(stages):
+            scan.advance(stage)
+
+
+def test_fresh_and_tally_match_the_per_natural_path_on_index_prevs():
+    stages, runs, delta, far_prevs = index_prevs()
+    horizon = 2 + max(x for stage in stages for x in stage.members)
+    # a pick that a later set holds too: 9 is the last set's largest pick
+    # only through ``older``, and the last set's 1 mod 4 has a younger age
+    # besides the oldest
+    shared = [[finite_stage(0), finite_stage(9), finite_stage(1, 3, 9)],
+              [EvPeriodicSet(4, frozenset({1})), stages[1], EvPeriodicSet(4, frozenset({1, 3}))]]
+    toggled = in_youngest = in_far = short = 0
+    for prev in runs + delta + far_prevs + shared:
+        index = _MembershipIndex(prev)
+        # every held natural below the horizon and every stage member: the
+        # periodic sets' scans would otherwise run to SCAN_CAP
+        naturals = sorted(set(range(horizon)).union(
+            x for s in prev if isinstance(s, LusinStage) for x in s.members))
+        blocks = []
+        for n, s in enumerate(prev):
+            candidates = [x for x in naturals if s.contains(x)]
+            picks = index.fresh(iter(candidates), n)
+            assert picks == fresh_oracle(index, iter(candidates), n), (prev, n)
+            blocks.append(tuple(picks))
+            toggled += sum(1 for x in picks if x in index.toggled)
+            in_youngest += sum(1 for x in candidates if x < index.span and index.youngest[x] >= 0)
+            in_far += sum(1 for x in candidates if x in index.far)
+            short += len(picks) < n
+        assert index.tally(blocks) == tally_oracle(index, blocks), prev
+    assert toggled >= 8 and in_youngest and in_far and short, (toggled, in_youngest, in_far, short)
+
+
+def test_fresh_returns_fewer_picks_when_the_candidates_run_out():
+    prev = [EVENS, finite_stage(1, 2, 4, 6), finite_stage(0, 2, 3)]
+    index = _MembershipIndex(prev)
+    # 0 and 2 are even, so 3 is the one fresh member of the last set
+    assert index.fresh(prev[2].ascending(), 2) == fresh_oracle(index, prev[2].ascending(), 2) == [3]
+    with pytest.raises(MrowkaError,
+                       match=r"^prior set 2 has fewer than 2 elements outside its predecessors$"):
+        lusin_stage(prev)
+
+
 def test_lusin_recount_catches_a_scan_that_picks_covered_naturals(monkeypatch):
     base = ADFamily.progressions(8)
     prev = list(reversed(lusin_iterate(base, 3))) + list(base.sets)
     # every natural looks fresh, so each block takes the least members of its set
-    monkeypatch.setattr(_MembershipIndex, "first", lambda self, x: self.size)
+    monkeypatch.setattr(_MembershipIndex, "fresh",
+                        lambda self, candidates, n: list(islice(candidates, n)))
     with pytest.raises(AssertionError, match=r"^fresh-intersection count at 0 is 5, wanted 0$"):
         lusin_stage(prev)
 
