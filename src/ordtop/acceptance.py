@@ -466,7 +466,11 @@ def _over_budget(elapsed: float, budget: float) -> str:
 def run_all(seed: int = 0, numbers=None) -> list:
     """Run the selected criteria (all by default) in order.  A criterion
     that passes but meets or exceeds its budget in ``BUDGETS`` fails with
-    a budget-miss detail; any other failure keeps its own detail."""
+    a budget-miss detail; any other failure keeps its own detail.  Raises
+    ``ValueError`` naming each selected number that no criterion has."""
+    unknown = sorted(set(numbers or ()) - {number for number, _, _ in CRITERIA})
+    if unknown:
+        raise ValueError(f"no criterion numbered {', '.join(map(str, unknown))}")
     results = []
     for number, name, fn in CRITERIA:
         if numbers and number not in numbers:

@@ -224,13 +224,12 @@ def poset_width(file):
 @click.option("--dot", is_flag=True, help="emit the downset lattice as DOT")
 def poset_downsets(file, dot):
     """The lattice of downsets, as member lists or a DOT diagram."""
-    from .poset import downset_lattice, poset_from_json, poset_to_dot
+    from .poset import all_downsets, downset_labels, downset_lattice, poset_from_json, poset_to_dot
     p = poset_from_json(load_json_file(file))
-    lat = downset_lattice(p)
     if dot:
-        return poset_to_dot(lat).rstrip("\n")
-    else:
-        return {"count": lat.n, "downsets": sorted(lat.labels)}
+        return poset_to_dot(downset_lattice(p)).rstrip("\n")
+    masks = all_downsets(p)  # the member lists need no order on them
+    return {"count": len(masks), "downsets": sorted(downset_labels(p, masks))}
 
 
 @poset_group.command("hasse")

@@ -20,7 +20,6 @@ from .ordinal import CheckReport, _is_int
 from .poset import (
     FinitePoset,
     PosetError,
-    _popcount,
     _union,
     all_downsets,
     inclusion_order,
@@ -74,7 +73,7 @@ def build_hyperspace(poset: FinitePoset) -> Hyperspace:
     maxima = tuple(downsets[m] for m in masks)
     below = poset.below
     for m, top in zip(masks, maxima):
-        if top | _union(below, top) != m:  # close_down, inlined
+        if top | _union(below, top) != m:
             raise AssertionError("point is not the downset of its maxima")
     return Hyperspace(poset, tuple(masks), maxima)
 
@@ -134,7 +133,7 @@ def selector_axioms_check(space: FinitePoset, sets) -> CheckReport:
     # exactly when every set meets a singleton set of the family
     singletons = 0
     for u in sets:
-        if _popcount(u) == 1:
+        if u.bit_count() == 1:
             singletons |= u
     minimal_singletons = all(u & singletons for u in sets)
 

@@ -25,7 +25,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -33,6 +33,8 @@ from .ordinal import CheckReport, _is_int, parse_natural, parse_naturals
 
 SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
+MAX_CODE_BOUND = 1 << 24  # star_truncation's bound on code values, so each code is a small int
+MAX_STAR_CODES = 1 << 20  # star_truncation's codes enumerated and compared; 0.4 s and 86 MB
 MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most about 1.1 s and 32 MB on 2 CPUs
 MAX_POINT_MEMBER = 1 << 20  # parse_point; the largest join takes 0.22-0.25 s in a fresh process
 
@@ -254,12 +256,21 @@ def star_truncation(fam: ADFamily, n_bound: int):
 
     The pairwise intersection law is re-verified exactly: the shared codes
     of two branches are the codes of the finite subsets of the (finite)
-    intersection.
+    intersection.  A mask of p members has 2^p submasks, each enumerated,
+    and each pair compares the codes of its smaller branch, so the codes
+    enumerated and compared are counted from popcounts and refused past
+    ``MAX_STAR_CODES`` before any is built.
     """
-    if n_bound > 1 << 24:
-        raise MrowkaError("code bound exceeded (max 2^24)")
+    if n_bound > MAX_CODE_BOUND:  # a power of two
+        raise MrowkaError(f"code bound exceeded (max 2^{MAX_CODE_BOUND.bit_length() - 1})")
     bits = max(0, (n_bound - 1).bit_length())
     masks = [a.mask_below(bits) for a in fam.sets]
+    sizes = [1 << mask.bit_count() for mask in masks]
+    codes = sum(sizes) + sum((1 << (a & b).bit_count()) + min(size_a, size_b)
+                             for (a, size_a), (b, size_b) in combinations(zip(masks, sizes), 2))
+    if codes > MAX_STAR_CODES:
+        raise MrowkaError(f"star truncation below {n_bound} takes {codes} codes, "
+                          f"over MAX_STAR_CODES = {MAX_STAR_CODES}")
     per_branch = [frozenset(_submasks_below(mask, n_bound)) for mask in masks]
     passed = True
     witness = None
@@ -294,49 +305,33 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
 
     The threshold is the least n at which both prefixes are nonempty and
     their union already fails to sit inside any branch; unions only grow,
-    so escape is permanent once witnessed.  Naturals join the union in
-    increasing order, so a branch's escape witness, the least member of
-    the union outside it, is the first one to join that lies outside it:
-    each natural is checked once, against the branches not yet escaped.
+    so escape is permanent once witnessed.  Everything is read off the
+    masks below the horizon, A and B of branches i and j and K of each
+    branch k: branch k's escape witness, the least member of the union
+    outside it, is the least bit of (A | B) & ~K, and the threshold is one
+    past the largest witness.  Branch i's witness lies in B and branch j's
+    in A, so both prefixes are nonempty there.
     """
     if i == j:
         raise MrowkaError("branch indices must differ")
     if not (0 <= i < len(fam.sets) and 0 <= j < len(fam.sets)):
         raise MrowkaError("branch index out of range")
-    a, b = fam.sets[i], fam.sets[j]
-    threshold = None
-    inside = dict(enumerate(fam.sets))  # the branches that hold the whole union
-    escape: dict = {}
-    sigma_mask = tau_mask = 0  # the prefixes as points
-    for n in range(1, horizon + 1):
-        x = n - 1
-        in_a, in_b = a.contains(x), b.contains(x)
-        if in_a:
-            sigma_mask |= 1 << x
-        if in_b:
-            tau_mask |= 1 << x
-        if in_a or in_b:
-            for k in [k for k, branch_set in inside.items() if not branch_set.contains(x)]:
-                escape[k] = x
-                del inside[k]
-        if sigma_mask and tau_mask:
-            if g_join(sigma_mask, tau_mask, fam) != sigma_mask | tau_mask:
-                raise AssertionError("join of finite prefixes must be their union")
-            if not inside:
-                threshold = n
-                # string keys, as printed: sorted JSON puts "10" before "2"
-                witnesses = {str(k): escape[k] for k in sorted(escape)}
-                break
-    if threshold is None:
+    horizon = max(horizon, 0)  # mask_below needs a natural; nothing lies below 0
+    a_prefix, b_prefix = fam.sets[i].mask_below(horizon), fam.sets[j].mask_below(horizon)
+    union = a_prefix | b_prefix
+    # string keys, as printed: sorted JSON puts "10" before "2"
+    witnesses = {}
+    for k, branch_set in enumerate(fam.sets):
+        out = union & ~branch_set.mask_below(horizon)
+        witnesses[str(k)] = (out & -out).bit_length() - 1
+    if min(witnesses.values()) < 0:
         raise MrowkaError("horizon too small to certify (threshold not reached)")
-    # permanence scan: past the threshold the union stays outside every branch
-    a_prefix = a.mask_below(horizon)
-    union = a_prefix | b.mask_below(horizon)
-    for branch_set in fam.sets:
-        if not union & ~branch_set.mask_below(horizon):
-            raise AssertionError("union of full prefixes re-entered a branch")
-    grown = a_prefix.bit_count()
-    growth = grown >= 2 and grown > a.mask_below(horizon // 2).bit_count()
+    threshold = max(witnesses.values()) + 1
+    below = (1 << threshold) - 1
+    if g_join(a_prefix & below, b_prefix & below, fam) != union & below:
+        raise AssertionError("join of finite prefixes must be their union")
+    # a member at or past half the horizon: more members than below it
+    growth = a_prefix.bit_count() >= 2 and a_prefix >> horizon // 2 != 0
     return CheckReport("join-convergence", growth, None if growth else "prefixes stalled",
                        {"threshold": threshold, "escape_witnesses": witnesses})
 
@@ -353,8 +348,9 @@ class LusinStage:
     the naturals).
 
     ``members``, cached, lists the elements of all blocks in ascending
-    order.  ``contains`` and ``ascending`` bisect it; the scan reads every
-    prior set, stage or ``EvPeriodicSet``, through those two methods."""
+    order.  ``contains`` and ``ascending`` bisect it.  The scan reads each
+    prior set, stage or ``EvPeriodicSet``, through ``ascending`` alone:
+    which sets hold a candidate it asks the membership index."""
 
     blocks: tuple
     m: int
@@ -407,7 +403,16 @@ class _MembershipIndex:
     age, the largest of its ``youngest`` age and the last age in each
     period group's list.  A natural that a delta holds takes its exact
     ages from ``ages_of``, which reads every age of each natural it is
-    given."""
+    given.
+
+    The index is also the scan state ``lusin_iterate`` carries from one
+    stage to the next: ``starts`` holds, by position, the natural each
+    prior set's scan resumes from, and ``advance`` enumerates a finished
+    stage first.  Construction trusts ``prev``: ``lusin_iterate`` builds
+    the index over an ``ADFamily``, checked when it was built, and
+    ``lusin_stage`` checks its own ``prev`` before building one.  Later
+    stages add only finite ``LusinStage`` sets, so the periodic members
+    stay as checked."""
 
     # tracemalloc over 20,000 held naturals: 29.5 bytes each in a dict; in
     # the array 4 bytes a slot, so 17.0 bytes each at a quarter held and 34.0
@@ -424,6 +429,16 @@ class _MembershipIndex:
         self.older: dict = {}
         for s in reversed(prev):
             self.push(s)
+        self.starts = [0] * self.size
+
+    def advance(self, stage: "LusinStage"):
+        """Enumerate ``stage`` first from now on.  Every other set moves
+        one place down and resumes after its last pick: a member skipped
+        before is still covered by an earlier set, and one picked before
+        is covered by ``stage``."""
+        self.push(stage)
+        self.starts = [0] + [block[-1] + 1 if block else start
+                             for block, start in zip(stage.blocks, self.starts)]
 
     def push(self, s):
         """Index ``s`` as the new first set of the enumeration."""
@@ -572,63 +587,37 @@ class _MembershipIndex:
         return counts, maxima
 
 
-class _LusinScan:
-    """The scan state ``lusin_iterate`` carries from one stage to the
-    next: the membership index of the prior family and, per prior set,
-    the natural its scan resumes from.
-
-    Construction trusts ``prev``: ``lusin_iterate`` builds the scan over an
-    ``ADFamily``, checked when it was built, and ``lusin_stage`` checks
-    its own ``prev`` before building one.  Later stages add only finite
-    ``LusinStage`` sets, so the periodic members stay as checked.
-    """
-
-    def __init__(self, prev: Sequence):
-        self.index = _MembershipIndex(prev)
-        self.starts = [0] * len(prev)
-
-    def advance(self, stage: "LusinStage"):
-        """Enumerate ``stage`` first from now on.  Every other set moves
-        one place down and resumes after its last pick: a member skipped
-        before is still covered by an earlier set, and one picked before
-        is covered by ``stage``."""
-        self.index.push(stage)
-        self.starts = [0] + [block[-1] + 1 if block else start
-                             for block, start in zip(stage.blocks, self.starts)]
-
-
-def lusin_stage(prev: Sequence, scan: _LusinScan | None = None) -> LusinStage:
+def lusin_stage(prev: Sequence, index: _MembershipIndex | None = None) -> LusinStage:
     """Build the next set against the enumerated prior family: exactly n
     fresh elements inside the n-th prior set, fresh meaning outside all
     earlier ones, always the least such candidates.
 
-    ``scan``, which ``lusin_iterate`` passes, must describe ``prev``; it
-    lets each scan resume where the previous stage left it instead of
-    starting from 0.  Without it the stage checks ``prev`` and builds its
-    own scan.  Each block is one ``fresh`` call of the scan's index over
-    the lazy ``ascending`` of its prior set; then ``tally`` recounts the
-    finished blocks from the index alone, a separate pass that catches a
-    scan that picked covered naturals.
+    ``index``, which ``lusin_iterate`` passes, must describe ``prev``; its
+    ``starts`` let each scan resume where the previous stage left it
+    instead of starting from 0.  Without it the stage checks ``prev`` and
+    builds its own index.  Each block is one ``fresh`` call of the index
+    over the lazy ``ascending`` of its prior set; then ``tally`` recounts
+    the finished blocks from the index alone, a separate pass that catches
+    a scan that picked covered naturals.
 
     Raises when some prior set cannot supply n fresh elements, or when the
     eventually periodic members of ``prev`` are finite or fail
     almost-disjointness.
     """
     m = len(prev)
-    if scan is None:
+    if index is None:
         periodic = [s for s in prev if isinstance(s, EvPeriodicSet)]
         if not all(s.is_infinite for s in periodic):
             raise MrowkaError("prior set is finite")
         rep = ad_check(periodic)
         if not rep.passed:
             raise MrowkaError(f"non-AD input: {rep.witness}")
-        scan = _LusinScan(prev)
-    index, starts = scan.index, scan.starts
+        index = _MembershipIndex(prev)
     if index.size != m:
         raise MrowkaError("scan state does not match the prior family")
     blocks = []
     for n in range(m):
-        chosen = index.fresh(prev[n].ascending(starts[n]), n)
+        chosen = index.fresh(prev[n].ascending(index.starts[n]), n)
         if len(chosen) < n:
             raise MrowkaError(
                 f"prior set {n} has fewer than {n} elements outside its predecessors")
@@ -660,9 +649,10 @@ def check_lusin_picks(m: int, steps: int) -> None:
 
 def lusin_iterate(base: ADFamily, steps: int) -> list:
     """Run consecutive stages, enumerating newest stages first so that
-    every prior set still has fresh elements to offer.  The scan state is
-    carried across stages (see ``_LusinScan.advance``).  The family was
-    checked when the ``ADFamily`` was built, and is not checked again.
+    every prior set still has fresh elements to offer.  The membership
+    index is carried across stages (see ``_MembershipIndex.advance``).
+    The family was checked when the ``ADFamily`` was built, and is not
+    checked again.
 
     A stage over m prior sets picks m(m-1)/2 elements, each indexed once
     when another stage follows, so the run's work and memory grow with its
@@ -670,13 +660,13 @@ def lusin_iterate(base: ADFamily, steps: int) -> list:
     any work."""
     check_lusin_picks(len(base), steps)
     stages: list = []
-    scan = _LusinScan(base.sets)
+    index = _MembershipIndex(base.sets)
     for step in range(steps):
         prev = list(reversed(stages)) + list(base.sets)
-        stage = lusin_stage(prev, scan=scan)
+        stage = lusin_stage(prev, index)
         stages.append(stage)
         if step + 1 < steps:  # no later scan reads the last stage
-            scan.advance(stage)
+            index.advance(stage)
     return stages
 
 
@@ -697,8 +687,8 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
     """
     from .poset import selector_conditions  # the mrowka group loads poset only here
 
-    if truncation > MAX_TRUNCATION:
-        raise MrowkaError("truncation bound exceeded (max 2^14)")
+    if truncation > MAX_TRUNCATION:  # a power of two
+        raise MrowkaError(f"truncation bound exceeded (max 2^{MAX_TRUNCATION.bit_length() - 1})")
 
     validated = isinstance(sets, ADFamily)  # its constructor ran ad_check
     members = tuple(sets.sets) if validated else tuple(sets)

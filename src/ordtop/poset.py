@@ -9,8 +9,9 @@ canonical, and lets ``max_of`` test each member with one AND against its
 ``above`` mask, O(k) for a k-element mask.
 
 Closure conditions are decided with one mask union per set (``_union``,
-the OR of a table's rows over the bits of a mask): ``close_down``, the
-selector nesting test and the transitivity of a selector's induced order.
+the OR of a table's rows over the bits of a mask): the downward closure
+of a hyperspace point, the selector nesting test and the transitivity of
+a selector's induced order.
 ``selector_conditions``, the one selector check of the package, takes one
 such mask per point; the pairwise scan of each set's members runs only
 after the union test fails, and reads labels only to name the witness.
@@ -46,10 +47,6 @@ def _bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def _union(table, mask: int) -> int:
@@ -131,9 +128,6 @@ class FinitePoset:
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def close_down(self, mask: int) -> int:
-        return mask | _union(self.below, mask)
 
     def max_of(self, mask: int) -> int:
         """Bitmask of the maximal elements within ``mask``."""
@@ -251,7 +245,7 @@ def ranks(poset: FinitePoset) -> Ranks:
     """Well-founded rank of each element and of the whole poset."""
     n = poset.n
     rank = [0] * n
-    order = sorted(range(n), key=lambda i: _popcount(poset.below[i]))
+    order = sorted(range(n), key=lambda i: poset.below[i].bit_count())
     for i in order:
         rank[i] = max((rank[j] + 1 for j in _bits(poset.lower[i])), default=0)
     poset_rank = max((r + 1 for r in rank), default=0)
@@ -277,7 +271,7 @@ def width(poset: FinitePoset) -> int:
     antichain = left & ~right
     if free >= 0 or poset.max_of(antichain) != antichain:
         raise AssertionError("König's construction gave no antichain")
-    best, cover = _popcount(antichain), len(unmatched)
+    best, cover = antichain.bit_count(), len(unmatched)
     if best != cover:
         raise AssertionError(f"antichain {best} != chain cover {cover}")
     return best
@@ -343,7 +337,7 @@ def all_downsets(poset: FinitePoset) -> dict:
         raise PosetError(f"poset has {poset.n} elements, over MAX_ELEMENTS = {MAX_ELEMENTS}")
     below = poset.below
     out = {0: 0}
-    for i in sorted(range(poset.n), key=lambda i: _popcount(below[i])):
+    for i in sorted(range(poset.n), key=lambda i: below[i].bit_count()):
         bit, under = 1 << i, below[i]
         out.update([(m | bit, top & ~under | bit) for m, top in out.items() if not under & ~m])
         if len(out) > MAX_DOWNSETS:
@@ -401,7 +395,7 @@ def kw_rank(poset: FinitePoset) -> dict:
         raise PosetError("empty poset")
     downsets = all_downsets(poset)
     masks = [m for m in downsets if m]
-    masks.sort(key=_popcount)
+    masks.sort(key=int.bit_count)
     rank: dict = {}
     for m in masks:
         best = -1

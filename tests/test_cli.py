@@ -303,6 +303,16 @@ def test_selftest_requires_seed(runner):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("criteria, unknown", [
+    ("99", "99"), ("0,1", "0"), ("15, 2, 0, 15", "0, 15"), ("1,2,3,4,99", "99")])
+def test_selftest_refuses_unknown_criteria(runner, criteria, unknown):
+    # no criterion runs, and the error names every number without one
+    r = invoke_clean(runner, ["selftest", "--seed", "0", "--criteria", criteria])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: no criterion numbered {unknown}\n"
+
+
 def test_cli_more_edges(runner, tmp_path):
     # 0^0 = 1, powers, and the zero point in the clopen algebra
     assert invoke(runner, ["ord", "pow", "0", "0"]).output.strip() == "1"

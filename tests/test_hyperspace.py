@@ -59,8 +59,13 @@ def leq(poset, i, j):
     return i == j or bool(poset.below[j] >> i & 1)
 
 
+def close_down(poset, mask):
+    """The downward closure of ``mask``."""
+    return mask | _union(poset.below, mask)
+
+
 def is_downset(poset, mask):
-    return poset.close_down(mask) == mask
+    return close_down(poset, mask) == mask
 
 
 def one_point_poset(n):
@@ -180,7 +185,7 @@ def _structure_pairwise(poset, family):
     if not point_set.issuperset(poset.down_mask(i) for i in range(poset.n)):
         return "principal downset missing from the hyperspace"
     for m in masks:
-        if poset.close_down(poset.max_of(m)) != m:
+        if close_down(poset, poset.max_of(m)) != m:
             return "point is not the downset of its maxima"
     return None
 

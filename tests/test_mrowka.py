@@ -8,13 +8,14 @@ import pytest
 
 from ordtop import mrowka
 from ordtop.mrowka import (
+    MAX_CODE_BOUND,
     MAX_LUSIN_PICKS,
     MAX_POINT_MEMBER,
+    MAX_STAR_CODES,
     ADFamily,
     EvPeriodicSet,
     LusinStage,
     MrowkaError,
-    _LusinScan,
     _MembershipIndex,
     ad_check,
     code_of,
@@ -386,6 +387,60 @@ def test_star_bound_enforced():
         star_truncation(ADFamily.progressions(2), (1 << 24) + 1)
 
 
+def star_code_count(fam, n_bound):
+    """The codes ``star_truncation`` enumerates and compares, read through
+    ``contains``: every subset of each branch and of each pair's common
+    part below the code bound's bit length, and for each pair the subsets
+    of its smaller branch."""
+    bits = max(0, (n_bound - 1).bit_length())
+    below = [set(elements_below(a, bits)) for a in fam.sets]
+    return (sum(2 ** len(b) for b in below)
+            + sum(2 ** len(b & c) + 2 ** min(len(b), len(c)) for b, c in combinations(below, 2)))
+
+
+# each branch holds every natural below 24 through its delta: below the
+# code bound the branches and their pairwise common parts coincide
+TWINS = ADFamily([EvPeriodicSet(2, {r}, {x for x in range(24) if x % 2 != r}) for r in (0, 1)])
+TRIPLETS = ADFamily([EvPeriodicSet(3, {r}, {x for x in range(24) if x % 3 != r})
+                     for r in range(3)])
+
+
+def test_star_codes_are_counted_before_any_is_built(monkeypatch):
+    cases = [(ADFamily.progressions(2), 1 << 10), (ADFamily.progressions(5), 1 << 12),
+             (ADFamily.progressions(20), 2), (TWINS, 1 << 6), (TWINS, 50),
+             (TRIPLETS, 1 << 5), (ADFamily([EvPeriodicSet(1, {0})]), 300)]
+    for fam, n_bound in cases:
+        count = star_code_count(fam, n_bound)
+        monkeypatch.setattr(mrowka, "MAX_STAR_CODES", count)
+        codes, rep = star_truncation(fam, n_bound)
+        assert rep.passed
+        monkeypatch.setattr(mrowka, "MAX_STAR_CODES", count - 1)
+        monkeypatch.setattr(mrowka, "_submasks_below", None)  # refused before enumerating
+        with pytest.raises(MrowkaError, match=f"takes {count} codes, "
+                                              f"over MAX_STAR_CODES = {count - 1}$"):
+            star_truncation(fam, n_bound)
+        monkeypatch.undo()
+
+
+def test_star_code_limit_refuses_past_it_and_admits_the_parity_family():
+    period1 = ADFamily([EvPeriodicSet(1, {0})])
+    # the largest admitted inputs of each shape; one more bit doubles the count
+    assert star_code_count(period1, 1 << 20) == MAX_STAR_CODES
+    assert star_code_count(TWINS, 1 << 18) == 4 << 18 == MAX_STAR_CODES
+    assert star_code_count(TRIPLETS, 1 << 16) == 9 << 16 <= MAX_STAR_CODES
+    for fam, n_bound in ((period1, (1 << 20) + 1), (period1, MAX_CODE_BOUND),
+                         (TWINS, (1 << 18) + 1), (TRIPLETS, (1 << 16) + 1)):
+        count = star_code_count(fam, n_bound)
+        with pytest.raises(MrowkaError, match=f"^star truncation below {n_bound} takes {count} "
+                                              f"codes, over MAX_STAR_CODES = {MAX_STAR_CODES}$"):
+            star_truncation(fam, n_bound)
+    # the parity family at the largest code bound: 2^12 - 1 nonempty codes a branch
+    codes, rep = star_truncation(ADFamily.progressions(2), MAX_CODE_BOUND)
+    assert rep.passed and rep.data["sizes"] == [4095, 4095]
+    with pytest.raises(MrowkaError, match=r"^code bound exceeded \(max 2\^24\)$"):
+        star_truncation(ADFamily.progressions(2), MAX_CODE_BOUND + 1)
+
+
 # -- convergence --------------------------------------------------------------------
 
 def test_convergence_even_odd():
@@ -429,6 +484,34 @@ def test_convergence_horizon_too_small():
     fam = ADFamily.progressions(5)
     with pytest.raises(MrowkaError, match="horizon"):
         convergence_check(fam, 0, 1, horizon=1)
+    # no prefix is nonempty below 1, and a negative horizon masks nothing
+    for fam in (ADFamily.progressions(2), ADFamily([EVENS, EvPeriodicSet(2, {1}, {0})])):
+        for horizon in (-5, 0):
+            got, want = _converge_both(fam, 0, 1, horizon)
+            assert got == want == "horizon too small to certify (threshold not reached)"
+
+
+def test_convergence_never_calls_contains(monkeypatch):
+    families = [ADFamily.progressions(5), ADFamily([EVENS, EvPeriodicSet(2, {1}, set(range(40)))]),
+                ADFamily([EvPeriodicSet(6, {r}, {r + 1, 30 + r}) for r in (0, 2, 3)])]
+    cases = [(fam, i, j, horizon) for fam in families for i in range(len(fam))
+             for j in range(len(fam)) if i != j for horizon in (-5, 0, 1, 3, 45, 64)]
+    # the oracle reads every set through ``contains``, so its results come first
+    want = [_converge_both(*case)[1] for case in cases]
+
+    def refuse(self, n):
+        raise AssertionError("convergence_check called EvPeriodicSet.contains")
+
+    monkeypatch.setattr(EvPeriodicSet, "contains", refuse)
+    got = []
+    for case in cases:
+        try:
+            rep = convergence_check(*case)
+            got.append((rep, list(rep.data["escape_witnesses"])))
+        except MrowkaError as e:
+            got.append(str(e))
+    assert got == want
+    assert sum(isinstance(g, tuple) for g in got) >= len(cases) // 3
 
 
 def oracle_convergence_check(fam, i, j, horizon):
@@ -870,14 +953,6 @@ def brute_l1_counts(stage, prev):
     return tuple((k, sum(1 for top in tops if top < k)) for k in probes)
 
 
-def unchecked_scan(prev):
-    """A scan of ``prev`` from 0 without ``_LusinScan``'s input checks, for
-    families the index serves although they are not almost disjoint."""
-    scan = object.__new__(_LusinScan)
-    scan.index, scan.starts = _MembershipIndex(prev), [0] * len(prev)
-    return scan
-
-
 def test_lusin_recount_matches_the_listed_recount(lusin64):
     base, stages = lusin64
     index = _MembershipIndex(base.sets)
@@ -899,21 +974,23 @@ def test_lusin_recount_matches_the_listed_recount_on_delta_bearing_prevs():
     prevs = [delta[0], delta[1], delta[2], delta[4], far_prevs[3]]
     toggled = 0
     for prev in prevs:
-        scan = unchecked_scan(prev)
-        stage = lusin_stage(prev, scan)
-        counts, l1 = listed_recount(scan.index, stage.blocks)
+        # an index passed in skips the input checks, so a family that is
+        # not almost disjoint is served too
+        index = _MembershipIndex(prev)
+        stage = lusin_stage(prev, index)
+        counts, l1 = listed_recount(index, stage.blocks)
         assert counts == recount_oracle(stage, prev) == list(range(len(prev)))
         assert stage.l1_counts == l1 == brute_l1_counts(stage, prev)
-        toggled += sum(1 for x in stage.members if x in scan.index.toggled)
+        toggled += sum(1 for x in stage.members if x in index.toggled)
     assert toggled >= 8  # picks whose ages the deltas flip
 
 
 def test_fresh_and_tally_match_the_per_natural_path_on_lusin64(lusin64):
     base, stages = lusin64
-    scan = _LusinScan(base.sets)
+    index = _MembershipIndex(base.sets)
     for step, stage in enumerate(stages):
         prev = list(reversed(stages[:step])) + list(base.sets)
-        index, starts = scan.index, scan.starts
+        starts = index.starts
         for n in range(1, len(prev)):
             picks = index.fresh(prev[n].ascending(starts[n]), n)
             assert picks == fresh_oracle(index, prev[n].ascending(starts[n]), n), (step, n)
@@ -927,7 +1004,7 @@ def test_fresh_and_tally_match_the_per_natural_path_on_lusin64(lusin64):
         assert (counts, maxima) == tally_oracle(index, stage.blocks), step
         assert counts == list(range(len(prev))), step
         if step + 1 < len(stages):
-            scan.advance(stage)
+            index.advance(stage)
 
 
 def test_fresh_and_tally_match_the_per_natural_path_on_index_prevs():
@@ -988,13 +1065,13 @@ def test_lusin_iterate_does_not_index_its_last_stage(monkeypatch):
         expected.append(lusin_stage(prev))
         assert list(expected[-1].blocks) == rescan_stage(prev)
     advanced = []
-    advance = _LusinScan.advance
+    advance = _MembershipIndex.advance
 
     def counted(self, stage):
         advanced.append(stage)
         advance(self, stage)
 
-    monkeypatch.setattr(_LusinScan, "advance", counted)
+    monkeypatch.setattr(_MembershipIndex, "advance", counted)
     for steps in (1, 2, 6):
         advanced.clear()
         stages = lusin_iterate(base, steps)
@@ -1049,7 +1126,7 @@ def test_lusin_iterate_refuses_runs_over_max_picks(lusin64, monkeypatch):
     def scan_reached(prev):
         raise RuntimeError("scan reached")
 
-    monkeypatch.setattr(mrowka, "_LusinScan", scan_reached)
+    monkeypatch.setattr(mrowka, "_MembershipIndex", scan_reached)
     with pytest.raises(RuntimeError, match="scan reached"):
         lusin_iterate(base, steps)
     for over in (steps + 1, 10 ** 18):

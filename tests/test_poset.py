@@ -12,7 +12,7 @@ from ordtop.poset import (
     FinitePoset,
     PosetError,
     _bits,
-    _popcount,
+    _union,
     all_downsets,
     all_labeled_posets,
     downset_labels,
@@ -64,8 +64,13 @@ def mask_of(poset, names):
     return mask
 
 
+def close_down(poset, mask):
+    """The downward closure of ``mask``."""
+    return mask | _union(poset.below, mask)
+
+
 def is_downset(poset, mask):
-    return poset.close_down(mask) == mask
+    return close_down(poset, mask) == mask
 
 
 def min_of(poset, mask):
@@ -105,7 +110,7 @@ def listed_downsets(poset):
     it built before it kept each downset's maxima."""
     below = poset.below
     out = [0]
-    for i in sorted(range(poset.n), key=lambda i: _popcount(below[i])):
+    for i in sorted(range(poset.n), key=lambda i: below[i].bit_count()):
         out += [m | 1 << i for m in out if not below[i] & ~m]
     return out
 
@@ -113,7 +118,7 @@ def listed_downsets(poset):
 def recursive_downsets(poset):
     """Depth-first downset enumeration in the linear extension that
     ``all_downsets`` uses: the enumeration it replaced."""
-    order = sorted(range(poset.n), key=lambda i: _popcount(poset.below[i]))
+    order = sorted(range(poset.n), key=lambda i: poset.below[i].bit_count())
     out = []
 
     def rec(k, mask):
@@ -204,7 +209,7 @@ def mis_max_antichain(poset):
                 pick = i
                 break
         if pick < 0:
-            return _popcount(mask)
+            return mask.bit_count()
         without = mis(mask & ~(1 << pick))
         with_it = 1 + mis(mask & ~(1 << pick) & ~adj[pick])
         return max(without, with_it)
@@ -438,7 +443,7 @@ def test_antichains_are_the_maxima_of_downsets_in_oracle_order():
     for p in [q for n in range(6) for q in all_labeled_posets(n)] + limit_posets():
         pairs = _antichains(p)
         assert [a for a, _ in pairs] == [m for m in antichain_masks(p) if m], p
-        assert all(p.close_down(a) == d for a, d in pairs)
+        assert all(close_down(p, a) == d for a, d in pairs)
 
 
 def test_downset_bound_enforced():
@@ -523,7 +528,7 @@ def test_rank_rise_along_covers_matches_the_all_pairs_scan():
             # its lower covers, or the full set no higher than its subsets
             for mask in rank:
                 planted = dict(rank)
-                planted[mask] = 0 if _popcount(mask) > 1 else max(rank.values())
+                planted[mask] = 0 if mask.bit_count() > 1 else max(rank.values())
                 if planted == rank:
                     continue  # the one-element poset has nothing to break
                 assert not _ranks_rise_along_covers(p, planted), (p, mask)
@@ -543,7 +548,7 @@ def test_downsets_equal_down_of_max_exhaustive():
     for p in all_labeled_posets(4):
         for m in all_downsets(p):
             if m:
-                assert p.close_down(p.max_of(m)) == m
+                assert close_down(p, p.max_of(m)) == m
 
 
 def test_final_sets_are_up_of_min():
@@ -874,7 +879,6 @@ def test_bit_walk_matches_shift_loop():
     values += [rng.getrandbits(rng.randrange(1, 300)) for _ in range(300)]
     for mask in values:
         assert list(_bits(mask)) == list(_bits_by_shift(mask))
-        assert _popcount(mask) == bin(mask).count("1")
 
 
 def test_above_masks_do_not_change_equality_or_hash():
@@ -903,7 +907,7 @@ def _covers_pairwise(p):
 def _ranks_pairwise(p):
     n = p.n
     rank = [0] * n
-    order = sorted(range(n), key=lambda i: _popcount(p.below[i]))
+    order = sorted(range(n), key=lambda i: p.below[i].bit_count())
     for i in order:
         rank[i] = max((rank[j] + 1 for j in _bits(p.below[i])), default=0)
     poset_rank = max((r + 1 for r in rank), default=0)
@@ -1148,7 +1152,7 @@ def _inclusion_order_pairwise(poset, masks):
 
 
 def _assert_inclusion_order_matches_the_pairwise_scan(p):
-    every = sorted(all_downsets(p), key=lambda m: (_popcount(m), m))
+    every = sorted(all_downsets(p), key=lambda m: (m.bit_count(), m))
     for masks in (every, every[1:]):
         got, want = inclusion_order(p, masks), _inclusion_order_pairwise(p, masks)
         assert (got.labels, got.below, got.above) == (want.labels, want.below, want.above), p
@@ -1158,6 +1162,16 @@ def test_inclusion_order_matches_the_pairwise_scan_on_all_small_posets():
     for n in range(6):
         for p in all_labeled_posets(n):
             _assert_inclusion_order_matches_the_pairwise_scan(p)
+
+
+def test_downset_labels_of_all_downsets_match_the_lattice():
+    # ``poset downsets`` prints these without building the lattice's order
+    for n in range(5):
+        for p in all_labeled_posets(n):
+            masks = all_downsets(p)
+            lattice = downset_lattice(p)
+            assert len(masks) == lattice.n
+            assert sorted(downset_labels(p, masks)) == sorted(lattice.labels)
 
 
 def test_inclusion_order_matches_the_pairwise_scan_up_to_max_downsets():
