@@ -467,7 +467,10 @@ def run_all(seed: int = 0, numbers=None) -> list:
     """Run the selected criteria (all by default) in order.  A criterion
     that passes but meets or exceeds its budget in ``BUDGETS`` fails with
     a budget-miss detail; any other failure keeps its own detail.  Raises
-    ``ValueError`` naming each selected number that no criterion has."""
+    ``ValueError`` naming each selected number that no criterion has, and
+    on an empty selection."""
+    if numbers is not None and not numbers:
+        raise ValueError("no criterion number given")
     unknown = sorted(set(numbers or ()) - {number for number, _, _ in CRITERIA})
     if unknown:
         raise ValueError(f"no criterion numbered {', '.join(map(str, unknown))}")

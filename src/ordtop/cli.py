@@ -43,27 +43,33 @@ from .ordinal import (
 
 # every domain error (OrdinalError, PosetError, ...) subclasses ValueError
 _INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
-MAX_HORIZON = 1 << 20  # mrowka convergence masks every set up to it: about 0.15 s
-MAX_TRUNCATION = 1 << 14  # mrowka.MAX_TRUNCATION, which the CLI loads only in handlers
 
 
 class _Natural(click.ParamType):
     """An integer option or argument read as the ordinal grammar's ``nat``,
     as every other number the CLI reads: a sign, an underscore or a
-    non-ASCII digit is a usage error that names its position."""
+    non-ASCII digit is a usage error that names its position, and so is a
+    value below ``minimum``.  Upper limits are the library's to refuse."""
 
     name = "natural"
+
+    def __init__(self, minimum=0):
+        self.minimum = minimum
 
     def convert(self, value, param, ctx):
         if isinstance(value, int):  # a default
             return value
         try:
-            return parse_natural(value)
+            n = parse_natural(value)
         except ValueError as e:
             self.fail(str(e), param, ctx)
+        if n < self.minimum:
+            self.fail(f"{n} is less than {self.minimum}", param, ctx)
+        return n
 
 
 NATURAL = _Natural()
+POSITIVE = _Natural(minimum=1)
 
 
 def load_json_file(path):
@@ -275,8 +281,8 @@ def hyper_selector(file):
 
 @hyper_group.command("universal")
 @click.argument("file", type=click.Path())
-@click.option("--chain", "chain_len", type=click.IntRange(min=1, max=64), default=3,
-              help="target chain semilattice length, between 1 and 64")
+@click.option("--chain", "chain_len", type=POSITIVE, default=3,
+              help="target chain semilattice length")
 def hyper_universal(file, chain_len):
     """Verify the unique join-extension property against a chain target."""
     from .hyperspace import FinJoinSemilattice, build_hyperspace, hat_extension
@@ -473,7 +479,7 @@ def mrowka_join(file, x, y):
 @click.argument("file", type=click.Path())
 @click.argument("i", type=NATURAL)
 @click.argument("j", type=NATURAL)
-@click.option("--horizon", type=click.IntRange(max=MAX_HORIZON), default=128)
+@click.option("--horizon", type=NATURAL, default=128)
 def mrowka_convergence(file, i, j, horizon):
     """Certify the escape threshold of joined prefix nets."""
     from .mrowka import ADFamily, convergence_check
@@ -483,7 +489,7 @@ def mrowka_convergence(file, i, j, horizon):
 
 @mrowka_group.command("lusin")
 @click.argument("file", type=click.Path())
-@click.option("--steps", type=click.IntRange(min=1), default=1)
+@click.option("--steps", type=POSITIVE, default=1)
 def mrowka_lusin(file, steps):
     """Iterate exact-count stages over a family file."""
     from .mrowka import ADFamily, check_lusin_picks, family_sets, lusin_iterate
@@ -498,7 +504,7 @@ def mrowka_lusin(file, steps):
 
 @mrowka_group.command("selector")
 @click.argument("file", type=click.Path())
-@click.option("--bound", "truncation", type=click.IntRange(max=MAX_TRUNCATION), default=64,
+@click.option("--bound", "truncation", type=NATURAL, default=64,
               help="truncation of the natural-number part")
 def mrowka_selector(file, truncation):
     """Canonical selector conditions on the truncated family space."""
@@ -516,7 +522,7 @@ def mrowka_selector(file, truncation):
 def selftest(seed, criteria):
     """Run the acceptance battery; one line per criterion."""
     from .acceptance import run_all
-    numbers = parse_naturals(criteria) if criteria else None
+    numbers = parse_naturals(criteria) if criteria is not None else None
     results = run_all(seed=seed, numbers=numbers)
     return [*(r.line() for r in results),
             CheckReport("selftest", all(r.passed for r in results),

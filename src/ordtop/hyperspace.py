@@ -29,6 +29,7 @@ from .poset import (
 
 
 MAX_ASSIGNMENTS = 8 ** 6  # maps P -> Y hat_extension enumerates; 1 s on 6 elements
+MAX_CHAIN = 64  # FinJoinSemilattice.chain, whose join table has k * k entries
 
 
 class HyperspaceError(ValueError):
@@ -198,6 +199,10 @@ class FinJoinSemilattice:
 
     @classmethod
     def chain(cls, k: int) -> "FinJoinSemilattice":
+        """The chain 0 < 1 < ... < k - 1; past ``MAX_CHAIN`` it is refused
+        before its join table is built."""
+        if k > MAX_CHAIN:
+            raise HyperspaceError(f"chain length {k} over MAX_CHAIN = {MAX_CHAIN}")
         from .poset import poset_from_covers
         p = poset_from_covers([str(i) for i in range(k)],
                               [(str(i), str(i + 1)) for i in range(k - 1)])

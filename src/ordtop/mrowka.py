@@ -37,6 +37,7 @@ MAX_CODE_BOUND = 1 << 24  # star_truncation's bound on code values, so each code
 MAX_STAR_CODES = 1 << 20  # star_truncation's codes enumerated and compared; 0.4 s and 86 MB
 MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most about 1.1 s and 32 MB on 2 CPUs
 MAX_POINT_MEMBER = 1 << 20  # parse_point; the largest join takes 0.22-0.25 s in a fresh process
+MAX_HORIZON = 1 << 20  # convergence_check masks every set up to it: about 0.15 s
 
 
 class MrowkaError(ValueError):
@@ -261,8 +262,8 @@ def star_truncation(fam: ADFamily, n_bound: int):
     enumerated and compared are counted from popcounts and refused past
     ``MAX_STAR_CODES`` before any is built.
     """
-    if n_bound > MAX_CODE_BOUND:  # a power of two
-        raise MrowkaError(f"code bound exceeded (max 2^{MAX_CODE_BOUND.bit_length() - 1})")
+    if n_bound > MAX_CODE_BOUND:
+        raise MrowkaError(f"code bound {n_bound} over MAX_CODE_BOUND = {MAX_CODE_BOUND}")
     bits = max(0, (n_bound - 1).bit_length())
     masks = [a.mask_below(bits) for a in fam.sets]
     sizes = [1 << mask.bit_count() for mask in masks]
@@ -310,8 +311,11 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
     branch k: branch k's escape witness, the least member of the union
     outside it, is the least bit of (A | B) & ~K, and the threshold is one
     past the largest witness.  Branch i's witness lies in B and branch j's
-    in A, so both prefixes are nonempty there.
+    in A, so both prefixes are nonempty there.  A horizon past
+    ``MAX_HORIZON`` is refused before any set is masked.
     """
+    if horizon > MAX_HORIZON:
+        raise MrowkaError(f"horizon {horizon} over MAX_HORIZON = {MAX_HORIZON}")
     if i == j:
         raise MrowkaError("branch indices must differ")
     if not (0 <= i < len(fam.sets) and 0 <= j < len(fam.sets)):
@@ -687,8 +691,8 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
     """
     from .poset import selector_conditions  # the mrowka group loads poset only here
 
-    if truncation > MAX_TRUNCATION:  # a power of two
-        raise MrowkaError(f"truncation bound exceeded (max 2^{MAX_TRUNCATION.bit_length() - 1})")
+    if truncation > MAX_TRUNCATION:
+        raise MrowkaError(f"truncation bound {truncation} over MAX_TRUNCATION = {MAX_TRUNCATION}")
 
     validated = isinstance(sets, ADFamily)  # its constructor ran ad_check
     members = tuple(sets.sets) if validated else tuple(sets)

@@ -640,7 +640,8 @@ class _Parser:
             self.pos += 1
             if self.peek() == "^":
                 if self.depth == MAX_NESTING:
-                    raise ParseError(f"exponents nested deeper than {MAX_NESTING}", at)
+                    raise ParseError(f"exponents nested deeper than MAX_NESTING = {MAX_NESTING}",
+                                     at)
                 self.depth += 1
                 self.pos += 1
                 self.skip_ws()

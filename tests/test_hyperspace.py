@@ -11,6 +11,7 @@ import ordtop
 import ordtop.poset as poset_module
 from ordtop.hyperspace import (
     MAX_ASSIGNMENTS,
+    MAX_CHAIN,
     Descriptor,
     FinJoinSemilattice,
     Hyperspace,
@@ -727,6 +728,20 @@ def test_hat_enumerates_at_most_max_assignments():
         f = {p.labels[i]: min(i, k - 1) for i in range(n)}
         _, rep = hat_extension(build_hyperspace(p), y, f)
         assert rep.passed and rep.data == {"method": method, "homs_found": 1}, (n, k)
+
+
+def test_chain_semilattice_refuses_past_max_chain(monkeypatch):
+    # the library refuses before it builds the chain's poset and join table
+    assert MAX_CHAIN == 64
+    assert FinJoinSemilattice.chain(MAX_CHAIN).n == MAX_CHAIN
+
+    def no_poset(*args):
+        raise AssertionError("chain poset built")
+
+    monkeypatch.setattr(poset_module, "poset_from_covers", no_poset)
+    for k in (MAX_CHAIN + 1, 10 ** 18):
+        with pytest.raises(HyperspaceError, match=f"^chain length {k} over MAX_CHAIN = 64$"):
+            FinJoinSemilattice.chain(k)
 
 
 def _is_hom_pairwise(h, y, values):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -9,6 +12,7 @@ import pytest
 from ordtop import mrowka
 from ordtop.mrowka import (
     MAX_CODE_BOUND,
+    MAX_HORIZON,
     MAX_LUSIN_PICKS,
     MAX_POINT_MEMBER,
     MAX_STAR_CODES,
@@ -437,7 +441,7 @@ def test_star_code_limit_refuses_past_it_and_admits_the_parity_family():
     # the parity family at the largest code bound: 2^12 - 1 nonempty codes a branch
     codes, rep = star_truncation(ADFamily.progressions(2), MAX_CODE_BOUND)
     assert rep.passed and rep.data["sizes"] == [4095, 4095]
-    with pytest.raises(MrowkaError, match=r"^code bound exceeded \(max 2\^24\)$"):
+    with pytest.raises(MrowkaError, match="^code bound 16777217 over MAX_CODE_BOUND = 16777216$"):
         star_truncation(ADFamily.progressions(2), MAX_CODE_BOUND + 1)
 
 
@@ -489,6 +493,21 @@ def test_convergence_horizon_too_small():
         for horizon in (-5, 0):
             got, want = _converge_both(fam, 0, 1, horizon)
             assert got == want == "horizon too small to certify (threshold not reached)"
+
+
+def test_convergence_refuses_past_max_horizon_before_masking(monkeypatch):
+    fam = ADFamily.progressions(2)
+    assert MAX_HORIZON == 1 << 20
+    assert convergence_check(fam, 0, 1, MAX_HORIZON).data["threshold"] == 2
+
+    def no_mask(self, n):
+        raise AssertionError("mask_below reached")
+
+    monkeypatch.setattr(EvPeriodicSet, "mask_below", no_mask)
+    for horizon in (MAX_HORIZON + 1, 10 ** 18):
+        with pytest.raises(MrowkaError,
+                           match=f"^horizon {horizon} over MAX_HORIZON = {MAX_HORIZON}$"):
+            convergence_check(fam, 0, 1, horizon)
 
 
 def test_convergence_never_calls_contains(monkeypatch):
@@ -1100,14 +1119,23 @@ def test_membership_index_is_two_thirds_of_the_tuple_oracle(lusin64):
     assert 5 * new_size <= old_size, (new_size, old_size)
 
 
+def _peak_rss(code):
+    """Peak RSS, in bytes, of a fresh interpreter that runs ``code``: its
+    VmHWM, since getrusage and wait4 count the RSS of the forking parent
+    (here the whole test session) as well."""
+    src = os.path.dirname(os.path.dirname(mrowka.__file__))
+    code += "\nprint(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return int(proc.stdout) * 1024  # in kB
+
+
 def test_lusin_iterate_peak_memory():
-    # criterion 13's run; its 50 stages alone take about 9.8 MB
-    tracemalloc.start()
-    try:
-        lusin_iterate(ADFamily.progressions(64), 50)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # criterion 13's run, against a process that only imports the module;
+    # its 50 stages alone take about 9.8 MB
+    peak = (_peak_rss("from ordtop.mrowka import ADFamily, lusin_iterate\n"
+                      "lusin_iterate(ADFamily.progressions(64), 50)")
+            - _peak_rss("import ordtop.mrowka"))
     assert peak <= 16_000_000, peak
 
 
@@ -1164,7 +1192,9 @@ def test_selector_empty_branch_at_truncation():
 def test_selector_truncation_limit_for_library_callers():
     fam = ADFamily.progressions(2)
     assert mrowka_selector_check(fam, mrowka.MAX_TRUNCATION).passed
-    with pytest.raises(MrowkaError, match=r"truncation bound exceeded \(max 2\^14\)"):
+    # the CLI reads no sign; a library caller's negative truncation keeps no naturals
+    assert mrowka_selector_check(fam, -3) == mrowka_selector_check(fam, 0)
+    with pytest.raises(MrowkaError, match="^truncation bound 16385 over MAX_TRUNCATION = 16384$"):
         mrowka_selector_check(fam, mrowka.MAX_TRUNCATION + 1)
 
 
