@@ -287,8 +287,8 @@ def hyper_universal(file, chain_len):
     """Verify the unique join-extension property against a chain target."""
     from .hyperspace import FinJoinSemilattice, build_hyperspace, hat_extension
     from .poset import poset_from_json, ranks
+    y = FinJoinSemilattice.chain(chain_len)  # refuses past MAX_CHAIN before the file is read
     p = poset_from_json(load_json_file(file))
-    y = FinJoinSemilattice.chain(chain_len)
     f = {name: min(r, chain_len - 1) for name, r in zip(p.labels, ranks(p).by_index)}
     return hat_extension(build_hyperspace(p), y, f)[1]
 
@@ -482,9 +482,9 @@ def mrowka_join(file, x, y):
 @click.option("--horizon", type=NATURAL, default=128)
 def mrowka_convergence(file, i, j, horizon):
     """Certify the escape threshold of joined prefix nets."""
-    from .mrowka import ADFamily, convergence_check
-    fam = ADFamily.from_json(load_json_file(file))
-    return convergence_check(fam, i, j, horizon)
+    from .mrowka import ADFamily, check_horizon, convergence_check
+    check_horizon(horizon)  # before the pairwise check of ADFamily
+    return convergence_check(ADFamily.from_json(load_json_file(file)), i, j, horizon)
 
 
 @mrowka_group.command("lusin")

@@ -156,7 +156,8 @@ def principal_selector(poset: FinitePoset) -> tuple:
 def kplus_selector(h: Hyperspace):
     """The family { K-plus } on the hyperspace: the selector set of a point
     K is everything below it.  Returns the hyperspace order and the family,
-    one mask per point of that order.
+    one mask per point of that order.  The order's point labels are
+    rendered only when read, as a failing check's witness reads them.
     """
     hp = inclusion_order(h.base, h.points)
     return hp, principal_selector(hp)

@@ -298,6 +298,13 @@ def _submasks_below(mask: int, n_bound: int):
 
 # -- convergence of joins --------------------------------------------------------
 
+def check_horizon(horizon: int) -> None:
+    """Refuse a convergence horizon past ``MAX_HORIZON``; it needs only the
+    number, so a family can be refused before it is loaded."""
+    if horizon > MAX_HORIZON:
+        raise MrowkaError(f"horizon {horizon} over MAX_HORIZON = {MAX_HORIZON}")
+
+
 def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckReport:
     """Certify, below a horizon, the convergence behaviour of prefix nets:
     the prefixes of branch i converge to the branch point (they grow
@@ -312,10 +319,9 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
     outside it, is the least bit of (A | B) & ~K, and the threshold is one
     past the largest witness.  Branch i's witness lies in B and branch j's
     in A, so both prefixes are nonempty there.  A horizon past
-    ``MAX_HORIZON`` is refused before any set is masked.
+    ``MAX_HORIZON`` is refused before any set is masked (``check_horizon``).
     """
-    if horizon > MAX_HORIZON:
-        raise MrowkaError(f"horizon {horizon} over MAX_HORIZON = {MAX_HORIZON}")
+    check_horizon(horizon)
     if i == j:
         raise MrowkaError("branch indices must differ")
     if not (0 <= i < len(fam.sets) and 0 <= j < len(fam.sets)):

@@ -21,13 +21,16 @@ their maxima, behind every enumerating operation of the package: it maps
 each downset mask to the mask of its maxima, the antichain whose closure
 it is (Birkhoff), so no caller recomputes them.  It refuses more than
 ``MAX_ELEMENTS`` elements or ``MAX_DOWNSETS`` downsets.  ``inclusion_order``
-orders downsets from their lower covers, never by pairs.
+orders downsets from their lower covers, never by pairs.  Its labels, the
+``{a,b}`` strings of ``downset_labels``, render on first access
+(``DownsetLabels``): a selector check that passes reads none of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
@@ -78,10 +81,16 @@ class FinitePoset:
     lower: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        labels = self.labels
+        if type(labels) is DownsetLabels:  # kept lazy: distinct() decides on the masks
+            distinct = labels.distinct()
+        else:
+            labels = tuple(labels)
+            object.__setattr__(self, "labels", labels)
+            distinct = len(set(labels)) == len(labels)
         object.__setattr__(self, "below", tuple(self.below))
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
+        n = len(labels)
+        if not distinct:
             raise PosetError("duplicate element name")
         if len(self.below) != n:
             raise PosetError("below must have one mask per element")
@@ -362,12 +371,58 @@ def downset_labels(poset: FinitePoset, masks) -> list:
     return ["{" + ",".join([labels[i] for i in order if m >> i & 1]) + "}" for m in masks]
 
 
+class DownsetLabels(Sequence):
+    """The labels ``downset_labels(poset, masks)`` of an inclusion order,
+    rendered on first access and then kept.  Its length needs no string,
+    and a selector check that passes reads none; ``len``, indexing,
+    iteration, ``index``, ``==``, ``hash`` and a tuple + it give what the
+    tuple of the strings gives."""
+
+    def __init__(self, poset: FinitePoset, masks):
+        self.poset, self.masks = poset, tuple(masks)
+
+    @cached_property
+    def strings(self) -> tuple:
+        return tuple(downset_labels(self.poset, self.masks))
+
+    def distinct(self) -> bool:
+        """Whether the labels are pairwise distinct, decided on the masks.
+        Distinct masks over the poset's elements are distinct member sets,
+        the poset's labels are unique, and ``{`` + the sorted names joined
+        by ``,`` + ``}`` gives the set back, unless a name holds a comma
+        (``a,b`` beside ``a`` and ``b``) or is empty (``{}`` for both the
+        empty set and ``{""}``); only then are the strings compared."""
+        names = self.poset.labels
+        if all(names) and "," not in "".join(names):
+            return len(set(self.masks)) == len(self.masks)
+        return len(set(self.strings)) == len(self.masks)
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        return self.strings[i]
+
+    def __eq__(self, other):
+        if isinstance(other, DownsetLabels):
+            other = other.strings
+        return self.strings == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.strings)
+
+    def __radd__(self, other):
+        return other + self.strings
+
+
 def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
     """The downsets ``masks`` of ``poset`` ordered by inclusion; element i
-    is ``masks[i]``, labeled by ``downset_labels``.  Each L comes after its
-    lower covers L - {i}, i maximal in L, the empty set aside, as in all
-    (nonempty) downsets sorted by size; then below L lie its lower covers
-    and what lies below them (Birkhoff; Davey and Priestley, ch. 5)."""
+    is ``masks[i]``, labeled by ``downset_labels`` through a
+    ``DownsetLabels``, so no label is rendered until one is read.  Each L
+    comes after its lower covers L - {i}, i maximal in L, the empty set
+    aside, as in all (nonempty) downsets sorted by size; then below L lie
+    its lower covers and what lies below them (Birkhoff; Davey and
+    Priestley, ch. 5)."""
     pos = {m: k for k, m in enumerate(masks)}
     below = [0] * len(masks)
     poset_below, above = poset.below, poset.above
@@ -385,7 +440,7 @@ def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
                 raise PosetError("inclusion order needs downsets, each after its lower covers")
             if j >= 0:
                 below[k] |= below[j] | 1 << j
-    return FinitePoset(tuple(downset_labels(poset, masks)), tuple(below))
+    return FinitePoset(DownsetLabels(poset, masks), below)
 
 
 def kw_rank(poset: FinitePoset) -> dict:

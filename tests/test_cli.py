@@ -842,6 +842,37 @@ def test_mrowka_lusin_refuses_over_max_picks_before_loading_the_family(runner, t
                         f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}\n")
 
 
+def test_mrowka_convergence_refuses_over_max_horizon_before_loading_the_family(runner, tmp_path,
+                                                                                monkeypatch):
+    # as for the Lusin picks: an over-limit horizon never pays the pairwise check
+    m = 1500
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"sets": [{"period": m, "residues": [r]} for r in range(m)]}))
+
+    def no_ad_check(sets):
+        raise AssertionError("ad_check reached")
+
+    monkeypatch.setattr("ordtop.mrowka.ad_check", no_ad_check)
+    r = invoke_clean(runner, ["mrowka", "convergence", str(fam), "0", "1",
+                              "--horizon", str(MAX_HORIZON + 1)])
+    assert (r.exit_code, r.stdout, r.stderr) == (
+        2, "", "error: horizon 1048577 over MAX_HORIZON = 1048576\n")
+
+
+def test_over_limit_options_are_refused_before_the_file_is_read(runner, tmp_path):
+    # a missing file and a bad one: the limit speaks first
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for path in (str(tmp_path / "missing.json"), str(bad)):
+        calls = [(["mrowka", "convergence", path, "0", "1", "--horizon", str(MAX_HORIZON + 1)],
+                  f"error: horizon {MAX_HORIZON + 1} over MAX_HORIZON = {MAX_HORIZON}\n"),
+                 (["hyper", "universal", path, "--chain", str(MAX_CHAIN + 1)],
+                  f"error: chain length {MAX_CHAIN + 1} over MAX_CHAIN = {MAX_CHAIN}\n")]
+        for argv, stderr in calls:
+            r = invoke_clean(runner, argv)
+            assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr), argv
+
+
 # -- golden output of every check command ------------------------------------------
 
 DIAMOND = {"elements": ["a", "b", "c", "d", "e"],

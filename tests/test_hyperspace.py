@@ -340,6 +340,62 @@ def test_kplus_selector_passes_on_every_hyperspace():
         assert rep.data["conditions"]["well-founded"]
 
 
+def test_forced_hyperspace_labels_are_the_rendered_strings():
+    # every label of every hyperspace order for n <= 5, forced; the list
+    # renderer downset_labels is the oracle
+    orders = 0
+    for n in range(1, 6):
+        for p in all_labeled_posets(n):
+            h = build_hyperspace(p)
+            hp = inclusion_order(h.base, h.points)
+            strings = downset_labels(h.base, h.points)
+            assert hp.n == len(hp.labels) == len(strings)
+            assert [hp.labels[i] for i in range(hp.n)] == strings
+            assert list(hp.labels) == strings and hp.labels == tuple(strings)
+            assert len(set(strings)) == len(strings)
+            eager = FinitePoset(tuple(strings), hp.below)
+            assert hp == eager and eager == hp and hash(hp) == hash(eager)
+            orders += 1
+    assert orders == 4473
+
+
+def test_kplus_selector_path_renders_no_label(monkeypatch):
+    def no_labels(poset, masks):
+        raise AssertionError("a label was rendered")
+
+    monkeypatch.setattr(poset_module, "downset_labels", no_labels)
+    for n in range(1, 5):
+        for p in all_labeled_posets(n):
+            hp, fam = kplus_selector(build_hyperspace(p))
+            assert selector_axioms_check(hp, fam).passed
+
+
+def test_broken_kplus_family_names_its_witness_in_the_rendered_strings():
+    # one point j taken out of one set U_k: the report is the one the
+    # eagerly labeled order gives, and it fails when j is k or lies below
+    # some other member of U_k (a lower cover of k may leave a selector)
+    failed = 0
+    for n in range(1, 4):
+        for p in all_labeled_posets(n):
+            h = build_hyperspace(p)
+            hp, fam = kplus_selector(h)
+            strings = downset_labels(p, h.points)
+            eager = FinitePoset(tuple(strings), hp.below)
+            for k, u in enumerate(fam):
+                for j in range(hp.n):
+                    if not u >> j & 1:
+                        continue
+                    broken = fam[:k] + (u ^ 1 << j,) + fam[k + 1:]
+                    rep = selector_axioms_check(inclusion_order(p, h.points), broken)
+                    assert rep == selector_axioms_check(eager, broken)
+                    if j == k or hp.lower[k] >> j & 1 == 0:
+                        assert not rep.passed and rep.witness is not None
+                        names = rep.witness[1]
+                        assert set(names if isinstance(names, tuple) else (names,)) <= set(strings)
+                        failed += 1
+    assert failed > 100, failed
+
+
 def test_selector_incomplete_assignment_rejected():
     p = antichain(2)
     with pytest.raises(PosetError, match="one set per point"):

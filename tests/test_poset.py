@@ -403,6 +403,44 @@ def test_inclusion_order_labels_and_order():
     assert downset_lattice(p).labels == ("{}",) + order.labels
 
 
+def test_inclusion_order_labels_act_as_their_tuple():
+    p = poset_from_covers(["b", "a", "c"], [("b", "c")])
+    lat = downset_lattice(p)
+    masks = sorted(all_downsets(p), key=lambda m: (m.bit_count(), m))  # as downset_lattice orders them
+    labels, strings = lat.labels, tuple(downset_labels(p, masks))
+    assert type(labels) is not tuple and len(labels) == len(strings) == 6
+    assert labels == strings and strings == labels and not labels != strings
+    assert labels != list(strings) and hash(labels) == hash(strings)
+    assert list(labels) == list(strings) and labels[1:4] == strings[1:4]
+    assert labels[-1] == "{a,b,c}" and "{a,b}" in labels and labels.count("{b}") == 1
+    assert [labels.index(s) for s in strings] == list(range(6))
+    assert ("x",) + labels == ("x",) + strings
+    with pytest.raises(ValueError):
+        labels.index("{c}")  # c is above b: no downset holds c alone
+    with pytest.raises(PosetError, match="unknown element"):
+        lat.index("{c}")
+    assert lat == FinitePoset(strings, lat.below) and hash(lat) == hash(FinitePoset(strings, lat.below))
+    assert lat.labels == downset_lattice(p).labels
+
+
+def test_inclusion_order_refuses_duplicate_names():
+    # the same downset twice: equal masks, and so equal names
+    p = antichain(2)
+    with pytest.raises(PosetError, match="^duplicate element name$"):
+        inclusion_order(p, [0b01, 0b10, 0b01])
+    # names that render alike from distinct downsets: a comma inside a name,
+    # or the empty name beside the empty set; both are refused on the strings
+    with pytest.raises(PosetError, match="^duplicate element name$"):
+        downset_lattice(poset_from_covers(["a,b", "a", "b"], []))
+    with pytest.raises(PosetError, match="^duplicate element name$"):
+        downset_lattice(poset_from_covers(["", "a"], []))
+    # without the empty set the empty name renders apart: {}, {a}, {,a}
+    assert list(inclusion_order(poset_from_covers(["", "a"], []), [1, 2, 3]).labels) == [
+        "{}", "{a}", "{,a}"]
+    # a comma alone does not collide when no two sets render alike
+    assert list(downset_lattice(poset_from_covers(["a,b"], [])).labels) == ["{}", "{a,b}"]
+
+
 def test_downset_lattice_fence_matches_subset_filter():
     fence = poset_from_covers(["a", "b", "c", "d"],
                               [("a", "b"), ("c", "b"), ("c", "d")])
