@@ -327,12 +327,8 @@ class Descriptor:
 
     def meets_naturals(self, other: "Descriptor") -> int | None:
         """Least natural in the intersection, or None if it is empty."""
-        if not self.cofinite and not other.cofinite:
-            common = self.elems & other.elems
-            return min(common) if common else None
         if not self.cofinite:
-            mine = sorted(x for x in self.elems if other.contains(x))
-            return mine[0] if mine else None
+            return min((x for x in self.elems if other.contains(x)), default=None)
         if not other.cofinite:
             return other.meets_naturals(self)
         banned = self.elems | other.elems

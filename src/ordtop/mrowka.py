@@ -25,6 +25,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import merge
 from itertools import combinations, islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
@@ -71,29 +72,19 @@ class EvPeriodicSet:
         return (n % self.period in self.residues) != (n in self.delta)
 
     def ascending(self, start: int = 0):
-        """Members in increasing order, striding by residues rather than
-        scanning every natural."""
-        added = sorted(x for x in self.delta
-                       if x >= start and x % self.period not in self.residues)
-        removed = self.delta - frozenset(added)
-        res = sorted(self.residues)
-        ai = 0
-        base = start - (start % self.period)
-        while base < SCAN_CAP:
-            for r in res:
-                n = base + r
-                if n < start:
-                    continue
-                while ai < len(added) and added[ai] < n:
-                    yield added[ai]
-                    ai += 1
-                if n not in removed:
-                    yield n
-            base += self.period
-            if not res:
-                break
-        yield from added[ai:]
-        if res:
+        """Members from ``start`` on, in increasing order: one ``range`` per
+        residue r, stepping by the period while a member less r stays below
+        ``SCAN_CAP``, merged with the members the delta adds and without
+        those it removes.  An infinite set raises once its ranges run out."""
+        p = self.period
+        runs = [range(start + (r - start) % p, SCAN_CAP + r, p) for r in self.residues]
+        added = sorted(x for x in self.delta if x >= start and x % p not in self.residues)
+        removed = self.delta.difference(added)
+        members = runs[0] if len(runs) == 1 and not added else merge(*runs, added)
+        if removed:
+            members = (n for n in members if n not in removed)
+        yield from members
+        if runs:
             raise MrowkaError("scan cap exceeded")
 
     def mask_below(self, n: int) -> int:

@@ -423,6 +423,8 @@ def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
     aside, as in all (nonempty) downsets sorted by size; then below L lie
     its lower covers and what lies below them (Birkhoff; Davey and
     Priestley, ch. 5)."""
+    if masks and (min(masks) < 0 or max(masks) >> poset.n):
+        raise PosetError("inclusion order needs downsets, each after its lower covers")
     pos = {m: k for k, m in enumerate(masks)}
     below = [0] * len(masks)
     poset_below, above = poset.below, poset.above

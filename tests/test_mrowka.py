@@ -66,6 +66,43 @@ def support_of(code):
     return frozenset(i for i in range(code.bit_length()) if code >> i & 1)
 
 
+def ascending_oracle(a, start=0):
+    """``EvPeriodicSet.ascending`` as a hand-written merge: a base loop over
+    periods, an index into the sorted added members and a removed set."""
+    added = sorted(x for x in a.delta
+                   if x >= start and x % a.period not in a.residues)
+    removed = a.delta - frozenset(added)
+    res = sorted(a.residues)
+    ai = 0
+    base = start - (start % a.period)
+    while base < mrowka.SCAN_CAP:
+        for r in res:
+            n = base + r
+            if n < start:
+                continue
+            while ai < len(added) and added[ai] < n:
+                yield added[ai]
+                ai += 1
+            if n not in removed:
+                yield n
+        base += a.period
+        if not res:
+            break
+    yield from added[ai:]
+    if res:
+        raise MrowkaError("scan cap exceeded")
+
+
+def run_out(members):
+    """Every member a generator yields, and the message it raises, if any."""
+    out = []
+    try:
+        out.extend(members)
+    except MrowkaError as err:
+        return out, str(err)
+    return out, None
+
+
 # -- representations -----------------------------------------------------
 
 def test_membership_with_delta():
@@ -346,6 +383,22 @@ def test_mask_below_costs_n_bits_whatever_the_period():
     for n in (0, 3, 4, 6, 64, 1000):
         assert a.mask_below(n) == sum(1 << k for k in elements_below(a, n)), n
     assert a.mask_below(64) == 0b101000
+
+
+def test_ascending_matches_the_merge_oracle(monkeypatch):
+    rng = random.Random(34)
+    cases = [(EvPeriodicSet(5, set(), {9, 2, 40}), 0, 30),  # finite: no residues
+             (EvPeriodicSet(1, {0}, {3, 4}), 2, 12),  # period 1, members removed
+             (EvPeriodicSet(4, {1}, {2, 7}), 8, 40)]  # start past the last delta member
+    for _ in range(20_000):
+        period = rng.randint(1, 12)
+        residues = set(rng.sample(range(period), rng.randint(0, period)))
+        delta = set(rng.sample(range(130), rng.randint(0, 8)))
+        cases.append((EvPeriodicSet(period, residues, delta), rng.randint(0, 80),
+                      rng.randint(0, 100)))
+    for a, start, cap in cases:
+        monkeypatch.setattr(mrowka, "SCAN_CAP", cap)
+        assert run_out(a.ascending(start)) == run_out(ascending_oracle(a, start)), (a, start, cap)
 
 
 def test_code_of_matches_the_sum_of_powers():

@@ -1228,6 +1228,10 @@ def test_inclusion_order_refuses_families_it_cannot_build_from_covers():
     for masks in ([0b10], [0b01, 0b10, 0b11]):  # {1} is no downset
         with pytest.raises(PosetError, match=message):
             inclusion_order(q, masks)
+    # a bit at or past the last element, or a negative mask, is no downset
+    for masks in ([0b100], [0b01, 0b10, 0b11, 0b111], [0b01, 0b10, 0b11, -4]):
+        with pytest.raises(PosetError, match=message):
+            inclusion_order(p, masks)
     # the empty set may be left out: it is not a point of the hyperspace
     assert inclusion_order(q, [0b01, 0b11]).below == (0, 0b01)
     # a linear extension of inclusion needs no sorting by size
