@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -36,9 +36,10 @@ SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
 MAX_CODE_BOUND = 1 << 24  # star_truncation's bound on code values, so each code is a small int
 MAX_STAR_CODES = 1 << 20  # star_truncation's codes enumerated and compared; 0.4 s and 86 MB
-MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most about 1.1 s and 32 MB on 2 CPUs
+MAX_LUSIN_PICKS = 1 << 18  # lusin_iterate; at most about 1.2 s and 27 MB on 2 CPUs
 MAX_POINT_MEMBER = 1 << 20  # parse_point; the largest join takes 0.22-0.25 s in a fresh process
 MAX_HORIZON = 1 << 20  # convergence_check masks every set up to it: about 0.15 s
+MAX_STAGE_MEMBER = (1 << 63) - 1  # LusinStage keeps its picks as array("q")
 
 
 class MrowkaError(ValueError):
@@ -348,18 +349,27 @@ class LusinStage:
     disjoint tail living outside the listed sets (empty when they cover
     the naturals).
 
-    ``members``, cached, lists the elements of all blocks in ascending
-    order.  ``contains`` and ``ascending`` bisect it.  The scan reads each
-    prior set, stage or ``EvPeriodicSet``, through ``ascending`` alone:
-    which sets hold a candidate it asks the membership index."""
+    Each block is an ``array("q")`` of its picks, unboxed, and
+    ``members``, cached, is one ascending ``array("q")`` of the elements
+    of all blocks.  Any other sequence given as a block is packed so, and
+    a member past ``MAX_STAGE_MEMBER``, which does not fit, is refused.
+    So a stage compares by value but is not hashable.  ``contains`` and
+    ``ascending`` bisect ``members``.  The scan reads each prior set,
+    stage or ``EvPeriodicSet``, through ``ascending`` alone: which sets
+    hold a candidate it asks the membership index."""
 
     blocks: tuple
     m: int
     l1_counts: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(
+            b if isinstance(b, array) and b.typecode == "q" else _stage_block(b)
+            for b in self.blocks))
+
     @cached_property
-    def members(self) -> tuple:
-        return tuple(sorted(x for block in self.blocks for x in block))
+    def members(self) -> array:
+        return array("q", sorted(chain.from_iterable(self.blocks)))
 
     def contains(self, n: int) -> bool:
         members = self.members
@@ -370,6 +380,14 @@ class LusinStage:
         """Members from ``start`` on, in increasing order."""
         members = self.members
         return iter(members[bisect_left(members, start):])
+
+
+def _stage_block(picks: Sequence[int]) -> array:
+    """``picks`` packed as a stage block; a member past ``MAX_STAGE_MEMBER``
+    does not fit the typecode and is refused."""
+    if picks and max(picks) > MAX_STAGE_MEMBER:
+        raise MrowkaError(f"stage member {max(picks)} over MAX_STAGE_MEMBER = {MAX_STAGE_MEMBER}")
+    return array("q", picks)
 
 
 class _MembershipIndex:
@@ -622,7 +640,7 @@ def lusin_stage(prev: Sequence, index: _MembershipIndex | None = None) -> LusinS
         if len(chosen) < n:
             raise MrowkaError(
                 f"prior set {n} has fewer than {n} elements outside its predecessors")
-        blocks.append(tuple(chosen))
+        blocks.append(_stage_block(chosen))  # each list freed once packed
 
     # exact-count recount over the finished blocks: they should be
     # disjoint, and an element taken twice would break a count
@@ -632,7 +650,7 @@ def lusin_stage(prev: Sequence, index: _MembershipIndex | None = None) -> LusinS
             raise AssertionError(f"fresh-intersection count at {n} is {counts[n]}, wanted {n}")
     # finite consequence of the splitting condition: for each probe k, how
     # many prior sets meet the new set only below k (boundedly many)
-    probes = sorted({0, 1} | {max(b) + 1 for b in blocks if b})
+    probes = sorted({0, 1} | {b[-1] + 1 for b in blocks if b})  # each block ascends
     maxima.sort()
     l1 = tuple((k, bisect_left(maxima, k)) for k in probes)
     return LusinStage(tuple(blocks), m, l1)

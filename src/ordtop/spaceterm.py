@@ -18,6 +18,7 @@ points' contributions.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -39,7 +40,7 @@ from .ordinal import (
     ord_pow,
     parse_ordinal,
 )
-from .poset import FinitePoset, _bits, all_downsets, poset_from_json
+from .poset import FinitePoset, _bits, _downsets_over, all_downsets, poset_from_json
 
 
 class TermError(ValueError):
@@ -245,39 +246,51 @@ def hyper_monotonicity_check(sk: Skeleton) -> CheckReport:
     contribute nothing to the natural sum); those pairs are counted
     separately from genuine order violations, which would be fatal.  The
     check fails on an inversion or on a tie with another cause, and its
-    witness is the first inversion, else the first tie.
+    witness is the first inversion, else the first tie, in the order of
+    ``_antichains`` taken pair by pair.
+
+    Only comparable pairs are visited: each antichain reads the downsets
+    above its own from ``_downsets_over``, sorts their antichains by height
+    and counts the larger, equal and smaller heights by bisection, so only
+    ties and inversions are looked at one by one.
     """
     p = sk.poset
     if not _is_forest(p):
         raise TermError("skeleton is not a forest")
     antichains = _antichains(p)
-    heights = {m: hyper_antichain_height([sk.labels[i] for i in _bits(m)])
-               for m, _ in antichains}
-    checked = strict = 0
-    ties = []
-    inversions = []
+    place = {m: k for k, (m, _) in enumerate(antichains)}
+    heights = [hyper_antichain_height([sk.labels[i] for i in _bits(m)]) for m, _ in antichains]
+    # each height as its place among the distinct heights, so pairs compare ints
+    level = {h: k for k, h in enumerate(sorted(set(heights)))}
+    level_of = {m: level[h] for (m, _), h in zip(antichains, heights)}
+    positive = {m: sum(1 << i for i in _bits(m) if not sk.labels[i].is_zero) for m, _ in antichains}
+    checked = strict = ties = 0
+    first_tie = inversion = None
     all_zero = True
     for rho, dr in antichains:
-        for sigma, ds in antichains:
-            if dr == ds or dr & ~ds:
-                continue
-            checked += 1
-            hr, hs = heights[rho], heights[sigma]
-            if hr < hs:
-                strict += 1
-            elif hr == hs:
-                pair = (sorted(p.names(rho)), sorted(p.names(sigma)))
-                ties.append(pair)
-                # a tie must be explained by height-0 shrinkage alone
-                pos_sigma = {i for i in _bits(sigma) if not sk.labels[i].is_zero}
-                if not all(rho >> i & 1 for i in pos_sigma):
-                    all_zero = False
-            else:
-                inversions.append((sorted(p.names(rho)), sorted(p.names(sigma))))
-    passed = not inversions and all_zero
-    return CheckReport("hyperspace-monotonicity", passed,
-                       None if passed else (inversions or ties)[0],
-                       {"pairs": checked, "strict": strict, "ties": len(ties)})
+        # the antichains of the downsets above rho's, rho's own among them,
+        # by level; the level of rho's spans the ties
+        above = sorted(_downsets_over(p, dr, rho).values(), key=level_of.__getitem__)
+        hr = level_of[rho]
+        lower = bisect_left(above, hr, key=level_of.__getitem__)
+        upper = bisect_right(above, hr, lo=lower, key=level_of.__getitem__)
+        checked += len(above) - 1
+        strict += len(above) - upper
+        ties += upper - lower - 1
+        # the first inversion and the first tie in the order of ``antichains``
+        if lower and inversion is None:
+            inversion = (rho, min(above[:lower], key=place.__getitem__))
+        if upper - lower > 1:
+            tied = [s for s in above[lower:upper] if s != rho]
+            if first_tie is None:
+                first_tie = (rho, min(tied, key=place.__getitem__))
+            # a tie must be explained by height-0 shrinkage alone
+            if any(positive[s] & ~rho for s in tied):
+                all_zero = False
+    passed = inversion is None and all_zero
+    witness = None if passed else tuple(sorted(p.names(m)) for m in inversion or first_tie)
+    return CheckReport("hyperspace-monotonicity", passed, witness,
+                       {"pairs": checked, "strict": strict, "ties": ties})
 
 
 # -- term syntax -------------------------------------------------------------

@@ -62,6 +62,9 @@ ROWS = [
     # the most steps over the progressions mod 64, and the most progressions in one step
     limit("mrowka.MAX_LUSIN_PICKS", "mrowka lusin in.json --steps {}", family(64), 59, seconds=10),
     limit("mrowka.MAX_LUSIN_PICKS", "mrowka lusin in.json", family, 724, seconds=10),
+    # two classes mod v + 1: the one pick of the stage is v, the least member of the second
+    limit("mrowka.MAX_STAGE_MEMBER", "mrowka lusin in.json",
+          lambda v: family((v + 1, [v - 1], []), (v + 1, [v], []))),
     # two points of 16,000 members below n, the most one argument holds
     limit("mrowka.MAX_POINT_MEMBER", lambda n: "mrowka join in.json " + " ".join(
         "fin:" + ",".join(map(str, range(n - k - 16_000, n - k))) for k in (0, 16_000)), family(2), mb=60),

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from ordtop import spaceterm
 from ordtop.ordinal import (
     MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
+    CheckReport,
     Ordinal,
     ParseError,
     format_ordinal,
@@ -20,7 +22,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.poset import all_labeled_posets, poset_from_covers, poset_from_json, ranks
+from ordtop.poset import _bits, all_labeled_posets, poset_from_covers, poset_from_json, ranks
 from ordtop.spaceterm import (
     OrdSpace,
     ProdTerm,
@@ -318,6 +320,79 @@ def test_monotonicity_common_top_is_treelike():
     p = poset_from_covers(["a", "b", "c"], [("a", "c"), ("b", "c")])
     sk = Skeleton(p, (ZERO, ZERO, ONE))
     assert hyper_monotonicity_check(sk).passed
+
+
+def _monotonicity_pairwise(sk):
+    # hyper_monotonicity_check as it was: every ordered pair of antichains,
+    # skipping those whose downsets are not strictly nested
+    p = sk.poset
+    if not _is_forest(p):
+        raise TermError("skeleton is not a forest")
+    antichains = spaceterm._antichains(p)
+    heights = {m: spaceterm.hyper_antichain_height([sk.labels[i] for i in _bits(m)])
+               for m, _ in antichains}
+    checked = strict = 0
+    ties = []
+    inversions = []
+    all_zero = True
+    for rho, dr in antichains:
+        for sigma, ds in antichains:
+            if dr == ds or dr & ~ds:
+                continue
+            checked += 1
+            hr, hs = heights[rho], heights[sigma]
+            if hr < hs:
+                strict += 1
+            elif hr == hs:
+                ties.append((sorted(p.names(rho)), sorted(p.names(sigma))))
+                pos_sigma = {i for i in _bits(sigma) if not sk.labels[i].is_zero}
+                if not all(rho >> i & 1 for i in pos_sigma):
+                    all_zero = False
+            else:
+                inversions.append((sorted(p.names(rho)), sorted(p.names(sigma))))
+    passed = not inversions and all_zero
+    return CheckReport("hyperspace-monotonicity", passed,
+                       None if passed else (inversions or ties)[0],
+                       {"pairs": checked, "strict": strict, "ties": len(ties)})
+
+
+def _labeled_forests():
+    """Every labeled forest with n <= 5, under seeded labels that rise along
+    its ranks: ``3r+c`` or ``w*r+c``, c in 0..2, for an element of rank r."""
+    rng = random.Random(35)
+    for n in range(1, 6):
+        for p in all_labeled_posets(n):
+            if _is_forest(p):
+                step = rng.choice([3, OMEGA])
+                yield Skeleton(p, [ZERO + step * r + rng.randint(0, 2) for r in ranks(p).by_index])
+
+
+def test_monotonicity_matches_the_pairwise_scan_on_small_forests():
+    ties = 0
+    for sk in _labeled_forests():
+        rep = hyper_monotonicity_check(sk)
+        assert rep == _monotonicity_pairwise(sk), sk
+        assert rep.passed, sk
+        ties += rep.data["ties"]
+    assert ties
+
+
+def test_monotonicity_matches_the_pairwise_scan_on_forced_failures(monkeypatch):
+    # the height as the antichain's size mod 3: a larger antichain can go
+    # down (an inversion), and a chain's nested points tie with positive
+    # labels (a tie with another cause)
+    def size_mod_3(labels):
+        return Ordinal.from_int(len(list(labels)) % 3)
+
+    monkeypatch.setattr(spaceterm, "hyper_antichain_height", size_mod_3)
+    kinds = set()
+    for sk in _labeled_forests():
+        rep = hyper_monotonicity_check(sk)
+        assert rep == _monotonicity_pairwise(sk), sk
+        if not rep.passed:
+            small, large = (len(names) % 3 for names in rep.witness)
+            kinds.add("inversion" if small > large else "tie")
+    assert kinds == {"inversion", "tie"}
 
 
 def _is_forest_pairwise(p):
