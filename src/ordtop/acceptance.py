@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
-from dataclasses import dataclass
 
 from .clopen import (
     clopen_cb,
@@ -45,6 +44,7 @@ from .ordinal import (
     ONE,
     ZERO,
     Ordinal,
+    Record,
     _trusted,
     format_ordinal,
     nat_prod,
@@ -80,13 +80,17 @@ EXAMPLE_LABELS = ("0", "1", "1", "2", "10", "10", "w+7", "3")
 EXAMPLE_VALUE = "w^(w+7) + w^9*2 + w^2 + w + 2"
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    elapsed: float
-    detail: str = ""
+class CriterionResult(Record):
+    # mutable and so unhashable, unlike the other records
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    _fields = ("number", "name", "passed", "elapsed", "detail")
+
+    def __init__(self, number: int, name: str, passed: bool, elapsed: float, detail: str = ""):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.elapsed = elapsed
+        self.detail = detail
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

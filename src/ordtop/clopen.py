@@ -17,7 +17,6 @@ point.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -25,8 +24,10 @@ from .ordinal import (
     ZERO,
     CheckReport,
     Ordinal,
+    Record,
     _parse_whole,
     _Parser,
+    _put,
     _trusted,
     format_ordinal,
     sort_key,
@@ -41,14 +42,13 @@ MAX_GRID = 1 << 9  # grid values min_clopen_with_endpoint accepts
 MAX_ENDPOINTS = 1 << 16  # end points clopen_cb lists
 
 
-@dataclass(frozen=True)
-class ClopenSet:
-    ambient: Ordinal
-    zero_included: bool = False
-    intervals: tuple = ()
+class ClopenSet(Record):
+    _fields = ("ambient", "zero_included", "intervals")
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+    def __init__(self, ambient: Ordinal, zero_included: bool = False, intervals: tuple = ()):
+        _put(self, "ambient", ambient)
+        _put(self, "zero_included", zero_included)
+        _put(self, "intervals", tuple(intervals))
         prev_t = None
         for s, t in self.intervals:
             if not s < t:

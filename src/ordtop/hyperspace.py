@@ -12,11 +12,10 @@ naturals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .ordinal import CheckReport, _is_int
+from .ordinal import CheckReport, Record, _is_int, _put
 from .poset import (
     FinitePoset,
     PosetError,
@@ -36,13 +35,15 @@ class HyperspaceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Hyperspace:
+class Hyperspace(Record):
     """All nonempty downsets of a finite poset, ordered by inclusion."""
 
-    base: FinitePoset
-    points: tuple  # nonempty downset bitmasks, sorted by (size, value)
-    maxima: tuple  # maxima[k]: the mask of the maxima of points[k]
+    _fields = ("base", "points", "maxima")
+
+    def __init__(self, base: FinitePoset, points: tuple, maxima: tuple):
+        _put(self, "base", base)
+        _put(self, "points", points)  # nonempty downset bitmasks, sorted by (size, value)
+        _put(self, "maxima", maxima)  # maxima[k]: the mask of the maxima of points[k]
 
     @property
     def size(self) -> int:
@@ -165,15 +166,15 @@ def kplus_selector(h: Hyperspace):
 
 # -- universal property ---------------------------------------------------
 
-@dataclass(frozen=True)
-class FinJoinSemilattice:
+class FinJoinSemilattice(Record):
     """Finite join semilattice: carrier poset plus a total join table."""
 
-    carrier: FinitePoset
-    join_table: tuple  # row-major: join_table[i][j] = index of i v j
+    _fields = ("carrier", "join_table")
 
-    def __post_init__(self):
-        broken, up = join_table_laws(self.join_table)
+    def __init__(self, carrier: FinitePoset, join_table: tuple):
+        _put(self, "carrier", carrier)
+        _put(self, "join_table", join_table)  # row-major: join_table[i][j] = index of i v j
+        broken, up = join_table_laws(join_table)
         if broken is not None:
             raise HyperspaceError(f"join must be {broken[0]}")
         if any(up[i] != self.carrier.up_mask(i) for i in range(self.carrier.n)):
@@ -300,17 +301,16 @@ def _enumerated_homs(h: Hyperspace, y: FinJoinSemilattice, fi) -> set:
 
 # -- one-point compactification model -------------------------------------
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(Record):
     """Clopen subset of N u {infinity}: a finite set of naturals, or a
     cofinite set given by its finite complement in N (which then contains
     the point at infinity)."""
 
-    cofinite: bool
-    elems: frozenset
+    _fields = ("cofinite", "elems")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elems", frozenset(self.elems))
+    def __init__(self, cofinite: bool, elems: frozenset):
+        _put(self, "cofinite", cofinite)
+        _put(self, "elems", frozenset(elems))
         if any(not _is_int(x) or x < 0 for x in self.elems):
             raise HyperspaceError("malformed descriptor: members must be naturals")
 
@@ -338,11 +338,13 @@ class Descriptor:
         return n
 
 
-@dataclass(frozen=True)
-class OnePointModel:
+class OnePointModel(Record):
     """Symbolic one-point compactification of the discrete naturals."""
 
-    horizon: int = 10_000
+    _fields = ("horizon",)
+
+    def __init__(self, horizon: int = 10_000):
+        _put(self, "horizon", horizon)
 
     def validate(self, d: Descriptor):
         if not isinstance(d, Descriptor):

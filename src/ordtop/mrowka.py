@@ -23,14 +23,13 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
 from itertools import chain, combinations, islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from .ordinal import CheckReport, _is_int, parse_natural, parse_naturals
+from .ordinal import CheckReport, Record, _is_int, _put, parse_natural, parse_naturals
 
 SCAN_CAP = 10_000_000
 MAX_TRUNCATION = 1 << 14  # mrowka_selector_check; 18 MB of point masks
@@ -46,18 +45,16 @@ class MrowkaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EvPeriodicSet:
+class EvPeriodicSet(Record):
     """Symmetric difference of {n : n mod period in residues} with a
     finite toggle set."""
 
-    period: int
-    residues: frozenset
-    delta: frozenset = frozenset()
+    _fields = ("period", "residues", "delta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "residues", frozenset(self.residues))
-        object.__setattr__(self, "delta", frozenset(self.delta))
+    def __init__(self, period: int, residues: frozenset, delta: frozenset = frozenset()):
+        _put(self, "period", period)
+        _put(self, "residues", frozenset(residues))
+        _put(self, "delta", frozenset(delta))
         if self.period < 1:
             raise MrowkaError("period must be positive")
         if any(r < 0 or r >= self.period for r in self.residues):
@@ -158,14 +155,13 @@ def family_sets(data: dict) -> tuple:
     return tuple(EvPeriodicSet.from_json(s) for s in data["sets"])
 
 
-@dataclass(frozen=True)
-class ADFamily:
+class ADFamily(Record):
     """Validated almost disjoint family of infinite eventually periodic sets."""
 
-    sets: tuple
+    _fields = ("sets",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(self.sets))
+    def __init__(self, sets: tuple):
+        _put(self, "sets", tuple(sets))
         report = ad_check(self.sets)
         if not report.passed:
             raise MrowkaError(f"family is not almost disjoint: {report.witness}")
@@ -340,8 +336,7 @@ def convergence_check(fam: ADFamily, i: int, j: int, horizon: int) -> CheckRepor
 
 # -- Lusin stages ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LusinStage:
+class LusinStage(Record):
     """Finite stage of the Lusin construction: for each prior set, the
     block of fresh elements taken from it (the n-th block has exactly n
     members that avoid all earlier sets).  The stage is the finite
@@ -358,14 +353,14 @@ class LusinStage:
     stage or ``EvPeriodicSet``, through ``ascending`` alone: which sets
     hold a candidate it asks the membership index."""
 
-    blocks: tuple
-    m: int
-    l1_counts: tuple
+    _fields = ("blocks", "m", "l1_counts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(
+    def __init__(self, blocks: tuple, m: int, l1_counts: tuple):
+        _put(self, "blocks", tuple(
             b if isinstance(b, array) and b.typecode == "q" else _stage_block(b)
-            for b in self.blocks))
+            for b in blocks))
+        _put(self, "m", m)
+        _put(self, "l1_counts", l1_counts)
 
     @cached_property
     def members(self) -> array:
@@ -383,11 +378,14 @@ class LusinStage:
 
 
 def _stage_block(picks: Sequence[int]) -> array:
-    """``picks`` packed as a stage block; a member past ``MAX_STAGE_MEMBER``
-    does not fit the typecode and is refused."""
-    if picks and max(picks) > MAX_STAGE_MEMBER:
-        raise MrowkaError(f"stage member {max(picks)} over MAX_STAGE_MEMBER = {MAX_STAGE_MEMBER}")
-    return array("q", picks)
+    """``picks`` packed as a stage block; a member that does not fit the
+    typecode, past ``MAX_STAGE_MEMBER`` or below -2^63, is refused."""
+    try:
+        return array("q", picks)
+    except OverflowError:
+        if max(picks) > MAX_STAGE_MEMBER:
+            raise MrowkaError(f"stage member {max(picks)} over MAX_STAGE_MEMBER = {MAX_STAGE_MEMBER}")
+        raise MrowkaError("stage members must be naturals")
 
 
 class _MembershipIndex:

@@ -29,12 +29,11 @@ orders downsets from their lower covers, never by pairs.  Its labels, the
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
-from .ordinal import OMEGA, CheckReport, Ordinal, ord_pow
+from .ordinal import OMEGA, CheckReport, Ordinal, Record, _put, ord_pow
 
 MAX_ELEMENTS = 20
 MAX_DOWNSETS = 1 << 11  # an 11-element antichain: every command on it within about 0.7 s on 2 CPUs
@@ -63,8 +62,7 @@ def _union(table, mask: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(Record):
     """Finite strict order, transitively closed.
 
     ``below[i]`` is the bitmask of elements strictly less than element i.
@@ -75,27 +73,22 @@ class FinitePoset:
     that i covers: those below i and below nothing else below i.
     """
 
-    labels: tuple
-    below: tuple
-    above: tuple = field(init=False, repr=False, compare=False)
-    lower: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("labels", "below")  # ``above`` and ``lower`` derive from them
 
-    def __post_init__(self):
-        labels = self.labels
+    def __init__(self, labels, below):
         if type(labels) is DownsetLabels:  # kept lazy: distinct() decides on the masks
             distinct = labels.distinct()
         else:
             labels = tuple(labels)
-            object.__setattr__(self, "labels", labels)
             distinct = len(set(labels)) == len(labels)
-        object.__setattr__(self, "below", tuple(self.below))
+        _put(self, "labels", labels)
+        _put(self, "below", below := tuple(below))
         n = len(labels)
         if not distinct:
             raise PosetError("duplicate element name")
-        if len(self.below) != n:
+        if len(below) != n:
             raise PosetError("below must have one mask per element")
         # no antisymmetry test: by transitivity, i < j < i would make i < i
-        below = self.below
         above = [0] * n
         lower = [0] * n
         for i, mask in enumerate(below):
@@ -116,8 +109,8 @@ class FinitePoset:
             if closure & ~mask:
                 raise PosetError("order must be transitive")
             lower[i] = mask & ~closure
-        object.__setattr__(self, "above", tuple(above))
-        object.__setattr__(self, "lower", tuple(lower))
+        _put(self, "above", tuple(above))
+        _put(self, "lower", tuple(lower))
 
     @property
     def n(self) -> int:

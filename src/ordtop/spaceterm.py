@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .ordinal import (
@@ -29,7 +28,9 @@ from .ordinal import (
     ZERO,
     CheckReport,
     Ordinal,
+    Record,
     _is_int,
+    _put,
     _Parser,
     format_ordinal,
     loads_json_at,
@@ -47,29 +48,31 @@ class TermError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OrdSpace:
-    alpha: Ordinal
+class OrdSpace(Record):
+    _fields = ("alpha",)
+
+    def __init__(self, alpha: Ordinal):
+        _put(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class SumTerm:
-    parts: tuple
+class SumTerm(Record):
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: tuple):
+        _put(self, "parts", tuple(parts))
         if not self.parts:
             raise TermError("sum needs at least one part")
 
 
-@dataclass(frozen=True)
-class ProdTerm:
-    left: "SpaceTerm"
-    right: "SpaceTerm"
+class ProdTerm(Record):
+    _fields = ("left", "right")
+
+    def __init__(self, left: "SpaceTerm", right: "SpaceTerm"):
+        _put(self, "left", left)
+        _put(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(Record):
     """Finite poset of distinguished points with ordinal height labels.
 
     Labels must strictly increase along the order; each element stands for
@@ -77,11 +80,11 @@ class Skeleton:
     equal to its height.
     """
 
-    poset: FinitePoset
-    labels: tuple  # Ordinal per element index
+    _fields = ("poset", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(self, poset: FinitePoset, labels: tuple):
+        _put(self, "poset", poset)
+        _put(self, "labels", tuple(labels))  # Ordinal per element index
         if len(self.labels) != self.poset.n:
             raise TermError("one label per element required")
         if any(not self.labels[i] < self.labels[j]
@@ -89,19 +92,23 @@ class Skeleton:
             raise TermError("labels must strictly increase along the order")
 
 
-@dataclass(frozen=True)
-class SkelTerm:
-    skeleton: Skeleton
+class SkelTerm(Record):
+    _fields = ("skeleton",)
+
+    def __init__(self, skeleton: Skeleton):
+        _put(self, "skeleton", skeleton)
 
 
 SpaceTerm = Union[OrdSpace, SumTerm, ProdTerm, SkelTerm]
 
 
-@dataclass(frozen=True)
-class SpaceReport:
-    height: Ordinal
-    endpoint_count: int
-    rank: Ordinal | None  # None means not computed for this term shape
+class SpaceReport(Record):
+    _fields = ("height", "endpoint_count", "rank")
+
+    def __init__(self, height: Ordinal, endpoint_count: int, rank: Ordinal | None):
+        _put(self, "height", height)
+        _put(self, "endpoint_count", endpoint_count)
+        _put(self, "rank", rank)  # None means not computed for this term shape
 
     @property
     def unitary(self) -> bool:

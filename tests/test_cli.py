@@ -1109,6 +1109,46 @@ def test_each_group_imports_only_its_layers(tmp_path):
         assert loaded == {f"ordtop.{m}" for m in layers}, args
 
 
+def _importers(log):
+    """Each module a ``-X importtime`` log lists, mapped to the module that
+    imported it: the next one listed less deep, None at the top."""
+    rows = [(len(m[1]), m[2]) for m in re.finditer(r"^import time:[^|]*\|[^|]*\|( +)(\S+)$", log, re.M)]
+    return {name: next((n for d, n in rows[k + 1:] if d < depth), None)
+            for k, (depth, name) in enumerate(rows)}
+
+
+def test_no_call_loads_dataclasses_and_only_click_loads_inspect(tmp_path):
+    # the value classes derive from ordinal.Record: dataclasses, and inspect
+    # with it, cost about 14 ms of every fresh process
+    (tmp_path / "p.json").write_text(json.dumps(VEE))
+    (tmp_path / "fam.json").write_text(json.dumps(FAM2))
+    argvs = [["-c", "import ordtop.acceptance"], ["-c", "import ordtop.cli"]]
+    argvs += [["-m", "ordtop.cli", *args] for args in (
+        ("ord", "natsum", "w", "1"), ("poset", "width", "p.json"), ("hyper", "build", "p.json"),
+        ("space", "report", "ord(w)"), ("clopen", "cb", "(0,w] @ w"), ("mrowka", "adcheck", "fam.json"),
+        ("selftest", "--seed", "0", "--criteria", "1"))]
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        importers = _importers(proc.stderr)
+        assert "ordtop.ordinal" in importers and "dataclasses" not in importers, argv
+        # click itself imports inspect, in every call but the battery's import
+        if argv[1] == "import ordtop.acceptance":
+            assert "inspect" not in importers
+        else:
+            assert importers["inspect"].startswith("click."), (argv, importers["inspect"])
+
+
+def test_no_module_imports_dataclasses():
+    package = os.path.join(SRC, "ordtop")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                text = fh.read()
+            assert not re.search(r"^\s*(import|from)\s+dataclasses\b", text, re.M), name
+
+
 def test_importing_the_cli_does_not_load_the_battery(tmp_path):
     assert _loaded_layers(["-c", "import ordtop.cli"], tmp_path) == {"ordtop.ordinal"}
 

@@ -747,6 +747,19 @@ def test_lusin_stage_refuses_a_member_past_max_stage_member():
         LusinStage(((), (1 << 64,)), 2, ())
 
 
+def test_lusin_stage_refuses_a_member_below_the_typecode():
+    # -2^63 and MAX_STAGE_MEMBER fit; one past either side is refused, not overflowed
+    assert tuple(finite_stage(-(1 << 63), MAX_STAGE_MEMBER).members) == (-(1 << 63), MAX_STAGE_MEMBER)
+    with pytest.raises(MrowkaError, match="^stage members must be naturals$"):
+        LusinStage(((-(1 << 64), 3),), 1, ())
+    with pytest.raises(MrowkaError, match="^stage members must be naturals$"):
+        mrowka._stage_block([5, -(1 << 63) - 1])
+    with pytest.raises(MrowkaError, match=rf"^stage member {MAX_STAGE_MEMBER + 1} over "
+                                          rf"MAX_STAGE_MEMBER = {MAX_STAGE_MEMBER}$"):
+        mrowka._stage_block([-(1 << 64), MAX_STAGE_MEMBER + 1])
+    assert mrowka._stage_block([]) == array("q")
+
+
 def test_lusin_stage_blocks_are_packed_and_compare_by_value():
     stage = finite_stage(4, 1, 9)
     assert isinstance(stage.blocks[0], array) and stage.blocks[0].typecode == "q"
