@@ -440,7 +440,7 @@ def test_record_matches_the_replaced_data_class(name, seed):
         assert new.__eq__(object()) is NotImplemented and old.__eq__(object()) is NotImplemented
         assert (new == 1, new != 1) == (old == 1, old != 1) == (False, True)
         for dup in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
-            assert dup(new) == new and repr(dup(new)) == repr(new) and dup(old) == old
+            assert dup(new) == new and repr(dup(new)) == repr(new)
     for new_i, old_i in pairs:
         for new_j, old_j in pairs:
             assert (new_i == new_j, new_i != new_j) == (old_i == old_j, old_i != old_j)
@@ -451,8 +451,9 @@ def test_record_matches_the_replaced_data_class(name, seed):
             new, old = _pair(name, valid[0])
             if f == "other" and not hasattr(old, "__dict__"):
                 # a slotted data class's __setattr__ and __delattr__ passed other
-                # names to super() with the class that slots=True had replaced
-                assert _raised(lambda: act(old))[0] == "TypeError"
+                # names to super() with the class that slots=True had replaced, a
+                # TypeError where the interpreter does not mend that
+                assert _raised(lambda: act(old))[0] in ("TypeError", "AttributeError")
                 assert _raised(lambda: act(new))[0] == "AttributeError"
                 continue
             assert _raised(lambda: act(new)) == _raised(lambda: act(old)), f
