@@ -30,8 +30,8 @@ from .ordinal import (
     Ordinal,
     Record,
     _is_int,
-    _put,
     _Parser,
+    _put,
     format_ordinal,
     loads_json_at,
     nat_sum,
