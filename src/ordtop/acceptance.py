@@ -307,6 +307,10 @@ def _random_alpha_below_w_w_10(rng):
 
 
 def criterion_10_product_rule(seed: int):
+    """The product rule for scattered ordinal spaces: the Cantor-Bendixson
+    height of [0,a]x[0,b] is the natural sum of the factors' heights, its
+    end-point count is the product of theirs, and the height is also the
+    largest natural sum of two sampled points' ranks (tip exponents)."""
     rng = random.Random(seed)
     for _ in range(1000):
         a = random_ordinal(rng, max_terms=3, depth=1)
@@ -319,9 +323,9 @@ def criterion_10_product_rule(seed: int):
             return _fail(f"endpoint product failed at ({a}, {b})")
         best = ZERO
         for x in _point_samples(rng, a):
-            rx = ZERO if x.is_zero else tip_deg(x).tip_exponent
+            rx = tip_deg(x).tip_exponent if x._key else ZERO
             for y in _point_samples(rng, b):
-                ry = ZERO if y.is_zero else tip_deg(y).tip_exponent
+                ry = tip_deg(y).tip_exponent if y._key else ZERO
                 v = nat_sum(rx, ry)
                 if best < v:
                     best = v
@@ -332,10 +336,11 @@ def criterion_10_product_rule(seed: int):
 
 def _point_samples(rng, alpha):
     pts = {ZERO, alpha}
-    if not alpha.is_zero and not alpha.is_finite:
-        pts.add(Ordinal.omega_power(alpha.degree))  # a rank maximizer
-    for _ in range(4):
-        if not alpha.is_zero:
+    key = alpha._key
+    if key:
+        if key[0][0]:  # infinite
+            pts.add(Ordinal.omega_power(alpha.degree))  # a rank maximizer
+        for _ in range(4):
             pts.add(random_ordinal_below(rng, alpha))
     return pts
 

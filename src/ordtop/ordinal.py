@@ -516,10 +516,17 @@ def tip_deg(a: Ordinal) -> TipInfo:
     The tip exponent is the Cantor-Bendixson rank of ``a`` as a point of any
     ordinal interval containing it.
     """
-    if a.is_zero:
+    key = a._key
+    if not key:
         raise OrdinalError("tip of 0 is undefined")
-    last = a._key[-1][0]
-    return TipInfo(_trusted(((last, 1),)), _trusted(last), a.degree)
+    last = key[-1][0]
+    # the three ordinals and the named tuple built as _trusted and TipInfo() would,
+    # without their Python frames: criteria 10 and 11 call this in their inner loops
+    tip, exp, deg = _new(Ordinal), _new(Ordinal), _new(Ordinal)
+    _set_key(tip, ((last, 1),))
+    _set_key(exp, last)
+    _set_key(deg, key[0][0])
+    return tuple.__new__(TipInfo, (tip, exp, deg))
 
 
 def one_plus_inverse(r: Ordinal) -> Ordinal:
@@ -673,7 +680,9 @@ class _Parser:
             coeff = self.parse_nat()
             if coeff == 0:
                 raise ParseError("coefficient 0 is not allowed", at)
-            return ord_mul(atom, Ordinal.from_int(coeff))
+            # an atom is one term (0, n or w^e), so atom*c scales its coefficient
+            key = atom._key
+            return _trusted(((key[0][0], _coeff_mul(key[0][1], coeff)),)) if key else atom
         return atom
 
     def parse_atom(self) -> Ordinal:
@@ -834,10 +843,10 @@ def _random_key(bits, n_terms, depth, n_coeffs, n_finite):
 def random_ordinal_below(rng, bound: Ordinal) -> Ordinal:
     """Random ordinal strictly below ``bound`` (which must be positive),
     with draws as in ``random_ordinal``."""
-    if bound.is_zero:
+    kb = bound._key
+    if not kb:
         raise OrdinalError("no ordinal below 0")
     bits = rng.getrandbits
-    kb = bound._key
     n = len(kb)
     w = n.bit_length()
     i = bits(w)

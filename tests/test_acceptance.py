@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import count
 
 import pytest
 
@@ -9,7 +10,19 @@ from ordtop import acceptance
 from ordtop.acceptance import CRITERIA, run_all
 from ordtop.hyperspace import build_hyperspace, hat_extension
 from ordtop.mrowka import ADFamily, g_join, parse_point
+from ordtop.ordinal import (
+    ONE,
+    ZERO,
+    Ordinal,
+    TipInfo,
+    nat_sum,
+    parse_ordinal,
+    random_ordinal,
+    random_ordinal_below,
+    tip_deg,
+)
 from ordtop.poset import all_labeled_posets
+from ordtop.spaceterm import OrdSpace, ProdTerm, SpaceReport, term_report
 
 RESULTS = {}
 
@@ -95,6 +108,108 @@ def test_criterion_8_builds_each_hyperspace_once(monkeypatch):
     want = [p for n in range(1, 5) for p in all_labeled_posets(n)]
     want += [five[rng.randrange(len(five))] for _ in range(80)]
     assert [id(h.base) for h in read] == [id(p) for p in want]
+
+# -- criterion 10 against its version that tested zero through properties ------
+
+def criterion_10_oracle(seed):
+    """Oracle: ``criterion_10_product_rule`` as it was before it tested zero
+    on keys, reading ``term_report`` and ``tip_deg`` from the module so that
+    a test can patch them for both."""
+    rng = random.Random(seed)
+    for _ in range(1000):
+        a = random_ordinal(rng, max_terms=3, depth=1)
+        b = random_ordinal(rng, max_terms=3, depth=1)
+        ra, rb = acceptance.term_report(OrdSpace(a)), acceptance.term_report(OrdSpace(b))
+        rp = acceptance.term_report(ProdTerm(OrdSpace(a), OrdSpace(b)))
+        if rp.height != nat_sum(ra.height, rb.height):
+            return False, f"height rule failed at ({a}, {b})"
+        if rp.endpoint_count != ra.endpoint_count * rb.endpoint_count:
+            return False, f"endpoint product failed at ({a}, {b})"
+        best = ZERO
+        for x in point_samples_oracle(rng, a):
+            rx = ZERO if x.is_zero else acceptance.tip_deg(x).tip_exponent
+            for y in point_samples_oracle(rng, b):
+                ry = ZERO if y.is_zero else acceptance.tip_deg(y).tip_exponent
+                v = nat_sum(rx, ry)
+                if best < v:
+                    best = v
+        if rp.height != best:
+            return False, f"tip maximization disagrees at ({a}, {b})"
+    return True, "1000 products"
+
+
+def point_samples_oracle(rng, alpha):
+    """Oracle: criterion 10's ``_point_samples`` before it tested zero once."""
+    pts = {ZERO, alpha}
+    if not alpha.is_zero and not alpha.is_finite:
+        pts.add(Ordinal.omega_power(alpha.degree))  # a rank maximizer
+    for _ in range(4):
+        if not alpha.is_zero:
+            pts.add(random_ordinal_below(rng, alpha))
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_criterion_10_matches_its_oracle(seed):
+    assert acceptance.criterion_10_product_rule(seed) == criterion_10_oracle(seed) == (
+        True, "1000 products")
+
+
+def test_point_samples_match_their_oracle():
+    rng = random.Random(10)
+    alphas = [random_ordinal(rng, max_terms=3, depth=d) for d in (0, 1, 2) for _ in range(100)]
+    assert sum(a.is_zero for a in alphas) > 5 and sum(a.is_finite for a in alphas) > 20
+    for alpha in alphas:
+        state = rng.getstate()
+        got = acceptance._point_samples(rng, alpha)
+        after = rng.getstate()
+        rng.setstate(state)
+        want = point_samples_oracle(rng, alpha)
+        assert rng.getstate() == after
+        assert list(got) == list(want), alpha
+
+
+def report_misreporting(report):
+    # term_report that misreports the 400th product it is asked for, as wrong(report)
+    products = count()
+
+    def patched(term):
+        r = term_report(term)
+        return report(r) if isinstance(term, ProdTerm) and next(products) == 399 else r
+    return patched
+
+
+def tip_misreporting(_):
+    # tip_deg that raises the 5000th tip exponent it gives past every height
+    calls, far = count(), parse_ordinal("w^(w^w)")
+
+    def patched(x):
+        t = tip_deg(x)
+        return TipInfo(t.tip, nat_sum(t.tip_exponent, far), t.degree) \
+            if next(calls) == 4999 else t
+    return patched
+
+
+MISREPORTS = [
+    ("term_report", report_misreporting,
+     lambda r: SpaceReport(nat_sum(r.height, ONE), r.endpoint_count, r.rank),
+     "height rule failed"),
+    ("term_report", report_misreporting,
+     lambda r: SpaceReport(r.height, r.endpoint_count + 1, r.rank), "endpoint product failed"),
+    ("tip_deg", tip_misreporting, None, "tip maximization disagrees"),
+]
+
+
+@pytest.mark.parametrize("name,patch,wrong,message", MISREPORTS,
+                         ids=["height", "endpoint-count", "tip-exponent"])
+def test_criterion_10_fails_as_its_oracle_does(monkeypatch, name, patch, wrong, message):
+    verdicts = []
+    for fn in (acceptance.criterion_10_product_rule, criterion_10_oracle):
+        monkeypatch.setattr(acceptance, name, patch(wrong))
+        verdicts.append(fn(4))
+    assert verdicts[0] == verdicts[1], verdicts
+    assert not verdicts[0][0] and verdicts[0][1].startswith(message + " at ("), verdicts[0]
+
 
 # -- criterion 12's join-law check against the direct row scan -----------------
 

@@ -34,7 +34,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.ordinal import _pow_nat
+from ordtop.ordinal import TipInfo, _pow_nat, _trusted
 
 P = parse_ordinal
 
@@ -485,6 +485,51 @@ def test_parse_coefficient_limit():
         assert e.value.position == at
 
 
+def atom_texts(rng, depth=2):
+    """Seeded texts of the grammar's atoms: 0, a number, w, w^atom, w^(expr)."""
+    kind = rng.randrange(5 if depth else 3)
+    if kind == 0:
+        return "0"
+    if kind == 1:
+        return str(rng.getrandbits(rng.choice((3, 64, 5001, 9999))))
+    if kind == 2:
+        return "w"
+    if kind == 3:
+        return "w^" + atom_texts(rng, depth - 1)
+    return f"w^({format_ordinal(random_ordinal(rng, depth=depth - 1))})"
+
+
+def test_parse_atom_times_coefficient_matches_ord_mul():
+    # the parser scales an atom's one coefficient; ord_mul by the number is the oracle
+    rng = random.Random(76)
+    over = 0
+    for _ in range(3000):
+        atom = atom_texts(rng)
+        coeff = rng.getrandbits(rng.choice((1, 4, 64, 5006, 9999))) or 1
+        text = atom + rng.choice(("*", " * ", "*  ")) + str(coeff)
+        try:
+            want = ord_mul(P(atom), Ordinal.from_int(coeff))
+        except OrdinalError as e:
+            over += 1
+            with pytest.raises(OrdinalError) as got:
+                P(text)
+            assert (type(got.value), str(got.value)) == (type(e), str(e)) == (
+                OrdinalError,
+                f"product coefficient exceeds MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
+            continue
+        got = P(text)
+        assert type(got) is Ordinal and got._key == want._key, text
+    assert over > 50
+    # the over-limit edge: 5,001 bits times 5,006 bits
+    with pytest.raises(OrdinalError, match=r"^product coefficient exceeds MAX_COEFF_BITS"):
+        P(f"{(1 << 5001) - 1}*{(1 << 5006) - 1}")
+    # a zero coefficient is refused where it starts, whatever the atom
+    for text, at in (("w*0", 2), ("0 * 0", 4), ("w^(w+1)*00", 8), ("5*0 + w", 2)):
+        with pytest.raises(ParseError, match="coefficient 0 is not allowed") as e:
+            P(text)
+        assert e.value.position == at
+
+
 @given(ordinals(max_terms=2), st.integers(min_value=0, max_value=4))
 def test_pow_successor_recursion(a, n):
     b = Ordinal.from_int(n)
@@ -638,6 +683,50 @@ def test_tip_worked_examples():
 def test_tip_rejects_zero():
     with pytest.raises(OrdinalError):
         tip_deg(ZERO)
+
+
+def tip_deg_oracle(a):
+    """Oracle: ``tip_deg`` as it was before it built its result without
+    Python frames, through ``is_zero``, ``degree``, ``_trusted`` and the
+    named tuple's own constructor."""
+    if a.is_zero:
+        raise OrdinalError("tip of 0 is undefined")
+    last = a._key[-1][0]
+    return TipInfo(_trusted(((last, 1),)), _trusted(last), a.degree)
+
+
+def tip_samples():
+    rng = random.Random(37)
+    xs = [random_ordinal(rng, depth=d) for d in (0, 1, 2) for _ in range(1000)]
+    xs += [Ordinal.from_int(n) for n in range(200)] + [Ordinal.from_int(1 << 9999)]
+    xs += [Ordinal.omega_power(random_ordinal(rng, depth=d), rng.randint(1, 9))
+           for d in (0, 1) for _ in range(300)]
+    xs += [nat_sum(Ordinal.omega_power(OMEGA, rng.randint(1, 9)),
+                   random_ordinal(rng, max_terms=4, depth=0, max_finite_exp=7))
+           for _ in range(500)]
+    return xs
+
+
+def test_tip_deg_matches_its_oracle():
+    xs = tip_samples()
+    assert sum(x.is_zero for x in xs) > 10
+    for x in xs:
+        if x.is_zero:
+            for fn in (tip_deg, tip_deg_oracle):
+                with pytest.raises(OrdinalError, match=r"^tip of 0 is undefined$"):
+                    fn(x)
+            continue
+        got, want = tip_deg(x), tip_deg_oracle(x)
+        assert type(got) is TipInfo and got._fields == want._fields
+        assert [type(f) for f in got] == [Ordinal] * 3
+        assert [f._key for f in got] == [f._key for f in want], x
+        assert repr(got) == repr(want) and got == want and hash(got) == hash(want)
+        assert (got.tip, got.tip_exponent, got.degree) == tuple(want)
+
+
+def test_random_ordinal_below_rejects_zero():
+    with pytest.raises(OrdinalError, match=r"^no ordinal below 0$"):
+        random_ordinal_below(random.Random(0), ZERO)
 
 
 def test_one_plus_inverse_examples():
