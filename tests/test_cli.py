@@ -1,9 +1,11 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import click
 import pytest
@@ -11,7 +13,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_golden
 import ordtop
+from cli_golden import FILES, ROWS, SKEL, SKEL0
 from ordtop.cli import main
 from ordtop.clopen import MAX_ENDPOINTS, MAX_GRID
 from ordtop.hyperspace import MAX_CHAIN
@@ -873,183 +877,57 @@ def test_over_limit_options_are_refused_before_the_file_is_read(runner, tmp_path
             assert (r.exit_code, r.stdout, r.stderr) == (2, "", stderr), argv
 
 
-# -- golden output of every check command ------------------------------------------
+# -- the golden table of tests/cli_golden.py, run in process ------------------------------
 
-DIAMOND = {"elements": ["a", "b", "c", "d", "e"],
-           "covers": [["a", "c"], ["b", "c"], ["c", "d"], ["c", "e"]]}
-# twelve branches: escape_witnesses keys sort as strings, "10" before "2"
-FAM12 = {"sets": [{"period": 12, "residues": [r]} for r in range(12)]}
-SKEL = ('skel({"elements": ["a", "b"], "covers": [["a", "b"]]},'
-        ' {"a": 1, "b": 2})')
-SKEL0 = ('skel({"elements": ["a", "b", "c"], "covers": [["a", "b"]]},'
-         ' {"a": 0, "b": 2, "c": 0})')
-
-# (argv, exit code, stdout without its newline); file arguments name the
-# inputs that test_check_commands_golden_output writes
-GOLDEN = [
-    (('poset', 'zaguia', '{vee}'), 0,
-     '{"check": "zaguia", "claims": {"claim1": true, "claim1_literal": false, '
-     '"claim2": true, "claim2_literal": false, "claim3": true}, "pass": true, '
-     '"poset": "n=3, downsets=4", "witness": null}'),
-    (('poset', 'zaguia', '{diamond}'), 0,
-     '{"check": "zaguia", "claims": {"claim1": true, "claim1_literal": false, '
-     '"claim2": true, "claim2_literal": false, "claim3": true}, "pass": true, '
-     '"poset": "n=5, downsets=7", "witness": null}'),
-    (('hyper', 'selector', '{vee}'), 0,
-     '{"check": "selector-axioms", "conditions": {"antisymmetry": true, '
-     '"equivalence": true, "induced-order": true, "membership": true, '
-     '"minimal-singletons": true, "nesting": true, "well-founded": true}, '
-     '"pass": true, "witness": null}'),
-    (('hyper', 'selector', '{diamond}'), 0,
-     '{"check": "selector-axioms", "conditions": {"antisymmetry": true, '
-     '"equivalence": true, "induced-order": true, "membership": true, '
-     '"minimal-singletons": true, "nesting": true, "well-founded": true}, '
-     '"pass": true, "witness": null}'),
-    (('hyper', 'universal', '{vee}'), 0,
-     '{"check": "universal-property", "homs_found": 1, '
-     '"method": "enumerated", "pass": true, "witness": null}'),
-    (('hyper', 'universal', '{diamond}', '--chain', '2'), 0,
-     '{"check": "universal-property", "homs_found": 1, '
-     '"method": "enumerated", "pass": true, "witness": null}'),
-    (('hyper', 'density', '--u', 'cof:', '--v', 'cof:0,1,2'), 0,
-     '{"check": "vietoris-density", "pass": true, "witness": [3]}'),
-    (('hyper', 'density', '--u', 'fin:1', '--v', 'fin:2'), 1,
-     '{"check": "vietoris-density", "pass": false, "witness": null}'),
-    (('hyper', 'density', '--u', 'fin:'), 1,
-     '{"check": "vietoris-density", "pass": false, "witness": null}'),
-    (('space', 'bounds', 'ord(w*3+5)'), 0,
-     '{"check": "height-rank-bounds", "inequalities": {"height<=rank": true, '
-     '"rank<w^h*(endpts+1)": true, "w^h*(endpts+1)<w^(h+1)": true}, '
-     '"pass": true, "witness": null}'),
-    (('space', 'bounds', 'ord(7)'), 0,
-     '{"check": "height-rank-bounds", "inequalities": {"height<=rank": true, '
-     '"rank<w^h*(endpts+1)": true, "w^h*(endpts+1)<w^(h+1)": true}, '
-     '"pass": true, "witness": null}'),
-    (('space', 'bounds', SKEL), 0,
-     '{"check": "height-rank-bounds", "inequalities": {"height<=rank": true, '
-     '"rank<w^h*(endpts+1)": true, "w^h*(endpts+1)<w^(h+1)": true}, '
-     '"pass": true, "witness": null}'),
-    (('space', 'skeleton-bound', SKEL), 0,
-     '{"antichains": 2, "bound": "w^3", "check": "hyperspace-height-bound", '
-     '"max_attained": "w", "pass": true, "witness": null}'),
-    (('space', 'skeleton-bound', SKEL0), 0,
-     '{"antichains": 5, "bound": "w^3", "check": "hyperspace-height-bound", '
-     '"max_attained": "w", "pass": true, "witness": null}'),
-    (('space', 'monotonicity', SKEL), 0,
-     '{"check": "hyperspace-monotonicity", "pairs": 1, "pass": true, '
-     '"strict": 1, "ties": 0, "witness": null}'),
-    (('space', 'monotonicity', SKEL0), 0,
-     '{"check": "hyperspace-monotonicity", "pairs": 7, "pass": true, '
-     '"strict": 4, "ties": 3, "witness": null}'),
-    (('clopen', 'treelike', 'w^2', 'w', 'w+3', 'w*2'), 0,
-     '{"check": "tree-like", "pairs": 3, "pass": true, "witness": null}'),
-    (('clopen', 'treelike', 'w^3', 'w^2', 'w^2+w', 'w^2*2+1'), 0,
-     '{"check": "tree-like", "pairs": 3, "pass": true, "witness": null}'),
-    (('mrowka', 'adcheck', '{fam2}'), 0,
-     '{"check": "almost-disjoint", "pass": true, "witness": null}'),
-    (('mrowka', 'adcheck', '{fam_bad}'), 1,
-     '{"check": "almost-disjoint", "pass": false, "witness": {"modulus": 4, '
-     '"pair": [0, 1], "residue": 0}}'),
-    (('mrowka', 'star', '{fam2}', '256'), 0,
-     '{"check": "star-truncation", "pass": true, "sizes": [15, 15], '
-     '"witness": null}'),
-    (('mrowka', 'convergence', '{fam2}', '0', '1', '--horizon', '64'), 0,
-     '{"check": "join-convergence", "escape_witnesses": {"0": 1, "1": 0}, '
-     '"pass": true, "threshold": 2, "witness": null}'),
-    (('mrowka', 'convergence', '{fam12}', '0', '1'), 0,
-     '{"check": "join-convergence", "escape_witnesses": {"0": 1, "1": 0, '
-     '"10": 0, "11": 0, "2": 0, "3": 0, "4": 0, "5": 0, "6": 0, "7": 0, '
-     '"8": 0, "9": 0}, "pass": true, "threshold": 2, "witness": null}'),
-    (('mrowka', 'lusin', '{fam2}', '--steps', '2'), 0,
-     '{"block_sizes": [0, 1, 2], "check": "lusin-stages", "final_m": 3, '
-     '"l1_counts": [[0, 1], [1, 2], [6, 3]], "pass": true, "steps": 2, '
-     '"witness": null}'),
-    (('mrowka', 'selector', '{fam2}', '--bound', '16'), 0,
-     '{"ad": true, "check": "mrowka-selector", '
-     '"conditions": {"antisymmetry": true, "membership": true, '
-     '"nesting": true}, "heights": true, "induced_order": true, "pass": true, '
-     '"witness": null}'),
-    (('mrowka', 'selector', '{fam_bad}', '--bound', '8'), 1,
-     '{"ad": false, "check": "mrowka-selector", '
-     '"conditions": {"antisymmetry": false, "membership": true, '
-     '"nesting": false}, "heights": true, "induced_order": true, '
-     '"pass": false, "witness": ["antisymmetry", ["(\'branch\', 0)", '
-     '"(\'branch\', 1)"]]}'),
-]
+DIAMOND, FAM12 = (json.loads(FILES[name]) for name in ("diamond.json", "fam12.json"))
 
 
-def test_check_commands_golden_output(runner, tmp_path):
-    files = {"vee": VEE, "diamond": DIAMOND, "fam2": FAM2, "fam_bad": FAM_BAD,
-             "fam12": FAM12}
-    paths = {}
-    for name, data in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(data))
-        paths[name] = str(tmp_path / f"{name}.json")
-    for args, code, stdout in GOLDEN:
-        argv = [a.format(**paths) if a.startswith("{") else a for a in args]
-        r = invoke_clean(runner, argv)
-        assert (r.exit_code, r.stdout) == (code, stdout + "\n"), args
-    r = invoke_clean(runner, ["selftest", "--seed", "0", "--criteria", "2"])
-    assert r.exit_code == 0
-    assert r.stdout.splitlines()[-1] == (
-        '{"check": "selftest", "pass": true, "seed": 0, "witness": null}')
+def _in_process(argv):
+    r = invoke_clean(CliRunner(), argv)
+    return r.exit_code, r.stdout, r.stderr
 
 
-# -- the output contract: --json FILE holds exactly what stdout shows -------------
+def test_check_commands_golden_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_golden.mismatches(_in_process) == []
 
-def _command_paths(group, path=()):
+
+def test_json_file_holds_exactly_the_printed_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_golden.mismatches(_in_process, json_file=True) == []
+
+
+def _commands(group, path=()):
     for name, command in sorted(group.commands.items()):
         if isinstance(command, click.Group):
-            yield from _command_paths(command, (*path, name))
+            yield from _commands(command, (*path, name))
         else:
-            yield (*path, name)
+            yield (*path, name), [o for p in command.params if isinstance(p, click.Option) for o in p.opts]
 
 
-# at least one valid argv per command; file arguments as in GOLDEN
-CONTRACT_ARGV = [
-    ("ord", "add", "w", "1"), ("ord", "mul", "w+1", "w"), ("ord", "pow", "w", "w"),
-    ("ord", "natsum", "w", "1"), ("ord", "natprod", "w+1", "w+1"), ("ord", "norm", "1+w"),
-    ("ord", "odot", "w+1", "3"), ("ord", "cmp", "w", "w+1"), ("ord", "tip", "w^2+w*3"),
-    ("ord", "oneplusinv", "w+5"),
-    ("poset", "zaguia", "{diamond}"), ("poset", "ranks", "{diamond}"),
-    ("poset", "width", "{diamond}"), ("poset", "downsets", "{vee}"),
-    ("poset", "downsets", "{vee}", "--dot"), ("poset", "hasse", "{diamond}"),
-    ("hyper", "build", "{vee}"), ("hyper", "build", "{vee}", "--dot"),
-    ("hyper", "selector", "{vee}"), ("hyper", "universal", "{diamond}", "--chain", "2"),
-    ("hyper", "density", "--u", "cof:", "--v", "cof:0,1,2"),
-    ("hyper", "density", "--u", "fin:1", "--v", "fin:2"),
-    ("space", "report", SKEL), ("space", "bounds", "ord(w*3+5)"),
-    ("space", "hyper-point", "w+1"), ("space", "hyper-antichain", "0", "1", "w"),
-    ("space", "skeleton-bound", SKEL0), ("space", "monotonicity", SKEL0),
-    ("clopen", "op", "union", "(0,w] @ w^2", "(w,w*2] @ w^2"),
-    ("clopen", "cb", "(0,w^2*2] @ w^2*2"), ("clopen", "tip", "w+5", "w^2"),
-    ("clopen", "treelike", "w^2", "w", "w+3", "w*2"), ("clopen", "minclopen", "w^2+w", "w^3"),
-    ("mrowka", "adcheck", "{fam2}"), ("mrowka", "adcheck", "{fam_bad}"),
-    ("mrowka", "star", "{fam2}", "256"), ("mrowka", "join", "{fam2}", "fin:0,2", "branch:0"),
-    ("mrowka", "convergence", "{fam12}", "0", "1"), ("mrowka", "lusin", "{fam2}", "--steps", "2"),
-    ("mrowka", "selector", "{fam_bad}", "--bound", "8"),
-    ("selftest", "--seed", "0", "--criteria", "1,2"),
-]
+def _readme_cli():
+    """README's block of CLI examples and the Flags paragraph after it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```sh\n(ordtop .*?)```\n\nFlags: (.*?)\n\n", readme, re.S).groups()
 
 
-def test_json_file_holds_exactly_the_printed_output(runner, tmp_path):
-    paths = {}
-    for name, data in {"vee": VEE, "diamond": DIAMOND, "fam2": FAM2, "fam_bad": FAM_BAD,
-                       "fam12": FAM12}.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(data))
-        paths[name] = str(tmp_path / f"{name}.json")
-    commands = set(_command_paths(main))
-    assert {c for c in commands for argv in CONTRACT_ARGV if argv[:len(c)] == c} == commands
-    out = tmp_path / "out.json"
-    codes = set()
-    for argv in CONTRACT_ARGV:
-        argv = [a.format(**paths) if a.startswith("{") else a for a in argv]
-        plain = invoke_clean(runner, argv)
-        r = invoke_clean(runner, [*argv, "--json", str(out)])
-        assert (r.exit_code, r.stdout, r.stderr) == (plain.exit_code, plain.stdout, ""), argv
-        assert out.read_bytes() == r.stdout_bytes, argv
-        codes.add(r.exit_code)
-    assert codes == {0, 1}
+def test_every_command_and_option_has_a_row_and_readme_names_each_option():
+    rows, flags = [shlex.split(text) for text, _, _ in ROWS], _readme_cli()[1]
+    # a row for the command alone, and for each option but --json, which every exit-0/1 row adds
+    missing = [(path, option) for path, options in _commands(main)
+               for option in [None, *options] if option != "--json"
+               and not any(argv[:len(path)] == [*path] and option in (None, *argv) for argv in rows)]
+    missing += [option for _, options in _commands(main) for option in options
+                if not re.search(f"`{option}[ `]", flags)]
+    assert missing == []
+    assert {code for _, code, _ in ROWS} == {0, 1, 2}
+
+
+def test_every_readme_example_is_a_row():
+    examples = [shlex.split(line) for line in _readme_cli()[0].splitlines()]
+    assert len(examples) >= 12 and {argv[0] for argv in examples} == {"ordtop"}
+    rows = [shlex.split(text) for text, _, _ in ROWS]
+    assert [argv for argv in examples if argv[1:] not in rows] == []
 
 
 # every ordered pair of these points is joined on each family of JOIN_FAMILIES;

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ordtop import spaceterm
+from ordtop.clopen import ClopenSet, clopen_cb
 from ordtop.ordinal import (
     MAX_NESTING,
     OMEGA,
@@ -126,6 +127,17 @@ def test_finite_ordspace_is_all_endpoints():
     assert rep.height == ZERO
     assert rep.endpoint_count == 6
     assert rep.rank == P("6")
+
+
+def test_ordspace_report_agrees_with_clopen_cb_of_the_whole_space():
+    # two layers compute the height and end points of [0, alpha]: term_report from alpha's leading
+    # term, clopen_cb from the Cantor-Bendixson ranks of the one piece (0, alpha] and the point 0
+    rng = random.Random(0)
+    alphas = [a for a in (random_ordinal(rng, max_terms=3, depth=1) for _ in range(2000)) if not a.is_zero]
+    assert len(alphas) == 1525
+    for alpha in alphas:
+        rep, cb = term_report(OrdSpace(alpha)), clopen_cb(ClopenSet(alpha, True, ((ZERO, alpha),)))
+        assert (rep.height, rep.endpoint_count) == (cb.height, len(cb.endpoints)), alpha
 
 
 def test_sum_takes_max_and_adds_tied_counts():
