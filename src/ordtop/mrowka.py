@@ -107,11 +107,6 @@ class EvPeriodicSet(Record):
         return cls(data["period"], frozenset(data.get("residues", ())),
                    frozenset(data.get("delta", ())))
 
-    def to_json(self) -> dict:
-        return {"period": self.period,
-                "residues": sorted(self.residues),
-                "delta": sorted(self.delta)}
-
 
 def common_residue_classes(a: EvPeriodicSet, b: EvPeriodicSet) -> list:
     """Residue classes mod lcm of the periods along which both sets are
@@ -152,6 +147,8 @@ def family_sets(data: dict) -> tuple:
     [...], "delta": [...]}, ...]}``, not yet checked to be almost disjoint."""
     if not isinstance(data, dict) or "sets" not in data:
         raise MrowkaError("family JSON must have a 'sets' field")
+    if not isinstance(data["sets"], list):
+        raise MrowkaError("family JSON's 'sets' must be a list")
     return tuple(EvPeriodicSet.from_json(s) for s in data["sets"])
 
 
@@ -173,9 +170,6 @@ class ADFamily(Record):
     @classmethod
     def from_json(cls, data: dict) -> "ADFamily":
         return cls(family_sets(data))
-
-    def to_json(self) -> dict:
-        return {"sets": [s.to_json() for s in self.sets]}
 
     def __len__(self) -> int:
         return len(self.sets)
