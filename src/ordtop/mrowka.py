@@ -741,7 +741,7 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
     heights_ok = all(a.is_infinite and trace
                      for a, trace in zip(members, traces)) and bool(members)
     if not heights_ok:
-        witness = witness or ("heights", "branch empty at truncation")
+        witness = witness or ("heights", "branch empty at truncation" if members else "family has no branch")
 
     passed = all(conditions.values()) and induced_ok and ad_ok and heights_ok
     return CheckReport("mrowka-selector", passed, witness, {

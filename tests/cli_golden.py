@@ -2,13 +2,19 @@
 
 A row is (argv as a shell splits it, exit code, expected): for exit 0 or 1 the exact stdout but its last
 newline, which ``--json out.json`` also writes byte for byte; for exit 2 the one line on stderr, which names
-no Python type, with stdout empty.  Calls run where FILES are written, and a selftest criterion's elapsed
-time is masked on both sides.  tests/test_cli.py runs every row in process as a test of its own, named by its
-index and argv, or by its PINNED key; this script runs each through the ``ordtop`` on PATH within 10 s,
-prints one line per row and exits 1 on any mismatch."""
+no Python type, with stdout empty.  Calls run where FILES are written, a selftest criterion's elapsed time
+is masked on both sides, and a row at a work limit reads it from ordtop.  tests/test_cli.py runs every row in
+process as a test of its own, named by its index and argv, or by its PINNED key; this script runs each
+through the ``ordtop`` on PATH within 10 s, prints one line per row and exits 1 on any mismatch."""
 
 import json, os, re, shlex, subprocess, sys, tempfile  # noqa: E401
+from math import comb
 from pathlib import Path
+
+from ordtop.hyperspace import MAX_CHAIN
+from ordtop.mrowka import MAX_HORIZON, MAX_LUSIN_PICKS
+from ordtop.ordinal import MAX_COEFF_BITS, MAX_NESTING, MAX_TERMS
+from ordtop.poset import MAX_ELEMENTS
 
 # a poset file, or the poset of a skel(...) term, that is not a list of string names with [a, b] name
 # pairs as covers is an input error naming it
@@ -54,6 +60,9 @@ FILES = {
     "long_period.json": json.dumps({"sets": [
         {"period": 1 << 41, "residues": [(1 << 41) - 1, 3], "delta": [5, (1 << 41) + 3]},
         {"period": 2, "residues": [0]}]}),
+    "chain.json": json.dumps({"elements": [*map(str, range(MAX_ELEMENTS))],
+                              "covers": [[str(i), str(i + 1)] for i in range(MAX_ELEMENTS - 1)]}),
+    "empty.json": '{"sets": []}',
     **{f"poset{i}.json": text for i, (text, _) in enumerate(BAD_POSETS)},
     **{name: text for name, (text, _) in BAD_FAMILIES.items()},
     **NOT_A_LIST,
@@ -84,6 +93,8 @@ MROWKA_SELECTOR = ('{"ad": true, "check": "mrowka-selector", "conditions": {"ant
 CRITERION_1 = "PASS criterion-01 example-antichain-height (0.000s) w^(w+7) + w^9*2 + w^2 + w + 2\n"
 CRITERION_2 = "PASS criterion-02 natural-sum-example (0.000s) w^(w*2)*8 + w^w + w^7*4 + w^2 + 5\n"
 SELFTEST = '{"check": "selftest", "pass": true, "seed": 0, "witness": null}'
+# the most steps MAX_LUSIN_PICKS admits over family.json, whose 2 sets take comb(2 + steps, 3) picks
+LUSIN_STEPS = next(steps for steps in range(MAX_LUSIN_PICKS) if comb(3 + steps, 3) > MAX_LUSIN_PICKS)
 
 ROWS = [
     ("ord mul w+1 w", 0, "w^2"),
@@ -146,6 +157,15 @@ ROWS = [
     # a family whose sets are not a list
     *((f"mrowka {command} {name}{args}", 2, "error: family JSON's 'sets' must be a list")
       for name in NOT_A_LIST for command, args in FAMILY_ARGS.items()),
+    # the largest inputs MAX_CHAIN and MAX_LUSIN_PICKS admit (tests/limits.py runs their refusals); the
+    # Lusin run reaches the scan, which finds no fresh elements at step 4
+    (f"hyper universal poset.json --chain {MAX_CHAIN}", 0, UNIVERSAL.replace("enumerated", "generators")),
+    (f"mrowka lusin family.json --steps {LUSIN_STEPS}", 2,
+     "error: prior set 2 has fewer than 2 elements outside its predecessors"),
+    # a family with no set has no branch
+    ("mrowka selector empty.json", 1, '{"ad": true, "check": "mrowka-selector", "conditions": '
+     '{"antisymmetry": true, "membership": true, "nesting": true}, "heights": false, "induced_order": true, '
+     '"pass": false, "witness": ["heights", "family has no branch"]}'),
 ]
 
 
@@ -177,6 +197,16 @@ PINNED = {
     # w^b as printed when it was built by repeated squaring
     **{f"test_ord_pow_of_omega_golden[{b}-{out}\n]": [(f"ord pow w {shlex.quote(b)}", 0, out)]
        for b, out in POWERS_OF_W},
+    # the largest inputs the ordinal limits accept, once pinned by tests whose refusals are rows of
+    # tests/limits.py now
+    "test_ord_pow_coefficient_limit": [(f"ord pow 2 {MAX_COEFF_BITS - 1}", 0, str(1 << MAX_COEFF_BITS - 1))],
+    "test_ord_odot_right_operand_limit": [(f"ord odot 1 ' {(1 << MAX_COEFF_BITS) - 1} '", 0,
+                                           str((1 << MAX_COEFF_BITS) - 1))],
+    "test_ord_limits_are_usage_errors": [(f"ord pow w+1 {MAX_TERMS - 1}", 0, " + ".join(
+        [*(f"w^{k}" for k in range(MAX_TERMS - 1, 1, -1)), "w", "1"]))],
+    "test_space_term_nesting_limit": [(f"space report '{'sum(' * MAX_NESTING}ord(1){')' * MAX_NESTING}'", 0,
+                                       '{"endpoint_count": 2, "height": "0", "rank": "not-computed", '
+                                       '"unitary": false}')],
     "test_ord_tip_json": [
         ('ord tip "w^w*2 + w^7 + w^3*5"', 0, '{"degree": "w", "tip": "w^3", "tip_exponent": "3"}')],
     "test_ord_parse_error_is_usage_error": [('ord norm "w +"', 2, "error: " + DIGIT % 3)],
@@ -196,6 +226,9 @@ PINNED = {
     "test_poset_zaguia_roundtrip": [("poset zaguia poset.json", 0, ZAGUIA % (3, 4))],
     "test_poset_missing_file_exits_2": [
         ("poset zaguia missing.json", 2, "error: [Errno 2] No such file or directory: 'missing.json'")],
+    # on a chain the literal claims hold too
+    "test_enumeration_limits_are_usage_errors": [
+        ("poset zaguia chain.json", 0, ZAGUIA.replace("false", "true") % (MAX_ELEMENTS, MAX_ELEMENTS))],
     "test_poset_ranks_width_downsets": [
         ("poset ranks poset.json", 0, '{"elem_rank": {"a": 0, "b": 0, "c": 1}, "poset_rank": 2}'),
         ("poset width poset.json", 0, '{"width": 2}'),
@@ -248,6 +281,8 @@ PINNED = {
         ("mrowka lusin family.json --steps 2", 0, '{"block_sizes": [0, 1, 2], "check": "lusin-stages", '
          '"final_m": 3, "l1_counts": [[0, 1], [1, 2], [6, 3]], "pass": true, "steps": 2, "witness": null}'),
         ("mrowka selector family.json --bound 16", 0, MROWKA_SELECTOR)],
+    "test_mrowka_convergence_horizon_limit": [
+        (f"mrowka convergence family.json 0 1 --horizon {MAX_HORIZON}", 0, PARITY)],
     "test_mrowka_failing_check_exits_1": [
         ("mrowka adcheck fam_bad.json", 1, '{"check": "almost-disjoint", "pass": false, '
          '"witness": {"modulus": 4, "pair": [0, 1], "residue": 0}}')],
@@ -302,6 +337,16 @@ PINNED = {
         # an over-long member is a number, not a coefficient
         ("mrowka join family.json fin:" + "9" * 3100 + " top",
          "number exceeds MAX_COEFF_BITS = 10000 bits (at position 4)")]),
+    # click's integer options and arguments read their text by the grammar's nat too; a horizon of 50 leaves
+    # fin:50 out, one of 51 takes it in
+    "test_integer_options_read_their_values": [
+        ("selftest --criteria 1 --seed ' 7 '", 0, CRITERION_1 + SELFTEST.replace('"seed": 0', '"seed": 7')),
+        ("hyper density --u fin:50 --horizon 050", 2, "error: descriptor exceeds horizon"),
+        ("hyper density --u fin:50 --horizon 51", 0,
+         '{"check": "vietoris-density", "pass": true, "witness": [50]}'),
+        ("mrowka convergence family.json 1 0", 0, PARITY),
+        ("mrowka star family.json 64", 0,
+         '{"check": "star-truncation", "pass": true, "sizes": [7, 7], "witness": null}')],
     "test_blank_number_items_are_skipped": [
         ('mrowka join family.json "fin:, 2,,4 ," fin:6', 0, "fin:2,4,6"),
         ('hyper density --u "cof:,0, ,1," --v fin:1,,2', 0,

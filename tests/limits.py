@@ -2,26 +2,36 @@
 
 A row names a limit constant ``module.NAME`` (or None), the argv of one ``python -m ordtop.cli``
 call and its ``in.json`` text, each a function of a value or a string (argv is split on spaces, its
-``{}`` takes the value), the largest accepted and first refused value, and the wall time (s) and
-peak RSS (MB) each side stays within, under RLIMIT_AS.  Accepted, a call exits 0 or 1 and prints
-``stdout`` if given; refused, it exits 2 with nothing on stdout and ``says`` on stderr."""
+``{}`` takes the value), the largest accepted value and the refused ones, and the wall time (s) and
+peak RSS (MB) each call stays within, under RLIMIT_AS.  Accepted, a call exits 0 or 1 and prints
+``stdout`` if given; refused, it exits 2 with nothing on stdout and one ``error:`` line that names no
+Python type and holds ``says`` (its ``{}`` the value) with no digit after it.  tests/test_limits.py
+runs every refused call in process."""
 
-import importlib, json, os, resource, subprocess, sys, tempfile, threading, time  # noqa: E401
+import importlib, json, os, re, resource, subprocess, sys, tempfile, threading, time  # noqa: E401
 from collections import namedtuple
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))  # each limit's value is read from the module that refuses past it
+from cli_golden import LUSIN_STEPS, PYTHON_TYPE  # noqa: E402
+
 Row = namedtuple("Row", "constant argv text accept refuse seconds mb stdout says",
-                 defaults=(None, None, None, 5, 40, None, None))
+                 defaults=(None, None, (), 5, 40, None, None))
 
 
-def limit(constant, argv, text=None, accept=None, **bounds):
-    """A row accepted at the constant's value or ``accept``, refused one past, saying NAME = value."""
+def limit(constant, argv, text=None, accept=None, past=(), says="%s", **bounds):
+    """A row accepted at the constant's value or ``accept``, refused one past and at each of ``past``, where
+    it says ``says`` with NAME = value for its %s."""
     module, name = constant.split(".")
     value = getattr(importlib.import_module("ordtop." + module), name)
     accept = value if accept is None else accept
-    return Row(constant, argv, text, accept, accept + 1, says=f"{name} = {value}", **bounds)
+    says = says.replace("%s", f"{name} = {value}")
+    return Row(constant, argv, text, accept, (accept + 1, *past), says=says, **bounds)
+
+
+def refusal(*args, **kwargs):  # a limit row with no accepted side: there the call fails for another reason
+    return limit(*args, **kwargs)._replace(accept=None)
 
 
 def poset(n, covers=None):  # a chain by default
@@ -34,34 +44,62 @@ def family(*sets):  # (period, residues, delta) triples, or m for the progressio
     return json.dumps({"sets": [{"period": p, "residues": r, "delta": d} for p, r, d in sets]})
 
 
+AT_0, DOWNSETS = "%s bits (at position 0)", "more than %s downsets"
+ENUMERATIONS = ("poset zaguia", "hyper build --dot", "hyper universal", "hyper selector", "poset downsets",
+                "poset downsets --dot", "hyper build")
+HORIZON = "error: horizon {} over MAX_HORIZON = 1048576\n"
+CHAIN = "error: chain length {} over MAX_CHAIN = 64\n"
 ROWS = [
     limit("ordinal.MAX_COEFF_BITS", lambda b: f"ord norm {(1 << b) - 1}"),
-    limit("ordinal.MAX_TERMS", lambda t: f"ord pow w+1 {t - 1}"),
-    limit("ordinal.MAX_NESTING", lambda d: "space report " + "sum(" * d + "ord(1)" + ")" * d),
-    limit("poset.MAX_ELEMENTS", "poset zaguia in.json", poset),
-    # the n-element antichain has 2^n downsets; its skeleton labels i with i mod 3
-    *(limit("poset.MAX_DOWNSETS", c + " in.json", lambda n: poset(n, []), 11, seconds=10)
-      for c in ("poset zaguia", "hyper build --dot", "hyper universal", "hyper selector")),
-    *(limit("poset.MAX_DOWNSETS", lambda n, c=c: ["space", c, "skel(" + poset(n, []) + ", " + json.dumps(
-        {str(i): i % 3 for i in range(n)}) + ")"], None, 11, seconds=10)
-      for c in ("skeleton-bound", "monotonicity")),
+    # a number in the input is refused at its position, the coefficient of a power or a product as it is built
+    limit("ordinal.MAX_COEFF_BITS", lambda b: f"ord odot w {1 << b - 1}", says=AT_0),
+    limit("ordinal.MAX_COEFF_BITS", lambda n: f"ord odot w {'9' * n}", accept=3010, past=(5000,), says=AT_0),
+    refusal("ordinal.MAX_COEFF_BITS", lambda n: f"ord natprod {'7' * n} {'7' * n}", accept=3999, says=AT_0),
+    limit("ordinal.MAX_COEFF_BITS", lambda b: f"ord pow 2 {b - 1}", past=(100_001, 1_000_000_001)),
+    limit("ordinal.MAX_COEFF_BITS", lambda b: f"ord pow 2 w+{b - 1}", past=(100_001,)),
+    *(limit("ordinal.MAX_COEFF_BITS", lambda n, c=c: f"ord {c} {'7' * n} {'7' * n}", accept=1505,
+            past=(2000,)) for c in ("natprod", "mul", "odot")),
+    limit("ordinal.MAX_TERMS", lambda t: f"ord pow w+1 {t - 1}", past=(1_000_000_001,)),
+    limit("ordinal.MAX_NESTING", lambda d: "ord norm " + "w^" * d + "1", past=(3000,),
+          says="nested deeper than %s"),
+    limit("ordinal.MAX_NESTING", lambda d: "space report " + "sum(" * d + "ord(1)" + ")" * d, past=(2000,),
+          says="error: space terms nested deeper than MAX_NESTING = 100\n"),
+    *(limit("poset.MAX_ELEMENTS", c + " in.json", poset, says="over %s") for c in ENUMERATIONS),
+    # the n-element antichain has 2^n downsets; a skeleton labels it i mod 3, or 1
+    *(limit("poset.MAX_DOWNSETS", c + " in.json", lambda n: poset(n, []), 11, seconds=10, says=DOWNSETS)
+      for c in ENUMERATIONS),
+    *(limit("poset.MAX_DOWNSETS", lambda n, c=c, label=label: [
+        "space", c, f"skel({poset(n, [])}, {json.dumps({str(i): label(i) for i in range(n)})})"],
+        None, 11, seconds=10, says=DOWNSETS)
+      for c in ("skeleton-bound", "monotonicity") for label in (lambda i: i % 3, lambda i: 1)),
     # maps of an n-chain into the 8-chain: past 8^6 of them, uniqueness is checked on the generators
     *(Row("hyperspace.MAX_ASSIGNMENTS", "hyper universal in.json --chain 8", poset, n, stdout=json.dumps(
         {"check": "universal-property", "homs_found": 1, "method": m, "pass": True, "witness": None}) + "\n")
       for n, m in ((6, "enumerated"), (7, "generators"))),
-    limit("hyperspace.MAX_CHAIN", "hyper universal in.json --chain {}", poset(3, [(0, 2), (1, 2)])),
-    limit("clopen.MAX_GRID", lambda n: f"clopen minclopen w*{n - 1} w*{n - 1}"),
+    limit("hyperspace.MAX_CHAIN", "hyper universal in.json --chain {}", poset(3, [(0, 2), (1, 2)]),
+          past=(200, 1_000_000), says=CHAIN),
+    limit("clopen.MAX_GRID", lambda n: f"clopen minclopen w*{n - 1} w*{n - 1}", says="%s values"),
+    limit("clopen.MAX_GRID", lambda n: f"clopen minclopen w*{n - 1} w^2", past=(2 ** 9999 + 1,),
+          says="%s values"),
     # n values below w^2, the first 257 of them ending in w*256, whose piece is the answer
     limit("clopen.MAX_GRID", lambda n: "clopen minclopen w*256 w^2 --grid " + ",".join(
         ["0", *(f"w*{j}" for j in range(1, 257)), *(f"w*256+{k}" for k in range(1, n - 256))]),
         seconds=10, stdout="(w*255,w*256] @ w^2\n"),
+    refusal("clopen.MAX_GRID", lambda n: "clopen minclopen w w^2 --grid " + ",".join(map(str, range(n))),
+            says="%s values"),
     limit("clopen.MAX_ENDPOINTS", "clopen cb (0,w*{0}]@w*{0}", mb=60),
-    limit("mrowka.MAX_TRUNCATION", "mrowka selector in.json --bound {}", family(2), mb=60),
+    limit("clopen.MAX_ENDPOINTS", lambda n: ["clopen", "cb", f"(0,w*{n}] @ w^2"], mb=60,
+          says="%s end points"),
+    limit("mrowka.MAX_TRUNCATION", "mrowka selector in.json --bound {}", family(2), mb=60,
+          says="error: truncation bound {} over MAX_TRUNCATION = 16384\n"),
     limit("mrowka.MAX_CODE_BOUND", "mrowka star in.json {}", family(2)),
     limit("mrowka.MAX_STAR_CODES", "mrowka star in.json {}", family(1), mb=120),
     # the most steps over the progressions mod 64, and the most progressions in one step
     limit("mrowka.MAX_LUSIN_PICKS", "mrowka lusin in.json --steps {}", family(64), 59, seconds=10),
     limit("mrowka.MAX_LUSIN_PICKS", "mrowka lusin in.json", family, 724, seconds=10),
+    # admitted over the two parity classes, a run reaches the scan, which fails at step 4
+    refusal("mrowka.MAX_LUSIN_PICKS", "mrowka lusin in.json --steps {}", family(2), LUSIN_STEPS, (10 ** 18,),
+            says="over MAX_LUSIN_PICKS = 262144\n"),
     # two classes mod v + 1: the one pick of the stage is v, the least member of the second
     limit("mrowka.MAX_STAGE_MEMBER", "mrowka lusin in.json",
           lambda v: family((v + 1, [v - 1], []), (v + 1, [v], []))),
@@ -69,52 +107,68 @@ ROWS = [
     limit("mrowka.MAX_POINT_MEMBER", lambda n: "mrowka join in.json " + " ".join(
         "fin:" + ",".join(map(str, range(n - k - 16_000, n - k))) for k in (0, 16_000)), family(2), mb=60),
     limit("mrowka.MAX_HORIZON", "mrowka convergence in.json 0 1 --horizon {}",
-          family((2, [0], []), (2, [1], [*range(50_000)]))),
+          family((2, [0], []), (2, [1], [*range(50_000)])), past=(10 ** 18,), says=HORIZON),
+    # an over-limit option is refused before the file is read: a missing one, or one that is not JSON
+    *(refusal(c, argv.format(file), "{", says=says) for file in ("missing.json", "in.json")
+      for c, argv, says in (("mrowka.MAX_HORIZON", "mrowka convergence {} 0 1 --horizon {{}}", HORIZON),
+                            ("hyperspace.MAX_CHAIN", "hyper universal {} --chain {{}}", CHAIN))),
     Row(None, "poset hasse in.json", poset, 3000),
     Row(None, lambda n: "clopen treelike w^2 " + " ".join(f"w*{a // 30 + 1}+{a % 30}" for a in range(n)),
         accept=2400),
-    Row(None, "poset width in.json", lambda d: "[" * d + "]" * d, refuse=100_000,
-        says="JSON nested too deep"),
-    Row(None, "selftest --seed 0 --criteria {}", refuse=99, says="no criterion numbered 99"),
-    Row(None, "selftest --seed 0 --criteria {}", refuse=",", says="no criterion number given"),
-    Row(None, "mrowka join in.json {} branch:0", family(2), refuse="fin:-2", says="expected a number"),
-    Row(None, "clopen minclopen w w^2 --grid {}", refuse=",".join(map(str, range(20))),
+    *(Row(None, c + " in.json", lambda d: "[" * d + "]" * d, refuse=(100_000,),
+          says="error: JSON nested too deep to decode\n") for c in ("poset width", "mrowka adcheck")),
+    Row(None, "selftest --seed 0 --criteria {}", refuse=(99,), says="no criterion numbered 99"),
+    Row(None, "selftest --seed 0 --criteria {}", refuse=(",",), says="no criterion number given"),
+    Row(None, "mrowka join in.json {} branch:0", family(2), refuse=("fin:-2",), says="expected a number"),
+    Row(None, "clopen minclopen w w^2 --grid {}", refuse=(",".join(map(str, range(20))),),
         says="no candidate in grid has the prescribed end point"),
 ]
 
 
-def check(row):
-    """One line per side of the row, ending in ``ok`` or in what went wrong."""
-    for refused, value in ((False, row.accept), (True, row.refuse)):
-        if value is None:
-            continue
-        argv = row.argv.format(value) if isinstance(row.argv, str) else row.argv(value)
-        argv = argv.split() if isinstance(argv, str) else argv
-        with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryFile("w+") as out, \
-                tempfile.TemporaryFile("w+") as err:
-            Path(tmp, "in.json").write_text((row.text(value) if callable(row.text) else row.text) or "")
-            t0 = time.perf_counter()
-            child = subprocess.Popen(
-                [sys.executable, "-m", "ordtop.cli", *argv], cwd=tmp, stdout=out, stderr=err,
-                env={**os.environ, "PYTHONPATH": str(SRC)},
-                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
-            timer = threading.Timer(row.seconds, child.kill)
-            timer.start()
-            _, status, usage = os.wait4(child.pid, 0)  # in KB, at least the runner's RSS at the fork
-            wall, mb = time.perf_counter() - t0, usage.ru_maxrss / 1024
-            timer.cancel()
-            child.returncode = status = os.waitstatus_to_exitcode(status)
-            out, err = (f.seek(0) or f.read() for f in (out, err))
+def argv(row, value):
+    """The argv of the row's call at ``value``."""
+    argv = row.argv.format(value) if isinstance(row.argv, str) else row.argv(value)
+    return argv.split() if isinstance(argv, str) else argv
+
+
+def check(row, run):
+    """One line per call of the row through ``run(argv, seconds)``, which gives the call's exit code, stdout,
+    stderr, wall time (s) and peak RSS (MB); the line ends in ``ok`` or in what went wrong.  A call runs
+    where its ``in.json`` is written."""
+    for refused, value in [(False, row.accept)] * (row.accept is not None) + [(True, v) for v in row.refuse]:
+        Path("in.json").write_text((row.text(value) if callable(row.text) else row.text) or "")
+        status, out, err, wall, mb = run(argv(row, value), row.seconds)
         wrong = [f"exit {status}"] * (status not in ((2,) if refused else (0, 1)))
         wrong += [f"{wall:.2f} s over {row.seconds}"] * (wall > row.seconds)
         wrong += [f"{mb:.0f} MB over {row.mb}"] * (mb > row.mb)
-        if (out or row.says not in err) if refused else row.stdout not in (None, out):
+        if (out or not re.fullmatch(r"error: .*\n", err) or PYTHON_TYPE.search(err)
+                or not re.search(re.escape(row.says.format(value)) + r"(?!\d)", err)
+                if refused else row.stdout not in (None, out)):
             wrong.append(f"stdout {out[:80]!r}, stderr {err[:160]!r}")
-        yield (f"{row.constant or '-':26} {'refused' if refused else 'accepted':8} {' '.join(argv)[:48]:48}"
-               f"{wall:5.2f} s {mb:4.0f} MB  {'; '.join(wrong) or 'ok'}")
+        yield (f"{row.constant or '-':26} {'refused' if refused else 'accepted':8} "
+               f"{' '.join(argv(row, value))[:48]:48}{wall:5.2f} s {mb:4.0f} MB  {'; '.join(wrong) or 'ok'}")
+
+
+def fresh(argv, seconds):
+    """One call of ``python -m ordtop.cli`` in a fresh process under RLIMIT_AS, killed past ``seconds``."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        t0 = time.perf_counter()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ordtop.cli", *argv], stdout=out, stderr=err,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
+        timer = threading.Timer(seconds, child.kill)
+        timer.start()
+        _, status, usage = os.wait4(child.pid, 0)  # in KB, at least the runner's RSS at the fork
+        wall = time.perf_counter() - t0
+        timer.cancel()
+        child.returncode = status = os.waitstatus_to_exitcode(status)
+        return (status, *(f.seek(0) or f.read() for f in (out, err)), wall, usage.ru_maxrss / 1024)
 
 
 if __name__ == "__main__":
-    lines = [line for row in ROWS for line in check(row)]
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        lines = [line for row in ROWS for line in check(row, fresh)]
     print("\n".join(lines))
     sys.exit(any(not line.endswith(" ok") for line in lines))
