@@ -226,8 +226,8 @@ def hat_extension(h: Hyperspace, y: FinJoinSemilattice, f: dict):
     for i, name in enumerate(poset.labels):
         if name not in f:
             raise HyperspaceError(f"f missing element {name!r}")
-        fi.append(f[name] if _is_int(f[name]) else y.carrier.index(f[name]))
-        if not 0 <= fi[i] < y.n:
+        fi.append(f[name])
+        if not (_is_int(fi[i]) and 0 <= fi[i] < y.n):
             raise HyperspaceError(f"f maps {name!r} outside the semilattice")
 
     # f is increasing exactly when its join over each principal downset is f of the top

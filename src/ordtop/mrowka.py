@@ -342,10 +342,10 @@ class LusinStage(Record):
     ``members``, cached, is one ascending ``array("q")`` of the elements
     of all blocks.  Any other sequence given as a block is packed so, and
     a member past ``MAX_STAGE_MEMBER``, which does not fit, is refused.
-    So a stage compares by value but is not hashable.  ``contains`` and
-    ``ascending`` bisect ``members``.  The scan reads each prior set,
-    stage or ``EvPeriodicSet``, through ``ascending`` alone: which sets
-    hold a candidate it asks the membership index."""
+    So a stage compares by value but is not hashable.  ``ascending``
+    bisects ``members``.  The scan reads each prior set, stage or
+    ``EvPeriodicSet``, through ``ascending`` alone: which sets hold a
+    candidate it asks the membership index."""
 
     _fields = ("blocks", "m", "l1_counts")
 
@@ -359,11 +359,6 @@ class LusinStage(Record):
     @cached_property
     def members(self) -> array:
         return array("q", sorted(chain.from_iterable(self.blocks)))
-
-    def contains(self, n: int) -> bool:
-        members = self.members
-        i = bisect_left(members, n)
-        return i < len(members) and members[i] == n
 
     def ascending(self, start: int = 0):
         """Members from ``start`` on, in increasing order."""

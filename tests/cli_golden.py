@@ -3,14 +3,17 @@
 A row is (argv as a shell splits it, exit code, expected): for exit 0 or 1 the exact stdout but its last
 newline, which ``--json out.json`` also writes byte for byte; for exit 2 the one line on stderr, which names
 no Python type, with stdout empty.  Calls run where FILES are written, a selftest criterion's elapsed time
-is masked on both sides, and a row at a work limit reads it from ordtop.  tests/test_cli.py runs every row in
-process as a test of its own, named by its index and argv, or by its PINNED key; this script runs each
-through the ``ordtop`` on PATH within 10 s, prints one line per row and exits 1 on any mismatch."""
+is masked on both sides, and a row at a work limit reads it from ordtop.  tests/test_cli.py runs every row
+through ``run``, in process, as a test of its own, named by its index and argv, or by its PINNED key; this
+script runs each through the ``ordtop`` on PATH within 10 s, prints one line per row and exits 1 on any
+mismatch."""
 
-import json, os, re, shlex, subprocess, sys, tempfile  # noqa: E401
+import io, json, os, re, shlex, subprocess, sys, tempfile  # noqa: E401
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
 
+from ordtop.cli import main
 from ordtop.hyperspace import MAX_CHAIN
 from ordtop.mrowka import MAX_HORIZON, MAX_LUSIN_PICKS
 from ordtop.ordinal import MAX_COEFF_BITS, MAX_NESTING, MAX_TERMS
@@ -166,6 +169,10 @@ ROWS = [
     ("mrowka selector empty.json", 1, '{"ad": true, "check": "mrowka-selector", "conditions": '
      '{"antisymmetry": true, "membership": true, "nesting": true}, "heights": false, "induced_order": true, '
      '"pass": false, "witness": ["heights", "family has no branch"]}'),
+    # clopen op reads one operand for complement and two for the others
+    ('clopen op intersect "(0,w*2] @ w^2" "(w,w^2] @ w^2"', 0, "(w,w*2] @ w^2"),
+    ('clopen op intersect "(0,w] @ w^2"', 2, "error: binary operation needs two operands"),
+    ('clopen op complement "(0,w] @ w^2" "(0,w] @ w^2"', 2, "error: complement is unary"),
 ]
 
 
@@ -437,6 +444,22 @@ def mismatches(run, json_file=False):
     for name, text in FILES.items():
         Path(name).write_text(text)
     return [(i, row[0][:60], wrong) for i, row in enumerate(ROWS) if (wrong := check(row, run, json_file))]
+
+
+def run(argv):
+    """One call of ``ordtop.cli.main()`` in this process, as the console script makes it: its exit code,
+    stdout and stderr.  Any exception but ``SystemExit`` propagates."""
+    saved, sys.argv = sys.argv, ["ordtop", *argv]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            main()
+        code = 0
+    except SystemExit as e:
+        code = 0 if e.code is None else e.code
+    finally:
+        sys.argv = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def ordtop(argv):

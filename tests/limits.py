@@ -1,12 +1,11 @@
 """Every work limit of ordtop, run on both sides in fresh processes:  python tests/limits.py
 
-A row names a limit constant ``module.NAME`` (or None), the argv of one ``python -m ordtop.cli``
-call and its ``in.json`` text, each a function of a value or a string (argv is split on spaces, its
-``{}`` takes the value), the largest accepted value and the refused ones, and the wall time (s) and
-peak RSS (MB) each call stays within, under RLIMIT_AS.  Accepted, a call exits 0 or 1 and prints
-``stdout`` if given; refused, it exits 2 with nothing on stdout and one ``error:`` line that names no
-Python type and holds ``says`` (its ``{}`` the value) with no digit after it.  tests/test_limits.py
-runs every refused call in process."""
+A row names a limit constant ``module.NAME`` (or None), the argv of one ``ordtop`` call and its ``in.json``
+text, each a function of a value or a string (argv is split on spaces, its ``{}`` takes the value), the
+largest accepted value and the refused ones, and the wall time (s) and peak RSS (MB) each call stays within,
+under RLIMIT_AS.  Accepted, a call exits 0 or 1 and prints ``stdout`` if given; refused, it exits 2 with
+nothing on stdout and one ``error:`` line that names no Python type and holds ``says`` (its ``{}`` the value)
+with no digit after it.  tests/test_limits.py runs every refused call in process."""
 
 import importlib, json, os, re, resource, subprocess, sys, tempfile, threading, time  # noqa: E401
 from collections import namedtuple
@@ -149,21 +148,32 @@ def check(row, run):
                f"{' '.join(argv(row, value))[:48]:48}{wall:5.2f} s {mb:4.0f} MB  {'; '.join(wrong) or 'ok'}")
 
 
+# a call as the console script makes it, which writes its own VmHWM (kB) to file descriptor {} as it exits;
+# getrusage and wait4 would count the runner's RSS at the fork as well
+CALL = """import atexit, os, sys
+atexit.register(lambda: os.write({}, open("/proc/self/status").read().split("VmHWM:")[1].split()[0].encode()))
+from ordtop.cli import main
+sys.argv[0] = "ordtop"
+main()"""
+
+
 def fresh(argv, seconds):
-    """One call of ``python -m ordtop.cli`` in a fresh process under RLIMIT_AS, killed past ``seconds``."""
-    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+    """One call of ``ordtop.cli.main()`` in a fresh process under RLIMIT_AS, killed past ``seconds``; the peak
+    RSS of a call killed before it exits is NaN."""
+    with (tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err,
+          tempfile.TemporaryFile() as kb):
         t0 = time.perf_counter()
         child = subprocess.Popen(
-            [sys.executable, "-m", "ordtop.cli", *argv], stdout=out, stderr=err,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
+            [sys.executable, "-c", CALL.format(kb.fileno()), *argv], stdout=out, stderr=err,
+            pass_fds=(kb.fileno(),), env={**os.environ, "PYTHONPATH": str(SRC)},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
         timer = threading.Timer(seconds, child.kill)
         timer.start()
-        _, status, usage = os.wait4(child.pid, 0)  # in KB, at least the runner's RSS at the fork
+        status = child.wait()
         wall = time.perf_counter() - t0
         timer.cancel()
-        child.returncode = status = os.waitstatus_to_exitcode(status)
-        return (status, *(f.seek(0) or f.read() for f in (out, err)), wall, usage.ru_maxrss / 1024)
+        peak = int(kb.seek(0) or kb.read() or "0") / 1024 or float("nan")
+        return (status, *(f.seek(0) or f.read() for f in (out, err)), wall, peak)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -7,16 +8,13 @@ import sys
 from math import comb
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cli_golden
 import ordtop
-from cli_golden import FILES, PINNED, ROWS, SKEL, SKEL0
-from ordtop.cli import main
+from cli_golden import FILES, PINNED, ROWS, SKEL, SKEL0, run
 from ordtop.mrowka import MAX_LUSIN_PICKS, MAX_POINT_MEMBER
 from ordtop.ordinal import MAX_NESTING
 
@@ -28,24 +26,10 @@ FAM_BAD = {"sets": [{"period": 2, "residues": [0], "delta": []},
                     {"period": 4, "residues": [0], "delta": []}]}
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke_clean(runner, args):
-    # the exit code comes from the handler, never from an uncaught exception
-    r = runner.invoke(main, args)
-    assert r.exception is None or isinstance(r.exception, SystemExit)
-    assert "Traceback" not in r.output and "Traceback" not in r.stderr
-    return r
-
-
 # -- what no row pins: click's own usage errors, and checks on more than bytes ------------------------
 
-def test_selftest_requires_seed(runner):
-    r = invoke_clean(runner, ["selftest"])
-    assert r.exit_code == 2
+def test_selftest_requires_seed():
+    assert run(["selftest"])[0] == 2
 
 
 # click's integer options and arguments read their text by the same nat;
@@ -68,82 +52,78 @@ def test_selftest_requires_seed(runner):
     ("-3", "expected a number (at position 0)"),
     ("+3", "expected a number (at position 0)"),
 ])
-def test_integer_options_are_nats(runner, tmp_path, args, name, text, error):
+def test_integer_options_are_nats(tmp_path, args, name, text, error):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps(FAM2))
-    r = invoke_clean(runner, [str(fam) if a == "FAM" else text if a == "N" else a
-                              for a in args])
-    assert (r.exit_code, r.stdout) == (2, ""), text
-    assert f"Invalid value for {name}: {error}" in r.stderr, r.stderr
+    code, out, err = run([str(fam) if a == "FAM" else text if a == "N" else a for a in args])
+    assert (code, out) == (2, ""), text
+    assert f"Invalid value for {name}: {error}" in err, err
 
 
-def test_mrowka_selector_bound_below_zero_is_zero(runner, tmp_path):
+def test_mrowka_selector_bound_below_zero_is_zero(tmp_path):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps(FAM2))
-    zero = invoke_clean(runner, ["mrowka", "selector", str(fam), "--bound", "0"])
-    assert zero.exit_code == 1
-    assert json.loads(zero.stdout)["witness"] == ["heights", "branch empty at truncation"]
+    code, out, _ = run(["mrowka", "selector", str(fam), "--bound", "0"])
+    assert code == 1
+    assert json.loads(out)["witness"] == ["heights", "branch empty at truncation"]
     # a sign is not in the grammar's nat; mrowka_selector_check reads a
     # negative truncation as 0 for library callers
     for bound in ("-1", "-2", "-64"):
-        r = invoke_clean(runner, ["mrowka", "selector", str(fam), "--bound", bound])
-        assert (r.exit_code, r.stdout) == (2, ""), bound
-        assert "Invalid value for '--bound': expected a number (at position 0)" in r.stderr, bound
+        code, out, err = run(["mrowka", "selector", str(fam), "--bound", bound])
+        assert (code, out) == (2, ""), bound
+        assert "Invalid value for '--bound': expected a number (at position 0)" in err, bound
 
 
-def test_unwritable_json_file_prints_nothing(runner, tmp_path):
-    out = tmp_path / "nodir" / "OUT.json"
-    r = invoke_clean(runner, ["ord", "add", "1", "2", "--json", str(out)])
-    assert r.exit_code == 2 and r.stdout == ""
-    assert r.stderr.startswith("error: [Errno 2]")
+def test_unwritable_json_file_prints_nothing(tmp_path):
+    code, out, err = run(["ord", "add", "1", "2", "--json", str(tmp_path / "nodir" / "OUT.json")])
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno 2]")
 
 
-def test_poset_chain_longer_than_the_recursion_limit(runner, tmp_path):
+def test_poset_chain_longer_than_the_recursion_limit(tmp_path):
     # covers run against declaration order, so a depth-first closure would
     # recurse once per element
     n = sys.getrecursionlimit() + 200
     f = tmp_path / "chain.json"
     f.write_text(json.dumps({"elements": [str(i) for i in range(n)],
                              "covers": [[str(i + 1), str(i)] for i in range(n - 1)]}))
-    r = invoke_clean(runner, ["poset", "ranks", str(f)])
-    assert r.exit_code == 0
-    assert json.loads(r.stdout)["poset_rank"] == n
-    r = invoke_clean(runner, ["poset", "hasse", str(f)])
-    assert r.exit_code == 0
-    assert r.stdout.count(" -> ") == n - 1
-    r = invoke_clean(runner, ["poset", "width", str(f)])
-    assert r.exit_code == 0
-    assert json.loads(r.stdout) == {"width": 1}
+    code, out, _ = run(["poset", "ranks", str(f)])
+    assert code == 0
+    assert json.loads(out)["poset_rank"] == n
+    code, out, _ = run(["poset", "hasse", str(f)])
+    assert code == 0
+    assert out.count(" -> ") == n - 1
+    code, out, _ = run(["poset", "width", str(f)])
+    assert code == 0
+    assert json.loads(out) == {"width": 1}
 
 
-def test_hyper_universal_chain_limit(runner, tmp_path):
+def test_hyper_universal_chain_limit(tmp_path):
     f = tmp_path / "p.json"
     f.write_text(json.dumps(VEE))
     for chain, error in (("0", "0 is less than 1"), ("-3", "expected a number (at position 0)")):
-        r = invoke_clean(runner, ["hyper", "universal", str(f), "--chain", chain])
-        assert (r.exit_code, r.stdout) == (2, ""), chain
-        assert f"Invalid value for '--chain': {error}" in r.stderr, chain
+        code, out, err = run(["hyper", "universal", str(f), "--chain", chain])
+        assert (code, out) == (2, ""), chain
+        assert f"Invalid value for '--chain': {error}" in err, chain
 
 
-def test_json_nested_too_deep_is_usage_error(runner, tmp_path):
+def test_json_nested_too_deep_is_usage_error():
     # a 200 KB argument is past the 128 KiB an exec passes on Linux, so no fresh process can be given it
     deep = "[" * 100_000 + "]" * 100_000
     for term in (f"skel({deep}, {{}})", f"skel({json.dumps(VEE)}, {deep})"):
-        r = invoke_clean(runner, ["space", "report", term])
-        assert (r.exit_code, r.stdout, r.stderr) == (2, "", "error: JSON nested too deep to decode\n")
+        assert run(["space", "report", term]) == (2, "", "error: JSON nested too deep to decode\n")
 
 
-def test_mrowka_lusin_steps_limit(runner, tmp_path):
+def test_mrowka_lusin_steps_limit(tmp_path):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps(FAM2))
     # a run has at least one step
-    r = invoke_clean(runner, ["mrowka", "lusin", str(fam), "--steps", "0"])
-    assert (r.exit_code, r.stdout) == (2, "")
-    assert "Invalid value for '--steps': 0 is less than 1" in r.stderr
+    code, out, err = run(["mrowka", "lusin", str(fam), "--steps", "0"])
+    assert (code, out) == (2, "")
+    assert "Invalid value for '--steps': 0 is less than 1" in err
 
 
-def test_mrowka_lusin_refuses_over_max_picks_before_loading_the_family(runner, tmp_path,
-                                                                        monkeypatch):
+def test_mrowka_lusin_refuses_over_max_picks_before_loading_the_family(tmp_path, monkeypatch):
     # the progressions mod 1,500: the pairwise check of the family alone
     # takes seconds, and a run over the limit must not pay it
     m, steps = 1500, 10 ** 18
@@ -154,21 +134,15 @@ def test_mrowka_lusin_refuses_over_max_picks_before_loading_the_family(runner, t
         raise AssertionError("ad_check reached")
 
     monkeypatch.setattr("ordtop.mrowka.ad_check", no_ad_check)
-    r = invoke_clean(runner, ["mrowka", "lusin", str(fam), "--steps", str(steps)])
     picks = comb(m + steps, 3) - comb(m, 3)
-    assert (r.exit_code, r.stdout) == (2, "")
-    assert r.stderr == (f"error: {steps} Lusin steps over {m} sets take {picks} picks, "
-                        f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}\n")
+    assert run(["mrowka", "lusin", str(fam), "--steps", str(steps)]) == (
+        2, "", f"error: {steps} Lusin steps over {m} sets take {picks} picks, "
+               f"over MAX_LUSIN_PICKS = {MAX_LUSIN_PICKS}\n")
 
 
 # -- the golden table of tests/cli_golden.py, run in process, each row in one test --------------
 
 DIAMOND, FAM12 = (json.loads(FILES[name]) for name in ("diamond.json", "fam12.json"))
-
-
-def _in_process(argv):
-    r = invoke_clean(CliRunner(), argv)
-    return r.exit_code, r.stdout, r.stderr
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +157,7 @@ def _golden_test(rows_by_id):
     """A test of the rows under each param id; the one id '' makes a test without params."""
     def test(rows, golden_dir, monkeypatch):
         monkeypatch.chdir(golden_dir)
-        assert [(row[0][:60], wrong) for row in rows if (wrong := cli_golden.check(row, _in_process))] == []
+        assert [(row[0][:60], wrong) for row in rows if (wrong := cli_golden.check(row, run))] == []
     if list(rows_by_id) == [""]:
         return lambda golden_dir, monkeypatch: test(rows_by_id[""], golden_dir, monkeypatch)
     return pytest.mark.parametrize("rows", list(rows_by_id.values()), ids=list(rows_by_id))(test)
@@ -201,15 +175,17 @@ globals().update((name, _golden_test(rows_by_id)) for name, rows_by_id in _TESTS
 
 def test_json_file_holds_exactly_the_printed_output(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert cli_golden.mismatches(_in_process, json_file=True) == []
+    assert cli_golden.mismatches(run, json_file=True) == []
 
 
-def _commands(group, path=()):
-    for name, command in sorted(group.commands.items()):
-        if isinstance(command, click.Group):
-            yield from _commands(command, (*path, name))
-        else:
-            yield (*path, name), [o for p in command.params if isinstance(p, click.Option) for o in p.opts]
+def _commands(path=()):
+    """(path, options but --help) of each command under ``path``, read from the Commands or Options section
+    of its ``--help``."""
+    sections = dict(re.findall(r"^(\w+):\n((?:  .*\n)*)", run([*path, "--help"])[1], re.M))
+    if "Commands" not in sections:
+        yield path, [o for o in re.findall(r"^  (-[\w-]+)", sections["Options"], re.M) if o != "--help"]
+    for name in re.findall(r"^  (\S+)", sections.get("Commands", ""), re.M):
+        yield from _commands((*path, name))
 
 
 def _readme_cli():
@@ -219,12 +195,15 @@ def _readme_cli():
 
 
 def test_every_command_and_option_has_a_row_and_readme_names_each_option():
-    rows, flags = [shlex.split(text) for text, _, _ in ROWS], _readme_cli()[1]
+    rows, flags, commands = [shlex.split(text) for text, _, _ in ROWS], _readme_cli()[1], list(_commands())
+    assert {path[0] for path, _ in commands} == {"ord", "poset", "hyper", "space", "clopen", "mrowka",
+                                                 "selftest"}
+    assert all("--json" in options for _, options in commands)
     # a row for the command alone, and for each option but --json, which every exit-0/1 row adds
-    missing = [(path, option) for path, options in _commands(main)
+    missing = [(path, option) for path, options in commands
                for option in [None, *options] if option != "--json"
                and not any(argv[:len(path)] == [*path] and option in (None, *argv) for argv in rows)]
-    missing += [option for _, options in _commands(main) for option in options
+    missing += [option for _, options in commands for option in options
                 if not re.search(f"`{option}[ `]", flags)]
     assert missing == []
     assert {code for _, code, _ in ROWS} == {0, 1, 2}
@@ -246,7 +225,7 @@ JOIN_FAMILIES = {"fam4": {"sets": [{"period": 4, "residues": [r], "delta": []}
                  "parity": FAM2}
 
 
-def test_mrowka_join_golden_sweep(runner, tmp_path):
+def test_mrowka_join_golden_sweep(tmp_path):
     with open(os.path.join(os.path.dirname(__file__), "mrowka_join_golden.json")) as fh:
         golden = json.load(fh)
     assert [row[:3] for row in golden] == [[name, x, y] for name in JOIN_FAMILIES
@@ -256,8 +235,7 @@ def test_mrowka_join_golden_sweep(runner, tmp_path):
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     for name, x, y, code, stdout, stderr in golden:
-        r = invoke_clean(runner, ["mrowka", "join", paths[name], x, y])
-        assert (r.exit_code, r.stdout, r.stderr) == (code, stdout, stderr), (name, x, y)
+        assert run(["mrowka", "join", paths[name], x, y]) == (code, stdout, stderr), (name, x, y)
 
 
 # -- import boundary: each group loads only its layers ---------------------------
@@ -328,6 +306,21 @@ def test_no_module_imports_dataclasses():
             with open(os.path.join(package, name)) as fh:
                 text = fh.read()
             assert not re.search(r"^\s*(import|from)\s+dataclasses\b", text, re.M), name
+
+
+def test_no_test_imports_click():
+    # every in-process call goes through cli_golden.run, as the console script calls main(), so a change of
+    # the CLI's parser library touches no test harness
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+                    for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names]
+        names = {getattr(node, "id", getattr(node, "attr", None)) for node in nodes}
+        assert not any(m.split(".")[0] == "click" for m in imported) and "CliRunner" not in names, path.name
+        # and only cli_golden imports the CLI module
+        cli = [m for m in imported if m.startswith("ordtop.cli")]
+        assert path.name == "cli_golden.py" or cli == [], path.name
 
 
 def test_importing_the_cli_does_not_load_the_battery(tmp_path):
@@ -448,15 +441,13 @@ def _fuzz_argv(draw, files):
 
 
 def test_cli_fuzz_keeps_exit_contract(fuzz_files):
-    runner = CliRunner()
-
+    # run lets any exception but SystemExit out, so a handler's uncaught error fails the example
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_fuzz_argv(fuzz_files))
-    def run(argv):
-        r = runner.invoke(main, argv)
-        assert r.exception is None or isinstance(r.exception, SystemExit), argv
-        assert r.exit_code in (0, 1, 2), argv
-        assert "Traceback" not in r.output, argv
-        assert not cli_golden.PYTHON_TYPE.search(r.stderr), (argv, r.stderr)
+    def call(argv):
+        code, out, err = run(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv
+        assert not cli_golden.PYTHON_TYPE.search(err), (argv, err)
 
-    run()
+    call()

@@ -2,10 +2,9 @@ import ast
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import limits
-from ordtop.cli import main
+from cli_golden import run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,11 +30,6 @@ def test_every_limit_has_a_row_and_a_readme_entry_and_none_is_the_clis():
     assert [c for c in constants if c.startswith("cli.")] == []
 
 
-def _in_process(argv, seconds):  # no time or memory: the bounds are a fresh process's
-    r = CliRunner().invoke(main, argv)
-    return r.exit_code, r.stdout, r.stderr, 0, 0
-
-
 # each row's refused calls, under its index and its first refused argv; its accepted side runs only in a fresh
 # process, the one that the time and memory bounds are for
 _REFUSING = {f"{i}-{' '.join(limits.argv(row, row.refuse[0]))[:60]}": row
@@ -45,5 +39,6 @@ _REFUSING = {f"{i}-{' '.join(limits.argv(row, row.refuse[0]))[:60]}": row
 @pytest.mark.parametrize("row", list(_REFUSING.values()), ids=list(_REFUSING))
 def test_refused_in_process(row, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    lines = limits.check(row._replace(accept=None), _in_process)
+    # no time or memory: the bounds are a fresh process's
+    lines = limits.check(row._replace(accept=None), lambda argv, seconds: (*run(argv), 0, 0))
     assert [line for line in lines if not line.endswith(" ok")] == []
