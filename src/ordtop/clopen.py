@@ -63,11 +63,6 @@ class ClopenSet(Record):
     def is_empty(self) -> bool:
         return not self.zero_included and not self.intervals
 
-    def contains(self, point: Ordinal) -> bool:
-        if point.is_zero:
-            return self.zero_included
-        return any(s < point <= t for s, t in self.intervals)
-
     def __str__(self) -> str:
         return format_clopen(self)
 

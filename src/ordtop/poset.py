@@ -337,19 +337,10 @@ def all_downsets(poset: FinitePoset) -> dict:
     or ``MAX_DOWNSETS`` downsets."""
     if poset.n > MAX_ELEMENTS:
         raise PosetError(f"poset has {poset.n} elements, over MAX_ELEMENTS = {MAX_ELEMENTS}")
-    return _downsets_over(poset, 0, 0)
-
-
-def _downsets_over(poset: FinitePoset, base: int, maxima: int) -> dict:
-    """Every downset that contains the downset ``base``, whose maxima are
-    ``maxima``, mapped to its maxima: the loop of ``all_downsets`` started
-    from ``base`` and skipping its elements."""
     below = poset.below
-    out = {base: maxima}
+    out = {0: 0}
     for i in sorted(range(poset.n), key=lambda i: below[i].bit_count()):
         bit, under = 1 << i, below[i]
-        if base & bit:
-            continue
         out.update([(m | bit, top & ~under | bit) for m, top in out.items() if not under & ~m])
         if len(out) > MAX_DOWNSETS:
             raise PosetError(f"poset has more than MAX_DOWNSETS = {MAX_DOWNSETS} downsets")

@@ -18,7 +18,6 @@ points' contributions.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from typing import Iterable, Union
 
 from .ordinal import (
@@ -41,7 +40,7 @@ from .ordinal import (
     ord_pow,
     parse_ordinal,
 )
-from .poset import FinitePoset, _bits, _downsets_over, all_downsets, poset_from_json
+from .poset import FinitePoset, _bits, all_downsets, poset_from_json
 
 
 class TermError(ValueError):
@@ -256,44 +255,38 @@ def hyper_monotonicity_check(sk: Skeleton) -> CheckReport:
     witness is the first inversion, else the first tie, in the order of
     ``_antichains`` taken pair by pair.
 
-    Only comparable pairs are visited: each antichain reads the downsets
-    above its own from ``_downsets_over``, sorts their antichains by height
-    and counts the larger, equal and smaller heights by bisection, so only
-    ties and inversions are looked at one by one.
+    One scan reads each ordered pair of antichains once and skips it
+    unless the first one's downset lies strictly inside the second's.
     """
     p = sk.poset
     if not _is_forest(p):
         raise TermError("skeleton is not a forest")
     antichains = _antichains(p)
-    place = {m: k for k, (m, _) in enumerate(antichains)}
     heights = [hyper_antichain_height([sk.labels[i] for i in _bits(m)]) for m, _ in antichains]
     # each height as its place among the distinct heights, so pairs compare ints
     level = {h: k for k, h in enumerate(sorted(set(heights)))}
-    level_of = {m: level[h] for (m, _), h in zip(antichains, heights)}
-    positive = {m: sum(1 << i for i in _bits(m) if not sk.labels[i].is_zero) for m, _ in antichains}
+    # (antichain, downset, level, the antichain's points of positive label)
+    rows = [(m, d, level[h], sum(1 << i for i in _bits(m) if not sk.labels[i].is_zero))
+            for (m, d), h in zip(antichains, heights)]
     checked = strict = ties = 0
     first_tie = inversion = None
     all_zero = True
-    for rho, dr in antichains:
-        # the antichains of the downsets above rho's, rho's own among them,
-        # by level; the level of rho's spans the ties
-        above = sorted(_downsets_over(p, dr, rho).values(), key=level_of.__getitem__)
-        hr = level_of[rho]
-        lower = bisect_left(above, hr, key=level_of.__getitem__)
-        upper = bisect_right(above, hr, lo=lower, key=level_of.__getitem__)
-        checked += len(above) - 1
-        strict += len(above) - upper
-        ties += upper - lower - 1
-        # the first inversion and the first tie in the order of ``antichains``
-        if lower and inversion is None:
-            inversion = (rho, min(above[:lower], key=place.__getitem__))
-        if upper - lower > 1:
-            tied = [s for s in above[lower:upper] if s != rho]
-            if first_tie is None:
-                first_tie = (rho, min(tied, key=place.__getitem__))
-            # a tie must be explained by height-0 shrinkage alone
-            if any(positive[s] & ~rho for s in tied):
-                all_zero = False
+    for rho, dr, hr, _ in rows:
+        for sigma, ds, hs, positive in rows:
+            if dr & ~ds or dr == ds:
+                continue
+            checked += 1
+            if hr < hs:
+                strict += 1
+            elif hr == hs:
+                ties += 1
+                if first_tie is None:
+                    first_tie = (rho, sigma)
+                # a tie must be explained by height-0 shrinkage alone
+                if positive & ~rho:
+                    all_zero = False
+            elif inversion is None:
+                inversion = (rho, sigma)
     passed = inversion is None and all_zero
     witness = None if passed else tuple(sorted(p.names(m)) for m in inversion or first_tie)
     return CheckReport("hyperspace-monotonicity", passed, witness,

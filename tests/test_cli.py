@@ -18,12 +18,9 @@ from cli_golden import FILES, PINNED, ROWS, SKEL, SKEL0, run
 from ordtop.mrowka import MAX_LUSIN_PICKS, MAX_POINT_MEMBER
 from ordtop.ordinal import MAX_NESTING
 
-VEE = {"elements": ["a", "b", "c"], "covers": [["a", "c"], ["b", "c"]]}
+VEE, FAM2, FAM_BAD, DIAMOND, FAM12 = (json.loads(FILES[name]) for name in (
+    "poset.json", "family.json", "fam_bad.json", "diamond.json", "fam12.json"))
 WIDE12 = {"elements": [str(i) for i in range(12)], "covers": []}
-FAM2 = {"sets": [{"period": 2, "residues": [0], "delta": []},
-                 {"period": 2, "residues": [1], "delta": []}]}
-FAM_BAD = {"sets": [{"period": 2, "residues": [0], "delta": []},
-                    {"period": 4, "residues": [0], "delta": []}]}
 
 
 # -- what no row pins: click's own usage errors, and checks on more than bytes ------------------------
@@ -141,9 +138,6 @@ def test_mrowka_lusin_refuses_over_max_picks_before_loading_the_family(tmp_path,
 
 
 # -- the golden table of tests/cli_golden.py, run in process, each row in one test --------------
-
-DIAMOND, FAM12 = (json.loads(FILES[name]) for name in ("diamond.json", "fam12.json"))
-
 
 @pytest.fixture(scope="module")
 def golden_dir(tmp_path_factory):

@@ -44,29 +44,12 @@ from ordtop.poset import (
     ranks,
     selector_conditions,
 )
-
-
-def antichain(k):
-    return poset_from_covers([str(i) for i in range(k)], [])
-
-
-def chain(k):
-    return poset_from_covers([str(i) for i in range(k)],
-                             [(str(i), str(i + 1)) for i in range(k - 1)])
+from test_poset import antichain, chain, close_down, is_downset
 
 
 def leq(poset, i, j):
     """i <= j in ``poset``."""
     return i == j or bool(poset.below[j] >> i & 1)
-
-
-def close_down(poset, mask):
-    """The downward closure of ``mask``."""
-    return mask | _union(poset.below, mask)
-
-
-def is_downset(poset, mask):
-    return close_down(poset, mask) == mask
 
 
 def one_point_poset(n):

@@ -407,6 +407,32 @@ def test_monotonicity_matches_the_pairwise_scan_on_forced_failures(monkeypatch):
     assert kinds == {"inversion", "tie"}
 
 
+def _seeded_forests():
+    """200 seeded forests of 6 to 9 elements, each below at most one upper
+    cover, labeled as in ``_labeled_forests``."""
+    rng = random.Random(43)
+    for _ in range(200):
+        n = rng.randint(6, 9)
+        order = rng.sample(range(n), n)
+        covers = [(str(a), str(order[rng.randrange(k)])) for k, a in enumerate(order)
+                  if k and rng.random() < 0.8]
+        p = poset_from_covers([str(i) for i in range(n)], covers)
+        step = rng.choice([3, OMEGA])
+        yield Skeleton(p, [ZERO + step * r + rng.randint(0, 2) for r in ranks(p).by_index])
+
+
+def test_monotonicity_matches_the_pairwise_scan_on_larger_forests(monkeypatch):
+    forests = list(_seeded_forests())
+    assert max(len(spaceterm._antichains(sk.poset)) for sk in forests) > 32
+    for sk in forests:
+        assert hyper_monotonicity_check(sk) == _monotonicity_pairwise(sk), sk
+    # the forced heights of the test above
+    monkeypatch.setattr(spaceterm, "hyper_antichain_height",
+                        lambda labels: Ordinal.from_int(len(list(labels)) % 3))
+    for sk in forests:
+        assert hyper_monotonicity_check(sk) == _monotonicity_pairwise(sk), sk
+
+
 def _is_forest_pairwise(p):
     # the forest test that spaceterm._is_forest replaced, with O(n^3) calls
     # of lt
