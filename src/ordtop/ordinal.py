@@ -280,17 +280,16 @@ def ord_mul(a: Ordinal, b: Ordinal) -> Ordinal:
 
 
 def _mul(ka: tuple, kb: tuple) -> tuple:
-    # ord_mul on keys
+    # ord_mul on keys, for a = w^d * lead + tail.  Each piece of the product
+    # lies below the pieces before it, so they are concatenated: w^(d + e) * c
+    # for each infinite term w^e * c of b (d + e falls as e falls), then, for
+    # a finite last term n, w^d * (lead * n) + tail
     if not ka:
         return ka
     (kd, lead), tail = ka[0], ka[1:]
-    out = ()
-    for ke, coeff in kb:
-        if ke:
-            out = _add(out, ((_add(kd, ke), coeff),))
-        else:
-            # a * finite: scale the leading coefficient, keep the tail once
-            out = _add(out, ((kd, _coeff_mul(lead, coeff)),) + tail)
+    out = tuple([(_add(kd, ke), c) for ke, c in kb if ke])
+    if kb and not kb[-1][0]:
+        out += ((kd, _coeff_mul(lead, kb[-1][1])),) + tail
     return out
 
 
@@ -310,8 +309,8 @@ the sum of two of them, can be printed.  A larger coefficient raises
 MAX_TERMS = 1_000
 """Most terms that ``ord_pow`` builds for an infinite base.
 
-``(w+1)^n`` has ``n + 1`` terms, and each product costs time quadratic in
-the number of terms, so an unchecked power could ask for a billion terms.
+``(w+1)^n`` has ``n + 1`` terms, so an unchecked power could ask for a
+billion terms.
 The power is built by repeated squaring, and each partial power has at
 most as many terms as the result, so a power over the limit is refused as
 soon as a partial power passes it, with an ``OrdinalError``.

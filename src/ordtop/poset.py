@@ -2,11 +2,11 @@
 
 Elements are indexed 0..n-1 with string labels; the strict order is kept
 as per-element bitmasks of the elements strictly below, together with the
-transposed ``above`` masks, built in the one pass over each below mask
-that checks the order.  Downsets are bitmasks over element indices in
-declaration order, which makes closure checks and hashing cheap and
-canonical, and lets ``max_of`` test each member with one AND against its
-``above`` mask, O(k) for a k-element mask.
+transposed ``above`` masks and the lower covers, found in the one pass
+over each below mask that checks the order.  Downsets are bitmasks over
+element indices in declaration order, which makes closure checks and
+hashing cheap and canonical, and lets ``max_of`` test each member with one
+AND against its ``above`` mask, O(k) for a k-element mask.
 
 Closure conditions are decided with one mask union per set (``_union``,
 the OR of a table's rows over the bits of a mask): the downward closure
@@ -21,9 +21,10 @@ their maxima, behind every enumerating operation of the package: it maps
 each downset mask to the mask of its maxima, the antichain whose closure
 it is (Birkhoff), so no caller recomputes them.  It refuses more than
 ``MAX_ELEMENTS`` elements or ``MAX_DOWNSETS`` downsets.  ``inclusion_order``
-orders downsets from their lower covers, never by pairs.  Its labels, the
-``{a,b}`` strings of ``downset_labels``, render on first access
-(``DownsetLabels``): a selector check that passes reads none of them.
+orders downsets from their lower covers, never by pairs, into an order
+closed by that construction, which skips the checking pass (``_closed``).
+Its labels, the ``{a,b}`` strings of ``downset_labels``, render on first
+access (``DownsetLabels``): a selector check that passes reads none.
 """
 
 from __future__ import annotations
@@ -70,21 +71,18 @@ class FinitePoset(Record):
     elements strictly greater than element i, so "is some member of S above
     i" is ``above[i] & S`` and ``max_of`` costs O(k) for a k-element mask.
     ``lower[i]``, found by the same pass, is the bitmask of the elements
-    that i covers: those below i and below nothing else below i.
+    that i covers: those below i and below nothing else below i.  An order
+    built closed (``_closed``) skips that pass: it is given ``lower``, and
+    derives ``above`` on first read.
     """
 
     _fields = ("labels", "below")  # ``above`` and ``lower`` derive from them
 
     def __init__(self, labels, below):
-        if type(labels) is DownsetLabels:  # kept lazy: distinct() decides on the masks
-            distinct = labels.distinct()
-        else:
-            labels = tuple(labels)
-            distinct = len(set(labels)) == len(labels)
-        _put(self, "labels", labels)
+        _put(self, "labels", labels := tuple(labels))
         _put(self, "below", below := tuple(below))
         n = len(labels)
-        if not distinct:
+        if len(set(labels)) != n:
             raise PosetError("duplicate element name")
         if len(below) != n:
             raise PosetError("below must have one mask per element")
@@ -111,6 +109,14 @@ class FinitePoset(Record):
             lower[i] = mask & ~closure
         _put(self, "above", tuple(above))
         _put(self, "lower", tuple(lower))
+
+    @cached_property
+    def above(self) -> tuple:  # read only where the constructor did not fill it
+        above = [0] * len(self.below)
+        for i, mask in enumerate(self.below):
+            for j in _bits(mask):
+                above[j] |= 1 << i
+        return tuple(above)
 
     @property
     def n(self) -> int:
@@ -415,11 +421,14 @@ def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
     comes after its lower covers L - {i}, i maximal in L, the empty set
     aside, as in all (nonempty) downsets sorted by size; then below L lie
     its lower covers and what lies below them (Birkhoff; Davey and
-    Priestley, ch. 5)."""
+    Priestley, ch. 5).  That order is closed: below L lie only proper
+    subsets of L, and it holds what lies below each cover, so by induction
+    along the covers it is transitive.  It is built by ``_closed``."""
     if masks and (min(masks) < 0 or max(masks) >> poset.n):
         raise PosetError("inclusion order needs downsets, each after its lower covers")
     pos = {m: k for k, m in enumerate(masks)}
     below = [0] * len(masks)
+    covers = [0] * len(masks)
     poset_below, above = poset.below, poset.above
     for k, m in enumerate(masks):
         rest = m
@@ -435,7 +444,22 @@ def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
                 raise PosetError("inclusion order needs downsets, each after its lower covers")
             if j >= 0:
                 below[k] |= below[j] | 1 << j
-    return FinitePoset(DownsetLabels(poset, masks), below)
+                covers[k] |= 1 << j
+    return _closed(DownsetLabels(poset, masks), below, covers)
+
+
+def _closed(labels: DownsetLabels, below: list, lower: list) -> FinitePoset:
+    """Internal constructor of an order closed by how it was built, as
+    ``ordinal._trusted`` is of a key: no checking pass, the given lower
+    covers, and ``above`` derived on first read.  Duplicate labels are still
+    refused, decided on the masks by ``DownsetLabels.distinct``."""
+    if not labels.distinct():
+        raise PosetError("duplicate element name")
+    order = object.__new__(FinitePoset)
+    _put(order, "labels", labels)
+    _put(order, "below", tuple(below))
+    _put(order, "lower", tuple(lower))
+    return order
 
 
 def kw_rank(poset: FinitePoset) -> dict:

@@ -1,11 +1,13 @@
-"""Every work limit of ordtop, run on both sides in fresh processes:  python tests/limits.py
+"""Every work limit of ordtop, run on both sides in fresh processes:  python tests/limits.py [--json FILE]
 
 A row names a limit constant ``module.NAME`` (or None), the argv of one ``ordtop`` call and its ``in.json``
 text, each a function of a value or a string (argv is split on spaces, its ``{}`` takes the value), the
 largest accepted value and the refused ones, and the wall time (s) and peak RSS (MB) each call stays within,
 under RLIMIT_AS.  Accepted, a call exits 0 or 1 and prints ``stdout`` if given; refused, it exits 2 with
 nothing on stdout and one ``error:`` line that names no Python type and holds ``says`` (its ``{}`` the value)
-with no digit after it.  tests/test_limits.py runs every refused call in process."""
+with no digit after it.  tests/test_limits.py runs every refused call in process.  ``--json FILE`` also writes
+a JSON list with one record per call: its row's index and constant, its side, argv, exit code, seconds and
+peak MB (null for a call killed before it exits)."""
 
 import importlib, json, os, re, resource, subprocess, sys, tempfile, threading, time  # noqa: E401
 from collections import namedtuple
@@ -130,13 +132,16 @@ def argv(row, value):
     return argv.split() if isinstance(argv, str) else argv
 
 
-def check(row, run):
+def check(row, run, log=None):
     """One line per call of the row through ``run(argv, seconds)``, which gives the call's exit code, stdout,
     stderr, wall time (s) and peak RSS (MB); the line ends in ``ok`` or in what went wrong.  A call runs
-    where its ``in.json`` is written."""
+    where its ``in.json`` is written.  ``log``, if given, takes each call's record for ``--json``."""
     for refused, value in [(False, row.accept)] * (row.accept is not None) + [(True, v) for v in row.refuse]:
         Path("in.json").write_text((row.text(value) if callable(row.text) else row.text) or "")
-        status, out, err, wall, mb = run(argv(row, value), row.seconds)
+        status, out, err, wall, mb = run(call := argv(row, value), row.seconds)
+        if log:
+            log({"side": "refused" if refused else "accepted", "argv": call, "exit": status,
+                 "seconds": round(wall, 4), "mb": None if mb != mb else round(mb, 1)})
         wrong = [f"exit {status}"] * (status not in ((2,) if refused else (0, 1)))
         wrong += [f"{wall:.2f} s over {row.seconds}"] * (wall > row.seconds)
         wrong += [f"{mb:.0f} MB over {row.mb}"] * (mb > row.mb)
@@ -177,8 +182,13 @@ def fresh(argv, seconds):
 
 
 if __name__ == "__main__":
+    path = Path(sys.argv[sys.argv.index("--json") + 1]).resolve() if "--json" in sys.argv else None
+    lines, calls = [], []
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        lines = [line for row in ROWS for line in check(row, fresh)]
+        for i, row in enumerate(ROWS):
+            lines += check(row, fresh, lambda call: calls.append({"row": i, "constant": row.constant} | call))
     print("\n".join(lines))
+    if path:
+        path.write_text("[\n" + ",\n".join(map(json.dumps, calls)) + "\n]\n")
     sys.exit(any(not line.endswith(" ok") for line in lines))

@@ -34,7 +34,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.ordinal import TipInfo, _pow_nat, _trusted
+from ordtop.ordinal import TipInfo, _add, _coeff_mul, _mul, _pow_nat, _trusted
 
 P = parse_ordinal
 
@@ -378,6 +378,34 @@ def test_mul_limit_approximants(a, b):
     limit = ord_mul(a, ord_add(b, OMEGA))
     for n in (1, 2, 5):
         assert ord_mul(a, ord_add(b, Ordinal.from_int(n))) <= limit
+
+
+def _mul_by_add(ka, kb):
+    # the _mul that ord_mul replaced: each piece added to the product so far
+    # with _add, a scan and a copy per term of b
+    if not ka:
+        return ka
+    (kd, lead), tail = ka[0], ka[1:]
+    out = ()
+    for ke, coeff in kb:
+        if ke:
+            out = _add(out, ((_add(kd, ke), coeff),))
+        else:
+            # a * finite: scale the leading coefficient, keep the tail once
+            out = _add(out, ((kd, _coeff_mul(lead, coeff)),) + tail)
+    return out
+
+
+def test_mul_matches_the_piecewise_sum_oracle():
+    rng = random.Random(44)
+    keys = [(), ONE._key, P("7")._key, P("w+1")._key, P("w^(w^w*2+w)*3 + w^w + w*5 + 9")._key,
+            ord_pow(P("w+1"), Ordinal.from_int(60))._key, ord_pow(P("w^w+w+3"), Ordinal.from_int(9))._key]
+    keys += [random_ordinal(rng, max_terms=t, depth=d)._key
+             for d in range(4) for t in (1, 3, 8) for _ in range(15)]
+    assert sum(1 for k in keys if k and not k[-1][0]) > 50  # a finite last term
+    for ka in keys:
+        for kb in keys:
+            assert _mul(ka, kb) == _mul_by_add(ka, kb), (ka, kb)
 
 
 def test_pow_trivial():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -1239,3 +1241,36 @@ def test_inclusion_order_refuses_families_it_cannot_build_from_covers():
     masks = list(range(8))
     want = _inclusion_order_pairwise(r, masks)
     assert inclusion_order(r, masks) == want and want.above == inclusion_order(r, masks).above
+
+
+# -- the closed orders of inclusion_order against the checking walk ------------
+#
+# ``inclusion_order`` builds its order through ``_closed``, which skips the
+# constructor's walk, keeps the covers it found and derives ``above`` on
+# first read.  The walk stays here as the oracle.
+
+def _assert_closed_order_matches_the_walk(order):
+    assert "above" not in vars(order)
+    want = FinitePoset(tuple(order.labels), order.below)
+    assert order.labels == want.labels and order.below == want.below
+    assert order.lower == want.lower and order.covers() == want.covers()
+    assert order == want and want == order and hash(order) == hash(want)
+    assert order.above == want.above and vars(order)["above"] == want.above
+
+
+def test_inclusion_order_matches_the_checking_walk():
+    posets = [p for n in range(6) for p in all_labeled_posets(n)] + limit_posets()
+    for p in posets:
+        every = sorted(all_downsets(p), key=lambda m: (m.bit_count(), m))
+        for masks in (every, every[1:]):  # the downset lattice, the hyperspace points
+            _assert_closed_order_matches_the_walk(inclusion_order(p, masks))
+
+
+def test_closed_order_round_trips_before_above_is_read():
+    for p in (vee(), antichain(3), poset_from_covers(["a,b", "c"], [("c", "a,b")])):
+        for dup in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            order = downset_lattice(p)
+            got = dup(order)
+            assert "above" not in vars(order) and "above" not in vars(got)
+            _assert_closed_order_matches_the_walk(got)
+            assert got == order and got.lower == order.lower and got.above == order.above
