@@ -58,6 +58,7 @@ from .ordinal import (
     tip_deg,
 )
 from .poset import (
+    all_downsets,
     all_labeled_posets,
     join_table_laws,
     kw_rank,
@@ -231,16 +232,18 @@ def criterion_07_zaguia_suite(seed: int):
 
 
 def _zaguia_one(p) -> bool:
-    kw = kw_rank(p)  # ranked once, for both checks
-    return _ranks_rise_along_covers(p, kw) and zaguia_verify_ranks(p, kw).passed
+    downsets = all_downsets(p)  # enumerated and ranked once, for both checks
+    kw = kw_rank(downsets)
+    return _ranks_rise_along_covers(kw, downsets) and zaguia_verify_ranks(p, kw, downsets).passed
 
 
-def _ranks_rise_along_covers(p, rank: dict) -> bool:
-    """Strict monotonicity of ``rank``, keyed by the nonempty downsets of
-    ``p``, checked on each lower cover L - {i} with i maximal in L: every
-    strict inclusion of nonempty downsets is a chain of such covers."""
+def _ranks_rise_along_covers(rank: dict, maxima: dict) -> bool:
+    """Strict monotonicity of ``rank``, keyed by the nonempty downsets of a
+    poset, checked on each lower cover L - {i} with i in ``maxima[L]``, the
+    maximal elements of L: every strict inclusion of nonempty downsets is
+    a chain of such covers."""
     for mask, r in rank.items():
-        rest = p.max_of(mask)
+        rest = maxima[mask]
         while rest:
             low = rest & -rest
             if low != mask and not rank[mask ^ low] < r:

@@ -19,10 +19,14 @@ after the union test fails, and reads labels only to name the witness.
 ``all_downsets`` is the one enumeration of downsets, and of antichains as
 their maxima, behind every enumerating operation of the package: it maps
 each downset mask to the mask of its maxima, the antichain whose closure
-it is (Birkhoff), so no caller recomputes them.  It refuses more than
-``MAX_ELEMENTS`` elements or ``MAX_DOWNSETS`` downsets.  ``inclusion_order``
-orders downsets from their lower covers, never by pairs, into an order
-closed by that construction, which skips the checking pass (``_closed``).
+it is (Birkhoff).  It refuses more than ``MAX_ELEMENTS`` elements or
+``MAX_DOWNSETS`` downsets.  The rank checks take that table, enumerated
+once per poset, and find no maxima again: ``kw_rank(downsets)`` ranks it,
+and ``zaguia_verify_ranks(poset, kw, maxima)`` reads each downset's maxima
+from it.  ``inclusion_order``, given bare masks, tests each member of a
+point against ``above`` instead; it orders downsets from their lower
+covers, never by pairs, into an order closed by that construction, which
+skips the checking pass (``_closed``).
 Its labels, the ``{a,b}`` strings of ``downset_labels``, render on first
 access (``DownsetLabels``): a selector check that passes reads none.
 """
@@ -37,7 +41,7 @@ from typing import Iterable, NamedTuple
 from .ordinal import OMEGA, CheckReport, Ordinal, Record, _put, ord_pow
 
 MAX_ELEMENTS = 20
-MAX_DOWNSETS = 1 << 11  # an 11-element antichain: every command on it within about 0.7 s on 2 CPUs
+MAX_DOWNSETS = 1 << 11  # an 11-element antichain: every command on it within 0.65 s on 2 CPUs
 
 
 class PosetError(ValueError):
@@ -462,12 +466,11 @@ def _closed(labels: DownsetLabels, below: list, lower: list) -> FinitePoset:
     return order
 
 
-def kw_rank(poset: FinitePoset) -> dict:
+def kw_rank(downsets: dict) -> dict:
     """Well-founded rank of every nonempty downset under inclusion, keyed
-    by the downset's mask."""
-    if poset.n == 0:
+    by the downset's mask; ``downsets`` is a poset's ``all_downsets``."""
+    if len(downsets) < 2:
         raise PosetError("empty poset")
-    downsets = all_downsets(poset)
     masks = [m for m in downsets if m]
     masks.sort(key=int.bit_count)
     rank: dict = {}
@@ -554,13 +557,15 @@ def zaguia_verify(poset: FinitePoset) -> CheckReport:
     ``zaguia_verify_ranks`` on the ground truth, the enumerated rank of
     every nonempty downset (``kw_rank``).  Claim 1 is symmetric in its two
     downsets, so each unordered pair is scanned once."""
-    return zaguia_verify_ranks(poset, kw_rank(poset))
+    downsets = all_downsets(poset)
+    return zaguia_verify_ranks(poset, kw_rank(downsets), downsets)
 
 
-def zaguia_verify_ranks(poset: FinitePoset, kw: dict) -> CheckReport:
+def zaguia_verify_ranks(poset: FinitePoset, kw: dict, maxima: dict) -> CheckReport:
     """Check the union-rank inequalities against the rank table ``kw``,
     keyed by the mask of every nonempty downset of ``poset`` as
-    ``kw_rank`` gives it.
+    ``kw_rank`` gives it; ``maxima`` maps each key of ``kw`` to the mask of
+    its maximal elements, as ``all_downsets`` does.
 
     The natural sum on the finite ranks is plain integer addition; the
     ordinal-level bounds are evaluated exactly on Ordinal values.
@@ -577,7 +582,7 @@ def zaguia_verify_ranks(poset: FinitePoset, kw: dict) -> CheckReport:
     unordered pair is scanned once, A at or before B in the order of ``kw``;
     the witness is still the first failing pair of the full square.
     """
-    masks = list(kw)
+    items = list(kw.items())
     claim1 = claim1_literal = True
     claim2 = claim2_literal = True
     counterexample = None
@@ -585,35 +590,34 @@ def zaguia_verify_ranks(poset: FinitePoset, kw: dict) -> CheckReport:
     # (a, b) fails exactly when (b, a) does, and (b, a) comes first in
     # row-major order when b comes before a; so the first failure of the
     # full square has a at or before b, and the upper triangle finds it
-    for i, a in enumerate(masks):
-        ra = kw[a]
-        for b in masks[i:]:
+    for i, (a, ra) in enumerate(items):
+        for b, rb in items[i:]:
             ru = kw[a | b]
-            if ru > kw[b] + ra:
+            if ru > rb + ra:
                 claim1_literal = False
                 # shifted reading: every piece also counts itself
-                if claim1 and ru > kw[b] + ra + 1:
+                if claim1 and ru > rb + ra + 1:
                     claim1 = False
                     counterexample = (poset.names(a), poset.names(b))
 
     down_rank = [kw[poset.down_mask(i)] for i in range(poset.n)]
-    max_of = poset.max_of
-    for m in masks:
-        top = max_of(m)
+    for m, rm in items:
+        top = maxima[m]
         total = 0  # the principal ranks of the maxima, summed
         rest = top
         while rest:  # the bit walk of _bits, inlined as in max_of
             low = rest & -rest
             total += down_rank[low.bit_length() - 1]
             rest ^= low
-        if kw[m] > total + top.bit_count() - 1:
+        if rm > total + top.bit_count() - 1:
             claim2 = False
             if counterexample is None:
                 counterexample = (poset.names(m), poset.names(top))
-        if kw[m] > total:
+        if rm > total:
             claim2_literal = False
 
     elem_ranks = ranks(poset)
+    powers = [ord_pow(OMEGA, Ordinal.from_int(r)) for r in range(elem_ranks.poset_rank + 1)]
     claim3 = True
     for i in range(poset.n):
         r = elem_ranks.by_index[i]
@@ -621,13 +625,13 @@ def zaguia_verify_ranks(poset: FinitePoset, kw: dict) -> CheckReport:
         if r == 0:
             if not k.is_zero:
                 claim3 = False
-        elif not k < ord_pow(OMEGA, Ordinal.from_int(r)):
+        elif not k < powers[r]:
             claim3 = False
         if not claim3 and counterexample is None:
             counterexample = (poset.names(poset.down_mask(i)), frozenset({poset.labels[i]}))
             break
     k_rank = Ordinal.from_int(max(kw.values()) + 1)
-    if not k_rank <= ord_pow(OMEGA, Ordinal.from_int(elem_ranks.poset_rank)):
+    if not k_rank <= powers[-1]:
         claim3 = False
         if counterexample is None:
             counterexample = (poset.names(poset.full_mask()), frozenset())
@@ -641,7 +645,7 @@ def zaguia_verify_ranks(poset: FinitePoset, kw: dict) -> CheckReport:
             "claim1_literal": claim1_literal,
             "claim2_literal": claim2_literal,
         },
-        "poset": f"n={poset.n}, downsets={len(masks)}",
+        "poset": f"n={poset.n}, downsets={len(items)}",
     })
 
 

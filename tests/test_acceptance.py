@@ -6,6 +6,7 @@ from itertools import count
 
 import pytest
 
+import ordtop.poset as poset_module
 from ordtop import acceptance
 from ordtop.acceptance import CRITERIA, run_all
 from ordtop.hyperspace import build_hyperspace, hat_extension
@@ -21,7 +22,7 @@ from ordtop.ordinal import (
     random_ordinal_below,
     tip_deg,
 )
-from ordtop.poset import all_labeled_posets
+from ordtop.poset import FinitePoset, all_downsets, all_labeled_posets
 from ordtop.spaceterm import OrdSpace, ProdTerm, SpaceReport, term_report
 
 RESULTS = {}
@@ -108,6 +109,28 @@ def test_criterion_8_builds_each_hyperspace_once(monkeypatch):
     want = [p for n in range(1, 5) for p in all_labeled_posets(n)]
     want += [five[rng.randrange(len(five))] for _ in range(80)]
     assert [id(h.base) for h in read] == [id(p) for p in want]
+
+
+def test_criterion_7_enumerates_each_poset_once(monkeypatch):
+    # the maxima of every downset come from the one all_downsets table that
+    # the ranking, the cover check and the union-rank check all read
+    enumerated, max_of_calls = [], count()
+    max_of = FinitePoset.max_of
+
+    def counted_downsets(p):
+        enumerated.append(p)
+        return all_downsets(p)
+
+    def counted_max_of(self, mask):
+        next(max_of_calls)
+        return max_of(self, mask)
+
+    monkeypatch.setattr(acceptance, "all_downsets", counted_downsets)
+    monkeypatch.setattr(poset_module, "all_downsets", counted_downsets)
+    monkeypatch.setattr(FinitePoset, "max_of", counted_max_of)
+    assert acceptance.criterion_07_zaguia_suite(0) == (True, "1242 posets")
+    assert next(max_of_calls) == 0
+    assert len(enumerated) == 1242 and len({id(p) for p in enumerated}) == 1242
 
 # -- criterion 10 against its version that tested zero through properties ------
 

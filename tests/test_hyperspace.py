@@ -110,7 +110,7 @@ def test_hyperspace_equals_downset_lattice_minus_bottom():
         h = build_hyperspace(p)
         lat = downset_lattice(p)
         assert h.size == lat.n - 1
-        assert set(h.points) == set(kw_rank(p))
+        assert set(h.points) == set(kw_rank(all_downsets(p)))
 
 
 def join_closure(masks):

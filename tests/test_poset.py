@@ -500,8 +500,9 @@ def test_downset_bound_enforced():
     for p in (topped, antichain(12), antichain(MAX_ELEMENTS)):
         with pytest.raises(PosetError, match=f"more than MAX_DOWNSETS = {MAX_DOWNSETS}"):
             all_downsets(p)
-    # every enumerating caller goes through the limits
-    for fn in (downset_lattice, kw_rank, zaguia_verify):
+    # every enumerating caller goes through the limits; kw_rank enumerates
+    # nothing, it ranks the table all_downsets gives it
+    for fn in (downset_lattice, zaguia_verify):
         with pytest.raises(PosetError, match="MAX_DOWNSETS"):
             fn(antichain(12))
         with pytest.raises(PosetError, match="MAX_ELEMENTS"):
@@ -522,19 +523,19 @@ def test_downset_type_validates_closure():
 
 def test_kw_rank_singleton():
     p = antichain(1)
-    r = kw_rank(p)
+    r = kw_rank(all_downsets(p))
     assert r == {1: 0}
 
 
 def test_kw_rank_antichain_full_set():
     p = antichain(4)
-    r = kw_rank(p)
+    r = kw_rank(all_downsets(p))
     assert r[p.full_mask()] == 3
 
 
 def test_kw_rank_chain_top():
     p = chain(5)
-    r = kw_rank(p)
+    r = kw_rank(all_downsets(p))
     assert r[p.full_mask()] == 4
 
 
@@ -542,7 +543,7 @@ def test_kw_rank_matches_longest_chain_oracle():
     rng = random.Random(6)
     for _ in range(25):
         p = random_poset(rng, 6)
-        assert kw_rank(p) == brute_kw_rank(p)
+        assert kw_rank(all_downsets(p)) == brute_kw_rank(p)
 
 
 def rank_rises_on_all_pairs(rank):
@@ -555,15 +556,30 @@ def test_kw_rank_monotone():
     rng = random.Random(7)
     for _ in range(25):
         p = random_poset(rng, 6)
-        assert rank_rises_on_all_pairs(kw_rank(p))
+        assert rank_rises_on_all_pairs(kw_rank(all_downsets(p)))
+
+
+def ranks_rise_along_covers_by_max_of(p, rank):
+    """Criterion 7's cover check before it read the maxima from the
+    downset table: each downset's maxima found again by ``max_of``."""
+    for mask, r in rank.items():
+        rest = p.max_of(mask)
+        while rest:
+            low = rest & -rest
+            if low != mask and not rank[mask ^ low] < r:
+                return False
+            rest ^= low
+    return True
 
 
 def test_rank_rise_along_covers_matches_the_all_pairs_scan():
     rejected = 0
     for n in range(1, 5):
         for p in all_labeled_posets(n):
-            rank = kw_rank(p)
-            assert _ranks_rise_along_covers(p, rank) and rank_rises_on_all_pairs(rank), p
+            downsets = all_downsets(p)
+            rank = kw_rank(downsets)
+            assert _ranks_rise_along_covers(rank, downsets) and rank_rises_on_all_pairs(rank), p
+            assert ranks_rise_along_covers_by_max_of(p, rank), p
             # plant one non-monotone rank: a downset no higher than one of
             # its lower covers, or the full set no higher than its subsets
             for mask in rank:
@@ -571,7 +587,8 @@ def test_rank_rise_along_covers_matches_the_all_pairs_scan():
                 planted[mask] = 0 if mask.bit_count() > 1 else max(rank.values())
                 if planted == rank:
                     continue  # the one-element poset has nothing to break
-                assert not _ranks_rise_along_covers(p, planted), (p, mask)
+                assert not _ranks_rise_along_covers(planted, downsets), (p, mask)
+                assert not ranks_rise_along_covers_by_max_of(p, planted), (p, mask)
                 assert not rank_rises_on_all_pairs(planted), (p, mask)
                 rejected += 1
     assert rejected == 1545
@@ -579,7 +596,7 @@ def test_rank_rise_along_covers_matches_the_all_pairs_scan():
 
 def test_kw_rank_empty_poset_rejected():
     with pytest.raises(PosetError):
-        kw_rank(FinitePoset((), ()))
+        kw_rank(all_downsets(FinitePoset((), ())))
 
 
 # -- downset identities --------------------------------------------------------
@@ -620,7 +637,7 @@ def test_zaguia_antichain_literal_reading_fails_but_gating_passes():
     assert not rep.data["claims"]["claim1_literal"]
     assert not rep.data["claims"]["claim2_literal"]
     # two rank-0 points whose union has rank 1 break it
-    r = kw_rank(antichain(4))
+    r = kw_rank(all_downsets(antichain(4)))
     assert r[0b11] > r[0b01] + r[0b10]
 
 
@@ -695,7 +712,7 @@ def oracle_zaguia(poset, kw):
 def test_zaguia_claim3_ordinal_bound_spot_check():
     p = chain(3)
     r = ranks(p)
-    kw = kw_rank(p)
+    kw = kw_rank(all_downsets(p))
     for i in range(p.n):
         if r.by_index[i] >= 1:
             assert Ordinal.from_int(kw[p.down_mask(i)]) < ord_pow(OMEGA, Ordinal.from_int(r.by_index[i]))
@@ -708,15 +725,20 @@ def test_zaguia_matches_the_full_square_oracle():
     posets += [random_poset(rng, rng.choice([6, 7, 8]), rng.choice([0.25, 0.35, 0.5]))
                for _ in range(200)]
     for p in posets:
-        assert zaguia_verify(p).to_json() == oracle_zaguia(p, kw_rank(p)).to_json(), p
+        assert zaguia_verify(p).to_json() == oracle_zaguia(p, kw_rank(all_downsets(p))).to_json(), p
 
 
 def doctored(poset, changes):
-    """``kw_rank(poset)`` with the ranks in ``changes`` put in, keyed by
-    mask; a new key goes last."""
-    kw = kw_rank(poset)
+    """``kw_rank`` of ``poset`` with the ranks in ``changes`` put in, keyed
+    by mask; a new key goes last."""
+    kw = kw_rank(all_downsets(poset))
     kw.update(changes)
     return kw
+
+
+def maxima_by_max_of(poset, kw):
+    """The maxima of every key of ``kw``, a downset or not, by ``max_of``."""
+    return {m: poset.max_of(m) for m in kw}
 
 
 def test_zaguia_witness_is_the_first_failing_pair_in_any_key_order():
@@ -728,15 +750,16 @@ def test_zaguia_witness_is_the_first_failing_pair_in_any_key_order():
     orders = [list(kw), list(kw)[::-1]] + [rng.sample(list(kw), len(kw)) for _ in range(40)]
     for order in orders:
         table = {m: kw[m] for m in order}
-        rep = zaguia_verify_ranks(p, table).to_json()
+        rep = zaguia_verify_ranks(p, table, maxima_by_max_of(p, table)).to_json()
         assert rep == oracle_zaguia(p, table).to_json(), order
         assert not rep["claims"]["claim1"] and not rep["claims"]["claim2"]
     # in rank order {0} comes before {1,2}; reversed, {1,2} comes first
     # and is named first although it is the later downset of kw_rank
-    assert zaguia_verify_ranks(p, kw).witness == [["0"], ["1", "2"]]
+    assert zaguia_verify_ranks(p, kw, maxima_by_max_of(p, kw)).witness == [["0"], ["1", "2"]]
     reverse = {m: kw[m] for m in reversed(list(kw))}
     assert list(kw).index(0b110) > list(kw).index(0b101)
-    assert zaguia_verify_ranks(p, reverse).witness == [["1", "2"], ["0", "2"]]
+    assert (zaguia_verify_ranks(p, reverse, maxima_by_max_of(p, reverse)).witness
+            == [["1", "2"], ["0", "2"]])
 
 
 def test_zaguia_doctored_tables_match_the_oracle():
@@ -764,18 +787,18 @@ def test_zaguia_doctored_tables_match_the_oracle():
     ]
     for p, changes, witness, claims in cases:
         kw = doctored(p, changes)
-        rep = zaguia_verify_ranks(p, kw)
+        rep = zaguia_verify_ranks(p, kw, maxima_by_max_of(p, kw))
         assert rep.to_json() == oracle_zaguia(p, kw).to_json(), changes
         assert rep.witness == witness and rep.data["claims"] == claims, changes
     # one rank raised or lowered by 1 or 2, in every labeled poset up to 3
     # elements
     for n in range(1, 4):
         for p in all_labeled_posets(n):
-            for m, r in kw_rank(p).items():
+            for m, r in kw_rank(all_downsets(p)).items():
                 for delta in (-2, -1, 1, 2):
                     kw = doctored(p, {m: r + delta})
                     if min(kw.values()) >= 0:
-                        assert (zaguia_verify_ranks(p, kw).to_json()
+                        assert (zaguia_verify_ranks(p, kw, maxima_by_max_of(p, kw)).to_json()
                                 == oracle_zaguia(p, kw).to_json()), (p, m, delta)
 
 
