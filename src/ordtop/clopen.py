@@ -89,16 +89,25 @@ def clopen_union(a: ClopenSet, b: ClopenSet) -> ClopenSet:
 
 
 def clopen_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
+    """The two ascending piece lists merged with two pointers: each step
+    meets the current pieces and moves past the one that ends first, which
+    no later piece of the other list can meet.  The meets come out
+    ascending, two in turn lying in distinct, so non-adjacent, pieces of
+    ``a`` or of ``b``: they are in normal form."""
     _same_ambient(a, b)
+    xs, ys = a.intervals, b.intervals
     pieces = []
-    for s1, t1 in a.intervals:
-        for s2, t2 in b.intervals:
-            s = s1 if s2 < s1 else s2
-            t = t1 if t1 < t2 else t2
-            if s < t:
-                pieces.append((s, t))
-    return clopen_from_pieces(a.ambient, pieces,
-                              a.zero_included and b.zero_included)
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (s1, t1), (s2, t2) = xs[i], ys[j]
+        s = s1 if s2 < s1 else s2
+        if t1 < t2:
+            t, i = t1, i + 1
+        else:
+            t, j = t2, j + 1
+        if s < t:
+            pieces.append((s, t))
+    return ClopenSet(a.ambient, a.zero_included and b.zero_included, tuple(pieces))
 
 
 def clopen_complement(a: ClopenSet) -> ClopenSet:

@@ -23,6 +23,7 @@ from .poset import (
     all_downsets,
     inclusion_order,
     join_table_laws,
+    poset_from_covers,
     selector_conditions,
 )
 
@@ -205,7 +206,6 @@ class FinJoinSemilattice(Record):
         before its join table is built."""
         if k > MAX_CHAIN:
             raise HyperspaceError(f"chain length {k} over MAX_CHAIN = {MAX_CHAIN}")
-        from .poset import poset_from_covers
         p = poset_from_covers([str(i) for i in range(k)],
                               [(str(i), str(i + 1)) for i in range(k - 1)])
         return cls.from_poset(p)

@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
-from .ordinal import OMEGA, CheckReport, Ordinal, Record, _put, ord_pow
+from .ordinal import CheckReport, Record, _put
 
 MAX_ELEMENTS = 20
 MAX_DOWNSETS = 1 << 11  # an 11-element antichain: every command on it within 0.65 s on 2 CPUs
@@ -233,12 +233,12 @@ def poset_from_json(data: dict) -> FinitePoset:
 
 def poset_to_dot(poset: FinitePoset) -> str:
     """Hasse diagram in DOT, one rank layer per well-founded rank."""
-    ranks_by_index = ranks(poset).by_index
+    layers: dict = {}  # rank -> the layer's nodes, in index order
+    for name, r in zip(poset.labels, ranks(poset).by_index):
+        layers.setdefault(r, []).append(f'"{name}";')
     lines = ["digraph poset {", "  rankdir=BT;"]
-    for r in sorted(set(ranks_by_index)):
-        same = " ".join(f'"{poset.labels[i]}";' for i in range(poset.n)
-                        if ranks_by_index[i] == r)
-        lines.append(f"  {{ rank=same; {same} }}")
+    for r in sorted(layers):
+        lines.append(f"  {{ rank=same; {' '.join(layers[r])} }}")
     for i, j in poset.covers():
         lines.append(f'  "{poset.labels[i]}" -> "{poset.labels[j]}";')
     lines.append("}")
@@ -567,16 +567,20 @@ def zaguia_verify_ranks(poset: FinitePoset, kw: dict, maxima: dict) -> CheckRepo
     ``kw_rank`` gives it; ``maxima`` maps each key of ``kw`` to the mask of
     its maximal elements, as ``all_downsets`` does.
 
-    The natural sum on the finite ranks is plain integer addition; the
-    ordinal-level bounds are evaluated exactly on Ordinal values.
+    The natural sum on the finite ranks is plain integer addition.
 
     ``claim1``/``claim2`` verify the inductive reading in which each piece
     counts itself (ranks taken in the lattice with the empty set adjoined);
     ``claim1_literal``/``claim2_literal`` record the unshifted reading,
     which fails as soon as two pieces are disjoint.  ``claim3`` covers the
-    ordinal bounds rank(down p) < w^rank(p) and rank(K) <= w^rank(P).  The
-    verdict is claims 1 to 3; the witness is the first counterexample to
-    one of them, as two sorted lists of element names.
+    ordinal bounds rank(down p) < w^rank(p) and rank(K) <= w^rank(P).  On a
+    finite poset every rank is finite, so below w = w^1: both bounds hold
+    at every rank(p) >= 1, and rank(P) >= 1 on a nonempty poset.  What is
+    left is rank(p) = 0, where w^0 = 1, so claim 3 decides that each
+    minimal element i has kw[{i}] = 0; the first i, in index order, that
+    does not names the witness ({i}, {i}).  The verdict is claims 1 to 3;
+    the witness is the first counterexample to one of them, as two sorted
+    lists of element names.
 
     Both readings of claim 1 are symmetric in the pair (A, B), so each
     unordered pair is scanned once, A at or before B in the order of ``kw``;
@@ -616,25 +620,13 @@ def zaguia_verify_ranks(poset: FinitePoset, kw: dict, maxima: dict) -> CheckRepo
         if rm > total:
             claim2_literal = False
 
-    elem_ranks = ranks(poset)
-    powers = [ord_pow(OMEGA, Ordinal.from_int(r)) for r in range(elem_ranks.poset_rank + 1)]
     claim3 = True
-    for i in range(poset.n):
-        r = elem_ranks.by_index[i]
-        k = Ordinal.from_int(down_rank[i])
-        if r == 0:
-            if not k.is_zero:
-                claim3 = False
-        elif not k < powers[r]:
+    for i, under in enumerate(poset.below):
+        if not under and down_rank[i]:  # i minimal, so rank(i) = 0, and w^0 = 1
             claim3 = False
-        if not claim3 and counterexample is None:
-            counterexample = (poset.names(poset.down_mask(i)), frozenset({poset.labels[i]}))
+            if counterexample is None:
+                counterexample = (poset.names(1 << i), frozenset({poset.labels[i]}))
             break
-    k_rank = Ordinal.from_int(max(kw.values()) + 1)
-    if not k_rank <= powers[-1]:
-        claim3 = False
-        if counterexample is None:
-            counterexample = (poset.names(poset.full_mask()), frozenset())
 
     witness = None if counterexample is None else [sorted(d) for d in counterexample]
     return CheckReport("zaguia", claim1 and claim2 and claim3, witness, {

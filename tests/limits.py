@@ -45,6 +45,10 @@ def family(*sets):  # (period, residues, delta) triples, or m for the progressio
     return json.dumps({"sets": [{"period": p, "residues": r, "delta": d} for p, r, d in sets]})
 
 
+def pieces(n):  # the clopen set of the n pieces (2k, 2k+1] in [0, w]: 46,893 bytes at n = 4,000
+    return " ".join(f"({2 * k},{2 * k + 1}]" for k in range(n)) + " @ w"
+
+
 AT_0, DOWNSETS = "%s bits (at position 0)", "more than %s downsets"
 ENUMERATIONS = ("poset zaguia", "hyper build --dot", "hyper universal", "hyper selector", "poset downsets",
                 "poset downsets --dot", "hyper build")
@@ -123,6 +127,9 @@ ROWS = [
     Row(None, "mrowka join in.json {} branch:0", family(2), refuse=("fin:-2",), says="expected a number"),
     Row(None, "clopen minclopen w w^2 --grid {}", refuse=(",".join(map(str, range(20))),),
         says="no candidate in grid has the prescribed end point"),
+    # the meet of two 4,000-piece sets: one merge of the piece lists, not a test of every pair
+    Row(None, lambda n: ["clopen", "op", "intersect", pieces(n), pieces(n)], accept=4000,
+        stdout=pieces(4000) + "\n"),
 ]
 
 

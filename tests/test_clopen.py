@@ -308,6 +308,44 @@ def test_algebra_matches_membership_oracle():
             assert holds(c, p) == (not holds(a, p))
 
 
+def pairwise_intersect(a, b):
+    """``clopen_intersect`` as it was before the merge: every piece of ``a``
+    met with every piece of ``b``, and the meets normalized."""
+    pieces = []
+    for s1, t1 in a.intervals:
+        for s2, t2 in b.intervals:
+            s = s1 if s2 < s1 else s2
+            t = t1 if t1 < t2 else t2
+            if s < t:
+                pieces.append((s, t))
+    return clopen_from_pieces(a.ambient, pieces, a.zero_included and b.zero_included)
+
+
+def grid_clopen(rng, grid, max_pieces):
+    """A seeded clopen set in [0, AMB] whose pieces end on ``grid``, so
+    that two such sets share end points and have touching pieces."""
+    ends = sorted(rng.sample(grid, 2 * rng.randint(0, max_pieces)), key=sort_key)
+    return clopen_from_pieces(AMB, zip(ends[::2], ends[1::2]), zero=rng.random() < 0.3)
+
+
+def test_intersect_merge_matches_the_pairwise_oracle():
+    rng = random.Random(46)
+    grid = [*map(P, ("0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^2+w", "w^3", "w^3*2")), AMB]
+    sets = [ClopenSet(AMB), ClopenSet(AMB, True), ClopenSet(AMB, True, ((ZERO, AMB),)),
+            ClopenSet(AMB, False, ((ZERO, ONE), (P("2"), P("w")))),
+            ClopenSet(AMB, False, ((ONE, P("2")), (P("w"), P("w*2"))))]  # touches the set before
+    sets += [grid_clopen(rng, grid, 5) for _ in range(50)]
+    sets += [rand_clopen(rng, max_pieces=6) for _ in range(30)]
+    shared = touching = 0
+    for a in sets:
+        for b in sets:
+            assert clopen_intersect(a, b) == pairwise_intersect(a, b), (a, b)
+            ends_a = {t for _, t in a.intervals}
+            shared += bool(ends_a & {t for _, t in b.intervals})
+            touching += bool(ends_a & {s for s, _ in b.intervals})
+    assert shared > 100 and touching > 100
+
+
 def test_boolean_laws_pointwise():
     rng = random.Random(1)
     for _ in range(250):

@@ -267,6 +267,29 @@ def test_json_roundtrip_and_dot():
     assert '"a" -> "c"' in dot and "rank=same" in dot
 
 
+def dot_by_rank_scans(poset):
+    """``poset_to_dot`` as it was before it grouped the elements in one
+    pass: one scan of all the elements per rank."""
+    by_index = ranks(poset).by_index
+    lines = ["digraph poset {", "  rankdir=BT;"]
+    for r in sorted(set(by_index)):
+        same = " ".join(f'"{poset.labels[i]}";' for i in range(poset.n) if by_index[i] == r)
+        lines.append(f"  {{ rank=same; {same} }}")
+    lines += [f'  "{poset.labels[i]}" -> "{poset.labels[j]}";' for i, j in poset.covers()]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_dot_matches_the_per_rank_scans():
+    # labeled and random posets, shuffled so that ranks interleave in index
+    # order, and downset lattices, whose labels render on first read
+    rng = random.Random(46)
+    posets = [p for n in range(1, 5) for p in all_labeled_posets(n)]
+    posets += [random_poset(rng, rng.choice([8, 12, 16]), 0.3) for _ in range(50)]
+    posets += [downset_lattice(p) for p in posets[-20:]]
+    for p in posets:
+        assert poset_to_dot(p) == dot_by_rank_scans(p), p
+
+
 # -- principal sets ------------------------------------------------------
 
 def test_principal_sets_antichain():
@@ -784,12 +807,25 @@ def test_zaguia_doctored_tables_match_the_oracle():
         (antichain(1), {0b1: 1}, [["0"], ["0"]],
          {"claim1": True, "claim2": True, "claim3": False,
           "claim1_literal": True, "claim2_literal": True}),
+        # the same among three minimal elements: claims 1 and 2 hold, claim 3
+        # fails
+        (antichain(3), {0b001: 1}, [["0"], ["0"]],
+         {"claim1": True, "claim2": True, "claim3": False,
+          "claim1_literal": False, "claim2_literal": False}),
     ]
     for p, changes, witness, claims in cases:
         kw = doctored(p, changes)
         rep = zaguia_verify_ranks(p, kw, maxima_by_max_of(p, kw))
         assert rep.to_json() == oracle_zaguia(p, kw).to_json(), changes
         assert rep.witness == witness and rep.data["claims"] == claims, changes
+    # a negative principal rank is reported like any other, not raised as
+    # an ordinal: claim 3 fails on it, and claim 1 names the witness
+    p = antichain(3)
+    kw = doctored(p, {0b001: -1})
+    rep = zaguia_verify_ranks(p, kw, maxima_by_max_of(p, kw))
+    assert rep.witness == [["0"], ["1"]] and rep.data["claims"] == {
+        "claim1": False, "claim2": False, "claim3": False,
+        "claim1_literal": False, "claim2_literal": False}
     # one rank raised or lowered by 1 or 2, in every labeled poset up to 3
     # elements
     for n in range(1, 4):
