@@ -111,6 +111,8 @@ def clopen_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
 
 
 def clopen_complement(a: ClopenSet) -> ClopenSet:
+    """The gaps between the pieces of ``a``: ascending, and non-adjacent
+    since its pieces are nonempty, so they are in normal form."""
     pieces = []
     prev = ZERO
     for s, t in a.intervals:
@@ -119,7 +121,7 @@ def clopen_complement(a: ClopenSet) -> ClopenSet:
         prev = t
     if prev < a.ambient:
         pieces.append((prev, a.ambient))
-    return clopen_from_pieces(a.ambient, pieces, not a.zero_included)
+    return ClopenSet(a.ambient, not a.zero_included, tuple(pieces))
 
 
 def clopen_algebra(op: str, a: ClopenSet, b: ClopenSet | None = None) -> ClopenSet:

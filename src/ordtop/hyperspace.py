@@ -115,9 +115,11 @@ def selector_axioms_check(space: FinitePoset, sets) -> CheckReport:
     their own, since the three imply them: nesting makes the induced
     relation transitive, and a minimal U_x holds only x (each y in it has
     U_y = U_x by nesting, against antisymmetry).  Labels are read only to
-    name the witness.
+    name the witness, so a passing check on a closed order renders none.
     """
-    conditions, witness = selector_conditions(space.labels, sets)
+    if len(sets) != space.n:
+        raise PosetError("selector needs one set per point")
+    conditions, witness = selector_conditions(sets, lambda i: space.labels[i])
     # the induced relation is irreflexive by construction, and antisymmetric
     # exactly when the selector is; transitivity: x in U_y, y in U_z, x != z
     # put x in U_z.  Nesting gives it at once (U_y is inside U_z), so the

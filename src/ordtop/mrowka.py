@@ -723,7 +723,7 @@ def mrowka_selector_check(sets: Sequence[EvPeriodicSet] | ADFamily,
             t + j for j, b in enumerate(members) if j != k and common_residue_classes(a, b))
         u.append(traces[k] | 1 << (t + k) | accumulating)
     u.append((2 << top) - 1)
-    conditions, witness = selector_conditions(labels, u)
+    conditions, witness = selector_conditions(u, labels.__getitem__)
 
     induced_ok = (all(bool(u[t + k] >> n & 1) == a.contains(n)
                       for k, a in enumerate(members) for n in range(t))

@@ -316,6 +316,10 @@ most as many terms as the result, so a power over the limit is refused as
 soon as a partial power passes it, with an ``OrdinalError``.
 """
 
+# pairs of terms nat_prod multiplies: two 50-term operands, as perfbench's wide products are; the
+# slowest accepted shape, a 2,500-term sum times 2, takes about 0.5 s in process
+MAX_PRODUCT_PAIRS = 50 * 50
+
 
 def _coeff_mul(x: int, y: int) -> int:
     """``x * y``, refused when it exceeds ``MAX_COEFF_BITS`` bits.
@@ -429,9 +433,13 @@ def nat_prod(a: Ordinal, b: Ordinal) -> Ordinal:
 
     Each term of ``a`` times ``b`` is a row already sorted by exponent
     (natural sum is strictly monotone), and the rows are merged in turn.
-    Raises ``OrdinalError`` when a product of two coefficients would
-    exceed ``MAX_COEFF_BITS`` bits.
+    Raises ``OrdinalError`` when the operands have more than
+    ``MAX_PRODUCT_PAIRS`` pairs of terms, before any is multiplied, or when
+    a product of two coefficients would exceed ``MAX_COEFF_BITS`` bits.
     """
+    if len(a._key) * len(b._key) > MAX_PRODUCT_PAIRS:
+        raise OrdinalError(
+            f"natural product of more than MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS} pairs of terms")
     key = ()
     for ea, ca in a._key:
         key = _merge(key, tuple((_merge(ea, eb), _coeff_mul(ca, cb)) for eb, cb in b._key))

@@ -14,7 +14,7 @@ of a hyperspace point, the selector nesting test and the transitivity of
 a selector's induced order.
 ``selector_conditions``, the one selector check of the package, takes one
 such mask per point; the pairwise scan of each set's members runs only
-after the union test fails, and reads labels only to name the witness.
+after the union test fails, and names only the witness's points.
 
 ``all_downsets`` is the one enumeration of downsets, and of antichains as
 their maxima, behind every enumerating operation of the package: it maps
@@ -27,13 +27,13 @@ from it.  ``inclusion_order``, given bare masks, tests each member of a
 point against ``above`` instead; it orders downsets from their lower
 covers, never by pairs, into an order closed by that construction, which
 skips the checking pass (``_closed``).
-Its labels, the ``{a,b}`` strings of ``downset_labels``, render on first
-access (``DownsetLabels``): a selector check that passes reads none.
+Its labels, the ``{a,b}`` strings of ``downset_labels``, are derived on
+first read, as its ``above`` masks are: a selector check that passes reads
+neither.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
@@ -77,7 +77,7 @@ class FinitePoset(Record):
     ``lower[i]``, found by the same pass, is the bitmask of the elements
     that i covers: those below i and below nothing else below i.  An order
     built closed (``_closed``) skips that pass: it is given ``lower``, and
-    derives ``above`` on first read.
+    derives ``above`` and ``labels`` on first read.
     """
 
     _fields = ("labels", "below")  # ``above`` and ``lower`` derive from them
@@ -122,9 +122,13 @@ class FinitePoset(Record):
                 above[j] |= 1 << i
         return tuple(above)
 
+    @cached_property
+    def labels(self) -> tuple:  # read only on a closed order: its downsets, rendered
+        return tuple(downset_labels(self._base, self._masks))
+
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.below)
 
     def index(self, name: str) -> int:
         try:
@@ -374,54 +378,10 @@ def downset_labels(poset: FinitePoset, masks) -> list:
     return ["{" + ",".join([labels[i] for i in order if m >> i & 1]) + "}" for m in masks]
 
 
-class DownsetLabels(Sequence):
-    """The labels ``downset_labels(poset, masks)`` of an inclusion order,
-    rendered on first access and then kept.  Its length needs no string,
-    and a selector check that passes reads none; ``len``, indexing,
-    iteration, ``index``, ``==``, ``hash`` and a tuple + it give what the
-    tuple of the strings gives."""
-
-    def __init__(self, poset: FinitePoset, masks):
-        self.poset, self.masks = poset, tuple(masks)
-
-    @cached_property
-    def strings(self) -> tuple:
-        return tuple(downset_labels(self.poset, self.masks))
-
-    def distinct(self) -> bool:
-        """Whether the labels are pairwise distinct, decided on the masks.
-        Distinct masks over the poset's elements are distinct member sets,
-        the poset's labels are unique, and ``{`` + the sorted names joined
-        by ``,`` + ``}`` gives the set back, unless a name holds a comma
-        (``a,b`` beside ``a`` and ``b``) or is empty (``{}`` for both the
-        empty set and ``{""}``); only then are the strings compared."""
-        names = self.poset.labels
-        if all(names) and "," not in "".join(names):
-            return len(set(self.masks)) == len(self.masks)
-        return len(set(self.strings)) == len(self.masks)
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __getitem__(self, i):
-        return self.strings[i]
-
-    def __eq__(self, other):
-        if isinstance(other, DownsetLabels):
-            other = other.strings
-        return self.strings == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.strings)
-
-    def __radd__(self, other):
-        return other + self.strings
-
-
 def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
     """The downsets ``masks`` of ``poset`` ordered by inclusion; element i
-    is ``masks[i]``, labeled by ``downset_labels`` through a
-    ``DownsetLabels``, so no label is rendered until one is read.  Each L
+    is ``masks[i]``, labeled by ``downset_labels`` on first read of
+    ``labels``, so a caller that reads none renders none.  Each L
     comes after its lower covers L - {i}, i maximal in L, the empty set
     aside, as in all (nonempty) downsets sorted by size; then below L lie
     its lower covers and what lies below them (Birkhoff; Davey and
@@ -449,20 +409,27 @@ def inclusion_order(poset: FinitePoset, masks) -> FinitePoset:
             if j >= 0:
                 below[k] |= below[j] | 1 << j
                 covers[k] |= 1 << j
-    return _closed(DownsetLabels(poset, masks), below, covers)
+    return _closed(poset, masks, below, covers)
 
 
-def _closed(labels: DownsetLabels, below: list, lower: list) -> FinitePoset:
+def _closed(poset: FinitePoset, masks, below: list, lower: list) -> FinitePoset:
     """Internal constructor of an order closed by how it was built, as
     ``ordinal._trusted`` is of a key: no checking pass, the given lower
-    covers, and ``above`` derived on first read.  Duplicate labels are still
-    refused, decided on the masks by ``DownsetLabels.distinct``."""
-    if not labels.distinct():
-        raise PosetError("duplicate element name")
+    covers, and ``above`` and the labels, ``downset_labels(poset, masks)``,
+    derived on first read.  Duplicate labels are still refused.  Distinct
+    masks render distinct ``{`` + sorted names joined by ``,`` + ``}``
+    unless a name holds a comma (``a,b`` beside ``a`` and ``b``) or is
+    empty (``{}`` for both the empty set and ``{""}``); only then are the
+    strings compared."""
     order = object.__new__(FinitePoset)
-    _put(order, "labels", labels)
+    _put(order, "_base", poset)
+    _put(order, "_masks", masks := tuple(masks))
     _put(order, "below", tuple(below))
     _put(order, "lower", tuple(lower))
+    names = poset.labels
+    keys = masks if all(names) and "," not in "".join(names) else order.labels
+    if len(set(keys)) != len(masks):
+        raise PosetError("duplicate element name")
     return order
 
 
@@ -489,21 +456,20 @@ def kw_rank(downsets: dict) -> dict:
 
 # -- selectors -----------------------------------------------------------
 
-def selector_conditions(labels, sets) -> tuple:
+def selector_conditions(sets, name) -> tuple:
     """The three conditions of a selector x -> U_x on points 0..k-1:
     each point lies in its own set (membership), two distinct points never
     lie in each other's sets (antisymmetry), and each set contains the set
     of every one of its members (nesting).
 
     ``sets[i]`` is the bitmask of U_i over the point indices, and
-    ``labels[i]`` names point i in the witness.  Returns the verdict of
-    each condition and the first violation, or None: conditions in the
-    order above, then points in index order, then the first offending
-    point in index order; an antisymmetry pair is (i, j) with i < j.
+    ``name(i)`` names point i in the witness; it is called for the
+    witness's points only.  Returns the verdict of each condition and the
+    first violation, or None: conditions in the order above, then points
+    in index order, then the first offending point in index order; an
+    antisymmetry pair is (i, j) with i < j.
     """
     k = len(sets)
-    if len(labels) != k:
-        raise PosetError("selector needs one set per point")
     if any(u >> k for u in sets):
         raise PosetError("selector set out of range")
     conditions = ("membership", "antisymmetry", "nesting")
@@ -516,14 +482,16 @@ def selector_conditions(labels, sets) -> tuple:
     found: dict = {}
     for i, u in enumerate(sets):
         if not u >> i & 1:
-            found.setdefault("membership", labels[i])
+            found.setdefault("membership", i)
         for j in _bits(u):
             if j > i and sets[j] >> i & 1:
-                found.setdefault("antisymmetry", (labels[i], labels[j]))
+                found.setdefault("antisymmetry", (i, j))
             if sets[j] & ~u:
-                found.setdefault("nesting", (labels[i], labels[j]))
-    witness = next(((c, found[c]) for c in conditions if c in found), None)
-    return {c: c not in found for c in conditions}, witness
+                found.setdefault("nesting", (i, j))
+    first = next(c for c in conditions if c in found)  # the mask test failed
+    points = found[first]
+    witness = name(points) if first == "membership" else tuple(map(name, points))
+    return {c: c not in found for c in conditions}, (first, witness)
 
 
 def join_table_laws(table) -> tuple:

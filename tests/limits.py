@@ -130,6 +130,12 @@ ROWS = [
     # the meet of two 4,000-piece sets: one merge of the piece lists, not a test of every pair
     Row(None, lambda n: ["clopen", "op", "intersect", pieces(n), pieces(n)], accept=4000,
         stdout=pieces(4000) + "\n"),
+    # a natural product is refused by its count of term pairs: t by 1, and n by n interleaved ones
+    limit("ordinal.MAX_PRODUCT_PAIRS",
+          lambda t: "ord natprod " + "+".join(f"w^{k}" for k in range(t, 0, -1)) + " 2"),
+    limit("ordinal.MAX_PRODUCT_PAIRS", lambda n: "ord natprod " + "+".join(
+        f"w^(w+{k})" for k in range(n, 0, -1)) + " " + "+".join(f"w^(w^{k})*3" for k in range(n, 0, -1)),
+        accept=50, past=(999,)),
 ]
 
 

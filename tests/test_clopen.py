@@ -308,6 +308,31 @@ def test_algebra_matches_membership_oracle():
             assert holds(c, p) == (not holds(a, p))
 
 
+def complement_by_normalizing(a):
+    """``clopen_complement`` as it was: the gaps between the pieces of ``a``
+    normalized by ``clopen_from_pieces``."""
+    gaps, prev = [], ZERO
+    for s, t in a.intervals:
+        gaps.append((prev, s))
+        prev = t
+    gaps.append((prev, a.ambient))
+    return clopen_from_pieces(a.ambient, gaps, not a.zero_included)
+
+
+def test_complement_matches_the_normalized_gaps():
+    # the seeded sets, and the empty set, {0} alone, the full space, a piece
+    # from 0 and a piece to the ambient, each with and without 0
+    rng = random.Random(0)
+    sets = [rand_clopen(rng, max_pieces=rng.choice([3, 8])) for _ in range(300)]
+    for zero in (False, True):
+        sets += [ClopenSet(AMB, zero, pieces) for pieces in
+                 ((), ((ZERO, AMB),), ((ZERO, P("w")),), ((P("w^2"), AMB),),
+                  ((ZERO, P("w")), (P("w*2"), P("w^2")), (P("w^3"), AMB)))]
+    for a in sets:
+        assert clopen_complement(a) == complement_by_normalizing(a), a
+        assert clopen_complement(clopen_complement(a)) == a, a
+
+
 def pairwise_intersect(a, b):
     """``clopen_intersect`` as it was before the merge: every piece of ``a``
     met with every piece of ``b``, and the meets normalized."""

@@ -481,7 +481,7 @@ def test_selector_check_matches_all_pairs_scan():
 def _induced_order_by_union_pass(space, sets):
     # the induced-order condition as selector_axioms_check computed it before
     # it read transitivity from nesting: one union pass over the strict sets
-    conditions, _ = selector_conditions(space.labels, sets)
+    conditions, _ = selector_conditions(sets, space.labels.__getitem__)
     strict = [u & ~(1 << i) for i, u in enumerate(sets)]
     transitive = not any(_union(strict, s) & ~s & ~(1 << z) for z, s in enumerate(strict))
     return conditions["nesting"], transitive, transitive and conditions["antisymmetry"]
@@ -632,9 +632,9 @@ def _mrowka_selector_families(monkeypatch):
     recorded = []
     scan = selector_conditions
 
-    def record(labels, sets):
-        recorded.append((tuple(labels), tuple(sets)))
-        return scan(labels, sets)
+    def record(sets, name):
+        recorded.append((tuple(map(name, range(len(sets)))), tuple(sets)))
+        return scan(sets, name)
 
     monkeypatch.setattr("ordtop.poset.selector_conditions", record)
     for m in range(1, 7):
@@ -678,10 +678,19 @@ def test_selector_conditions_match_the_pairwise_scan(monkeypatch):
     not_minimal = 0
     for source, space, labels, sets in cases:
         walks.clear()
-        got = selector_conditions(labels, sets)
+        named = []
+        got = selector_conditions(sets, lambda i: named.append(i) or labels[i])
         assert got == selector_conditions_scan(labels, sets), (labels, sets)
         passed = all(got[0].values())
         assert bool(walks) != passed, (labels, sets)
+        # a pass names no point; a failure names the witness's points, each
+        # once, and no other
+        if passed:
+            assert named == [], (labels, sets)
+        else:
+            condition, points = got[1]
+            points = [points] if condition == "membership" else list(points)
+            assert [labels[i] for i in named] == points, (labels, sets)
         path = (source, "scan" if walks else "masks")
         paths[path] = paths.get(path, 0) + 1
         if space is not None:

@@ -11,6 +11,7 @@ from ordtop.acceptance import _decompose_by_enumeration
 from ordtop.ordinal import (
     MAX_COEFF_BITS,
     MAX_NESTING,
+    MAX_PRODUCT_PAIRS,
     MAX_TERMS,
     OMEGA,
     ONE,
@@ -630,6 +631,27 @@ def test_nat_prod_examples():
     assert nat_prod(P("w^3+5"), ONE) == P("w^3+5")
     # oracle: the exponent rule agrees with ordinary product on monomials
     assert nat_prod(w_pow(2), w_pow(3)) == ord_mul(w_pow(2), w_pow(3)) == P("w^5")
+
+
+def test_nat_prod_refuses_more_than_max_product_pairs_of_terms():
+    # n interleaved terms by n, every pair a term of its own: accepted at
+    # MAX_PRODUCT_PAIRS pairs of terms, refused past it before any pair is
+    # multiplied, as a flat sum of one term more than that is by 2
+    def interleaved(n):  # w^(w+n) + ... + w^(w+1), and w^(w^n)*3 + ... + w^(w^1)*3
+        return (Ordinal(tuple((P(f"w+{k}"), 1) for k in range(n, 0, -1))),
+                Ordinal(tuple((P(f"w^{k}"), 3) for k in range(n, 0, -1))))
+
+    b, d = interleaved(50)
+    assert 50 * 50 == MAX_PRODUCT_PAIRS
+    assert [c for _, c in nat_prod(b, d).terms] == [3] * MAX_PRODUCT_PAIRS
+    flat = Ordinal(tuple((Ordinal.from_int(k), 1) for k in range(MAX_PRODUCT_PAIRS + 1, 0, -1)))
+    two = Ordinal.from_int(2)
+    says = f"^natural product of more than MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS} pairs of terms$"
+    for x, y in [(b, interleaved(51)[1]), interleaved(999), (flat, two), (two, flat)]:
+        with pytest.raises(OrdinalError, match=says):
+            nat_prod(x, y)
+    with pytest.raises(OrdinalError, match=says):
+        odot(flat, 2)
 
 
 @given(ordinals(max_terms=3), ordinals(max_terms=3))

@@ -433,7 +433,7 @@ def test_inclusion_order_labels_act_as_their_tuple():
     lat = downset_lattice(p)
     masks = sorted(all_downsets(p), key=lambda m: (m.bit_count(), m))  # as downset_lattice orders them
     labels, strings = lat.labels, tuple(downset_labels(p, masks))
-    assert type(labels) is not tuple and len(labels) == len(strings) == 6
+    assert type(labels) is tuple and len(labels) == len(strings) == 6
     assert labels == strings and strings == labels and not labels != strings
     assert labels != list(strings) and hash(labels) == hash(strings)
     assert list(labels) == list(strings) and labels[1:4] == strings[1:4]
@@ -733,12 +733,11 @@ def oracle_zaguia(poset, kw):
 
 
 def test_zaguia_claim3_ordinal_bound_spot_check():
+    # on a chain the principal downsets are ranked as their tops are
     p = chain(3)
-    r = ranks(p)
     kw = kw_rank(all_downsets(p))
-    for i in range(p.n):
-        if r.by_index[i] >= 1:
-            assert Ordinal.from_int(kw[p.down_mask(i)]) < ord_pow(OMEGA, Ordinal.from_int(r.by_index[i]))
+    principal = [kw[p.down_mask(i)] for i in range(p.n)]
+    assert principal == [0, 1, 2] == list(ranks(p).by_index)
 
 
 def test_zaguia_matches_the_full_square_oracle():

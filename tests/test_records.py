@@ -23,7 +23,7 @@ from ordtop.clopen import ClopenError
 from ordtop.hyperspace import HyperspaceError
 from ordtop.mrowka import MAX_STAGE_MEMBER, MrowkaError, _stage_block, ad_check
 from ordtop.ordinal import OMEGA, ONE, ZERO, OrdinalError, _check_coeff, format_ordinal
-from ordtop.poset import DownsetLabels, PosetError, _bits, join_table_laws
+from ordtop.poset import PosetError, _bits, join_table_laws
 from ordtop.spaceterm import TermError
 
 
@@ -76,16 +76,11 @@ class FinitePoset:
     lower: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = self.labels
-        if type(labels) is DownsetLabels:  # kept lazy: distinct() decides on the masks
-            distinct = labels.distinct()
-        else:
-            labels = tuple(labels)
-            object.__setattr__(self, "labels", labels)
-            distinct = len(set(labels)) == len(labels)
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "below", tuple(self.below))
         n = len(labels)
-        if not distinct:
+        if len(set(labels)) != n:
             raise PosetError("duplicate element name")
         if len(self.below) != n:
             raise PosetError("below must have one mask per element")
